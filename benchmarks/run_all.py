@@ -320,7 +320,7 @@ def bench_observability(name: str, config: dict) -> dict:
 
 def bench_metrics_scrape(name: str, config: dict, samples: int = 10) -> dict:
     """Latency of a ``GET /metrics`` scrape against a live, warmed server."""
-    from repro.engine import EngineClient, ServerConfig, ServerThread
+    from repro.engine import EngineClient, ServerThread
     from repro.engine.bench import percentile
 
     backend = get_backend(name)
@@ -330,7 +330,7 @@ def bench_metrics_scrape(name: str, config: dict, samples: int = 10) -> dict:
     tau = backend.default_tau(store)
     scrape_ms: list[float] = []
     text = ""
-    with ServerThread(engine, ServerConfig(max_wait_ms=1.0)) as handle:
+    with ServerThread(engine) as handle:
         with EngineClient(handle.url) as client:
             for payload in payloads:  # populate every instrument first
                 client.search(name, payload, tau=tau)
@@ -460,7 +460,7 @@ def bench_durability(name: str, config: dict, num_ops: int, workdir: str) -> dic
     recording query p99 *including* any compaction swap pauses, and
     verifies the background folds completed cleanly.
     """
-    from repro.engine import EngineClient, ServerConfig, ServerThread
+    from repro.engine import EngineClient, ServerThread
     from repro.engine.bench import percentile
     from repro.engine.wal import AutoCompactionPolicy
 
@@ -479,7 +479,7 @@ def bench_durability(name: str, config: dict, num_ops: int, workdir: str) -> dic
         "batch_size": DURABILITY_BATCH_SIZE,
         "levels": {},
     }
-    with ServerThread(engine, ServerConfig(max_wait_ms=1.0)) as handle:
+    with ServerThread(engine) as handle:
         with EngineClient(handle.url) as client:
             timer = Timer()
             for index in range(num_ops):

@@ -225,7 +225,7 @@ engine = SearchEngine(cache_size=16)
 engine.add_dataset("sets", SetDataset(workload.records, num_classes=4))
 
 baseline = {t.ident for t in threading.enumerate()}
-with ServerThread(engine, ServerConfig(max_wait_ms=1.0, profile_hz=50)) as handle:
+with ServerThread(engine, ServerConfig(profile_hz=50)) as handle:
     with EngineClient(handle.url) as client:
         client.search("sets", list(workload.queries[0]), tau=0.6)
 

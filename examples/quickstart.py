@@ -13,7 +13,7 @@ Run with:  python examples/quickstart.py
 
 from repro.core import passes_pigeonhole, passes_pigeonring_basic
 from repro.datasets.binary import gist_like
-from repro.engine import EngineClient, SearchEngine, ServerConfig, ServerThread
+from repro.engine import EngineClient, SearchEngine, ServerThread
 from repro.hamming import BinaryVectorDataset
 
 
@@ -35,7 +35,7 @@ def main() -> None:
 
     # Spawn the HTTP/JSON server locally (port 0 picks a free port) and
     # talk to it exactly like a remote client would.
-    with ServerThread(engine, ServerConfig(max_wait_ms=2.0)) as server:
+    with ServerThread(engine) as server:
         print(f"engine serving at {server.url}")
         with EngineClient(server.url) as client:
             manifest = client.manifest()

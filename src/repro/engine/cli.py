@@ -379,7 +379,6 @@ def _serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_pending=args.max_pending,
         trace=args.trace,
         trace_budget=args.trace_budget,
@@ -669,9 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     http_serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
     http_serve.add_argument(
         "--max-batch", type=int, default=16, help="micro-batch coalescing limit"
-    )
-    http_serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0, help="micro-batch window in ms"
     )
     http_serve.add_argument(
         "--max-pending", type=int, default=256, help="admission-control bound (429 above)"

@@ -1,10 +1,12 @@
 """Clients for the HTTP serving layer: blocking and asyncio.
 
 :class:`EngineClient` is the blocking counterpart of
-:class:`repro.engine.server.EngineServer`: one persistent HTTP/1.1
-connection (``http.client``), domain payloads encoded through the same
-:mod:`repro.engine.wire` codecs the server decodes with, and the server's
-HTTP error taxonomy mapped back to typed exceptions:
+:class:`repro.engine.server.EngineServer`: one persistent keep-alive
+socket (``TCP_NODELAY``, one ``sendall`` per request, the body read to its
+exact ``Content-Length``) speaking just the HTTP/1.1 subset the server
+emits, domain payloads encoded through the same :mod:`repro.engine.wire`
+codecs the server decodes with, and the server's HTTP error taxonomy
+mapped back to typed exceptions:
 
 * 400 -> :class:`RequestError` (the request itself is malformed),
 * 429 -> :class:`ServerBusyError` (admission control; carries
@@ -16,7 +18,10 @@ With ``retries > 0`` the client absorbs transient failures itself:
 429/503 responses and connection-level errors are retried with capped
 exponential backoff plus full jitter, honouring the server's
 ``Retry-After`` hint as a lower bound on the wait.  ``retries=0`` (the
-default) keeps the historical fail-fast behaviour.  The client also
+default) keeps the historical fail-fast behaviour.  A response the client
+cannot frame (connection closed early, short body, malformed status line)
+closes the socket and raises a :class:`ConnectionError`, so it takes the
+same retry path as a dropped connection.  The client also
 tracks a **read-your-writes session token**: every acknowledged
 ``/mutate`` response carries the WAL sequence map the batch landed at,
 and subsequent searches send it back as ``X-Session-Token`` so a
@@ -25,13 +30,13 @@ applied the caller's own writes.
 
 :func:`asearch` is the coroutine equivalent of one ``search`` call for
 asyncio callers -- it opens a connection, issues the request and decodes
-the response without threads.  Both sides are stdlib-only.
+the response without threads.  Both sides share one request encoder and
+one response-head parser and are stdlib-only.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import random
 import socket
@@ -150,6 +155,87 @@ def _raise_for_status(status: int, body: dict, retry_after: float | None) -> Non
     raise RequestError(status, message)
 
 
+#: Largest response head (status line + headers) either client accepts.
+_MAX_HEAD_BYTES = 64 * 1024
+_HEAD_END = b"\r\n\r\n"
+
+
+def _encode_request(
+    method: str,
+    path: str,
+    host: str,
+    port: int,
+    payload: dict | None,
+    headers: dict[str, str] | None,
+    keep_alive: bool,
+) -> bytes:
+    """One HTTP/1.1 request, head and JSON body, as a single byte string."""
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    lines = [f"{method} {path} HTTP/1.1", f"Host: {host}:{port}", f"Content-Length: {len(body)}"]
+    if not keep_alive:
+        lines.append("Connection: close")
+    if body:
+        lines.append("Content-Type: application/json")
+    for name, value in (headers or {}).items():
+        if "\r" in value or "\n" in value:
+            raise ValueError(f"header {name} may not contain line breaks")
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _parse_head(head: bytes) -> tuple[int, dict[str, str], int]:
+    """``(status, lower-cased headers, body length)`` of one response head.
+
+    ``head`` is everything before the blank line.  Only what the engine
+    server emits is understood: a ``Content-Length`` body, no
+    ``Transfer-Encoding``.  Anything else raises :class:`ConnectionError`
+    -- the bytes on this connection cannot be framed, so it must be
+    dropped, whatever the request was.
+    """
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    parts = status_line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1.") or not parts[1].isdigit():
+        raise ConnectionError(f"malformed status line {status_line!r}")
+    headers: dict[str, str] = {}
+    for line in header_lines:
+        name, _sep, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length_text = headers.get("content-length", "")
+    if "transfer-encoding" in headers or not length_text.isdigit():
+        raise ConnectionError(f"response without a usable Content-Length ({length_text!r})")
+    return int(parts[1]), headers, int(length_text)
+
+
+def _read_response(sock: socket.socket) -> tuple[int, dict[str, str], bytes]:
+    """Read exactly one response off a blocking socket.
+
+    The common case -- head and body in one segment -- is a single
+    ``recv``; a large body (``/metrics``) is read to its exact
+    ``Content-Length``, so nothing of the next response is consumed.
+    """
+    received = b""
+    while (end := received.find(_HEAD_END)) < 0:
+        if len(received) > _MAX_HEAD_BYTES:
+            raise ConnectionError("response head too large")
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionResetError("the server closed the connection before answering")
+        received += chunk
+    status, headers, length = _parse_head(received[:end])
+    body = received[end + len(_HEAD_END) :]
+    if len(body) > length:
+        raise ConnectionError(f"{len(body) - length} bytes after the response body")
+    if len(body) < length:
+        rest = bytearray(body)
+        while len(rest) < length:
+            chunk = sock.recv(min(length - len(rest), 1 << 20))
+            if not chunk:
+                raise ConnectionError(f"short body: {len(rest)} of {length} bytes")
+            rest += chunk
+        body = bytes(rest)
+    return status, headers, body
+
+
 class EngineClient:
     """A blocking HTTP client for one engine server.
 
@@ -189,7 +275,7 @@ class EngineClient:
         self._retries = retries
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
-        self._connection: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
         self._session: str | None = None
         #: transient failures absorbed by the retry loop (observability for
         #: load generators and the chaos harness)
@@ -203,9 +289,9 @@ class EngineClient:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def __enter__(self) -> "EngineClient":
         return self
@@ -222,24 +308,26 @@ class EngineClient:
         payload: dict | None = None,
         headers: dict[str, str] | None = None,
     ) -> tuple[int, bytes, float | None]:
-        if self._connection is None:
-            self._connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self._timeout
-            )
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
-        request_headers = dict(headers) if headers else {}
-        if body:
-            request_headers["Content-Type"] = "application/json"
+        request = _encode_request(
+            method, path, self._host, self._port, payload, headers, keep_alive=True
+        )
         try:
-            self._connection.request(method, path, body=body, headers=request_headers)
-            response = self._connection.getresponse()
-            data = response.read()
-        except (ConnectionError, socket.timeout, http.client.HTTPException):
+            if self._sock is None:
+                self._sock = socket.create_connection(
+                    (self._host, self._port), timeout=self._timeout
+                )
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock.sendall(request)
+            status, response_headers, data = _read_response(self._sock)
+        except BaseException:
             # The connection is unusable (server restarted, keep-alive
-            # dropped); throw it away so the next call reconnects.
+            # dropped) or holds a half-read response; throw it away so the
+            # next call reconnects instead of reading stale bytes.
             self.close()
             raise
-        return response.status, data, parse_retry_after(response.getheader("Retry-After"))
+        if response_headers.get("connection", "").lower() == "close":
+            self.close()
+        return status, data, parse_retry_after(response_headers.get("retry-after"))
 
     def _retry_delay(self, attempt: int, retry_after: float | None) -> float:
         """Full-jitter capped exponential backoff, floored by Retry-After."""
@@ -267,7 +355,7 @@ class EngineClient:
             retry_after: float | None = None
             try:
                 status, data, retry_after = self._raw_request(method, path, payload, headers)
-            except (ConnectionError, socket.timeout, http.client.HTTPException):
+            except (ConnectionError, TimeoutError):
                 if attempt >= self._retries:
                     raise
             else:
@@ -483,33 +571,16 @@ async def _arequest(
         asyncio.open_connection(host, port), timeout
     )
     try:
-        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-        lines = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {host}:{port}",
-            "Connection: close",
-            f"Content-Length: {len(body)}",
-        ]
-        if body:
-            lines.append("Content-Type: application/json")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+        writer.write(_encode_request(method, path, host, port, payload, None, keep_alive=False))
         await writer.drain()
 
         async def _read_all() -> tuple[int, dict, dict[str, str]]:
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1").split(None, 2)
-            if len(parts) < 2:
-                raise EngineClientError(f"malformed status line {status_line!r}")
-            status = int(parts[1])
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _sep, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0"))
-            data = await reader.readexactly(length) if length else await reader.read()
+            try:
+                head = await reader.readuntil(_HEAD_END)
+                status, headers, length = _parse_head(head[: -len(_HEAD_END)])
+                data = await reader.readexactly(length)
+            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError) as exc:
+                raise ConnectionError(f"unreadable response: {exc}") from exc
             decoded = json.loads(data.decode("utf-8")) if data else {}
             return status, decoded, headers
 

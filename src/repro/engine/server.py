@@ -7,13 +7,13 @@
 similarity machinery is reachable by concurrent clients without importing
 the package:
 
-* **micro-batch coalescing**: concurrent in-flight queries are collected by
-  a single batcher task and executed as one ``search_batch`` call.  The
-  batch window is bounded by ``max_batch_size`` queries and ``max_wait_ms``
-  milliseconds; batches run on a one-thread executor, so while one batch
-  executes the next one accumulates -- under load the effective batch size
-  grows and the per-request overhead is amortised exactly like the sharded
-  engine's chunk pipelining.
+* **work-conserving batch dispatch**: queries from every connection join
+  one FIFO queue and run as ``search_batch`` calls on a one-thread
+  executor.  A batch starts the moment the executor is idle and the queue
+  is non-empty -- no timer -- and whatever arrives while it runs (up to
+  ``max_batch_size``) forms the next batch when it completes.  An idle
+  server therefore answers a lone query at engine speed, and batches
+  re-form by themselves whenever arrivals outpace the executor.
 * **admission control and backpressure**: at most ``max_pending`` queries
   may be in flight; excess requests are rejected immediately with HTTP 429
   and a ``Retry-After`` hint instead of growing an unbounded queue.
@@ -29,9 +29,9 @@ the package:
   engine, a mutation response is written only after the engine's
   append-and-fsync returns: an acknowledged batch is on disk.
 * **graceful drain**: :meth:`EngineServer.stop` stops accepting work,
-  answers everything already admitted, then shuts the batcher down; a
+  answers everything already admitted, then shuts the executor down; a
   killed shard worker surfaces as 503 on the affected queries without
-  wedging the batcher.
+  wedging the dispatch.
 
 The server is asyncio + stdlib only.  :class:`ServerThread` runs it on a
 background thread with its own event loop for tests, examples and the
@@ -114,16 +114,14 @@ class ServerConfig:
     Attributes:
         host / port: listen address; port 0 binds an ephemeral port
             (read the real one from :attr:`EngineServer.address`).
-        max_batch_size: most queries coalesced into one ``search_batch``.
-        max_wait_ms: longest a query waits for companions before its batch
-            is flushed anyway; 0 flushes immediately (batching then comes
-            only from queries arriving while a batch executes).
+        max_batch_size: most queries coalesced into one ``search_batch``
+            (a batch is whatever queued up while the previous one ran).
         max_pending: admission-control bound on in-flight queries (queued
             plus executing); excess requests get 429 + ``Retry-After``.
         retry_after_s: the ``Retry-After`` hint on 429/503 responses.
         max_body_bytes: largest accepted request body (413 above it).
         drain_timeout_s: longest :meth:`EngineServer.stop` waits for
-            admitted queries before shutting the batcher down regardless.
+            admitted queries before shutting the executor down regardless.
         trace: record a span timeline for every search request (clients can
             also opt in per request with an ``X-Trace: 1`` header, or pin
             the id with ``X-Trace-Id``).
@@ -157,7 +155,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     max_batch_size: int = 16
-    max_wait_ms: float = 2.0
     max_pending: int = 256
     retry_after_s: float = 1.0
     max_body_bytes: int = 8 * 1024 * 1024
@@ -179,8 +176,6 @@ class ServerConfig:
             raise ValueError("durability must be 'memory', 'wal' or None")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
@@ -222,7 +217,7 @@ class ServerStats:
             "server_batch_size", "micro-batch size", buckets=BATCH_SIZE_BUCKETS
         )
         self._wait_hist = r.histogram(
-            "server_coalesce_wait_seconds", "per-query wait for batch companions"
+            "server_coalesce_wait_seconds", "per-query wait queued behind a running batch"
         )
         self._routes: set[str] = set()
 
@@ -371,7 +366,7 @@ class EngineServer:
     Args:
         engine: a :class:`SearchEngine` or :class:`ShardedEngine` (anything
             with ``search_batch``); queries from every connection funnel
-            into its ``search_batch`` through the micro-batcher.
+            into its ``search_batch`` through one FIFO queue.
         config: serving tunables; ``None`` uses the defaults.
         own_engine: close the engine (if it has ``close``) on :meth:`stop`.
     """
@@ -417,10 +412,10 @@ class EngineServer:
         )
         self._span_bridge = diag.SpanMetricsBridge(self.stats.registry)
         self._own_engine = own_engine
-        # Queue entries carry their enqueue time (loop clock) so the batcher
-        # can report each query's coalesce wait.
+        # Queue entries carry their enqueue time (loop clock) so each query's
+        # wait behind the running batch can be reported.
         self._queue: deque[tuple[Query, asyncio.Future, float]] = deque()
-        self._arrival: asyncio.Event | None = None
+        self._batch_running = False
         self._in_flight = 0
         # Requests being handled right now (parse -> dispatch -> response
         # written); the drain waits on this, not just on admitted queries,
@@ -428,7 +423,6 @@ class EngineServer:
         self._active_requests = 0
         self._draining = False
         self._server: asyncio.AbstractServer | None = None
-        self._batcher_task: asyncio.Task | None = None
         self._connections: set[asyncio.Task] = set()
         # One executor thread: batches run serially, so the engine needs no
         # extra thread safety, and the next batch coalesces while one runs.
@@ -452,9 +446,6 @@ class EngineServer:
         return f"http://{host}:{port}"
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._arrival = asyncio.Event()
-        self._batcher_task = loop.create_task(self._batcher())
         if self.profiler is not None:
             self.profiler.start()
             # A sharded engine profiles its worker processes too.
@@ -480,16 +471,13 @@ class EngineServer:
         deadline = loop.time() + self.config.drain_timeout_s
         while (self._in_flight or self._active_requests) and loop.time() < deadline:
             await asyncio.sleep(0.005)
-        if self._batcher_task is not None:
-            self._batcher_task.cancel()
-            try:
-                await self._batcher_task
-            except asyncio.CancelledError:
-                pass
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        # Non-empty only when the drain timed out: what never started is
+        # abandoned, so a late batch completion cannot pump a dead executor.
+        self._queue.clear()
         self._executor.shutdown(wait=True)
         if self.profiler is not None:
             self.profiler.stop()
@@ -502,70 +490,65 @@ class EngineServer:
         if self._own_engine and hasattr(self.engine, "close"):
             self.engine.close()
 
-    # -- micro-batcher -----------------------------------------------------
+    # -- batch dispatch ----------------------------------------------------
 
-    async def _batcher(self) -> None:
-        """Coalesce queued queries into ``search_batch`` calls, forever.
+    def _pump(self) -> None:
+        """Start the next ``search_batch`` iff none is running and queries wait.
 
-        A batch opens when the first query arrives and closes when it holds
-        ``max_batch_size`` queries or ``max_wait_ms`` has passed since it
-        opened, whichever comes first.  Engine failures are delivered to the
-        affected queries' futures; the batcher itself never dies.
+        Work-conserving: an idle executor never waits for companions, and
+        whatever queues up while a batch runs (up to ``max_batch_size``)
+        rides the next one, in arrival order.
         """
+        if self._batch_running or not self._queue:
+            return
         loop = asyncio.get_running_loop()
-        config = self.config
-        while True:
-            if not self._queue:
-                self._arrival.clear()
-                await self._arrival.wait()
-            deadline = loop.time() + config.max_wait_ms / 1000.0
-            while len(self._queue) < config.max_batch_size:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                self._arrival.clear()
-                try:
-                    await asyncio.wait_for(self._arrival.wait(), remaining)
-                except asyncio.TimeoutError:
-                    break
-            batch = [
-                self._queue.popleft()
-                for _ in range(min(len(self._queue), config.max_batch_size))
-            ]
-            if not batch:
-                continue
-            queries = [query for query, _future, _enqueued in batch]
-            self.stats.observe_batch(len(batch))
-            batch_start = loop.time()
-            for _query, _future, enqueued in batch:
-                self.stats.observe_wait(batch_start - enqueued)
-            try:
-                responses = await loop.run_in_executor(
-                    self._executor, self._run_batch, queries
-                )
-            except Exception as exc:  # engine failure: fail the batch, live on
-                for _query, future, _enqueued in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-                continue
-            exec_time = loop.time() - batch_start
-            for (_query, future, enqueued), response in zip(batch, responses):
-                if not future.done():
-                    future.set_result(
-                        (response, len(batch), batch_start - enqueued, exec_time)
-                    )
+        batch = [
+            self._queue.popleft()
+            for _ in range(min(len(self._queue), self.config.max_batch_size))
+        ]
+        self.stats.observe_batch(len(batch))
+        batch_start = loop.time()
+        for _query, _future, enqueued in batch:
+            self.stats.observe_wait(batch_start - enqueued)
+        self._batch_running = True
+        queries = [query for query, _future, _enqueued in batch]
+        running = loop.run_in_executor(self._executor, self.engine.search_batch, queries)
+        running.add_done_callback(lambda done: self._finish_batch(batch, batch_start, done))
 
-    def _run_batch(self, queries: list[Query]) -> list:
-        return self.engine.search_batch(queries)
+    def _finish_batch(
+        self,
+        batch: list[tuple[Query, asyncio.Future, float]],
+        batch_start: float,
+        done: asyncio.Future,
+    ) -> None:
+        """Deliver one batch's responses, or its failure, and start the next.
+
+        An engine failure fails exactly the queries of this batch; the
+        dispatch itself lives on.
+        """
+        self._batch_running = False
+        exec_time = asyncio.get_running_loop().time() - batch_start
+        exc = done.exception()
+        # A future is already done only when a timed-out drain cancelled
+        # the connection awaiting it.
+        if exc is not None:
+            for _query, future, _enqueued in batch:
+                if not future.done():
+                    future.set_exception(exc)
+        else:
+            for (_query, future, enqueued), response in zip(batch, done.result()):
+                if not future.done():
+                    future.set_result((response, len(batch), batch_start - enqueued, exec_time))
+        self._pump()
 
     async def _admit(self, query: Query) -> tuple[Any, int, float, float]:
-        """Queue one query for the batcher; returns ``(response, batch_size,
+        """Queue one query for dispatch; returns ``(response, batch_size,
         coalesce_wait_s, batch_exec_s)``."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._queue.append((query, future, loop.time()))
         self._in_flight += 1
-        self._arrival.set()
+        self._pump()
         try:
             return await future
         finally:
@@ -1062,7 +1045,6 @@ class EngineServer:
             "server": self.stats.snapshot(),
             "config": {
                 "max_batch_size": self.config.max_batch_size,
-                "max_wait_ms": self.config.max_wait_ms,
                 "max_pending": self.config.max_pending,
             },
         }

@@ -22,7 +22,9 @@ def as_bit_matrix(vectors: np.ndarray) -> np.ndarray:
     matrix = np.asarray(vectors)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D array of binary vectors, got shape {matrix.shape}")
-    if matrix.size and not np.isin(matrix, (0, 1)).all():
+    # Two comparisons, not np.isin: isin sorts and allocates several arrays
+    # the size of the input, and this runs on every build step and query.
+    if not ((matrix == 0) | (matrix == 1)).all():
         raise ValueError("binary vectors may only contain 0 and 1")
     return matrix.astype(np.uint8, copy=False)
 

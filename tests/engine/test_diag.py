@@ -460,7 +460,6 @@ def diag_served(datasets):
     for name, dataset in datasets.items():
         engine.add_dataset(name, dataset)
     config = ServerConfig(
-        max_wait_ms=1.0,
         trace=True,
         profile_hz=97.0,
         slo_latency_ms=5000.0,

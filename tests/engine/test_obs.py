@@ -201,7 +201,7 @@ def served(datasets):
     engine = SearchEngine(cache_size=0)
     for name, dataset in datasets.items():
         engine.add_dataset(name, dataset)
-    with ServerThread(engine, ServerConfig(max_wait_ms=1.0)) as handle:
+    with ServerThread(engine) as handle:
         yield handle
 
 
@@ -272,7 +272,7 @@ def test_served_2shard_trace_and_error_trace_id(tmp_path, datasets, query_payloa
     build_shards("sets", datasets["sets"], directory, 2)
     engine = ShardedEngine(directory)
     try:
-        with ServerThread(engine, ServerConfig(max_wait_ms=1.0)) as handle:
+        with ServerThread(engine) as handle:
             with EngineClient(handle.url) as client:
                 response = client.search(
                     "sets", query_payloads["sets"][0], tau=taus["sets"], trace=True
@@ -308,7 +308,7 @@ def test_slow_query_log_records_served_queries(tmp_path, datasets, query_payload
     engine = SearchEngine(cache_size=0)
     engine.add_dataset("sets", datasets["sets"])
     log_path = tmp_path / "slow.jsonl"
-    config = ServerConfig(max_wait_ms=1.0, slow_query_ms=0.0, slow_query_log=str(log_path))
+    config = ServerConfig(slow_query_ms=0.0, slow_query_log=str(log_path))
     with ServerThread(engine, config) as handle:
         with EngineClient(handle.url) as client:
             response = client.search("sets", query_payloads["sets"][0], tau=taus["sets"])

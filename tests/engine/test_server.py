@@ -44,7 +44,7 @@ def served(datasets):
     engine = SearchEngine(cache_size=0)
     for name, dataset in datasets.items():
         engine.add_dataset(name, dataset)
-    with ServerThread(engine, ServerConfig(max_wait_ms=1.0)) as handle:
+    with ServerThread(engine) as handle:
         yield handle
 
 
@@ -268,48 +268,31 @@ def test_unknown_paths_bucket_as_other_in_stats(served, client):
 
 
 # ---------------------------------------------------------------------------
-# Micro-batch coalescing
+# Work-conserving batch dispatch
 # ---------------------------------------------------------------------------
 
 
-def test_concurrent_queries_coalesce_into_batches(datasets, query_payloads, taus):
-    engine = SearchEngine(cache_size=0)
-    engine.add_dataset("sets", datasets["sets"])
-    config = ServerConfig(max_batch_size=8, max_wait_ms=150.0)
-    with ServerThread(engine, config) as handle:
-        sizes: list[int] = []
-        lock = threading.Lock()
-
-        def one(payload):
-            with EngineClient(handle.url) as client:
-                response = client.search("sets", payload, tau=taus["sets"])
-                with lock:
-                    sizes.append(response.batch_size)
-
-        payloads = (query_payloads["sets"] * 2)[:6]
-        threads = [threading.Thread(target=one, args=(p,)) for p in payloads]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(sizes) == 6
-        # The 150 ms window lets concurrent queries ride one search_batch.
-        assert max(sizes) >= 2
-        snapshot = handle.server.stats.snapshot()
-        assert snapshot["num_batches"] < snapshot["num_queries"]
-        assert snapshot["max_batch_size"] == max(sizes)
-
-
 class _BlockingEngine:
-    """A stand-in engine whose batches block until released."""
+    """A stand-in engine whose batches block until released.
 
-    def __init__(self):
+    Records the payloads of every batch it is handed; ``fail_batches``
+    names the batches (by call order, from 1) that raise instead.
+    """
+
+    def __init__(self, fail_batches=()):
         self.release = threading.Event()
-        self.calls = 0
+        self.batches: list[list] = []
+        self.fail_batches = set(fail_batches)
+
+    @property
+    def calls(self) -> int:
+        return len(self.batches)
 
     def search_batch(self, queries):
-        self.calls += 1
+        self.batches.append([query.payload for query in queries])
         assert self.release.wait(timeout=30.0)
+        if len(self.batches) in self.fail_batches:
+            raise ZeroDivisionError("engine blew up")
         return [
             Response(query=query, ids=[], tau_effective=query.tau) for query in queries
         ]
@@ -324,9 +307,95 @@ def _wait_for(predicate, timeout=5.0):
     return False
 
 
+class _QueuedCallers:
+    """One query blocked inside the engine and ``queued`` more behind it.
+
+    Callers are started one at a time, each only after the previous one is
+    in the server's queue, so arrival order is the payload order
+    ``[0], [1], ...``.  ``outcomes[i]`` ends up as the ``WireResponse`` or
+    the raised exception of caller ``i``.
+    """
+
+    def __init__(self, handle, engine, queued):
+        self.outcomes: dict[int, object] = {}
+        self.threads = []
+        for index in range(queued + 1):
+            thread = threading.Thread(target=self._call, args=(handle.url, index))
+            thread.start()
+            self.threads.append(thread)
+            if index == 0:
+                assert _wait_for(lambda: engine.calls == 1)
+            else:
+                assert _wait_for(lambda: len(handle.server._queue) == index)
+
+    def _call(self, url, index):
+        try:
+            with EngineClient(url) as client:
+                self.outcomes[index] = client.search("sets", [index], tau=1)
+        except Exception as exc:  # noqa: BLE001 - the test inspects it
+            self.outcomes[index] = exc
+
+    def join(self):
+        for thread in self.threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in self.threads)
+
+
+def test_concurrent_queries_coalesce_into_batches():
+    for max_batch_size, expected in [
+        (8, [[[0]], [[1], [2], [3], [4], [5]]]),
+        (2, [[[0]], [[1], [2]], [[3], [4]], [[5]]]),
+    ]:
+        engine = _BlockingEngine()
+        with ServerThread(engine, ServerConfig(max_batch_size=max_batch_size)) as handle:
+            callers = _QueuedCallers(handle, engine, queued=5)
+            # Nothing is dispatched behind the running batch, however long it runs.
+            assert engine.calls == 1
+            engine.release.set()
+            callers.join()
+            # What queued while the first batch ran rides the next one(s), FIFO.
+            assert engine.batches == expected
+            sizes = [callers.outcomes[index].batch_size for index in range(6)]
+            assert sizes == [len(batch) for batch in expected for _ in batch]
+            snapshot = handle.server.stats.snapshot()
+            assert snapshot["num_queries"] == 6
+            assert snapshot["num_batches"] == len(expected)
+            assert snapshot["max_batch_size"] == max(sizes)
+
+
+def test_serial_queries_dispatch_without_a_coalescing_wait():
+    engine = _BlockingEngine()
+    engine.release.set()
+    with ServerThread(engine) as handle, EngineClient(handle.url) as client:
+        responses = [client.search("sets", [i], tau=1, trace=True) for i in range(41)]
+    assert all(response.batch_size == 1 for response in responses)
+    waits_ms = sorted(response.trace["spans"][0]["duration_ms"] for response in responses)
+    assert responses[0].trace["spans"][0]["name"] == "coalesce_wait"
+    # An idle executor starts the batch at once: no timer to sit out.
+    assert waits_ms[len(waits_ms) // 2] < 0.5
+
+
+def test_engine_exception_fails_exactly_its_batch():
+    engine = _BlockingEngine(fail_batches=[2])
+    with ServerThread(engine, ServerConfig(max_batch_size=2)) as handle:
+        callers = _QueuedCallers(handle, engine, queued=3)
+        engine.release.set()
+        callers.join()
+        assert engine.batches == [[[0]], [[1], [2]], [[3]]]
+        assert callers.outcomes[0].ids == [] and callers.outcomes[3].ids == []
+        for index in (1, 2):
+            failure = callers.outcomes[index]
+            assert isinstance(failure, RequestError) and failure.status == 500
+            assert "engine blew up" in str(failure)
+        assert handle.server.stats.errors_internal == 2
+        # The dispatch lives on: the next query is answered.
+        with EngineClient(handle.url) as client:
+            assert client.search("sets", [9], tau=1).batch_size == 1
+
+
 def test_backpressure_rejects_with_429_and_retry_after():
     engine = _BlockingEngine()
-    config = ServerConfig(max_batch_size=1, max_wait_ms=0.0, max_pending=2)
+    config = ServerConfig(max_batch_size=1, max_pending=2)
     with ServerThread(engine, config) as handle:
         results = []
 
@@ -358,35 +427,50 @@ def test_backpressure_rejects_with_429_and_retry_after():
 
 def test_graceful_drain_answers_in_flight_queries():
     engine = _BlockingEngine()
-    config = ServerConfig(max_wait_ms=0.0)
-    handle = ServerThread(engine, config).start()
+    handle = ServerThread(engine, ServerConfig(max_batch_size=2)).start()
     url = handle.url
-    results = []
-
-    def one():
-        with EngineClient(url) as client:
-            results.append(client.search("sets", [1], tau=1))
-
-    worker = threading.Thread(target=one)
-    worker.start()
-    assert _wait_for(lambda: handle.server._in_flight == 1)
+    # One query blocked in the engine, three queued behind it: the drain
+    # must see all of them through (two more batches), then stop.
+    callers = _QueuedCallers(handle, engine, queued=3)
+    assert handle.server._in_flight == 4
 
     stopper = threading.Thread(target=handle.stop)
     stopper.start()
     time.sleep(0.05)
-    engine.release.set()  # the drain must wait for this query, then stop
+    assert stopper.is_alive()
+    engine.release.set()
     stopper.join(timeout=10)
-    worker.join(timeout=10)
+    callers.join()
     assert not stopper.is_alive()
-    assert len(results) == 1 and results[0].ids == []
+    assert [callers.outcomes[index].ids for index in range(4)] == [[]] * 4
+    assert engine.batches == [[[0]], [[1], [2]], [[3]]]
     with pytest.raises((ConnectionError, OSError)):
         EngineClient(url, timeout=1.0).healthz()
+
+
+def test_timed_out_drain_abandons_what_never_started(caplog):
+    engine = _BlockingEngine()
+    handle = ServerThread(engine, ServerConfig(drain_timeout_s=0.05)).start()
+    callers = _QueuedCallers(handle, engine, queued=2)
+
+    stopper = threading.Thread(target=handle.stop)
+    stopper.start()
+    # Past the drain deadline the connections are dropped; stop() then only
+    # waits for the batch the executor is still running.
+    assert _wait_for(lambda: not handle.server._queue and handle.server._in_flight == 0)
+    engine.release.set()
+    stopper.join(timeout=10)
+    callers.join()
+    assert not stopper.is_alive()
+    assert engine.batches == [[[0]]]
+    assert all(isinstance(callers.outcomes[i], ConnectionError) for i in range(3))
+    assert not [record for record in caplog.records if record.name == "asyncio"]
 
 
 def test_draining_server_rejects_new_queries_with_503():
     engine = _BlockingEngine()
     engine.release.set()
-    with ServerThread(engine, ServerConfig(max_wait_ms=0.0)) as handle:
+    with ServerThread(engine) as handle:
         with EngineClient(handle.url) as client:
             client.healthz()
             handle.server._draining = True
@@ -451,7 +535,7 @@ def test_dead_shard_worker_maps_to_503_without_wedging(tmp_path, datasets, taus)
     directory = str(tmp_path / "strings-shards")
     build_shards("strings", datasets["strings"], directory, 2)
     engine = ShardedEngine(directory)
-    with ServerThread(engine, ServerConfig(max_wait_ms=0.0), own_engine=True) as handle:
+    with ServerThread(engine, own_engine=True) as handle:
         with EngineClient(handle.url) as client:
             ok = client.search("strings", datasets["strings"].record(0), tau=taus["strings"])
             assert ok.num_results >= 1  # the record itself matches at tau >= 0

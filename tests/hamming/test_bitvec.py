@@ -29,6 +29,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_bit_matrix(np.array([0, 1, 1]))
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, float])
+    def test_as_bit_matrix_normalises_every_dtype(self, dtype):
+        bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=dtype)
+        matrix = as_bit_matrix(bits)
+        assert matrix.dtype == np.uint8
+        assert matrix.tolist() == [[0, 1, 1], [1, 0, 0]]
+        # Already-normalised input is passed through, not copied.
+        assert (matrix is bits) == (dtype is np.uint8)
+        assert as_bit_matrix(np.zeros((0, 3), dtype=dtype)).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0, 2]], dtype=np.uint8),
+            np.array([[0, 255]], dtype=np.uint8),
+            np.array([[0, -1]]),
+            np.array([[1, 0.5]]),
+            np.array([[0, np.nan]]),
+            np.array([[1, np.inf]]),
+            np.array([[[0, 1]]]),
+            np.array(1),
+        ],
+        ids=["two", "255", "minus-one", "half", "nan", "inf", "3-d", "0-d"],
+    )
+    def test_as_bit_matrix_rejects(self, bad):
+        with pytest.raises(ValueError):
+            as_bit_matrix(bad)
+
     def test_popcount(self):
         assert popcount(0) == 0
         assert popcount(0b1011) == 3
