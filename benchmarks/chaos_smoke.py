@@ -48,10 +48,11 @@ import tempfile
 import threading
 import time
 
+import numpy as np
+
 import repro
 from repro.engine import Query, SearchEngine
 from repro.engine.backend import get_backend
-from repro.engine.bench import percentile
 from repro.engine.client import EngineClient
 from repro.engine.sharding import build_shards
 
@@ -344,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(
                     f"only {len(run.heal_seconds)}/{KILLS} kills healed"
                 )
-            p99 = percentile(run.latencies_ms, 0.99) if run.latencies_ms else 0.0
+            p99 = float(np.percentile(run.latencies_ms, 99)) if run.latencies_ms else 0.0
             if not run.latencies_ms:
                 failures.append("no searches completed during chaos")
             elif p99 > args.p99_ms:

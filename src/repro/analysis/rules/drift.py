@@ -1,4 +1,6 @@
-"""Doc-drift rule: served routes and CLI flags must appear in the docs.
+"""Doc-drift rule: the code and the docs must name the same things.
+
+Code -> docs (an undocumented feature is one nobody can discover):
 
 * Every HTTP route the server knows -- the ``_ENDPOINTS`` literal in
   ``src/repro/engine/server.py`` plus any ``path == "/x"`` comparison --
@@ -6,18 +8,33 @@
   contract clients are written against.
 * Every ``--flag`` registered via ``add_argument`` in
   ``src/repro/engine/cli.py`` must appear verbatim in ENGINE.md or
-  README.md; an undocumented flag is a feature nobody can discover.
+  README.md.
+
+Docs -> code (a deleted verb, flag or file must not live on in the docs):
+
+* Every ``python -m repro.engine <verb>`` in ENGINE.md or README.md must
+  name a subcommand ``cli.py`` registers via ``add_parser``.
+* Every back-ticked ``--flag`` in the first column of ENGINE.md's flag
+  table (the one headed ``Flag``) must be registered in ``cli.py``.
+* Every back-ticked ``benchmarks/``, ``src/``, ``tests/`` or ``examples/``
+  path in those two files must exist (``*`` and ``{a,b}`` expand).
 """
 
 from __future__ import annotations
 
 import ast
+import glob
+import re
 
 from repro.analysis.framework import AnalysisContext, Finding, rule
 
 SERVER_FILE = "src/repro/engine/server.py"
 CLI_FILE = "src/repro/engine/cli.py"
 DOC_FILES = ("ENGINE.md", "README.md")
+
+_VERB_RE = re.compile(r"python -m repro\.engine\s+([a-z][a-z-]*)")
+_FLAG_RE = re.compile(r"`(--[a-z][a-z0-9-]*)`")
+_PATH_RE = re.compile(r"`((?:benchmarks|src|tests|examples)/[^`\s]*)`")
 
 
 def server_routes(ctx: AnalysisContext) -> list[tuple[str, int]]:
@@ -47,62 +64,96 @@ def server_routes(ctx: AnalysisContext) -> list[tuple[str, int]]:
     return sorted(routes.items())
 
 
-def cli_flags(ctx: AnalysisContext) -> list[tuple[str, int]]:
-    """Every ``--flag`` string passed to an ``add_argument`` call."""
-    tree = ctx.tree(CLI_FILE)
-    flags: dict[str, int] = {}
-    for node in ast.walk(tree):
+def _string_args(ctx: AnalysisContext, method: str) -> list[tuple[str, int]]:
+    """String literals passed positionally to ``<anything>.<method>(...)`` in cli.py."""
+    found: dict[str, int] = {}
+    for node in ast.walk(ctx.tree(CLI_FILE)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "add_argument"):
+        if not (isinstance(func, ast.Attribute) and func.attr == method):
             continue
         for arg in node.args:
-            if (
-                isinstance(arg, ast.Constant)
-                and isinstance(arg.value, str)
-                and arg.value.startswith("--")
-            ):
-                flags.setdefault(arg.value, arg.lineno)
-    return sorted(flags.items())
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                found.setdefault(arg.value, arg.lineno)
+    return sorted(found.items())
 
 
-@rule("doc-drift", "routes and CLI flags must be documented")
+def cli_flags(ctx: AnalysisContext) -> list[tuple[str, int]]:
+    """Every ``--flag`` string passed to an ``add_argument`` call."""
+    arguments = _string_args(ctx, "add_argument")
+    return [(flag, line) for flag, line in arguments if flag.startswith("--")]
+
+
+def cli_subcommands(ctx: AnalysisContext) -> set[str]:
+    """Every subcommand name passed to an ``add_parser`` call."""
+    return {name for name, _line in _string_args(ctx, "add_parser")}
+
+
+def flag_table_flags(engine_md: str) -> list[tuple[str, int]]:
+    """Back-ticked flags in the first column of the table headed ``Flag``."""
+    found: list[tuple[str, int]] = []
+    in_table = False
+    for number, line in enumerate(engine_md.splitlines(), 1):
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        first_cell = line.split("|")[1].strip()
+        if first_cell == "Flag":
+            in_table = True
+        elif in_table:
+            found.extend((flag, number) for flag in _FLAG_RE.findall(first_cell))
+    return found
+
+
+def _path_exists(ctx: AnalysisContext, path: str) -> bool:
+    head, brace, rest = path.partition("{")
+    if brace:
+        options, _close, tail = rest.partition("}")
+        return all(_path_exists(ctx, head + option + tail) for option in options.split(","))
+    return bool(glob.glob(ctx.path(path.rstrip("/"))))
+
+
+def _line_of(text: str, match: re.Match) -> int:
+    return text.count("\n", 0, match.start()) + 1
+
+
+@rule("doc-drift", "routes, CLI verbs/flags and paths agree between code and docs")
 def check_doc_drift(ctx: AnalysisContext) -> list[Finding]:
     findings: list[Finding] = []
+
+    def drift(file: str, line: int, message: str) -> None:
+        findings.append(Finding(rule="doc-drift", file=file, line=line, message=message))
+
     docs = {name: ctx.text(name) for name in DOC_FILES if ctx.exists(name)}
     if ctx.exists(SERVER_FILE):
         if "ENGINE.md" not in docs:
-            findings.append(
-                Finding(
-                    rule="doc-drift",
-                    file="ENGINE.md",
-                    line=1,
-                    message="server.py exists but ENGINE.md (the endpoint contract) does not",
-                )
-            )
+            drift("ENGINE.md", 1, "server.py exists but ENGINE.md (the endpoint contract) does not")
         else:
             engine_md = docs["ENGINE.md"]
             for route, line in server_routes(ctx):
                 if f"`{route}`" not in engine_md:
-                    findings.append(
-                        Finding(
-                            rule="doc-drift",
-                            file=SERVER_FILE,
-                            line=line,
-                            message=f"route {route} is served but missing from ENGINE.md",
-                        )
-                    )
+                    drift(SERVER_FILE, line, f"route {route} is served but missing from ENGINE.md")
     if ctx.exists(CLI_FILE) and docs:
         haystack = "\n".join(docs.values())
-        for flag, line in cli_flags(ctx):
+        flags = cli_flags(ctx)
+        for flag, line in flags:
             if flag not in haystack:
-                findings.append(
-                    Finding(
-                        rule="doc-drift",
-                        file=CLI_FILE,
-                        line=line,
-                        message=f"CLI flag {flag} is undocumented (ENGINE.md / README.md)",
-                    )
-                )
+                drift(CLI_FILE, line, f"CLI flag {flag} is undocumented (ENGINE.md / README.md)")
+        subcommands = cli_subcommands(ctx)
+        for name, text in docs.items():
+            for match in _VERB_RE.finditer(text):
+                verb = match.group(1)
+                if verb not in subcommands:
+                    message = f"documents CLI verb {verb}, which cli.py does not register"
+                    drift(name, _line_of(text, match), message)
+        registered = {flag for flag, _line in flags}
+        for flag, line in flag_table_flags(docs.get("ENGINE.md", "")):
+            if flag not in registered:
+                message = f"the flag table lists {flag}, which cli.py does not register"
+                drift("ENGINE.md", line, message)
+    for name, text in docs.items():
+        for match in _PATH_RE.finditer(text):
+            if not _path_exists(ctx, match.group(1)):
+                drift(name, _line_of(text, match), f"names {match.group(1)}, which does not exist")
     return findings

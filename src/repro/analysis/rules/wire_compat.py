@@ -74,20 +74,6 @@ SURFACES = (
                 "decode_query",
             ),
             PairSpec(
-                "upsert",
-                "src/repro/engine/wire.py",
-                "encode_upsert",
-                "src/repro/engine/wire.py",
-                "decode_upsert",
-            ),
-            PairSpec(
-                "delete",
-                "src/repro/engine/wire.py",
-                "encode_delete",
-                "src/repro/engine/wire.py",
-                "decode_delete",
-            ),
-            PairSpec(
                 "mutate",
                 "src/repro/engine/wire.py",
                 "encode_mutate",

@@ -22,9 +22,6 @@ searcher classes; this subsystem puts one serving layer on top of them:
   background auto-compaction.
 * :mod:`repro.engine.sharding` -- :class:`ShardedEngine`: id-range shards
   served by one worker process each, with exact threshold/top-k merging.
-* :mod:`repro.engine.bench` -- the latency/throughput harness behind the
-  benchmark suite and the CI regression gate, plus the open/closed-loop
-  network load generator.
 * :mod:`repro.engine.wire` -- the schema-versioned JSON wire format of the
   network serving layer.
 * :mod:`repro.engine.server` -- :class:`EngineServer`: a stdlib-only asyncio
@@ -33,8 +30,8 @@ searcher classes; this subsystem puts one serving layer on top of them:
 * :mod:`repro.engine.client` -- the blocking :class:`EngineClient` and the
   :func:`asearch` coroutine.
 * :mod:`repro.engine.cli` -- ``python -m repro.engine`` with ``build-index``,
-  ``query``, ``bench``, ``build-shards``, ``serve-bench``, ``serve``,
-  ``load-bench``, ``upsert``, ``delete``, ``compact`` and ``wal-inspect``
+  ``query``, ``build-shards``, ``serve``, ``upsert``, ``delete``,
+  ``compact``, ``wal-inspect``, ``stats``, ``trace`` and ``profile``
   subcommands.
 
 Mutations flow through the batched ``mutate(backend, ops)`` entry point
@@ -52,13 +49,6 @@ from repro.engine.backend import (
     available_backends,
     get_backend,
     register_backend,
-)
-from repro.engine.bench import (
-    BenchReport,
-    LoadReport,
-    run_bench,
-    run_load_bench,
-    wire_requests,
 )
 from repro.engine.client import (
     EngineClient,
@@ -98,7 +88,6 @@ from repro.engine.wire import WIRE_SCHEMA_VERSION, WireFormatError
 __all__ = [
     "AutoCompactionPolicy",
     "Backend",
-    "BenchReport",
     "Container",
     "DURABILITY_LEVELS",
     "DeltaStore",
@@ -106,7 +95,6 @@ __all__ = [
     "EngineClientError",
     "EngineServer",
     "EngineStats",
-    "LoadReport",
     "Query",
     "RequestError",
     "Response",
@@ -131,10 +119,7 @@ __all__ = [
     "get_backend",
     "load_container",
     "register_backend",
-    "run_bench",
-    "run_load_bench",
     "run_topk",
     "save_container",
     "wal_summary",
-    "wire_requests",
 ]

@@ -44,10 +44,10 @@ class Query:
             backend's paper-tuned default.
         algorithm: which searcher family answers the query; every backend
             understands ``ring`` (pigeonring -- served by the columnar
-            candidate pipeline on the sets/strings/graphs backends),
+            candidate pipeline on the sets and strings backends),
             ``baseline`` (the paper's per-domain baseline: GPH / pkwise /
-            Pivotal / Pars) and ``linear`` (brute force).  The sets, strings
-            and graphs backends additionally accept ``ring-scalar`` (the
+            Pivotal / Pars) and ``linear`` (brute force).  The sets and
+            strings backends additionally accept ``ring-scalar`` (the
             retained scalar pigeonring reference); sets also accepts
             ``adapt`` and ``partalloc``.
         trace_id: when set, the engine records a span timeline for this

@@ -23,7 +23,6 @@ from repro.datasets.text import imdb_like
 from repro.datasets.tokens import dblp_like
 from repro.engine.backend import Backend, register_backend
 from repro.engine.persistence import atomic_write, atomic_write_json
-from repro.graphs.columnar import ColumnarGraphSearcher
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.ged import ged_within, graph_edit_distance
 from repro.graphs.graph import Graph
@@ -627,7 +626,7 @@ class GraphBackend(Backend):
     """Graph edit distance over labelled graphs (Pars / pigeonring)."""
 
     name = "graphs"
-    algorithms = ("ring", "ring-scalar", "baseline", "linear")
+    algorithms = ("ring", "baseline", "linear")
     mutable = True
 
     def prepare(self, dataset: Any) -> GraphDataset:
@@ -664,8 +663,6 @@ class GraphBackend(Backend):
             searcher = LinearGraphSearcher(store)
             return lambda payload: searcher.search(payload, tau)
         if algorithm == "ring":
-            searcher = ColumnarGraphSearcher(store, tau, chain_length=chain_length)
-        elif algorithm == "ring-scalar":
             searcher = RingGraphSearcher(store, tau, chain_length=chain_length)
         else:
             searcher = ParsSearcher(store, tau)

@@ -7,20 +7,11 @@ The subcommands make the engine drivable end-to-end without writing code:
   into an index container directory together with a sample query workload.
 * ``query`` -- load a container and answer one stored query, either as a
   thresholded selection (``--tau``) or as a top-k search (``--k``).
-* ``bench`` -- load a container, replay the stored workload sequentially and
-  on a thread pool, verify both paths agree, and record throughput to a JSON
-  report.
 * ``build-shards`` -- like ``build-index``, but split the dataset into K
   id-range shards, each its own index container under one directory.
-* ``serve-bench`` -- serve a sharded index on K worker processes, replay the
-  stored workload pipelined across the shards, and report throughput,
-  latency percentiles, and per-shard/merge statistics.
 * ``serve`` -- expose an index (plain container or sharded directory,
   autodetected) over HTTP/JSON with micro-batch coalescing and
   backpressure; shuts down gracefully on SIGINT/SIGTERM.
-* ``load-bench`` -- drive a running server with the index's stored workload
-  at one or more concurrency levels and record achieved QPS plus
-  p50/p95/p99 latency to a JSON report.
 * ``upsert`` / ``delete`` / ``compact`` -- mutate an index on disk (plain
   container or sharded directory): records land in the delta store, deletes
   tombstone, and ``compact`` folds the overlay into a rebuilt main index.
@@ -47,14 +38,8 @@ from typing import Sequence
 from repro.common.stats import Timer
 from repro.engine.api import Query
 from repro.engine.backend import available_backends, get_backend
-from repro.engine.bench import run_bench, run_load_bench, wire_requests
 from repro.engine.executor import SearchEngine
-from repro.engine.sharding import (
-    SHARDS_MANIFEST_NAME,
-    ShardedEngine,
-    build_shards,
-    load_shards_manifest,
-)
+from repro.engine.sharding import SHARDS_MANIFEST_NAME, ShardedEngine, build_shards
 
 
 def _parse_tau(text: str) -> float | int:
@@ -121,56 +106,6 @@ def _query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench(args: argparse.Namespace) -> int:
-    engine = SearchEngine(cache_size=0)  # throughput without result-cache effects
-    container = _load(engine, args.index)
-    name = container.backend.name
-    tau = args.tau if args.tau is not None else container.backend.default_tau(container.store)
-    queries = [
-        Query(
-            backend=name,
-            payload=payload,
-            tau=tau,
-            chain_length=args.chain_length,
-            algorithm=args.algorithm,
-        )
-        for payload in container.queries
-    ] * args.repeat
-    # Warm the searcher cache so both paths measure pure serving.
-    engine.search(queries[0])
-    engine.reset_stats()
-
-    timer = Timer()
-    sequential = engine.search_batch(queries)
-    sequential_s = timer.restart()
-    parallel = engine.search_batch(queries, parallel=True, max_workers=args.workers)
-    parallel_s = timer.elapsed()
-    agree = all(sorted(a.ids) == sorted(b.ids) for a, b in zip(sequential, parallel))
-    report = {
-        "backend": name,
-        "tau": tau,
-        "algorithm": args.algorithm,
-        "num_queries": len(queries),
-        "workers": args.workers,
-        "sequential_seconds": sequential_s,
-        "parallel_seconds": parallel_s,
-        "sequential_qps": len(queries) / sequential_s if sequential_s else 0.0,
-        "parallel_qps": len(queries) / parallel_s if parallel_s else 0.0,
-        "results_agree": agree,
-        "stats": engine.stats.snapshot(),
-    }
-    print(
-        f"[{name}] {len(queries)} queries  sequential {report['sequential_qps']:.1f} q/s"
-        f"  parallel({args.workers}) {report['parallel_qps']:.1f} q/s"
-        f"  agree={agree}"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"wrote {args.out}")
-    return 0 if agree else 1
-
-
 def _build_shards(args: argparse.Namespace) -> int:
     engine = SearchEngine()
     backend = engine.backend(args.backend)
@@ -184,48 +119,6 @@ def _build_shards(args: argparse.Namespace) -> int:
         f"{manifest['num_objects']} objects in {build_time:.2f}s: {ranges}"
     )
     print(f"saved sharded index with {len(queries)} queries to {args.out}")
-    return 0
-
-
-def _serve_bench(args: argparse.Namespace) -> int:
-    with ShardedEngine(args.index, mp_context=args.mp_context) as engine:
-        payloads = engine.load_queries()
-        if not payloads:
-            print(f"sharded index {args.index} holds no stored queries", file=sys.stderr)
-            return 2
-        name = engine.backend_name
-        tau = args.tau if args.tau is not None else engine.default_tau()
-        queries = [
-            Query(
-                backend=name,
-                payload=payload,
-                tau=tau,
-                chain_length=args.chain_length,
-                algorithm=args.algorithm,
-            )
-            for payload in payloads
-        ]
-        report, _responses = run_bench(engine, queries, repeat=args.repeat)
-        stats = engine.stats.snapshot()
-        payload = {
-            "backend": name,
-            "tau": tau,
-            "algorithm": args.algorithm,
-            "num_shards": engine.num_shards,
-            "bench": report.to_dict(),
-            "sharded_stats": stats,
-            "worker_stats": engine.worker_stats(),
-        }
-        print(
-            f"[{name}] {engine.num_shards} shard(s)  "
-            f"{report.num_queries} queries  {report.throughput_qps:.1f} q/s  "
-            f"p50 {report.p50_ms:.2f} ms  p95 {report.p95_ms:.2f} ms  "
-            f"merge {stats['avg_merge_time_ms']:.3f} ms/query"
-        )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-            print(f"wrote {args.out}")
     return 0
 
 
@@ -316,26 +209,23 @@ def _open_served_engine(args: argparse.Namespace):
     logs are replayed (recovering acknowledged writes from a crash) and
     ``--auto-compact`` arms the background delta-folding policy.
     """
-    wal_dir = getattr(args, "wal_dir", None)
-    auto_compact = getattr(args, "auto_compact", False)
-    replicas = getattr(args, "replicas", 1)
     if os.path.exists(os.path.join(args.index, SHARDS_MANIFEST_NAME)):
         return ShardedEngine(
             args.index,
             mp_context=args.mp_context,
-            wal_dir=wal_dir,
-            auto_compact=auto_compact,
-            replicas=replicas,
+            wal_dir=args.wal_dir,
+            auto_compact=args.auto_compact,
+            replicas=args.replicas,
         )
-    if replicas > 1:
-        raise SystemExit("--replicas > 1 needs a sharded index (see 'shard-build')")
+    if args.replicas > 1:
+        raise SystemExit("--replicas > 1 needs a sharded index (see 'build-shards')")
     engine = SearchEngine(cache_size=args.cache_size)
     container = engine.load_index(args.index)
-    if wal_dir is not None:
+    if args.wal_dir is not None:
         backend_name = container.backend.name
-        os.makedirs(wal_dir, exist_ok=True)
+        os.makedirs(args.wal_dir, exist_ok=True)
         replayed = engine.attach_wal(
-            backend_name, os.path.join(wal_dir, f"{backend_name}.wal")
+            backend_name, os.path.join(args.wal_dir, f"{backend_name}.wal")
         )
         if replayed["replayed_batches"]:
             print(
@@ -343,7 +233,7 @@ def _open_served_engine(args: argparse.Namespace):
                 f"batch(es) up to seq {replayed['last_seq']}",
                 flush=True,
             )
-        if auto_compact:
+        if args.auto_compact:
             engine.enable_auto_compaction(backend_name)
     return engine
 
@@ -431,100 +321,6 @@ def _wal_inspect(args: argparse.Namespace) -> int:
                 f"at byte {batch['offset']} (+{batch['num_bytes']})"
             )
     return status
-
-
-def _load_workload(args: argparse.Namespace) -> tuple[str, list, float | int]:
-    """Backend name, stored payloads and threshold for one index directory."""
-    shards_path = os.path.join(args.index, SHARDS_MANIFEST_NAME)
-    if os.path.exists(shards_path):
-        manifest = load_shards_manifest(args.index)
-    else:
-        with open(os.path.join(args.index, "manifest.json"), encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    name = manifest["backend"]
-    payloads = get_backend(name).load_queries(args.index)
-    if not payloads:
-        print(f"index {args.index} holds no stored queries", file=sys.stderr)
-        raise SystemExit(2)
-    tau = args.tau if args.tau is not None else manifest.get("default_tau")
-    if tau is None and args.k is None:
-        print(
-            "the index manifest records no default tau; pass --tau or --k",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return name, payloads, tau
-
-
-#: Request volume and concurrency ladder per load-bench profile.
-LOAD_PROFILES = {
-    "ci": dict(requests=160, concurrency=(1, 8)),
-    "full": dict(requests=1000, concurrency=(1, 4, 8, 16)),
-}
-
-
-def _load_bench(args: argparse.Namespace) -> int:
-    name, payloads, tau = _load_workload(args)
-    if args.profile is not None:
-        profile = LOAD_PROFILES[args.profile]
-        num_requests = profile["requests"]
-        levels = list(profile["concurrency"])
-    else:
-        num_requests = args.requests
-        levels = [int(part) for part in args.concurrency.split(",")]
-    repeat = max(1, -(-num_requests // len(payloads)))  # ceil to cover payloads
-    requests = wire_requests(
-        name,
-        payloads,
-        tau=None if args.k is not None else tau,
-        k=args.k,
-        chain_length=args.chain_length,
-        algorithm=args.algorithm,
-        repeat=repeat,
-    )[:num_requests]
-
-    results = {}
-    ok = True
-    for concurrency in levels:
-        report = run_load_bench(
-            args.url,
-            requests,
-            concurrency=concurrency,
-            mode=args.mode,
-            target_qps=args.rate,
-            topk=args.k is not None,
-            timeout=args.timeout,
-        )
-        results[str(concurrency)] = report.to_dict()
-        ok = ok and report.num_ok > 0 and report.num_errors == 0
-        print(
-            f"[{name}] c={concurrency:<3} {report.achieved_qps:>8.1f} q/s  "
-            f"p50 {report.p50_ms:>7.2f} ms  p95 {report.p95_ms:>7.2f} ms  "
-            f"p99 {report.p99_ms:>7.2f} ms  batch {report.avg_batch_size:.2f}  "
-            f"ok {report.num_ok}/{report.num_requests}"
-            + (f"  rejected {report.num_rejected}" if report.num_rejected else "")
-        )
-    if len(levels) > 1:
-        base = results[str(levels[0])]["achieved_qps"]
-        peak = max(entry["achieved_qps"] for entry in results.values())
-        if base:
-            print(f"concurrency speedup: {peak / base:.2f}x over c={levels[0]}")
-    if args.out:
-        payload = {
-            "backend": name,
-            "url": args.url,
-            "mode": args.mode,
-            "tau": tau,
-            "k": args.k,
-            "num_requests": num_requests,
-            "concurrency": results,
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.out}")
-    if not ok:
-        print("load-bench FAILED: errors or zero successful requests", file=sys.stderr)
-    return 0 if ok else 1
 
 
 def _print_span(node: dict, depth: int, total_ms: float) -> None:
@@ -625,16 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--algorithm", default="ring")
     query.set_defaults(func=_query)
 
-    bench = commands.add_parser("bench", help="measure batch-serving throughput")
-    bench.add_argument("--index", required=True, help="container directory")
-    bench.add_argument("--tau", type=_parse_tau, default=None)
-    bench.add_argument("--chain-length", type=int, default=None)
-    bench.add_argument("--algorithm", default="ring")
-    bench.add_argument("--repeat", type=int, default=1, help="workload repetitions")
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--out", default=None, help="write the JSON report here")
-    bench.set_defaults(func=_bench)
-
     shards = commands.add_parser(
         "build-shards", help="build and save a sharded (multi-container) index"
     )
@@ -645,18 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     shards.add_argument("--queries", type=int, default=20, help="stored sample queries")
     shards.add_argument("--seed", type=int, default=0)
     shards.set_defaults(func=_build_shards)
-
-    serve = commands.add_parser(
-        "serve-bench", help="serve a sharded index on worker processes and measure it"
-    )
-    serve.add_argument("--index", required=True, help="sharded index directory")
-    serve.add_argument("--tau", type=_parse_tau, default=None)
-    serve.add_argument("--chain-length", type=int, default=None)
-    serve.add_argument("--algorithm", default="ring")
-    serve.add_argument("--repeat", type=int, default=3, help="workload repetitions")
-    serve.add_argument("--mp-context", default=None, choices=["fork", "spawn", "forkserver"])
-    serve.add_argument("--out", default=None, help="write the JSON report here")
-    serve.set_defaults(func=_serve_bench)
 
     http_serve = commands.add_parser(
         "serve", help="serve an index (plain or sharded) over HTTP/JSON"
@@ -764,35 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the raw JSON summaries"
     )
     wal_inspect.set_defaults(func=_wal_inspect)
-
-    load = commands.add_parser(
-        "load-bench", help="drive a running server and record QPS + latency percentiles"
-    )
-    load.add_argument("--url", required=True, help="server base URL, e.g. http://127.0.0.1:8080")
-    load.add_argument(
-        "--index", required=True, help="index directory the server was started from"
-    )
-    load.add_argument("--tau", type=_parse_tau, default=None)
-    load.add_argument("--k", type=int, default=None, help="run the top-k endpoint instead")
-    load.add_argument("--chain-length", type=int, default=None)
-    load.add_argument("--algorithm", default="ring")
-    load.add_argument(
-        "--profile",
-        choices=sorted(LOAD_PROFILES),
-        default=None,
-        help="preset request volume + concurrency ladder (overrides --requests/--concurrency)",
-    )
-    load.add_argument("--requests", type=int, default=200, help="requests per level")
-    load.add_argument(
-        "--concurrency", default="1,8", help="comma-separated concurrency levels"
-    )
-    load.add_argument("--mode", choices=["closed", "open"], default="closed")
-    load.add_argument(
-        "--rate", type=float, default=None, help="open-loop dispatch rate (required for open)"
-    )
-    load.add_argument("--timeout", type=float, default=30.0)
-    load.add_argument("--out", default=None, help="write the JSON report here")
-    load.set_defaults(func=_load_bench)
 
     upsert = commands.add_parser(
         "upsert", help="insert or overwrite one record in an index on disk"

@@ -255,7 +255,7 @@ class EngineClient:
             hinted wait (itself capped by ``backoff_cap``).
 
     One client owns one persistent connection and is **not** thread-safe;
-    give each thread its own client (see ``run_load_bench``).
+    give each thread its own client.
     """
 
     def __init__(
@@ -492,8 +492,7 @@ class EngineClient:
     ) -> int:
         """Insert or overwrite one record; returns its id.
 
-        One-op shim over :meth:`mutate` (the legacy ``POST /upsert``
-        endpoint remains available to older clients).
+        One-op shim over :meth:`mutate`.
         """
         body = self.mutate(
             backend, [{"op": "upsert", "record": record, "id": obj_id}], durability
@@ -503,8 +502,7 @@ class EngineClient:
     def delete(self, backend: str, obj_id: int, durability: str | None = None) -> bool:
         """Remove one id; True when it named a live object.
 
-        One-op shim over :meth:`mutate` (the legacy ``POST /delete``
-        endpoint remains available to older clients).
+        One-op shim over :meth:`mutate`.
         """
         body = self.mutate(backend, [{"op": "delete", "id": obj_id}], durability)
         return bool(body["results"][0]["deleted"])

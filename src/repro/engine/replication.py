@@ -43,6 +43,7 @@ pickle across the process boundary).
 
 from __future__ import annotations
 
+import gc
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -99,6 +100,13 @@ def _init_worker(
     """
     from repro.engine.executor import SearchEngine
 
+    # A forked worker inherits the parent's heap, unreachable objects
+    # included.  Collecting an inherited ProcessPoolExecutor here runs its
+    # finaliser, which takes a lock the parent's pool-manager thread may
+    # have held at the fork (a pool being torn down after a replica kill):
+    # the worker would hang inside the collector, mid-query.  Freezing
+    # keeps everything inherited out of this process's collections.
+    gc.freeze()
     engine = SearchEngine(cache_size=cache_size)
     container = engine.load_index(shard_dir)
     backend_name = container.backend.name

@@ -20,8 +20,7 @@ the package:
 * **schema-versioned JSON endpoints** (:mod:`repro.engine.wire`):
   ``POST /search`` (thresholded selection), ``POST /search/topk`` (top-k),
   ``POST /mutate`` (batched upserts/deletes with explicit durability),
-  ``POST /upsert`` / ``POST /delete`` / ``POST /compact`` (one-op online
-  index mutation), ``GET /healthz``, ``GET /stats`` and ``GET /manifest``.
+  ``POST /compact``, ``GET /healthz``, ``GET /stats`` and ``GET /manifest``.
 * **write serialisation**: mutations run on the same one-thread executor
   as the search batches, so a write is atomic with respect to every
   batch -- no query observes a half-applied mutation -- and admission
@@ -62,10 +61,8 @@ from repro.engine.wire import (
     WIRE_SCHEMA_VERSION,
     WireFormatError,
     decode_compact,
-    decode_delete,
     decode_mutate,
     decode_query,
-    decode_upsert,
     encode_response,
     format_session,
 )
@@ -91,8 +88,6 @@ _ENDPOINTS = (
     "/search",
     "/search/topk",
     "/mutate",
-    "/upsert",
-    "/delete",
     "/compact",
     "/healthz",
     "/stats",
@@ -605,7 +600,13 @@ class EngineServer:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> tuple[str, str, dict, dict, bytes] | None:
-        request_line = await reader.readline()
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            # How readline reports a line over _LINE_LIMIT; what follows it
+            # cannot be framed, so the connection closes after the reply.
+            await self._write_response(writer, 400, {"error": "header line too long"}, False, {})
+            return None
         if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
@@ -617,7 +618,13 @@ class EngineServer:
         method, raw_path, _version = parts
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                await self._write_response(
+                    writer, 400, {"error": "header line too long"}, False, {}
+                )
+                return None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
@@ -699,11 +706,11 @@ class EngineServer:
             if method != "POST":
                 return 405, {"error": f"{path} takes POST"}, {"Allow": "POST"}
             return await self._handle_search(path, headers, body)
-        if path in ("/mutate", "/upsert", "/delete", "/compact"):
+        if path in ("/mutate", "/compact"):
             if method != "POST":
                 return 405, {"error": f"{path} takes POST"}, {"Allow": "POST"}
             return await self._handle_mutation(path, body)
-        if method != "GET":
+        if path in _ENDPOINTS and method != "GET":
             return 405, {"error": f"{path} takes GET"}, {"Allow": "GET"}
         if path == "/healthz":
             health = self._healthz()
@@ -893,7 +900,7 @@ class EngineServer:
             )
 
     async def _handle_mutation(self, path: str, body: bytes) -> tuple[int, dict, dict[str, str]]:
-        """Apply one upsert/delete/compact through the batch executor.
+        """Apply one mutation batch or compaction through the batch executor.
 
         Writes run on the same single thread as the coalesced search
         batches, so every batch sees either all of a mutation or none of
@@ -960,22 +967,6 @@ class EngineServer:
                 for op in ops:
                     self.stats.observe_mutation(op["op"])
                 return outcome
-
-        elif path == "/upsert":
-            backend_name, record, obj_id = decode_upsert(parsed)
-
-            def apply() -> dict:
-                assigned = engine.upsert(backend_name, record, obj_id)
-                self.stats.observe_mutation("upsert")
-                return {"backend": backend_name, "id": int(assigned)}
-
-        elif path == "/delete":
-            backend_name, obj_id = decode_delete(parsed)
-
-            def apply() -> dict:
-                deleted = engine.delete(backend_name, obj_id)
-                self.stats.observe_mutation("delete")
-                return {"backend": backend_name, "id": obj_id, "deleted": bool(deleted)}
 
         else:
             backend_name = decode_compact(parsed)

@@ -34,21 +34,20 @@ Mutations use the same conventions.  The batched ``POST /mutate`` carries::
 
 (see :func:`encode_mutate` / :func:`decode_mutate`); the response reports
 per-op results plus the durability level and WAL sequence number the batch
-was acknowledged at.  The legacy one-op endpoints remain: ``POST /upsert``
-carries ``{backend, record, id?}`` (the record in the backend's wire form),
-``POST /delete`` carries ``{backend, id}`` and ``POST /compact`` an
-optional ``{backend}``; see :func:`decode_upsert` / :func:`decode_delete`
-/ :func:`decode_compact`.
+was acknowledged at.  ``POST /compact`` carries an optional ``{backend}``
+(see :func:`decode_compact`).
 
 Schema versioning: version 2 added ``/mutate`` and the ``durability``
 field; version 3 added the read-your-writes ``session`` token -- a
 ``"shard:seq,shard:seq"`` rendering of the ``wal_seq`` map a mutation was
 acknowledged at (see :func:`format_session` / :func:`parse_session`),
 carried on queries so a replicated server can skip replicas that have not
-caught up with the caller's own writes.  Each version's bodies are a
-strict subset of the next version's semantics, so servers accept all of
-them (:data:`SUPPORTED_WIRE_SCHEMA_VERSIONS`) and old clients keep
-working unchanged.
+caught up with the caller's own writes; version 4 removed the one-op
+``/upsert`` and ``/delete`` bodies (a one-op write is a ``/mutate`` batch
+of one).  ``/search`` and ``/mutate`` bodies of every version decode the
+same way, so servers accept all of them
+(:data:`SUPPORTED_WIRE_SCHEMA_VERSIONS`) and old clients of those
+endpoints keep working unchanged.
 
 Every malformed input raises :class:`WireFormatError`, which the server
 maps to HTTP 400 with the message in the body -- clients see *why* the
@@ -63,10 +62,10 @@ from repro.engine.api import Query, Response
 from repro.engine.backend import available_backends, get_backend
 
 #: Version of the request/response JSON schema (bump on incompatible changes).
-WIRE_SCHEMA_VERSION = 3
+WIRE_SCHEMA_VERSION = 4
 
 #: Versions this server still decodes (each is a subset of the next).
-SUPPORTED_WIRE_SCHEMA_VERSIONS = frozenset({1, 2, 3})
+SUPPORTED_WIRE_SCHEMA_VERSIONS = frozenset({1, 2, 3, 4})
 
 #: Durability levels a mutation request may ask for.
 WIRE_DURABILITY_LEVELS = ("memory", "wal")
@@ -248,48 +247,6 @@ def _decode_object_id(body: dict, required: bool) -> int | None:
     if isinstance(obj_id, bool) or not isinstance(obj_id, int) or obj_id < 0:
         raise WireFormatError(f"'id' must be a non-negative integer, got {obj_id!r}")
     return obj_id
-
-
-def encode_upsert(backend_name: str, record: Any, obj_id: int | None = None) -> dict:
-    """The wire form of one upsert (client side)."""
-    backend = get_backend(backend_name)
-    body: dict[str, Any] = {
-        "schema_version": WIRE_SCHEMA_VERSION,
-        "backend": backend_name,
-        "record": backend.record_to_wire(record),
-    }
-    if obj_id is not None:
-        body["id"] = obj_id
-    return body
-
-
-def decode_upsert(body: Any) -> tuple[str, Any, int | None]:
-    """Decode a ``/upsert`` body into ``(backend, record, id)`` (server side)."""
-    backend = _decode_backend(body)
-    if "record" not in body:
-        raise WireFormatError("the request is missing 'record'")
-    try:
-        record = backend.record_from_wire(body["record"])
-    except WireFormatError:
-        raise
-    except Exception as exc:
-        raise WireFormatError(f"undecodable {backend.name!r} record: {exc}") from exc
-    return backend.name, record, _decode_object_id(body, required=False)
-
-
-def encode_delete(backend_name: str, obj_id: int) -> dict:
-    """The wire form of one delete (client side)."""
-    return {
-        "schema_version": WIRE_SCHEMA_VERSION,
-        "backend": backend_name,
-        "id": obj_id,
-    }
-
-
-def decode_delete(body: Any) -> tuple[str, int]:
-    """Decode a ``/delete`` body into ``(backend, id)`` (server side)."""
-    backend = _decode_backend(body)
-    return backend.name, _decode_object_id(body, required=True)
 
 
 def encode_mutate(

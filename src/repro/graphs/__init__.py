@@ -14,8 +14,6 @@ Public API:
 * :class:`repro.graphs.dataset.GraphDataset`
 * :class:`repro.graphs.pars.ParsSearcher` -- the pigeonhole baseline.
 * :class:`repro.graphs.ring.RingGraphSearcher` -- the pigeonring searcher.
-* :class:`repro.graphs.columnar.ColumnarGraphSearcher` -- label containment
-  over dense part/label count matrices (byte-identical results).
 * :class:`repro.graphs.linear.LinearGraphSearcher` -- brute force.
 """
 
@@ -27,7 +25,6 @@ from repro.graphs.dataset import GraphDataset
 from repro.graphs.linear import LinearGraphSearcher
 from repro.graphs.pars import ParsSearcher
 from repro.graphs.ring import RingGraphSearcher
-from repro.graphs.columnar import ColumnarGraphSearcher
 
 __all__ = [
     "Graph",
@@ -40,5 +37,4 @@ __all__ = [
     "LinearGraphSearcher",
     "ParsSearcher",
     "RingGraphSearcher",
-    "ColumnarGraphSearcher",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.common.obs import span
 from repro.common.stats import SearchResult, Timer
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.ged import ged_within
@@ -101,13 +102,15 @@ class RingGraphSearcher(ParsSearcher):
 
     def search(self, query: Graph) -> SearchResult:
         timer = Timer()
-        candidates = self.candidates(query)
+        with span("candidates"):
+            candidates = self.candidates(query)
         candidate_time = timer.restart()
-        results = [
-            obj_id
-            for obj_id in candidates
-            if ged_within(self._dataset.graph(obj_id), query, self._tau)
-        ]
+        with span("verify"):
+            results = [
+                obj_id
+                for obj_id in candidates
+                if ged_within(self._dataset.graph(obj_id), query, self._tau)
+            ]
         verify_time = timer.elapsed()
         return SearchResult(
             results=results,

@@ -171,22 +171,6 @@ def _check_version(body):
         raise ValueError("bad version")
 
 
-def encode_upsert(record):
-    return {"record": record}
-
-
-def decode_upsert(body):
-    return body["record"]
-
-
-def encode_delete(obj_id):
-    return {"id": obj_id}
-
-
-def decode_delete(body):
-    return body["id"]
-
-
 def encode_mutate(ops):
     return {"ops": ops}
 
@@ -258,8 +242,8 @@ def test_wire_compat_requires_version_bump(make_tree):
     root = _wire_tree(make_tree, _WIRE_OK)
     update_schemas(AnalysisContext(root))
     changed = _WIRE_OK.replace(
-        'return {"record": record}', 'return {"record": record, "ttl": 0}'
-    ).replace('return body["record"]', 'return (body["record"], body["ttl"])')
+        'return {"ops": ops}', 'return {"ops": ops, "ttl": 0}'
+    ).replace('return body["ops"]', 'return (body["ops"], body["ttl"])')
     _wire_tree(make_tree, changed)
     report = _run(root, "wire-compat")
     assert len(report.errors) == 1
@@ -271,8 +255,8 @@ def test_wire_compat_bumped_version_wants_fresh_snapshot(make_tree):
     update_schemas(AnalysisContext(root))
     changed = (
         _WIRE_OK.replace("WIRE_SCHEMA_VERSION = 1", "WIRE_SCHEMA_VERSION = 2")
-        .replace('return {"record": record}', 'return {"record": record, "ttl": 0}')
-        .replace('return body["record"]', 'return (body["record"], body["ttl"])')
+        .replace('return {"ops": ops}', 'return {"ops": ops, "ttl": 0}')
+        .replace('return body["ops"]', 'return (body["ops"], body["ttl"])')
     )
     _wire_tree(make_tree, changed)
     report = _run(root, "wire-compat")
@@ -321,6 +305,53 @@ def test_doc_drift_passes_documented_tree(make_tree):
         }
     )
     assert _run(root, "doc-drift").findings == []
+
+
+_CLI_VERBS = """
+def build_parser(commands):
+    query = commands.add_parser("query", help="answer one stored query")
+    query.add_argument("--tau", type=float)
+"""
+
+_ENGINE_MD_OK = """
+Run `python -m repro.engine query --tau 2`; see `src/repro/engine/cli.py`,
+`src/repro/{engine,analysis}` and `tests/*.py`.
+
+| Flag | Subcommands | Meaning |
+| --- | --- | --- |
+| `--tau` | `query` | threshold |
+"""
+
+
+def _reverse_tree(make_tree, engine_md: str) -> str:
+    return make_tree(
+        {
+            "src/repro/engine/cli.py": _CLI_VERBS,
+            "src/repro/analysis/__init__.py": "",
+            "tests/test_cli.py": "",
+            "ENGINE.md": engine_md,
+        }
+    )
+
+
+def test_doc_drift_reverse_passes_when_docs_name_only_what_exists(make_tree):
+    assert _run(_reverse_tree(make_tree, _ENGINE_MD_OK), "doc-drift").findings == []
+
+
+def test_doc_drift_trips_on_deleted_verb_flag_and_path(make_tree):
+    stale = (
+        _ENGINE_MD_OK
+        + "| `--rate` | `load-bench` | open-loop dispatch rate |\n\n"
+        + "```sh\npython -m repro.engine load-bench --url http://x\n```\n"
+        + "The suite is `benchmarks/run_all.py`.\n"
+    )
+    report = _run(_reverse_tree(make_tree, stale), "doc-drift")
+    messages = sorted(f.message for f in report.errors)
+    assert len(messages) == 3
+    assert "documents CLI verb load-bench" in messages[0]
+    assert "names benchmarks/run_all.py, which does not exist" in messages[1]
+    assert "the flag table lists --rate" in messages[2]
+    assert {f.file for f in report.errors} == {"ENGINE.md"}
 
 
 def test_doc_drift_requires_engine_md_when_server_exists(make_tree):

@@ -1,0 +1,72 @@
+"""The ``python -m repro.engine`` front end, driven through ``main([...])``.
+
+Tiny synthetic indexes under ``tmp_path``; the serving verbs (``serve``,
+``stats``, ``trace``, ``profile``) need a live server and are exercised by
+``benchmarks/server_smoke.sh`` instead.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.engine.cli import main
+
+
+def run(command: str, *args: str) -> int:
+    """``main`` on a shell-style command line plus verbatim trailing arguments."""
+    return main(command.split() + list(args))
+
+
+@pytest.fixture(scope="module")
+def index(tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("cli") / "idx")
+    assert run("build-index --backend sets --size 120 --queries 3 --seed 5 --out", directory) == 0
+    return directory
+
+
+def test_build_index_then_query_threshold_and_topk(index, capsys):
+    assert run("query --tau 0.5 --index", index) == 0
+    assert "[sets] tau=0.5 algorithm=ring:" in capsys.readouterr().out
+    assert run("query --k 2 --query 1 --index", index) == 0
+    out = capsys.readouterr().out
+    assert "[sets] top-2 algorithm=ring: 2 result(s)" in out
+    assert out.count("score=") == 2
+
+
+def test_query_number_out_of_range_exits_2(index, capsys):
+    assert run("query --query 3 --index", index) == 2
+    assert "--query must be in [0, 2]" in capsys.readouterr().err
+
+
+def test_build_shards_then_upsert_and_compact(tmp_path, capsys):
+    directory = str(tmp_path / "shards")
+    assert run("build-shards --backend strings --shards 2 --size 40 --out", directory) == 0
+    assert "built 2 strings shard(s) over 40 objects" in capsys.readouterr().out
+    assert run("upsert --index", directory, "--record", '"a fresh string"') == 0
+    assert "upserted id 40" in capsys.readouterr().out
+    assert run("compact --index", directory) == 0
+    out = capsys.readouterr().out
+    assert "shard 0 nothing to compact" in out
+    assert "shard 1 compacted: folded 1 delta record(s)" in out
+    assert "live 41  delta 0" in out
+
+
+def test_wal_inspect_missing_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.wal")
+    assert run("wal-inspect", missing) == 2
+    assert f"{missing}: no such file" in capsys.readouterr().err
+
+
+def test_serve_replicas_on_a_plain_container_names_build_shards(index):
+    with pytest.raises(SystemExit) as info:
+        run("serve --replicas 2 --index", index)
+    assert info.value.code not in (0, None)
+    assert "build-shards" in str(info.value.code)
+
+
+@pytest.mark.parametrize("verb", ["bench", "serve-bench", "load-bench"])
+def test_retired_benchmark_verbs_are_rejected(verb, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([verb, "--index", "x"])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

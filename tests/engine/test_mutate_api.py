@@ -23,7 +23,6 @@ from repro.engine.wire import (
     WireFormatError,
     decode_mutate,
     decode_query,
-    decode_upsert,
     encode_mutate,
 )
 
@@ -119,10 +118,6 @@ def test_v1_bodies_still_decode():
         {"schema_version": 1, "backend": "sets", "payload": [1, 2], "tau": 1}
     )
     assert query.tau == 1
-    name, record, obj_id = decode_upsert(
-        {"schema_version": 1, "backend": "sets", "record": [5, 6]}
-    )
-    assert name == "sets" and record == [5, 6] and obj_id is None
     # v1 predates /mutate, but a v1-stamped mutate body is a subset of v2
     # semantics and decodes the same way.
     name, ops, durability = decode_mutate(

@@ -191,7 +191,7 @@ def test_mutated_plain_engine_matches_rebuild(domain, datasets, query_payloads):
     engine.add_dataset(domain, datasets[domain])
     records = dict(enumerate(_initial_records(domain, datasets)))
     with ServerThread(engine) as handle, EngineClient(handle.url) as client:
-        # Mutations travel through POST /upsert and /delete for real.
+        # Mutations travel over HTTP (POST /mutate) for real.
         records = _apply_random_mutations(client, domain, records, rng, datasets)
         records = _seed_topk_neighbours(client, domain, query_payloads[domain], records)
         _assert_matches_rebuild(engine, client, domain, query_payloads[domain], records)

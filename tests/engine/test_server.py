@@ -172,9 +172,11 @@ def test_stats_counts_requests_and_batches(served, client, query_payloads, taus)
 
 
 def test_unknown_path_is_404(client):
-    with pytest.raises(RequestError) as info:
-        client._request("GET", "/nope")
-    assert info.value.status == 404
+    # /upsert and /delete were routes until wire v4; one-op writes are /mutate.
+    for method, path in (("GET", "/nope"), ("POST", "/upsert"), ("POST", "/delete")):
+        with pytest.raises(RequestError) as info:
+            client._request(method, path, {"backend": "sets", "id": 0})
+        assert info.value.status == 404
 
 
 def test_wrong_method_is_405(client):
@@ -245,6 +247,29 @@ def test_negative_content_length_is_400(served):
     )
     assert reply.startswith(b"HTTP/1.1 400")
     assert b"Content-Length" in reply
+
+
+@pytest.mark.parametrize(
+    "request_head",
+    [
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+    ],
+    ids=["header", "request-line"],
+)
+def test_overlong_header_line_is_400(served, caplog, request_head):
+    # A line over asyncio's 64 KiB stream limit makes readline() raise
+    # ValueError, which must become a 400, not a dead connection task.
+    with caplog.at_level("ERROR", logger="asyncio"):
+        reply = _raw_http(served, request_head)
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in reply
+        assert b"header line too long" in reply
+        # The listener is unharmed: the next connection is served.
+        assert _raw_http(
+            served, b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        ).startswith(b"HTTP/1.1 200")
+    assert "Unhandled exception" not in caplog.text
 
 
 def test_chunked_transfer_encoding_is_rejected(served):
@@ -478,52 +503,6 @@ def test_draining_server_rejects_new_queries_with_503():
                 client.search("sets", [1], tau=1)
             assert client.healthz()["status"] == "draining"
         handle.server._draining = False
-
-
-# ---------------------------------------------------------------------------
-# Load generator
-# ---------------------------------------------------------------------------
-
-
-def test_load_bench_closed_and_open_loop(served, query_payloads, taus):
-    from repro.engine import run_load_bench, wire_requests
-
-    requests = wire_requests("sets", query_payloads["sets"], tau=taus["sets"], repeat=4)
-    closed = run_load_bench(served.url, requests, concurrency=4, mode="closed")
-    assert closed.num_ok == len(requests)
-    assert closed.num_errors == 0
-    assert closed.achieved_qps > 0
-    assert closed.p50_ms <= closed.p95_ms <= closed.p99_ms <= closed.max_ms
-
-    opened = run_load_bench(
-        served.url, requests[:12], concurrency=4, mode="open", target_qps=300.0
-    )
-    assert opened.num_ok == 12
-    assert opened.mode == "open"
-    assert opened.target_qps == 300.0
-    assert opened.achieved_qps > 0
-
-
-def test_load_bench_topk_requests(served, reference, query_payloads):
-    from repro.engine import run_load_bench, wire_requests
-
-    payload = query_payloads["hamming"][0]
-    requests = wire_requests("hamming", [payload], k=3, repeat=4)
-    report = run_load_bench(served.url, requests, concurrency=2, topk=True)
-    assert report.num_ok == 4
-    local = reference.search(Query(backend="hamming", payload=payload, k=3))
-    assert local.num_results == 3
-
-
-def test_load_bench_rejects_bad_arguments(served):
-    from repro.engine import run_load_bench
-
-    with pytest.raises(ValueError, match="at least one request"):
-        run_load_bench(served.url, [])
-    with pytest.raises(ValueError, match="target_qps"):
-        run_load_bench(served.url, [{"backend": "sets"}], mode="open")
-    with pytest.raises(ValueError, match="mode"):
-        run_load_bench(served.url, [{"backend": "sets"}], mode="looped")
 
 
 # ---------------------------------------------------------------------------
