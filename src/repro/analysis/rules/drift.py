@@ -18,6 +18,11 @@ Docs -> code (a deleted verb, flag or file must not live on in the docs):
   table (the one headed ``Flag``) must be registered in ``cli.py``.
 * Every back-ticked ``benchmarks/``, ``src/``, ``tests/`` or ``examples/``
   path in those two files must exist (``*`` and ``{a,b}`` expand).
+
+Code -> docs, by name (a pointer to a document nobody can open):
+
+* Every root-level document a docstring under ``src/`` names -- capitals
+  and underscores before ``.md``, as in ENGINE.md -- must exist.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ DOC_FILES = ("ENGINE.md", "README.md")
 _VERB_RE = re.compile(r"python -m repro\.engine\s+([a-z][a-z-]*)")
 _FLAG_RE = re.compile(r"`(--[a-z][a-z0-9-]*)`")
 _PATH_RE = re.compile(r"`((?:benchmarks|src|tests|examples)/[^`\s]*)`")
+_ROOT_DOC_RE = re.compile(r"(?<![\w/.-])([A-Z_]+\.md)\b")
 
 
 def server_routes(ctx: AnalysisContext) -> list[tuple[str, int]]:
@@ -114,6 +120,26 @@ def _path_exists(ctx: AnalysisContext, path: str) -> bool:
     return bool(glob.glob(ctx.path(path.rstrip("/"))))
 
 
+def docstring_documents(ctx: AnalysisContext) -> list[tuple[str, int, str]]:
+    """``(file, line, name)`` for every root-level ``.md`` a ``src/`` docstring names."""
+    found: list[tuple[str, int, str]] = []
+    for relpath in ctx.iter_python("src"):
+        if ".md" not in ctx.source(relpath):
+            continue
+        for node in ast.walk(ctx.tree(relpath)):
+            if not isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                continue
+            if ast.get_docstring(node, clean=False) is None:
+                continue
+            literal = node.body[0].value
+            for match in _ROOT_DOC_RE.finditer(literal.value):
+                line = literal.lineno + _line_of(literal.value, match) - 1
+                found.append((relpath, line, match.group(1)))
+    return found
+
+
 def _line_of(text: str, match: re.Match) -> int:
     return text.count("\n", 0, match.start()) + 1
 
@@ -156,4 +182,7 @@ def check_doc_drift(ctx: AnalysisContext) -> list[Finding]:
         for match in _PATH_RE.finditer(text):
             if not _path_exists(ctx, match.group(1)):
                 drift(name, _line_of(text, match), f"names {match.group(1)}, which does not exist")
+    for relpath, line, document in docstring_documents(ctx):
+        if not ctx.exists(document):
+            drift(relpath, line, f"a docstring names {document}, which does not exist")
     return findings

@@ -7,8 +7,9 @@ graphs -- a random spanning tree plus a few extra edges, with configurable
 vertex/edge label alphabets -- and plants near-duplicates produced by a small
 number of random edit operations, so thresholded queries return non-empty
 result sets.  Graph sizes are kept around 8-12 vertices so that exact GED
-verification stays tractable in pure Python (the substitution for the paper's
-26/33-vertex datasets recorded in DESIGN.md).
+verification stays tractable in pure Python: this reproduction's substitution
+for the paper's AIDS and Protein datasets, whose graphs average about 26 and
+33 vertices.
 """
 
 from __future__ import annotations

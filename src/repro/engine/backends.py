@@ -106,7 +106,14 @@ class HammingBackend(Backend):
         return max(1, store.dataset.d // 8)
 
     def query_key(self, payload: Any) -> Hashable:
-        vector = np.asarray(payload).astype(np.uint8).reshape(-1)
+        vector = np.asarray(payload).reshape(-1)
+        # Equal vectors share a key whatever dtype they arrive in, but only a
+        # lossless narrowing may: a bare ``astype(np.uint8)`` wraps 257 onto
+        # the key -- and the cached answer -- of 1.
+        if vector.dtype != np.uint8:
+            narrow = vector.astype(np.uint8)
+            if (narrow == vector).all():
+                vector = narrow
         return (vector.shape[0], vector.tobytes())
 
     def make_searcher(
@@ -192,10 +199,20 @@ class HammingBackend(Backend):
         return [int(bit) for bit in np.asarray(payload).reshape(-1)]
 
     def payload_from_wire(self, data: Any) -> np.ndarray:
-        vector = np.asarray(data, dtype=np.uint8).reshape(-1)
-        if vector.size == 0:
-            raise ValueError("a hamming payload must be a non-empty 0/1 vector")
-        return vector
+        # bytearray() takes exactly what a bit vector is made of -- a flat
+        # sequence of ints (or bools) -- and refuses the floats, strings and
+        # nested lists that ``np.asarray(data, dtype=np.uint8)`` would
+        # truncate, parse or flatten without a word.
+        message = "a hamming payload must be a flat, non-empty list of 0/1 integers"
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(message)
+        try:
+            raw = bytearray(data)
+        except (TypeError, ValueError):
+            raise ValueError(message) from None
+        if not raw or raw.count(0) + raw.count(1) != len(raw):
+            raise ValueError(message)
+        return np.frombuffer(raw, dtype=np.uint8)
 
     def tau_ladder(
         self,

@@ -101,6 +101,10 @@ _ENDPOINTS = (
 #: Longest on-demand profiling window ``GET /debug/profile?seconds=N`` accepts.
 _MAX_PROFILE_SECONDS = 30.0
 
+#: What the engine raises for a query that is itself at fault (a payload of
+#: the wrong dimension, an unattached backend): a 400 for that query alone.
+_REQUEST_ERRORS = (ValueError, KeyError)
+
 
 @dataclass
 class ServerConfig:
@@ -408,8 +412,9 @@ class EngineServer:
         self._span_bridge = diag.SpanMetricsBridge(self.stats.registry)
         self._own_engine = own_engine
         # Queue entries carry their enqueue time (loop clock) so each query's
-        # wait behind the running batch can be reported.
-        self._queue: deque[tuple[Query, asyncio.Future, float]] = deque()
+        # wait behind the running batch can be reported, and whether the
+        # query must run alone (see ``_finish_batch``).
+        self._queue: deque[tuple[Query, asyncio.Future, float, bool]] = deque()
         self._batch_running = False
         self._in_flight = 0
         # Requests being handled right now (parse -> dispatch -> response
@@ -492,46 +497,55 @@ class EngineServer:
 
         Work-conserving: an idle executor never waits for companions, and
         whatever queues up while a batch runs (up to ``max_batch_size``)
-        rides the next one, in arrival order.
+        rides the next one, in arrival order.  The members of a batch that
+        failed on one query's account sit at the head, marked to run alone.
         """
         if self._batch_running or not self._queue:
             return
         loop = asyncio.get_running_loop()
-        batch = [
-            self._queue.popleft()
-            for _ in range(min(len(self._queue), self.config.max_batch_size))
-        ]
+        alone = self._queue[0][3]
+        size = 1 if alone else min(len(self._queue), self.config.max_batch_size)
+        batch = [self._queue.popleft() for _ in range(size)]
         self.stats.observe_batch(len(batch))
         batch_start = loop.time()
-        for _query, _future, enqueued in batch:
+        for _query, _future, enqueued, _alone in batch:
             self.stats.observe_wait(batch_start - enqueued)
         self._batch_running = True
-        queries = [query for query, _future, _enqueued in batch]
+        queries = [query for query, _future, _enqueued, _alone in batch]
         running = loop.run_in_executor(self._executor, self.engine.search_batch, queries)
         running.add_done_callback(lambda done: self._finish_batch(batch, batch_start, done))
 
     def _finish_batch(
         self,
-        batch: list[tuple[Query, asyncio.Future, float]],
+        batch: list[tuple[Query, asyncio.Future, float, bool]],
         batch_start: float,
         done: asyncio.Future,
     ) -> None:
         """Deliver one batch's responses, or its failure, and start the next.
 
         An engine failure fails exactly the queries of this batch; the
-        dispatch itself lives on.
+        dispatch itself lives on.  A request-level error (the family
+        ``_handle_search`` answers with 400) is one query's fault, not the
+        engine's: the members of such a batch go back to the head of the
+        queue to run alone, in order, so only the offender is refused.
         """
         self._batch_running = False
         exec_time = asyncio.get_running_loop().time() - batch_start
         exc = done.exception()
         # A future is already done only when a timed-out drain cancelled
         # the connection awaiting it.
-        if exc is not None:
-            for _query, future, _enqueued in batch:
+        if isinstance(exc, _REQUEST_ERRORS) and len(batch) > 1:
+            self._queue.extendleft(
+                (query, future, enqueued, True)
+                for query, future, enqueued, _alone in reversed(batch)
+                if not future.done()
+            )
+        elif exc is not None:
+            for _query, future, _enqueued, _alone in batch:
                 if not future.done():
                     future.set_exception(exc)
         else:
-            for (_query, future, enqueued), response in zip(batch, done.result()):
+            for (_query, future, enqueued, _alone), response in zip(batch, done.result()):
                 if not future.done():
                     future.set_result((response, len(batch), batch_start - enqueued, exec_time))
         self._pump()
@@ -541,7 +555,7 @@ class EngineServer:
         coalesce_wait_s, batch_exec_s)``."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        self._queue.append((query, future, loop.time()))
+        self._queue.append((query, future, loop.time(), False))
         self._in_flight += 1
         self._pump()
         try:
@@ -799,7 +813,7 @@ class EngineServer:
             if trace_id is not None:
                 payload["trace_id"] = trace_id
             return 503, payload, retry
-        except (ValueError, KeyError) as exc:
+        except _REQUEST_ERRORS as exc:
             # Engine-level validation the wire decoder cannot see (backend
             # not attached, algorithm/backend mismatch against this index).
             self.stats.observe_rejected("invalid")

@@ -4,9 +4,8 @@ Every figure of the paper's Section 8 has a function in
 :mod:`repro.experiments.figures` that builds the corresponding synthetic
 workload, runs the searchers, and returns the same series the paper plots
 (average candidates per query, average search time, per chain length or per
-threshold).  The benchmark modules under ``benchmarks/`` call these functions
-and print the rows; EXPERIMENTS.md records the measured values against the
-paper's qualitative claims.
+threshold).  The benchmark modules under ``benchmarks/`` call these functions,
+print the rows and assert the paper's qualitative claims on them.
 """
 
 from repro.experiments.harness import (

@@ -5,8 +5,9 @@ graph is a candidate only if at least one part is subgraph-isomorphic to the
 query.  Candidates are verified with the threshold-limited exact GED.
 
 A cheap label-multiset containment test prunes parts before the isomorphism
-search, standing in for Pars's partition index at the scale of the synthetic
-workloads (documented in DESIGN.md).
+search.  It is this reproduction's substitution for Pars's partition index:
+at the scale of the synthetic workloads (tens to hundreds of small graphs)
+testing every part costs less than building and probing that index would.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ keeps *half-edges* (edges crossing parts, owned by one side); this
 reproduction assigns vertices to parts with a BFS-balanced sweep and keeps
 only the edges internal to a part.  Dropping cross edges makes each part
 strictly smaller, so the filter stays complete (an untouched part is still a
-subgraph of the query); the lost pruning power is the documented substitution
-in DESIGN.md.
+subgraph of the query).  That is this reproduction's substitution for
+half-edges: parts carry fewer edges, so they match more queries and prune
+less, for Pars and Ring alike.
 """
 
 from __future__ import annotations

@@ -5,15 +5,16 @@ into ``m`` disjoint parts, per-part thresholds are allocated with a cost model
 under integer reduction (``sum t_i = tau - m + 1``), and a data object is a
 candidate when some part's Hamming distance to the query is within its
 threshold.  The pigeonring searcher keeps the same first step and adds the
-incremental prefix-viable chain check of lengths ``2 .. l``.
+prefix-viable chain check of lengths ``2 .. l``; both steps run as array
+kernels over one distance pass per query (see :mod:`repro.hamming.ring`).
 
 Public API:
 
 * :class:`repro.hamming.dataset.BinaryVectorDataset` -- packed binary vectors
   with per-partition codes.
-* :class:`repro.hamming.gph.GPHSearcher` -- the pigeonhole baseline.
-* :class:`repro.hamming.ring.RingHammingSearcher` -- the pigeonring searcher
-  (``chain_length=1`` reproduces GPH exactly).
+* :class:`repro.hamming.ring.RingHammingSearcher` -- the pigeonring searcher.
+* :class:`repro.hamming.gph.GPHSearcher` -- the pigeonhole baseline: the same
+  searcher at ``chain_length=1``.
 * :class:`repro.hamming.linear.LinearHammingSearcher` -- brute-force scan used
   as ground truth in tests.
 """

@@ -8,8 +8,9 @@ Binary vectors are stored two ways:
   Hamming distances via XOR + popcount (``numpy.bitwise_count``), the
   equivalent of the CPU popcount the paper relies on.
 
-Per-partition distances inside the chain check operate on small Python
-integers (one code per part) and use ``int.bit_count``.
+Per-partition codes are unsigned integers at their native width
+(:attr:`repro.hamming.partition.Partitioning.code_dtype`); part distances are
+the same XOR + popcount over code arrays, as ``uint8``.
 """
 
 from __future__ import annotations
@@ -76,9 +77,12 @@ def codes_from_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def code_hamming_distances(query_code: int, codes: np.ndarray) -> np.ndarray:
-    """Vectorised popcount of ``codes XOR query_code``."""
-    xor = np.bitwise_xor(codes.astype(np.uint64), np.uint64(query_code))
-    return np.bitwise_count(xor).astype(np.int64)
+    """Vectorised popcount of ``codes XOR query_code``, as ``uint8``.
+
+    The XOR runs at the codes' own width -- no widening copy -- so the
+    (non-negative) query code must fit it.
+    """
+    return np.bitwise_count(np.bitwise_xor(codes, codes.dtype.type(query_code)))
 
 
 def popcount(value: int) -> int:

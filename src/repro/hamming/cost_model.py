@@ -11,7 +11,11 @@ The cost model here is the greedy marginal-cost allocation: starting from
 one more unit of threshold to the partition whose next unit admits the fewest
 additional data objects, until the budget ``tau - m + 1`` is reached.  The
 per-unit cost is exact because the partition index can report the full
-distance histogram of the query against each partition.
+distance histogram of the query against each partition.  The searchers run
+the same greedy loop (:func:`greedy_thresholds`) over the lazily extended
+histograms of their one distance pass (:class:`repro.hamming.index.PartScan`);
+:func:`allocate_thresholds` computes every histogram in full and is the
+reference the tests hold them to.
 
 ``even_thresholds`` provides the query-independent fallback allocation used
 when no index (and hence no histogram) is available.
@@ -20,6 +24,7 @@ when no index (and hence no histogram) is available.
 from __future__ import annotations
 
 import heapq
+from typing import Callable
 
 import numpy as np
 
@@ -38,10 +43,40 @@ def even_thresholds(tau: int, m: int) -> list[int]:
     return thresholds
 
 
+def greedy_thresholds(tau: int, m: int, count_at: Callable[[int, int], int]) -> list[int]:
+    """Greedy marginal-cost allocation of ``tau - m + 1`` threshold units.
+
+    Args:
+        tau: the Hamming distance threshold.
+        m: the number of partitions.
+        count_at: ``count_at(part, distance)`` -- the number of data objects
+            at exactly that part distance from the query (0 beyond the part's
+            width: a fully open partition takes further units for free).
+
+    Returns:
+        A list of per-partition thresholds ``t_i >= -1`` summing to
+        ``max(tau - m + 1, -m)``.
+    """
+    budget = tau - m + 1
+    thresholds = [-1] * m
+    if budget <= -m:
+        return thresholds
+    # Each heap entry is (marginal cost of raising t_part to next_value, part,
+    # next_value).  Raising a threshold from t to t+1 admits exactly the
+    # objects at distance t+1.
+    heap = [(count_at(part, 0), part, 0) for part in range(m)]
+    heapq.heapify(heap)
+    for _ in range(budget + m):  # number of +1 steps from the all -1 start
+        _cost, part, value = heapq.heappop(heap)
+        thresholds[part] = value
+        heapq.heappush(heap, (count_at(part, value + 1), part, value + 1))
+    return thresholds
+
+
 def allocate_thresholds(
     index: PartitionIndex, query_codes: np.ndarray, tau: int
 ) -> list[int]:
-    """Greedy cost-model allocation of ``tau - m + 1`` threshold units.
+    """The cost-model allocation for one query, from full distance histograms.
 
     Args:
         index: the per-partition index built over the dataset.
@@ -49,31 +84,15 @@ def allocate_thresholds(
         tau: the Hamming distance threshold.
 
     Returns:
-        A list of per-partition thresholds ``t_i >= -1`` summing to
-        ``max(tau - m + 1, -m)``.
+        The thresholds of :func:`greedy_thresholds`.
     """
-    m = index.m
-    budget = tau - m + 1
-    thresholds = [-1] * m
-    if budget <= -m:
-        return thresholds
     histograms = [
-        index.distance_histogram(part, int(query_codes[part])) for part in range(m)
+        index.distance_histogram(part, int(query_codes[part])).tolist()
+        for part in range(index.m)
     ]
-    # Each heap entry is (marginal cost of raising t_part to next_value, part,
-    # next_value).  Raising a threshold from t to t+1 admits exactly the
-    # objects at distance t+1.
-    heap: list[tuple[int, int, int]] = []
-    for part in range(m):
-        heapq.heappush(heap, (int(histograms[part][0]), part, 0))
-    units = budget + m  # number of +1 steps from the all -1 start
-    for _ in range(units):
-        cost, part, value = heapq.heappop(heap)
-        thresholds[part] = value
-        next_value = value + 1
-        if next_value < len(histograms[part]):
-            heapq.heappush(heap, (int(histograms[part][next_value]), part, next_value))
-        else:
-            # The partition is already fully open; further units are free.
-            heapq.heappush(heap, (0, part, next_value))
-    return thresholds
+
+    def count_at(part: int, distance: int) -> int:
+        histogram = histograms[part]
+        return histogram[distance] if distance < len(histogram) else 0
+
+    return greedy_thresholds(tau, index.m, count_at)

@@ -12,8 +12,11 @@ class BinaryVectorDataset:
     """A collection of ``d``-dimensional binary vectors with partition codes.
 
     The dataset precomputes, once, everything the searchers need per data
-    object: the packed uint64 words used by verification and the per-part
-    integer codes used by the partition index and by the chain check.
+    object: the packed uint64 words used by the linear scan and by ranking,
+    and the per-part integer codes used by the partition index and by the
+    chain check.  The codes are held once, at their native width
+    (:attr:`repro.hamming.partition.Partitioning.code_dtype`), so a per-part
+    XOR + popcount runs over them without a widening copy.
 
     Args:
         vectors: ``(n, d)`` array of 0/1 values.
@@ -28,8 +31,17 @@ class BinaryVectorDataset:
         self._d = self._vectors.shape[1]
         m = default_num_parts(self._d) if num_parts is None else num_parts
         self._partitioning = Partitioning(self._d, m)
-        self._part_codes = self._partitioning.part_codes(self._vectors)
+        code_dtype = self._partitioning.code_dtype
+        self._part_codes = self._partitioning.part_codes(self._vectors).astype(code_dtype)
         self._packed = pack_words(self._vectors)
+        # Query coding without the per-part matrix round trip: dimension k is
+        # worth ``1 << (k - start of its part)``, summed within each part.
+        starts = [start for start, _end in self._partitioning.boundaries]
+        self._part_starts = np.asarray(starts, dtype=np.int64)
+        shifts = np.arange(self._d, dtype=np.int64) - np.repeat(
+            self._part_starts, self._partitioning.widths
+        )
+        self._bit_weights = np.left_shift(code_dtype(1), shifts.astype(code_dtype))
 
     @property
     def vectors(self) -> np.ndarray:
@@ -49,7 +61,7 @@ class BinaryVectorDataset:
 
     @property
     def part_codes(self) -> np.ndarray:
-        """``(n, m)`` integer codes of every part of every vector."""
+        """``(n, m)`` unsigned codes of every part of every vector."""
         return self._part_codes
 
     @property
@@ -61,11 +73,13 @@ class BinaryVectorDataset:
         return self._vectors.shape[0]
 
     def query_codes(self, query: np.ndarray) -> np.ndarray:
-        """Per-part integer codes of a query vector."""
+        """Per-part codes of a query vector, at the width of :attr:`part_codes`."""
         matrix = np.asarray(query).reshape(1, -1)
         if matrix.shape[1] != self._d:
             raise ValueError(f"expected a {self._d}-dimensional query, got {matrix.shape[1]}")
-        return self._partitioning.part_codes(matrix)[0]
+        weights = self._bit_weights
+        bits = as_bit_matrix(matrix)[0].astype(weights.dtype)
+        return np.add.reduceat(weights * bits, self._part_starts, dtype=weights.dtype)
 
     def distances_to(self, query: np.ndarray) -> np.ndarray:
         """Full Hamming distances from the query to every data vector."""

@@ -5,28 +5,25 @@ per-part thresholds with a cost model such that ``sum t_i = tau - m + 1``
 (variable threshold allocation + integer reduction, Theorem 5), probes the
 per-partition index for parts within their thresholds, unions the matching
 object ids, and verifies each candidate with a full Hamming distance
-computation.
+computation.  That is the pigeonring pipeline of :mod:`repro.hamming.ring`
+at chain length 1 -- a chain of one box is viable exactly when the probe
+found it -- so the baseline is that searcher with the length pinned.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.common.stats import SearchResult, Timer
-from repro.hamming.cost_model import allocate_thresholds, even_thresholds
 from repro.hamming.dataset import BinaryVectorDataset
 from repro.hamming.index import PartitionIndex
+from repro.hamming.ring import RingHammingSearcher
 
 
-class GPHSearcher:
+class GPHSearcher(RingHammingSearcher):
     """Pigeonhole-principle baseline searcher for Hamming distance.
 
     Args:
         dataset: the indexed collection.
-        use_cost_model: allocate thresholds with the query-specific greedy
-            cost model (the GPH behaviour).  When False an even allocation is
-            used, which isolates the effect of the allocation itself in the
-            ablation benchmarks.
+        use_cost_model: as for :class:`repro.hamming.ring.RingHammingSearcher`.
+        index: a prebuilt index over ``dataset`` to share between searchers.
     """
 
     def __init__(
@@ -35,60 +32,4 @@ class GPHSearcher:
         use_cost_model: bool = True,
         index: PartitionIndex | None = None,
     ):
-        self._dataset = dataset
-        self._index = PartitionIndex(dataset) if index is None else index
-        if self._index.dataset is not dataset:
-            raise ValueError("the prebuilt index belongs to a different dataset")
-        self._use_cost_model = use_cost_model
-
-    @property
-    def dataset(self) -> BinaryVectorDataset:
-        return self._dataset
-
-    @property
-    def index(self) -> PartitionIndex:
-        return self._index
-
-    def thresholds(self, query: np.ndarray, tau: int) -> list[int]:
-        """The per-partition thresholds used for this query."""
-        query_codes = self._dataset.query_codes(query)
-        if self._use_cost_model:
-            return allocate_thresholds(self._index, query_codes, tau)
-        return even_thresholds(tau, self._dataset.m)
-
-    def candidates(self, query: np.ndarray, tau: int) -> list[int]:
-        """First-step candidates: ids with at least one part within its threshold."""
-        query_codes = self._dataset.query_codes(query)
-        if self._use_cost_model:
-            thresholds = allocate_thresholds(self._index, query_codes, tau)
-        else:
-            thresholds = even_thresholds(tau, self._dataset.m)
-        seen: set[int] = set()
-        ordered: list[int] = []
-        for part in range(self._dataset.m):
-            ids, _distances = self._index.probe_arrays(
-                part, int(query_codes[part]), thresholds[part]
-            )
-            for obj_id in ids.tolist():
-                if obj_id not in seen:
-                    seen.add(obj_id)
-                    ordered.append(obj_id)
-        return ordered
-
-    def search(self, query: np.ndarray, tau: int) -> SearchResult:
-        timer = Timer()
-        candidates = self.candidates(query, tau)
-        candidate_time = timer.restart()
-        if candidates:
-            ids = np.asarray(candidates, dtype=np.int64)
-            distances = self._dataset.distances_to_subset(query, ids)
-            results = ids[distances <= tau].tolist()
-        else:
-            results = []
-        verify_time = timer.elapsed()
-        return SearchResult(
-            results=results,
-            candidates=candidates,
-            candidate_time=candidate_time,
-            verify_time=verify_time,
-        )
+        super().__init__(dataset, chain_length=1, use_cost_model=use_cost_model, index=index)

@@ -49,6 +49,11 @@ class Partitioning:
             start += width
         return tuple(bounds)
 
+    @property
+    def code_dtype(self) -> type[np.unsignedinteger]:
+        """The width codes are stored and XORed at: 32 bits when every part fits, else 64."""
+        return np.uint32 if max(self.widths) <= 32 else np.uint64
+
     def split(self, vectors: np.ndarray) -> list[np.ndarray]:
         """Slice a ``(n, d)`` matrix into ``m`` per-part matrices."""
         matrix = as_bit_matrix(vectors)

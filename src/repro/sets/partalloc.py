@@ -17,7 +17,8 @@ Counting partition overlaps requires walking the posting lists of *all* query
 tokens (not only a prefix), which is what gives PartAlloc its characteristic
 profile in the paper's Figure 10: few candidates, expensive filtering.  The
 signature-enumeration machinery of the original join algorithm is not
-reproduced; DESIGN.md records the substitution.
+reproduced: direct counting is the substitution, keeping the pigeonhole
+condition itself (some partition's overlap reaches its threshold).
 """
 
 from __future__ import annotations

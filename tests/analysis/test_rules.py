@@ -361,6 +361,46 @@ def test_doc_drift_requires_engine_md_when_server_exists(make_tree):
     assert "ENGINE.md" in report.errors[0].message
 
 
+_DOCSTRING_POINTERS = '''
+"""A module whose substitution is documented in DESIGN.md.
+
+See also ENGINE.md and docs/NOTES.md.
+"""
+
+
+def helper():
+    """Recorded in
+    EXPERIMENTS.md."""
+    return "README.md in a string that is not a docstring"
+'''
+
+
+def test_doc_drift_trips_on_docstring_naming_absent_root_document(make_tree):
+    root = make_tree(
+        {
+            "src/repro/sets/partalloc.py": _DOCSTRING_POINTERS,
+            "ENGINE.md": "The engine.\n",
+        }
+    )
+    report = _run(root, "doc-drift")
+    found = sorted((f.file, f.line, f.message) for f in report.errors)
+    # ENGINE.md exists, docs/NOTES.md is not root-level, and only docstrings count.
+    assert found == [
+        (
+            "src/repro/sets/partalloc.py",
+            2,
+            "a docstring names DESIGN.md, which does not exist",
+        ),
+        (
+            "src/repro/sets/partalloc.py",
+            10,
+            "a docstring names EXPERIMENTS.md, which does not exist",
+        ),
+    ]
+    make_tree({"DESIGN.md": "Substitutions.\n", "EXPERIMENTS.md": "Numbers.\n"})
+    assert _run(root, "doc-drift").findings == []
+
+
 # ---------------------------------------------------------------------------
 # exception-hygiene
 # ---------------------------------------------------------------------------

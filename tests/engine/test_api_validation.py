@@ -118,3 +118,86 @@ def test_distance_domains_accept_zero_tau(engine, query_payloads, name):
         Query(backend=name, payload=query_payloads[name][0], tau=0, algorithm="linear")
     )
     assert response.tau_effective == 0
+
+
+# ---------------------------------------------------------------------------
+# Hamming payloads: no silent coercion on the wire, no wrapping cache key
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [0.5, 0.5],  # truncated to all zeros by a forced uint8 conversion
+        [1.0, 0.0],  # floats, even integral ones, are not bits
+        ["1", "0"],  # parsed by a forced conversion
+        [[0, 1], [1, 0]],  # flattened by a reshape
+        [[0, 1], [1]],
+        [0, 2, 1],  # used to fail later, inside a coalesced batch
+        [0, -1],
+        [257, 0],
+        [1, 2**70],
+        [None, 1],
+        [],
+        "0101",
+        {"0": 1},
+        7,
+        None,
+    ],
+)
+def test_hamming_payload_must_be_flat_nonempty_bits(payload):
+    from repro.engine import get_backend
+    from repro.engine.wire import WireFormatError, decode_mutate, decode_query
+
+    with pytest.raises(ValueError):
+        get_backend("hamming").payload_from_wire(payload)
+    # At the wire boundary that is a WireFormatError: a 400 at decode time,
+    # for queries and for upserted records alike.
+    with pytest.raises(WireFormatError, match="hamming"):
+        decode_query({"backend": "hamming", "payload": payload, "tau": 1})
+    with pytest.raises(WireFormatError, match="hamming"):
+        decode_mutate({"backend": "hamming", "ops": [{"op": "upsert", "record": payload}]})
+
+
+def test_hamming_payload_accepts_ints_and_bools():
+    import numpy as np
+
+    from repro.engine import get_backend
+    from repro.engine.wire import decode_query
+
+    vector = get_backend("hamming").payload_from_wire([1, 0, True, False])
+    assert vector.dtype == np.uint8 and vector.tolist() == [1, 0, 1, 0]
+    query = decode_query({"backend": "hamming", "payload": [0, 1, 1], "tau": 1})
+    assert query.payload.tolist() == [0, 1, 1]
+
+
+def test_hamming_query_key_does_not_wrap():
+    import numpy as np
+
+    from repro.engine import get_backend
+
+    backend = get_backend("hamming")
+    # One vector, one key, whatever it arrives as ...
+    assert (
+        backend.query_key([1, 0])
+        == backend.query_key(np.array([1, 0], dtype=np.uint8))
+        == backend.query_key(np.array([1.0, 0.0]))
+    )
+    # ... but values a byte cannot hold keep their own key: 257 used to wrap
+    # onto 1 and could be served 1's cached answer.
+    assert backend.query_key([257, 0]) != backend.query_key([1, 0])
+    assert backend.query_key([256, 0]) != backend.query_key([0, 0])
+    assert backend.query_key([-1, 0]) != backend.query_key([255, 0])
+    assert backend.query_key([0.5, 0]) != backend.query_key([0, 0])
+
+
+def test_hamming_invalid_vector_is_refused_not_served_from_cache():
+    import numpy as np
+
+    from repro.engine import SearchEngine
+
+    engine = SearchEngine(cache_size=8)
+    engine.add_dataset("hamming", np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint8))
+    assert engine.search(Query(backend="hamming", payload=[1, 0, 1, 0], tau=0)).ids == [0]
+    with pytest.raises(ValueError, match="only contain 0 and 1"):
+        engine.search(Query(backend="hamming", payload=[257, 0, 1, 0], tau=0))

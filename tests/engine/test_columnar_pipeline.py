@@ -5,15 +5,17 @@ The columnar searchers (served as algorithm ``ring`` on sets and strings)
 must return exactly the ids and scores the retained scalar pigeonring
 searchers (algorithm ``ring-scalar``) return, on randomised datasets -- the
 scalar implementations are the reference oracles of the vectorised kernels.
-Hamming and graphs have one ``ring`` searcher each (Hamming's was always
-vectorised, graphs' is the scalar one), so they are checked against
-``linear`` instead.
+Hamming and graphs have one ``ring`` searcher each (Hamming's is columnar
+with the generic ``repro.core.candidates`` as its candidate oracle, see
+``tests/hamming/test_columnar_ring.py``; graphs' is the scalar one), so they
+are checked against ``linear`` here.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.datasets.binary import clustered_binary_workload
@@ -244,17 +246,64 @@ def test_mutated_index_byte_identical_to_rebuild(name, datasets, payloads, workl
         assert ring_topk.scores == reference_topk.scores
 
 
+def test_hamming_wide_codes_after_mutation_and_topk():
+    """The uint64 code path (parts wider than 32 bits), served: every
+    algorithm agrees with the scan after upserts and deletes, at threshold
+    and for top-k, as the 16-bit rows above do."""
+    workload = clustered_binary_workload(150, 100, 5, seed=35)
+    dataset = BinaryVectorDataset(workload.vectors, num_parts=3)  # widths 34, 33, 33
+    assert dataset.part_codes.dtype == np.uint64
+    engine = SearchEngine(cache_size=0)
+    engine.add_dataset("hamming", dataset)
+    rng = random.Random(78)
+    for _ in range(6):
+        engine.upsert("hamming", workload.vectors[rng.randrange(150)])
+    engine.upsert("hamming", workload.vectors[0], obj_id=1)
+    for obj_id in (2, 5, 152):
+        engine.delete("hamming", obj_id)
+    for compacted in (False, True):
+        if compacted:
+            engine.compact("hamming")
+        for payload in workload.queries:
+            for tau in (0, 9, 22, 100):
+                expected = engine.search(
+                    Query(backend="hamming", payload=payload, tau=tau, algorithm="linear")
+                )
+                for algorithm, chain_length in (("ring", None), ("ring", 2), ("baseline", None)):
+                    got = engine.search(
+                        Query(
+                            backend="hamming",
+                            payload=payload,
+                            tau=tau,
+                            algorithm=algorithm,
+                            chain_length=chain_length,
+                        )
+                    )
+                    assert got.ids == expected.ids, (compacted, tau, algorithm, chain_length)
+                    assert got.num_generated >= got.num_candidates >= len(got.ids)
+            ring_topk = engine.search(Query(backend="hamming", payload=payload, k=5, tau=22))
+            reference_topk = engine.search(
+                Query(backend="hamming", payload=payload, k=5, tau=22, algorithm="linear")
+            )
+            assert ring_topk.ids == reference_topk.ids
+            assert ring_topk.scores == reference_topk.scores
+
+
 # ---------------------------------------------------------------------------
 # Pipeline stats: the funnel counters surface per backend
 # ---------------------------------------------------------------------------
 
 
 def test_engine_stats_report_filter_funnel(datasets, payloads):
-    engine = fresh_engine(datasets, ["sets"])
-    for payload in payloads["sets"]:
-        engine.search(Query(backend="sets", payload=payload, tau=TAUS["sets"]))
-    snapshot = engine.stats.snapshot()["per_backend"]["sets"]
-    assert snapshot["avg_generated_candidates"] >= snapshot["avg_candidates"]
-    assert snapshot["avg_candidates"] >= snapshot["avg_results"]
-    assert snapshot["avg_candidate_time_ms"] >= 0.0
-    assert snapshot["avg_verify_time_ms"] >= 0.0
+    names = ["sets", "strings", "hamming"]
+    engine = fresh_engine(datasets, names)
+    for name in names:
+        for payload in payloads[name]:
+            response = engine.search(Query(backend=name, payload=payload, tau=TAUS[name]))
+            # Every columnar searcher reports what entered its filter.
+            assert response.num_generated is not None
+        snapshot = engine.stats.snapshot()["per_backend"][name]
+        assert snapshot["avg_generated_candidates"] >= snapshot["avg_candidates"]
+        assert snapshot["avg_candidates"] >= snapshot["avg_results"]
+        assert snapshot["avg_candidate_time_ms"] >= 0.0
+        assert snapshot["avg_verify_time_ms"] >= 0.0

@@ -301,13 +301,16 @@ class _BlockingEngine:
     """A stand-in engine whose batches block until released.
 
     Records the payloads of every batch it is handed; ``fail_batches``
-    names the batches (by call order, from 1) that raise instead.
+    names the batches (by call order, from 1) that raise instead, and
+    ``bad_payloads`` the payloads the engine refuses as a real one refuses a
+    query of the wrong dimension: with a ``ValueError`` from the batch.
     """
 
-    def __init__(self, fail_batches=()):
+    def __init__(self, fail_batches=(), bad_payloads=()):
         self.release = threading.Event()
         self.batches: list[list] = []
         self.fail_batches = set(fail_batches)
+        self.bad_payloads = [list(payload) for payload in bad_payloads]
 
     @property
     def calls(self) -> int:
@@ -318,6 +321,9 @@ class _BlockingEngine:
         assert self.release.wait(timeout=30.0)
         if len(self.batches) in self.fail_batches:
             raise ZeroDivisionError("engine blew up")
+        for query in queries:
+            if query.payload in self.bad_payloads:
+                raise ValueError(f"bad payload {query.payload}")
         return [
             Response(query=query, ids=[], tau_effective=query.tau) for query in queries
         ]
@@ -416,6 +422,31 @@ def test_engine_exception_fails_exactly_its_batch():
         # The dispatch lives on: the next query is answered.
         with EngineClient(handle.url) as client:
             assert client.search("sets", [9], tau=1).batch_size == 1
+
+
+def test_bad_query_fails_alone_not_its_batch():
+    engine = _BlockingEngine(bad_payloads=[[2]])
+    with ServerThread(engine) as handle:
+        callers = _QueuedCallers(handle, engine, queued=4)
+        engine.release.set()
+        callers.join()
+        # The batch holding the bad query is re-run one member at a time, in
+        # order and ahead of nothing it arrived behind.
+        assert engine.batches == [[[0]], [[1], [2], [3], [4]], [[1]], [[2]], [[3]], [[4]]]
+        for index in (0, 1, 3, 4):
+            assert callers.outcomes[index].ids == []
+            assert callers.outcomes[index].batch_size == 1
+        failure = callers.outcomes[2]
+        assert isinstance(failure, RequestError) and failure.status == 400
+        assert "bad payload [2]" in str(failure)
+        assert handle.server.stats.rejected_invalid == 1
+        assert handle.server.stats.errors_internal == 0
+        # The dispatch lives on, and a bad query on its own is still a 400.
+        with EngineClient(handle.url) as client:
+            assert client.search("sets", [9], tau=1).batch_size == 1
+            with pytest.raises(RequestError) as info:
+                client.search("sets", [2], tau=1)
+            assert info.value.status == 400
 
 
 def test_backpressure_rejects_with_429_and_retry_after():

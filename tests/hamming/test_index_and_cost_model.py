@@ -70,7 +70,9 @@ class TestPartitionIndex:
         query = rng.integers(0, 2, size=32, dtype=np.uint8)
         query_codes = dataset.query_codes(query)
         part, threshold = 1, 2
-        probed = {obj for obj, _ in index.probe(part, int(query_codes[part]), threshold)}
+        ids, _distances = index.probe_arrays(part, int(query_codes[part]), threshold)
+        probed = set(ids.tolist())
+        assert len(probed) == len(ids)
         # Reference: recompute the per-part distance directly.
         start, end = dataset.partitioning.boundaries[part]
         expected = {
@@ -86,7 +88,10 @@ class TestPartitionIndex:
         query = rng.integers(0, 2, size=32, dtype=np.uint8)
         query_codes = dataset.query_codes(query)
         start, end = dataset.partitioning.boundaries[0]
-        for obj, distance in index.probe(0, int(query_codes[0]), 3):
+        ids, distances = index.probe_arrays(0, int(query_codes[0]), 3)
+        assert ids.dtype == np.int64 and distances.dtype == np.int64
+        assert len(ids) == len(distances) > 0
+        for obj, distance in zip(ids.tolist(), distances.tolist()):
             expected = hamming_distance(dataset.vectors[obj][start:end], query[start:end])
             assert distance == expected
 
@@ -95,22 +100,8 @@ class TestPartitionIndex:
         index = PartitionIndex(dataset)
         query = rng.integers(0, 2, size=32, dtype=np.uint8)
         query_codes = dataset.query_codes(query)
-        assert list(index.probe(0, int(query_codes[0]), -1)) == []
-
-    def test_probe_arrays_matches_iterator_shim(self):
-        dataset, rng = small_dataset()
-        index = PartitionIndex(dataset)
-        query = rng.integers(0, 2, size=32, dtype=np.uint8)
-        query_codes = dataset.query_codes(query)
-        for part in range(dataset.m):
-            for threshold in (-1, 0, 2, 8):
-                ids, distances = index.probe_arrays(
-                    part, int(query_codes[part]), threshold
-                )
-                assert ids.dtype == np.int64 and distances.dtype == np.int64
-                assert len(ids) == len(distances)
-                pairs = list(index.probe(part, int(query_codes[part]), threshold))
-                assert pairs == list(zip(ids.tolist(), distances.tolist()))
+        ids, distances = index.probe_arrays(0, int(query_codes[0]), -1)
+        assert ids.size == 0 and distances.size == 0
 
     def test_state_round_trip(self):
         dataset, rng = small_dataset()
