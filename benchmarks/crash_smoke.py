@@ -35,11 +35,11 @@ import threading
 import time
 
 import repro
-from repro.engine import Query, SearchEngine
+from repro.engine import Query, SearchEngine, open_engine
 from repro.engine.backend import get_backend
 from repro.engine.client import EngineClient
 from repro.engine.persistence import save_container
-from repro.engine.sharding import ShardedEngine, build_shards
+from repro.engine.sharding import build_shards
 from repro.engine.wal import wal_summary
 
 #: Small workloads: the point is the crash protocol, not throughput.
@@ -224,14 +224,11 @@ def run_cell(name: str, num_shards: int, workdir: str) -> dict:
 
     reference = _reference_engine(name, dataset, ops[:recovered_len])
     expected = _answers(reference, name, payloads, tau, TOPK[name])
-    if num_shards == 1:
-        recovered = SearchEngine(cache_size=0)
-        recovered.load_index(index_dir)
-        recovered.attach_wal(name, os.path.join(wal_dir, f"{name}.wal"))
+    recovered = open_engine(index_dir, wal_dir=wal_dir)
+    try:
         observed = _answers(recovered, name, payloads, tau, TOPK[name])
-    else:
-        with ShardedEngine(index_dir, wal_dir=wal_dir) as recovered:
-            observed = _answers(recovered, name, payloads, tau, TOPK[name])
+    finally:
+        recovered.close()
     answers_ok = observed == expected
 
     return {

@@ -2,7 +2,11 @@
 # CI server smoke: build an index, start the HTTP serving layer for real,
 # drive it with a client loop, mutate the live index over HTTP
 # (upsert -> query it back -> delete -> verify it is gone -> compact), and
-# require every query answered plus a clean graceful shutdown on SIGTERM.  The
+# require every query answered plus a clean graceful shutdown on SIGTERM.
+# The whole lifecycle runs twice with the identical client code -- against
+# the plain container and against `build-shards --shards 2` of the same
+# data -- which is the served half of the engine contract: no client line
+# may depend on which engine answers.  The
 # server runs with a 1 ms slow-query threshold, so the smoke also asserts
 # that /metrics parses as Prometheus text with monotone counters and that
 # the served queries landed in the slow-query log with their span
@@ -16,16 +20,27 @@ workdir="$(mktemp -d)"
 server_pid=""
 cleanup() {
   if [ -n "$server_pid" ] && kill -0 "$server_pid" 2>/dev/null; then
+    # Shard workers first: SIGKILLing only their parent would orphan them.
+    pkill -KILL -P "$server_pid" 2>/dev/null || true
     kill -KILL "$server_pid" 2>/dev/null || true
   fi
   rm -rf "$workdir"
 }
 trap cleanup EXIT
 
-python -m repro.engine build-index --backend sets --out "$workdir/idx" \
+python -m repro.engine build-index --backend sets --out "$workdir/plain" \
     --size 4000 --queries 12 --seed 42
+python -m repro.engine build-shards --backend sets --out "$workdir/sharded" \
+    --shards 2 --size 4000 --queries 12 --seed 42
 
-python -m repro.engine serve --index "$workdir/idx" --port 0 \
+# One served lifecycle: serve_and_drive <index directory> [profile].
+serve_and_drive() {
+index="$1"
+check_profile="${2:-}"
+echo "== serving $index"
+rm -f "$workdir/ready" "$workdir/slow.jsonl"
+
+python -m repro.engine serve --index "$index" --port 0 \
     --ready-file "$workdir/ready" \
     --slow-query-ms 1 --slow-query-log "$workdir/slow.jsonl" \
     --profile-hz 67 &
@@ -45,7 +60,7 @@ echo "server ready at $url"
 # Drive the served index with the container's stored queries over one
 # keep-alive connection: a failed request raises (non-zero exit), and a
 # repeated query must get the same ids on every round.
-python - "$url" "$workdir/idx" <<'EOF'
+python - "$url" "$index" <<'EOF'
 import sys
 import time
 
@@ -136,8 +151,11 @@ EOF
 
 # The continuous profiler (--profile-hz 67) must attribute the load it just
 # served: non-empty folded stacks, with the lion's share of self time on
-# named engine roles rather than unattributed threads.
-python - "$url" <<'EOF'
+# named engine roles rather than unattributed threads.  Checked on the
+# single-process pass only: the attribution bound is about the server's own
+# thread population, and a sharded parent adds the process pools' unnamed
+# management threads to it.
+[ "$check_profile" != "profile" ] || python - "$url" <<'EOF'
 import json
 import sys
 import urllib.request
@@ -215,6 +233,10 @@ if [ "$status" -ne 0 ]; then
   exit 1
 fi
 echo "server shut down cleanly"
+}
+
+serve_and_drive "$workdir/plain" profile
+serve_and_drive "$workdir/sharded"
 
 # A clean shutdown must also be a *complete* one: run the full server
 # lifecycle in-process (with the continuous profiler armed, the same

@@ -46,10 +46,10 @@ def main() -> None:
     for obj_id, score in zip(nearest.ids, nearest.scores):
         print(f"  - {dataset.record(obj_id)!r}  (distance {score:.0f})")
 
-    stats = engine.stats
+    stats = engine.stats.snapshot()
     print(
-        f"\nengine served {stats.num_queries} queries, "
-        f"avg latency {stats.avg_engine_time * 1000.0:.2f} ms"
+        f"\nengine served {stats['num_queries']} queries, "
+        f"avg latency {stats['avg_engine_time_ms']:.2f} ms"
     )
 
 

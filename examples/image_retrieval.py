@@ -40,11 +40,11 @@ def main() -> None:
     for obj_id, score in zip(top.ids, top.scores):
         print(f"  id={obj_id}  hamming distance={score:.0f}")
 
-    stats = engine.stats
+    stats = engine.stats.snapshot()
     print(
-        f"\nengine served {stats.num_queries} queries, "
-        f"avg latency {stats.avg_engine_time * 1000.0:.2f} ms, "
-        f"cache hits {stats.cache_hits}"
+        f"\nengine served {stats['num_queries']} queries, "
+        f"avg latency {stats['avg_engine_time_ms']:.2f} ms, "
+        f"cache hits {stats['cache_hits']}"
     )
 
 

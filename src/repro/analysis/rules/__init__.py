@@ -5,5 +5,6 @@ from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     exceptions,
     locks,
     numpy_hotpath,
+    unused_export,
     wire_compat,
 )

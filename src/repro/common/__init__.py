@@ -12,7 +12,7 @@ The protocol lives here so the experiment harness can drive any searcher
 uniformly.
 """
 
-from repro.common.obs import MetricsRegistry, SlowQueryLog, Trace, TraceBuffer, span
+from repro.common.obs import MetricsRegistry, SlowQueryLog, Trace, span
 from repro.common.stats import QueryStats, SearchResult, Timer
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "SlowQueryLog",
     "Timer",
     "Trace",
-    "TraceBuffer",
     "span",
 ]

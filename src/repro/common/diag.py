@@ -14,9 +14,9 @@ metrics/tracing substrate of :mod:`repro.common.obs`:
   processes, and ``render_folded`` emits standard collapsed-stack lines
   that flamegraph tooling consumes directly.
 
-* a **tail-based trace sampler** -- same ``add/snapshot/__len__`` surface
-  as :class:`repro.common.obs.TraceBuffer`, but with a retention policy:
-  slow traces (over ``slow_ms``) and error traces are *always* kept in a
+* a **tail-based trace sampler** -- a ring of recent trace documents
+  (``add`` / ``snapshot`` / ``__len__``) with a retention policy: slow
+  traces (over ``slow_ms``) and error traces are *always* kept in a
   dedicated ring, while ordinary traces pass through a budgeted stride
   sampler (``budget=0.01`` keeps ~1%).  Tracing can stay enabled under
   load without the interesting tail being evicted by the boring middle.
@@ -323,15 +323,15 @@ def role_attribution(profile: dict) -> dict[str, float]:
 class TailSampler:
     """Tail-based trace retention: keep the interesting, sample the rest.
 
-    Drop-in for :class:`repro.common.obs.TraceBuffer` (``add`` / ``snapshot``
-    / ``__len__``), with two retention classes:
+    A ring of trace documents (``add`` / ``snapshot`` / ``__len__``) with two
+    retention classes:
 
     * **always-keep** -- traces flagged as errors, and traces whose
       end-to-end latency reaches ``slow_ms``, go to a dedicated ring that
       ordinary traffic can never evict;
     * **budgeted** -- every other trace passes a deterministic stride
-      sampler: ``budget=1.0`` keeps everything (the old TraceBuffer
-      behaviour), ``budget=0.01`` keeps every 100th.
+      sampler: ``budget=1.0`` keeps everything, ``budget=0.01`` keeps every
+      100th.
 
     ``snapshot`` interleaves both rings newest-first, so ``/debug/traces``
     surfaces the slow tail alongside a representative sample of the rest.
@@ -557,16 +557,6 @@ class SloMonitor:
                 good += g
                 bad += b
         return good, bad
-
-    def burn_rate(self, seconds: float, now: float | None = None) -> float:
-        """Bad fraction over the window divided by the error budget."""
-        now = self._clock() if now is None else now
-        with self._lock:
-            good, bad = self._window_counts(seconds, now)
-        total = good + bad
-        if not total:
-            return 0.0
-        return (bad / total) / (1.0 - self.objective)
 
     def status(self, now: float | None = None) -> dict:
         now = self._clock() if now is None else now

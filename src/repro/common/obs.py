@@ -108,9 +108,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -573,31 +570,6 @@ def span_tree_coverage(trace_doc: dict) -> float:
     return covered / total
 
 
-class TraceBuffer:
-    """Thread-safe ring buffer of the most recent trace documents."""
-
-    def __init__(self, capacity: int = 128) -> None:
-        from collections import deque
-
-        self._lock = threading.Lock()
-        self._traces: "deque[dict]" = deque(maxlen=max(1, int(capacity)))
-
-    def add(self, trace_doc: dict) -> None:
-        with self._lock:
-            self._traces.append(trace_doc)
-
-    def snapshot(self, last: int | None = None) -> list[dict]:
-        """Most recent first."""
-        with self._lock:
-            docs = list(self._traces)
-        docs.reverse()
-        return docs if last is None else docs[: max(0, int(last))]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
-
 # ---------------------------------------------------------------------------
 # Slow-query log
 # ---------------------------------------------------------------------------
@@ -607,8 +579,8 @@ class SlowQueryLog:
     """Structured JSON-lines log of queries over a latency threshold.
 
     Each entry is one line of JSON carrying the trace id, route, funnel
-    counts and span timeline.  Entries are also kept in a small in-memory
-    ring so tests and ``/debug`` consumers can read them without a file.
+    counts and span timeline.  (In memory, the server's tail sampler keeps
+    the same slow requests in its always-keep ring.)
 
     When ``max_bytes`` is set the file is size-rotated: once an append
     pushes it past the limit it is renamed to ``<path>.1`` (older rotations
@@ -621,7 +593,6 @@ class SlowQueryLog:
         self,
         threshold_ms: float,
         path: str | None = None,
-        keep: int = 128,
         max_bytes: int | None = None,
         keep_files: int = 3,
     ) -> None:
@@ -637,14 +608,12 @@ class SlowQueryLog:
         self.keep_files = int(keep_files)
         self.rotations = 0
         self._lock = threading.Lock()
-        self.recent = TraceBuffer(keep)
 
     def maybe_log(self, e2e_ms: float, entry: dict) -> bool:
         """Record ``entry`` if the query exceeded the threshold."""
         if e2e_ms < self.threshold_ms:
             return False
         entry = {"e2e_ms": round(e2e_ms, 4), **entry}
-        self.recent.add(entry)
         if self.path:
             line = json.dumps(entry, separators=(",", ":"), default=str)
             with self._lock:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 
 class Timer:
@@ -103,13 +102,6 @@ class QueryStats:
         self.total_results += result.num_results
         self.total_candidate_time += result.candidate_time
         self.total_verify_time += result.verify_time
-
-    @classmethod
-    def from_results(cls, results: Sequence[SearchResult]) -> "QueryStats":
-        stats = cls()
-        for result in results:
-            stats.add(result)
-        return stats
 
     @property
     def avg_generated(self) -> float:

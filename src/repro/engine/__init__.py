@@ -8,9 +8,9 @@ searcher classes; this subsystem puts one serving layer on top of them:
   mapping domain names to adapters.
 * :mod:`repro.engine.backends` -- the four registered adapters.
 * :mod:`repro.engine.api` -- the uniform :class:`Query` / :class:`Response`
-  dataclasses.
+  dataclasses and the :class:`Engine` contract both engines meet.
 * :mod:`repro.engine.executor` -- :class:`SearchEngine`: searcher reuse, an
-  LRU result cache, batched and thread-pooled execution, latency statistics.
+  LRU result cache, batched execution, latency statistics.
 * :mod:`repro.engine.topk` -- top-k search via adaptive threshold escalation.
 * :mod:`repro.engine.mutation` -- :class:`DeltaStore`: the delta/tombstone
   overlay behind online ``upsert`` / ``delete`` / ``compact``.
@@ -27,8 +27,7 @@ searcher classes; this subsystem puts one serving layer on top of them:
 * :mod:`repro.engine.server` -- :class:`EngineServer`: a stdlib-only asyncio
   HTTP/1.1 front-end with micro-batch coalescing, admission control and
   graceful drain over either engine.
-* :mod:`repro.engine.client` -- the blocking :class:`EngineClient` and the
-  :func:`asearch` coroutine.
+* :mod:`repro.engine.client` -- the blocking :class:`EngineClient`.
 * :mod:`repro.engine.cli` -- ``python -m repro.engine`` with ``build-index``,
   ``query``, ``build-shards``, ``serve``, ``upsert``, ``delete``,
   ``compact``, ``wal-inspect``, ``stats``, ``trace`` and ``profile``
@@ -40,10 +39,15 @@ engine, ``POST /mutate`` and the client alike; attach a write-ahead log
 (``attach_wal`` / ``serve --wal-dir``) and each batch is fsync'd before
 it is acknowledged, then replayed on the next load.
 
+:func:`open_engine` opens an index directory as whichever engine its layout
+calls for; it is the only code that looks.
+
 See ENGINE.md at the repository root for the architecture walkthrough.
 """
 
-from repro.engine.api import Query, Response
+import os
+
+from repro.engine.api import Engine, Query, Response
 from repro.engine.backend import (
     Backend,
     available_backends,
@@ -57,7 +61,6 @@ from repro.engine.client import (
     ServerBusyError,
     ServerUnavailableError,
     WireResponse,
-    asearch,
 )
 from repro.engine.executor import EngineStats, SearchEngine
 from repro.engine.mutation import DeltaStore
@@ -69,6 +72,7 @@ from repro.engine.persistence import (
 )
 from repro.engine.server import EngineServer, ServerConfig, ServerThread
 from repro.engine.sharding import (
+    SHARDS_MANIFEST_NAME,
     ShardedEngine,
     ShardedStats,
     ShardWorkerError,
@@ -85,12 +89,54 @@ from repro.engine.wal import (
 )
 from repro.engine.wire import WIRE_SCHEMA_VERSION, WireFormatError
 
+
+def open_engine(
+    directory: str,
+    *,
+    cache_size: int = 0,
+    wal_dir: str | None = None,
+    auto_compact: bool = False,
+    replicas: int = 1,
+    mp_context: str | None = None,
+) -> Engine:
+    """Open an index directory for serving or mutation, whatever its layout.
+
+    A directory written by :func:`build_shards` opens as a
+    :class:`ShardedEngine` (``replicas`` workers per shard, started under
+    ``mp_context``), a plain container as a :class:`SearchEngine`.  With
+    ``wal_dir`` the engine is durable before it answers anything: one
+    write-ahead log per shard, or a single ``<backend>.wal``, is attached
+    and replayed (recovering acknowledged writes from a crash), and
+    ``auto_compact`` arms the background delta-folding policy.
+    """
+    if os.path.exists(os.path.join(directory, SHARDS_MANIFEST_NAME)):
+        return ShardedEngine(
+            directory,
+            cache_size=cache_size,
+            mp_context=mp_context,
+            wal_dir=wal_dir,
+            auto_compact=auto_compact,
+            replicas=replicas,
+        )
+    if replicas > 1:
+        raise ValueError("replicas > 1 needs a sharded index (see 'build-shards')")
+    engine = SearchEngine(cache_size=cache_size)
+    backend_name = engine.load_index(directory).backend.name
+    if wal_dir is not None:
+        os.makedirs(wal_dir, exist_ok=True)
+        engine.attach_wal(backend_name, os.path.join(wal_dir, f"{backend_name}.wal"))
+        if auto_compact:
+            engine.enable_auto_compaction(backend_name)
+    return engine
+
+
 __all__ = [
     "AutoCompactionPolicy",
     "Backend",
     "Container",
     "DURABILITY_LEVELS",
     "DeltaStore",
+    "Engine",
     "EngineClient",
     "EngineClientError",
     "EngineServer",
@@ -112,12 +158,12 @@ __all__ = [
     "WireFormatError",
     "WireResponse",
     "WriteAheadLog",
-    "asearch",
     "atomic_write_json",
     "available_backends",
     "build_shards",
     "get_backend",
     "load_container",
+    "open_engine",
     "register_backend",
     "run_topk",
     "save_container",

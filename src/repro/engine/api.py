@@ -6,15 +6,24 @@ either carries a threshold ``tau`` (thresholded selection, the paper's
 problem statement) or a result count ``k`` (top-k search, implemented on top
 of tau-selection by adaptive threshold escalation; see
 :mod:`repro.engine.topk`).
+
+:class:`Engine` is the other half of the API: the one contract both engines
+-- :class:`repro.engine.executor.SearchEngine` in process,
+:class:`repro.engine.sharding.ShardedEngine` over worker processes -- meet
+with the same signatures and the same return keys, so the server, the CLI
+and the client never ask which of the two they hold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, Protocol, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.common.obs import MetricsRegistry
 
 
 def _is_int(value: Any) -> bool:
@@ -148,3 +157,66 @@ class Response:
     def total_time(self) -> float:
         """Searcher-reported filtering plus verification time."""
         return self.candidate_time + self.verify_time
+
+
+class EngineStatsView(Protocol):
+    """What every engine's ``stats`` object offers."""
+
+    registry: MetricsRegistry
+
+    def snapshot(self) -> dict:
+        """JSON-friendly serving totals (the ``engine`` half of ``/stats``)."""
+
+
+class Engine(Protocol):
+    """The engine contract: everything the serving stack calls on an engine.
+
+    A declaration only -- mypy checks both engine classes against it and
+    nothing tests for it at run time.  Wherever ``backend`` defaults to
+    ``None`` it means "the one attached backend"; with several (or none)
+    attached that is a :class:`ValueError` naming them.  ENGINE.md's "Engine
+    contract" table lists the return keys and what the sharded engine adds.
+    """
+
+    @property
+    def stats(self) -> EngineStatsView: ...
+
+    def search(self, query: Query) -> Response: ...
+
+    def search_batch(self, queries: Sequence[Query]) -> list[Response]: ...
+
+    def mutate(
+        self, backend_name: str, ops: Sequence[dict], durability: str | None = None
+    ) -> dict: ...
+
+    def compact(self, backend_name: str | None = None) -> dict: ...
+
+    def mutation_info(self, backend_name: str | None = None) -> dict: ...
+
+    def durability_info(self, backend_name: str | None = None) -> dict: ...
+
+    def wait_for_compaction(
+        self, backend_name: str | None = None, timeout: float | None = None
+    ) -> bool: ...
+
+    def flush(self) -> None:
+        """Persist back to where the engine was opened from."""
+
+    def describe(self) -> dict:
+        """``{"engine", "backends": {name: {"descriptor", "default_tau"}}}``."""
+
+    def shard_health(self) -> list[dict]: ...
+
+    def replica_status(self) -> list[dict]: ...
+
+    def profile_wire(self) -> list[dict]: ...
+
+    def start_profiling(self, hz: float | None = None) -> None: ...
+
+    def stop_profiling(self) -> None: ...
+
+    def metrics_wire(self) -> dict: ...
+
+    def reset_stats(self) -> None: ...
+
+    def close(self) -> None: ...

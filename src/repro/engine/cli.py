@@ -10,7 +10,7 @@ The subcommands make the engine drivable end-to-end without writing code:
 * ``build-shards`` -- like ``build-index``, but split the dataset into K
   id-range shards, each its own index container under one directory.
 * ``serve`` -- expose an index (plain container or sharded directory,
-  autodetected) over HTTP/JSON with micro-batch coalescing and
+  whichever :func:`repro.engine.open_engine` finds) over HTTP/JSON with micro-batch coalescing and
   backpressure; shuts down gracefully on SIGINT/SIGTERM.
 * ``upsert`` / ``delete`` / ``compact`` -- mutate an index on disk (plain
   container or sharded directory): records land in the delta store, deletes
@@ -36,10 +36,11 @@ import sys
 from typing import Sequence
 
 from repro.common.stats import Timer
+from repro.engine import open_engine
 from repro.engine.api import Query
 from repro.engine.backend import available_backends, get_backend
 from repro.engine.executor import SearchEngine
-from repro.engine.sharding import SHARDS_MANIFEST_NAME, ShardedEngine, build_shards
+from repro.engine.sharding import build_shards
 
 
 def _parse_tau(text: str) -> float | int:
@@ -107,8 +108,7 @@ def _query(args: argparse.Namespace) -> int:
 
 
 def _build_shards(args: argparse.Namespace) -> int:
-    engine = SearchEngine()
-    backend = engine.backend(args.backend)
+    backend = get_backend(args.backend)
     dataset, queries = backend.make_workload(args.size, args.queries, args.seed)
     timer = Timer()
     manifest = build_shards(args.backend, dataset, args.out, args.shards, queries=queries)
@@ -126,37 +126,23 @@ def _mutate(args: argparse.Namespace) -> int:
     """Shared driver of the ``upsert`` / ``delete`` / ``compact`` commands."""
     from repro.engine.wire import WireFormatError
 
-    sharded = os.path.exists(os.path.join(args.index, SHARDS_MANIFEST_NAME))
-    if sharded:
-        engine: object = ShardedEngine(args.index, mp_context=args.mp_context)
-        backend_name = engine.backend_name
-        close = engine.close
-
-        def persist() -> None:
-            engine.flush()
-
-    else:
-        engine = SearchEngine()
-        container = engine.load_index(args.index)
-        backend_name = container.backend.name
-        close = None
-
-        def persist() -> None:
-            engine.save_index(backend_name, args.index, queries=container.queries)
-
+    engine = open_engine(args.index, mp_context=args.mp_context)
     try:
+        backend_name = next(iter(engine.describe()["backends"]))
+        status = 0
         if args.command == "upsert":
-            backend = get_backend(backend_name)
             try:
-                record = backend.record_from_wire(json.loads(args.record))
+                record = get_backend(backend_name).record_from_wire(json.loads(args.record))
             except (json.JSONDecodeError, WireFormatError, ValueError) as exc:
                 print(f"bad --record for backend {backend_name!r}: {exc}", file=sys.stderr)
                 return 2
-            assigned = engine.upsert(backend_name, record, args.id)
-            print(f"[{backend_name}] upserted id {assigned}")
+            outcome = engine.mutate(
+                backend_name, [{"op": "upsert", "record": record, "id": args.id}]
+            )
+            print(f"[{backend_name}] upserted id {outcome['results'][0]['id']}")
         elif args.command == "delete":
-            deleted = engine.delete(backend_name, args.id)
-            if not deleted:
+            outcome = engine.mutate(backend_name, [{"op": "delete", "id": args.id}])
+            if not outcome["results"][0]["deleted"]:
                 print(f"[{backend_name}] id {args.id} was not live", file=sys.stderr)
                 return 1
             print(f"[{backend_name}] deleted id {args.id}")
@@ -166,9 +152,9 @@ def _mutate(args: argparse.Namespace) -> int:
             except ValueError as exc:  # e.g. every record deleted
                 print(f"[{backend_name}] compact failed: {exc}", file=sys.stderr)
                 return 1
-            summaries = summary if isinstance(summary, list) else [summary]
-            failed = False
-            for entry in summaries:
+            # A sharded index reports one summary per shard; a plain one is
+            # its own only entry.
+            for entry in summary.get("shards", [summary]):
                 shard = f"shard {entry['shard_id']} " if "shard_id" in entry else ""
                 if entry.get("compacted"):
                     print(
@@ -178,64 +164,23 @@ def _mutate(args: argparse.Namespace) -> int:
                         f"{entry['num_live']} live object(s)"
                     )
                 elif "error" in entry:
-                    failed = True
+                    status = 1  # the untouched overlays are still worth saving
                     print(
                         f"[{backend_name}] {shard}compact failed: {entry['error']}",
                         file=sys.stderr,
                     )
                 else:
                     print(f"[{backend_name}] {shard}nothing to compact")
-            if failed:
-                persist()  # the untouched overlays are still worth saving
-                return 1
-        persist()
-        info = engine.mutation_info(backend_name)
-        print(
-            f"  live {info['num_live']}  delta {info['delta_records']}  "
-            f"tombstones {info['num_tombstones']}  next id {info['next_id']}"
-        )
-    finally:
-        if close is not None:
-            close()
-    return 0
-
-
-def _open_served_engine(args: argparse.Namespace):
-    """A ShardedEngine for a sharded directory, a SearchEngine otherwise.
-
-    With ``--wal-dir`` the opened engine is made durable before serving: a
-    sharded index attaches one write-ahead log per shard worker, a plain
-    container attaches a single ``<backend>.wal`` -- either way, existing
-    logs are replayed (recovering acknowledged writes from a crash) and
-    ``--auto-compact`` arms the background delta-folding policy.
-    """
-    if os.path.exists(os.path.join(args.index, SHARDS_MANIFEST_NAME)):
-        return ShardedEngine(
-            args.index,
-            mp_context=args.mp_context,
-            wal_dir=args.wal_dir,
-            auto_compact=args.auto_compact,
-            replicas=args.replicas,
-        )
-    if args.replicas > 1:
-        raise SystemExit("--replicas > 1 needs a sharded index (see 'build-shards')")
-    engine = SearchEngine(cache_size=args.cache_size)
-    container = engine.load_index(args.index)
-    if args.wal_dir is not None:
-        backend_name = container.backend.name
-        os.makedirs(args.wal_dir, exist_ok=True)
-        replayed = engine.attach_wal(
-            backend_name, os.path.join(args.wal_dir, f"{backend_name}.wal")
-        )
-        if replayed["replayed_batches"]:
+        engine.flush()
+        if status == 0:
+            info = engine.mutation_info()
             print(
-                f"[{backend_name}] replayed {replayed['replayed_batches']} WAL "
-                f"batch(es) up to seq {replayed['last_seq']}",
-                flush=True,
+                f"  live {info['num_live']}  delta {info['delta_records']}  "
+                f"tombstones {info['num_tombstones']}  next id {info['next_id']}"
             )
-        if args.auto_compact:
-            engine.enable_auto_compaction(backend_name)
-    return engine
+        return status
+    finally:
+        engine.close()
 
 
 async def _serve_until_signalled(server, ready_file: str | None) -> None:
@@ -264,7 +209,17 @@ async def _serve_until_signalled(server, ready_file: str | None) -> None:
 def _serve(args: argparse.Namespace) -> int:
     from repro.engine.server import EngineServer, ServerConfig
 
-    engine = _open_served_engine(args)
+    try:
+        engine = open_engine(
+            args.index,
+            cache_size=args.cache_size,
+            wal_dir=args.wal_dir,
+            auto_compact=args.auto_compact,
+            replicas=args.replicas,
+            mp_context=args.mp_context,
+        )
+    except ValueError as exc:  # e.g. --replicas on a plain container
+        raise SystemExit(str(exc)) from None
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -446,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     http_serve.add_argument(
         "--max-pending", type=int, default=256, help="admission-control bound (429 above)"
     )
-    http_serve.add_argument(
-        "--cache-size", type=int, default=0, help="result-cache size (plain containers)"
-    )
+    http_serve.add_argument("--cache-size", type=int, default=0, help="result-cache size")
     http_serve.add_argument(
         "--mp-context", default=None, choices=["fork", "spawn", "forkserver"]
     )

@@ -1,4 +1,4 @@
-"""Clients for the HTTP serving layer: blocking and asyncio.
+"""The blocking client of the HTTP serving layer.
 
 :class:`EngineClient` is the blocking counterpart of
 :class:`repro.engine.server.EngineServer`: one persistent keep-alive
@@ -26,17 +26,11 @@ tracks a **read-your-writes session token**: every acknowledged
 ``/mutate`` response carries the WAL sequence map the batch landed at,
 and subsequent searches send it back as ``X-Session-Token`` so a
 replicated engine never routes them to a replica that has not yet
-applied the caller's own writes.
-
-:func:`asearch` is the coroutine equivalent of one ``search`` call for
-asyncio callers -- it opens a connection, issues the request and decodes
-the response without threads.  Both sides share one request encoder and
-one response-head parser and are stdlib-only.
+applied the caller's own writes.  The client is stdlib-only.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import random
 import socket
@@ -155,7 +149,7 @@ def _raise_for_status(status: int, body: dict, retry_after: float | None) -> Non
     raise RequestError(status, message)
 
 
-#: Largest response head (status line + headers) either client accepts.
+#: Largest response head (status line + headers) the client accepts.
 _MAX_HEAD_BYTES = 64 * 1024
 _HEAD_END = b"\r\n\r\n"
 
@@ -167,13 +161,10 @@ def _encode_request(
     port: int,
     payload: dict | None,
     headers: dict[str, str] | None,
-    keep_alive: bool,
 ) -> bytes:
-    """One HTTP/1.1 request, head and JSON body, as a single byte string."""
+    """One HTTP/1.1 keep-alive request, head and JSON body, as a single byte string."""
     body = b"" if payload is None else json.dumps(payload).encode("utf-8")
     lines = [f"{method} {path} HTTP/1.1", f"Host: {host}:{port}", f"Content-Length: {len(body)}"]
-    if not keep_alive:
-        lines.append("Connection: close")
     if body:
         lines.append("Content-Type: application/json")
     for name, value in (headers or {}).items():
@@ -308,9 +299,7 @@ class EngineClient:
         payload: dict | None = None,
         headers: dict[str, str] | None = None,
     ) -> tuple[int, bytes, float | None]:
-        request = _encode_request(
-            method, path, self._host, self._port, payload, headers, keep_alive=True
-        )
+        request = _encode_request(method, path, self._host, self._port, payload, headers)
         try:
             if self._sock is None:
                 self._sock = socket.create_connection(
@@ -378,7 +367,8 @@ class EngineClient:
             _raise_for_status(status, decoded, retry_after)
         return decoded
 
-    def _search_headers(self, trace: bool, trace_id: str | None) -> dict[str, str] | None:
+    def _search(self, path: str, body: dict, trace: bool, trace_id: str | None) -> WireResponse:
+        """One search request, with the trace and session headers it needs."""
         headers: dict[str, str] = {}
         if trace_id is not None:
             headers["X-Trace-Id"] = trace_id
@@ -386,7 +376,7 @@ class EngineClient:
             headers["X-Trace"] = "1"
         if self._session is not None:
             headers["X-Session-Token"] = self._session
-        return headers or None
+        return WireResponse.from_wire(self._request("POST", path, body, headers=headers or None))
 
     # -- API ---------------------------------------------------------------
 
@@ -414,14 +404,7 @@ class EngineClient:
             chain_length=chain_length,
             algorithm=algorithm,
         )
-        return WireResponse.from_wire(
-            self._request(
-                "POST",
-                "/search",
-                encode_query(query),
-                headers=self._search_headers(trace, trace_id),
-            )
-        )
+        return self._search("/search", encode_query(query), trace, trace_id)
 
     def search_topk(
         self,
@@ -443,21 +426,11 @@ class EngineClient:
             chain_length=chain_length,
             algorithm=algorithm,
         )
-        return WireResponse.from_wire(
-            self._request(
-                "POST",
-                "/search/topk",
-                encode_query(query),
-                headers=self._search_headers(trace, trace_id),
-            )
-        )
+        return self._search("/search/topk", encode_query(query), trace, trace_id)
 
     def search_wire(self, body: dict, topk: bool = False, trace: bool = False) -> WireResponse:
         """Send an already-encoded wire query (used by the load generator)."""
-        path = "/search/topk" if topk else "/search"
-        return WireResponse.from_wire(
-            self._request("POST", path, body, headers=self._search_headers(trace, None))
-        )
+        return self._search("/search/topk" if topk else "/search", body, trace, None)
 
     def mutate(
         self,
@@ -554,71 +527,3 @@ class EngineClient:
     def slo(self) -> dict:
         """Burn-rate monitors and shard health (``GET /debug/slo``)."""
         return self._request("GET", "/debug/slo")
-
-
-# ---------------------------------------------------------------------------
-# asyncio side
-# ---------------------------------------------------------------------------
-
-
-async def _arequest(
-    host: str, port: int, method: str, path: str, payload: dict | None, timeout: float
-) -> tuple[int, dict, dict[str, str]]:
-    """One HTTP/1.1 request over a fresh asyncio connection."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
-    try:
-        writer.write(_encode_request(method, path, host, port, payload, None, keep_alive=False))
-        await writer.drain()
-
-        async def _read_all() -> tuple[int, dict, dict[str, str]]:
-            try:
-                head = await reader.readuntil(_HEAD_END)
-                status, headers, length = _parse_head(head[: -len(_HEAD_END)])
-                data = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError) as exc:
-                raise ConnectionError(f"unreadable response: {exc}") from exc
-            decoded = json.loads(data.decode("utf-8")) if data else {}
-            return status, decoded, headers
-
-        return await asyncio.wait_for(_read_all(), timeout)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except ConnectionError:
-            pass
-
-
-async def asearch(
-    base_url: str,
-    backend: str,
-    payload: Any,
-    tau: float | int | None = None,
-    k: int | None = None,
-    chain_length: int | None = None,
-    algorithm: str = "ring",
-    timeout: float = 30.0,
-) -> WireResponse:
-    """One engine query from asyncio code, no threads involved.
-
-    Chooses ``/search`` or ``/search/topk`` depending on whether ``k`` is
-    set and raises the same typed errors as :class:`EngineClient`.
-    """
-    host, port = _parse_base_url(base_url)
-    query = Query(
-        backend=backend,
-        payload=payload,
-        tau=tau,
-        k=k,
-        chain_length=chain_length,
-        algorithm=algorithm,
-    )
-    path = "/search/topk" if k is not None else "/search"
-    status, body, headers = await _arequest(
-        host, port, "POST", path, encode_query(query), timeout
-    )
-    if status != 200:
-        _raise_for_status(status, body, parse_retry_after(headers.get("retry-after")))
-    return WireResponse.from_wire(body)

@@ -22,12 +22,14 @@ adds the serving-layer machinery the per-domain searchers do not have:
   (:meth:`SearchEngine.save_index` or a compaction swap);
   :meth:`SearchEngine.enable_auto_compaction` arms a background
   delta-size/scan-cost crossover policy that compacts off the write path;
-* **batched and thread-pooled parallel execution** with order-preserving
-  results;
-* **latency statistics** per backend, served as views over the
+* **batched execution** with order-preserving results;
+* **latency statistics** per backend, computed from the
   :class:`repro.common.obs.MetricsRegistry` (one code path feeds
   ``/stats``, ``/metrics`` and the funnel aggregates); and
 * **top-k search** delegated to :mod:`repro.engine.topk`.
+
+The engine meets the :class:`repro.engine.api.Engine` contract, the surface
+it shares with :class:`repro.engine.sharding.ShardedEngine`.
 
 The engine is thread-safe: shared state is touched only under an internal
 lock, which is never held while a searcher runs.  Mutations are atomic
@@ -43,7 +45,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import replace
 from typing import Any, Hashable, Sequence
@@ -51,13 +52,12 @@ from typing import Any, Hashable, Sequence
 import numpy as np
 
 from repro.common import obs
-from repro.common.diag import TailSampler
 from repro.common.obs import MetricsRegistry, span
 from repro.common.stats import Timer
 from repro.engine import backends as _backends  # noqa: F401 - populate registry
 from repro.engine.api import Query, Response
 from repro.engine.backend import Backend, get_backend
-from repro.engine.mutation import DeltaStore
+from repro.engine.mutation import DeltaStore, check_ops
 from repro.engine.persistence import Container, load_container, save_container
 from repro.engine.topk import run_topk
 from repro.engine.wal import (
@@ -71,89 +71,6 @@ from repro.engine.wal import (
 )
 
 
-class BackendStats:
-    """Read-only funnel view of one backend, derived from the registry.
-
-    Mirrors the attribute surface the old per-backend ``QueryStats``
-    aggregates exposed, but every number is read straight from the metrics
-    registry -- there is exactly one bookkeeping code path.
-    """
-
-    __slots__ = ("_registry", "_backend")
-
-    def __init__(self, registry: MetricsRegistry, backend: str) -> None:
-        self._registry = registry
-        self._backend = backend
-
-    def _value(self, name: str) -> float:
-        instrument = self._registry.get(name, backend=self._backend)
-        return instrument.value if instrument is not None else 0.0
-
-    @property
-    def num_queries(self) -> int:
-        return int(self._value("engine_backend_queries_total"))
-
-    @property
-    def total_generated(self) -> int:
-        return int(self._value("engine_candidates_generated_total"))
-
-    @property
-    def total_candidates(self) -> int:
-        return int(self._value("engine_candidates_verified_total"))
-
-    @property
-    def total_results(self) -> int:
-        return int(self._value("engine_results_total"))
-
-    def _stage_time(self, stage: str) -> float:
-        instrument = self._registry.get(
-            "engine_stage_seconds_total", backend=self._backend, stage=stage
-        )
-        return instrument.value if instrument is not None else 0.0
-
-    @property
-    def total_candidate_time(self) -> float:
-        return self._stage_time("candidates")
-
-    @property
-    def total_verify_time(self) -> float:
-        return self._stage_time("verify")
-
-    @property
-    def avg_generated(self) -> float:
-        n = self.num_queries
-        return self.total_generated / n if n else 0.0
-
-    @property
-    def avg_candidates(self) -> float:
-        n = self.num_queries
-        return self.total_candidates / n if n else 0.0
-
-    @property
-    def avg_results(self) -> float:
-        n = self.num_queries
-        return self.total_results / n if n else 0.0
-
-    @property
-    def avg_candidate_time(self) -> float:
-        n = self.num_queries
-        return self.total_candidate_time / n if n else 0.0
-
-    @property
-    def avg_verify_time(self) -> float:
-        n = self.num_queries
-        return self.total_verify_time / n if n else 0.0
-
-    @property
-    def avg_total_time(self) -> float:
-        n = self.num_queries
-        return (self.total_candidate_time + self.total_verify_time) / n if n else 0.0
-
-    def latency_quantile_ms(self, q: float) -> float:
-        hist = self._registry.get("engine_query_seconds", backend=self._backend)
-        return hist.quantile(q) * 1000.0 if hist is not None else 0.0
-
-
 class EngineStats:
     """Aggregate serving statistics of one :class:`SearchEngine`.
 
@@ -162,9 +79,9 @@ class EngineStats:
     counted again as an aggregate; cache hit/miss counters cover every
     request, including top-k aggregates.
 
-    All numbers live in a :class:`repro.common.obs.MetricsRegistry`; the
-    attributes and :meth:`snapshot` below are views over it, so ``/stats``,
-    ``/metrics`` and the funnel averages can never disagree.
+    All numbers live in a :class:`repro.common.obs.MetricsRegistry`;
+    :meth:`snapshot` is computed from it, so ``/stats``, ``/metrics`` and
+    the funnel averages can never disagree.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -234,55 +151,52 @@ class EngineStats:
 
     # -- read path -----------------------------------------------------------
 
-    @property
-    def num_queries(self) -> int:
-        return int(self._queries.value)
+    def avg_generated(self, backend: str) -> float:
+        """Mean pre-chain candidates per query: the auto-compaction cost signal."""
+        queries = self.registry.get("engine_backend_queries_total", backend=backend)
+        if queries is None or not queries.value:
+            return 0.0
+        generated = self.registry.get("engine_candidates_generated_total", backend=backend)
+        return generated.value / queries.value
 
-    @property
-    def cache_hits(self) -> int:
-        return int(self._hits.value)
+    def _backend_snapshot(self, backend: str) -> dict:
+        """One backend's funnel (every instrument exists once it answered a query)."""
+        r = self.registry
 
-    @property
-    def cache_misses(self) -> int:
-        return int(self._misses.value)
+        def total(name: str, **labels: str) -> float:
+            return r.get(name, backend=backend, **labels).value
 
-    @property
-    def engine_time(self) -> float:
-        return self._time.value
-
-    @property
-    def per_backend(self) -> dict[str, BackendStats]:
-        return {name: BackendStats(self.registry, name) for name in sorted(self._backends)}
-
-    @property
-    def avg_engine_time(self) -> float:
-        return self.engine_time / self.num_queries if self.num_queries else 0.0
+        n = total("engine_backend_queries_total")
+        candidate_s = total("engine_stage_seconds_total", stage="candidates")
+        verify_s = total("engine_stage_seconds_total", stage="verify")
+        latency = r.get("engine_query_seconds", backend=backend)
+        return {
+            "num_queries": int(n),
+            # The filter-vs-verify funnel: objects that entered the
+            # pipeline, objects that reached verification, objects that
+            # matched -- plus where the time went per stage.
+            "avg_generated_candidates": total("engine_candidates_generated_total") / n,
+            "avg_candidates": total("engine_candidates_verified_total") / n,
+            "avg_results": total("engine_results_total") / n,
+            "avg_candidate_time_ms": candidate_s / n * 1000.0,
+            "avg_verify_time_ms": verify_s / n * 1000.0,
+            "avg_total_time_ms": (candidate_s + verify_s) / n * 1000.0,
+            "p50_ms": latency.quantile(0.50) * 1000.0,
+            "p95_ms": latency.quantile(0.95) * 1000.0,
+            "p99_ms": latency.quantile(0.99) * 1000.0,
+        }
 
     def snapshot(self) -> dict:
-        """A JSON-friendly view (used by the CLI and the smoke benchmark)."""
+        """A JSON-friendly view (``/stats``, the CLI, the examples)."""
+        queries = int(self._queries.value)
         return {
-            "num_queries": self.num_queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "engine_time_s": self.engine_time,
-            "avg_engine_time_ms": self.avg_engine_time * 1000.0,
+            "num_queries": queries,
+            "cache_hits": int(self._hits.value),
+            "cache_misses": int(self._misses.value),
+            "engine_time_s": self._time.value,
+            "avg_engine_time_ms": 1000.0 * self._time.value / queries if queries else 0.0,
             "per_backend": {
-                name: {
-                    "num_queries": stats.num_queries,
-                    # The filter-vs-verify funnel: objects that entered the
-                    # pipeline, objects that reached verification, objects
-                    # that matched -- plus where the time went per stage.
-                    "avg_generated_candidates": stats.avg_generated,
-                    "avg_candidates": stats.avg_candidates,
-                    "avg_results": stats.avg_results,
-                    "avg_candidate_time_ms": stats.avg_candidate_time * 1000.0,
-                    "avg_verify_time_ms": stats.avg_verify_time * 1000.0,
-                    "avg_total_time_ms": stats.avg_total_time * 1000.0,
-                    "p50_ms": stats.latency_quantile_ms(0.50),
-                    "p95_ms": stats.latency_quantile_ms(0.95),
-                    "p99_ms": stats.latency_quantile_ms(0.99),
-                }
-                for name, stats in self.per_backend.items()
+                name: self._backend_snapshot(name) for name in sorted(self._backends)
             },
         }
 
@@ -304,10 +218,9 @@ class SearchEngine:
 
     Args:
         cache_size: capacity of the LRU result cache (0 disables it).
-        max_workers: default thread-pool width for parallel batches.
     """
 
-    def __init__(self, cache_size: int = 1024, max_workers: int | None = None):
+    def __init__(self, cache_size: int = 1024):
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
         self._stores: dict[str, Any] = {}
@@ -325,13 +238,8 @@ class SearchEngine:
         self._searchers: dict[tuple, Any] = {}
         self._cache: OrderedDict[tuple, Response] = OrderedDict()
         self._cache_size = cache_size
-        self._max_workers = max_workers
         self._lock = threading.Lock()
         self._stats = EngineStats()
-        # Tail-sampling ring at full budget: keeps everything like the old
-        # TraceBuffer, but callers embedding the engine can reach in and
-        # tighten the budget without a code change.
-        self._traces = TailSampler(capacity=128)
         # Durability state.  Writers are serialised per backend by a writer
         # lock (always taken OUTSIDE self._lock), so the WAL append order is
         # the overlay apply order -- the invariant replay depends on.
@@ -357,21 +265,35 @@ class SearchEngine:
         backend = get_backend(backend_name)
         store = backend.prepare(dataset)
         delta = backend.delta_store(store) if backend.mutable else None
+        self._install(backend_name, store, delta, checkpoint_seq=0, directory=None)
+        return store
+
+    def _install(
+        self,
+        backend_name: str,
+        store: Any,
+        delta: DeltaStore | None,
+        checkpoint_seq: int,
+        directory: str | None,
+    ) -> None:
+        """Serve a freshly built or loaded store in place of the current one."""
         with self._lock:
             self._stores[backend_name] = store
             self._deltas[backend_name] = delta
             self._epochs[backend_name] = self._epochs.get(backend_name, 0) + 1
-            # A fresh dataset invalidates any WAL history: detach the log
+            # A replaced store invalidates any WAL history: detach the log
             # (the caller re-attaches one against the new state) and reset
-            # the checkpoint bookkeeping.
+            # the checkpoint bookkeeping to what the new state folds in.
             stale_wal = self._wals.pop(backend_name, None)
-            self._checkpoint_seqs[backend_name] = 0
-            self._container_dirs.pop(backend_name, None)
+            self._checkpoint_seqs[backend_name] = checkpoint_seq
+            if directory is None:
+                self._container_dirs.pop(backend_name, None)
+            else:
+                self._container_dirs[backend_name] = directory
             self._evict_backend_state(backend_name)
             self._observe_backend_state(backend_name)
         if stale_wal is not None:
             stale_wal.close()
-        return store
 
     def backend(self, backend_name: str) -> Backend:
         return get_backend(backend_name)
@@ -386,8 +308,31 @@ class SearchEngine:
                 f"attached backends: {attached}"
             ) from None
 
-    def attached_backends(self) -> list[str]:
-        return sorted(self._stores)
+    def _resolve_backend(self, backend_name: str | None) -> str:
+        """``None`` means "the one attached backend" (the contract's default)."""
+        if backend_name is not None:
+            return backend_name
+        attached = sorted(self._stores)
+        if len(attached) != 1:
+            raise ValueError(
+                f"this engine serves {len(attached)} backends "
+                f"({', '.join(attached) or 'none'}); pass 'backend'"
+            )
+        return attached[0]
+
+    def describe(self) -> dict:
+        """What this engine serves: every attached backend's descriptor and
+        default threshold (the ``/manifest`` body)."""
+        with self._lock:
+            stores = dict(self._stores)
+        backends = {}
+        for name in sorted(stores):
+            backend = get_backend(name)
+            backends[name] = {
+                "descriptor": backend.describe(stores[name]),
+                "default_tau": backend.default_tau(stores[name]),
+            }
+        return {"engine": type(self).__name__, "backends": backends}
 
     def _evict_backend_state(self, backend_name: str) -> None:
         """Drop cached searchers/results that refer to a replaced store."""
@@ -468,19 +413,21 @@ class SearchEngine:
         delta = container.delta
         if delta is None and backend.mutable:
             delta = backend.delta_store(container.store)
-        with self._lock:
-            name = backend.name
-            self._stores[name] = container.store
-            self._deltas[name] = delta
-            self._epochs[name] = self._epochs.get(name, 0) + 1
-            stale_wal = self._wals.pop(name, None)
-            self._checkpoint_seqs[name] = container.wal_seq
-            self._container_dirs[name] = directory
-            self._evict_backend_state(name)
-            self._observe_backend_state(name)
-        if stale_wal is not None:
-            stale_wal.close()
+        self._install(backend.name, container.store, delta, container.wal_seq, directory)
         return container
+
+    def flush(self) -> None:
+        """Persist every backend back into the container it was loaded from.
+
+        Each save is a :meth:`save_index` checkpoint; the container's stored
+        query workload is kept.  Backends attached with :meth:`add_dataset`
+        have no container and are skipped.
+        """
+        with self._lock:
+            directories = dict(self._container_dirs)
+        for name, directory in directories.items():
+            queries = self.backend(name).load_queries(directory)
+            self.save_index(name, directory, queries=queries)
 
     # -- mutation ----------------------------------------------------------
 
@@ -527,26 +474,10 @@ class SearchEngine:
         deletes report ``deleted``.
         """
         backend, store = self._require_mutable(backend_name)
-        ops = list(ops)
-        if not ops:
-            raise ValueError("mutation batch is empty")
-        checked: list[dict] = []
-        for op in ops:
-            kind = op.get("op") if isinstance(op, dict) else None
-            if kind == "upsert":
-                record = backend.check_record(store, op.get("record"))
-                obj_id = op.get("id")
-                if obj_id is not None:
-                    obj_id = int(obj_id)
-                    if obj_id < 0:
-                        raise ValueError(f"object ids are non-negative, got {obj_id}")
-                checked.append({"op": "upsert", "record": record, "id": obj_id})
-            elif kind == "delete":
-                if op.get("id") is None:
-                    raise ValueError("delete ops require an id")
-                checked.append({"op": "delete", "id": int(op["id"])})
-            else:
-                raise ValueError(f"unknown mutation op {kind!r}")
+        checked = check_ops(ops)
+        for op in checked:
+            if op["op"] == "upsert":
+                op["record"] = backend.check_record(store, op["record"])
         with self._writer_lock(backend_name):
             wal = self._wals.get(backend_name)
             level = durability if durability is not None else ("wal" if wal else "memory")
@@ -643,7 +574,7 @@ class SearchEngine:
         outcome = self.mutate(backend_name, [{"op": "delete", "id": obj_id}], durability)
         return outcome["results"][0]["deleted"]
 
-    def compact(self, backend_name: str) -> dict:
+    def compact(self, backend_name: str | None = None) -> dict:
         """Fold the delta store into a rebuilt main index, off the write path.
 
         Rebuilding costs one full index construction over the live records
@@ -656,6 +587,7 @@ class SearchEngine:
         saved atomically and the WAL truncated at the swap-point sequence
         number.  Returns a summary of what was folded.
         """
+        backend_name = self._resolve_backend(backend_name)
         backend, _ = self._require_mutable(backend_name)
         with self._lock:
             if self._compacting.get(backend_name):
@@ -664,7 +596,14 @@ class SearchEngine:
             delta = self._deltas[backend_name]
             before = delta.summary()
             if delta.is_identity:
-                return {"backend": backend_name, "compacted": False, **before}
+                return {
+                    "backend": backend_name,
+                    "compacted": False,
+                    "folded_records": 0,
+                    "dropped_tombstones": 0,
+                    "checkpointed": False,
+                    **before,
+                }
             self._compacting[backend_name] = True
             self._pending_ops[backend_name] = []
         compact_start = time.perf_counter()
@@ -717,8 +656,9 @@ class SearchEngine:
             **new_delta.summary(),
         }
 
-    def mutation_info(self, backend_name: str) -> dict:
+    def mutation_info(self, backend_name: str | None = None) -> dict:
         """Overlay counters of one backend (``/stats`` and CLI surface)."""
+        backend_name = self._resolve_backend(backend_name)
         backend = self.backend(backend_name)
         self.store(backend_name)
         if not backend.mutable:
@@ -741,32 +681,19 @@ class SearchEngine:
 
         Returns a summary of the attach (including ``replayed_batches``).
         """
-        backend, _ = self._require_mutable(backend_name)
+        self._require_mutable(backend_name)
         with self._writer_lock(backend_name):
             if self._wals.get(backend_name) is not None:
                 raise RuntimeError(f"backend {backend_name!r} already has a WAL attached")
             wal = WriteAheadLog(path)
-            checkpoint = self._checkpoint_seqs.get(backend_name, 0)
-            replayed = 0
+            checkpoint = self.applied_seq(backend_name)
+            try:
+                replayed = self._replay(backend_name, path, checkpoint)[1] if replay else 0
+            except ValueError:
+                wal.close()
+                raise
+            wal.resume_from(checkpoint)
             with self._lock:
-                delta = self._deltas[backend_name]
-                if replay:
-                    for batch in wal.batches():
-                        if batch.seq <= checkpoint:
-                            continue
-                        if batch.backend and batch.backend != backend_name:
-                            wal.close()
-                            raise ValueError(
-                                f"WAL {path!r} belongs to backend {batch.backend!r}, "
-                                f"not {backend_name!r}"
-                            )
-                        for doc in batch.ops:
-                            delta = apply_op(delta, op_from_wire(backend, doc))
-                        replayed += 1
-                self._deltas[backend_name] = delta
-                self._invalidate_results(backend_name)
-                self._observe_backend_state(backend_name)
-                wal.resume_from(checkpoint)
                 self._wals[backend_name] = wal
         return {
             "backend": backend_name,
@@ -774,6 +701,35 @@ class SearchEngine:
             "replayed_batches": replayed,
             **wal.describe(),
         }
+
+    def _replay(self, backend_name: str, path: str, after_seq: int) -> tuple[int, int]:
+        """Fold the WAL batches past ``after_seq`` into the overlay.
+
+        The one replay loop (callers hold the writer lock); returns ``(seq
+        the overlay now covers, batches replayed)``.
+        """
+        backend = self.backend(backend_name)
+        applied, replayed = after_seq, 0
+        with self._lock:
+            delta = self._deltas[backend_name]
+            for batch in replay_batches(path, after_seq=after_seq):
+                if batch.backend and batch.backend != backend_name:
+                    raise ValueError(
+                        f"WAL {path!r} belongs to backend {batch.backend!r}, "
+                        f"not {backend_name!r}"
+                    )
+                ops = [op_from_wire(backend, doc) for doc in batch.ops]
+                for op in ops:
+                    delta = apply_op(delta, op)
+                if self._compacting.get(backend_name):
+                    self._pending_ops[backend_name].extend(ops)
+                applied = batch.seq
+                replayed += 1
+            self._deltas[backend_name] = delta
+            if replayed:
+                self._invalidate_results(backend_name)
+                self._observe_backend_state(backend_name)
+        return applied, replayed
 
     def replay_wal(self, backend_name: str, path: str) -> dict:
         """Fold a WAL's unapplied suffix into the overlay without attaching.
@@ -788,30 +744,11 @@ class SearchEngine:
 
         Returns ``{"backend", "applied_seq", "replayed_batches"}``.
         """
-        backend, _ = self._require_mutable(backend_name)
+        self._require_mutable(backend_name)
         with self._writer_lock(backend_name):
-            replayed = 0
+            applied, replayed = self._replay(backend_name, path, self.applied_seq(backend_name))
             with self._lock:
-                applied = self._checkpoint_seqs.get(backend_name, 0)
-                delta = self._deltas[backend_name]
-                for batch in replay_batches(path, after_seq=applied):
-                    if batch.backend and batch.backend != backend_name:
-                        raise ValueError(
-                            f"WAL {path!r} belongs to backend {batch.backend!r}, "
-                            f"not {backend_name!r}"
-                        )
-                    ops = [op_from_wire(backend, doc) for doc in batch.ops]
-                    for op in ops:
-                        delta = apply_op(delta, op)
-                    if self._compacting.get(backend_name):
-                        self._pending_ops[backend_name].extend(ops)
-                    applied = batch.seq
-                    replayed += 1
-                self._deltas[backend_name] = delta
                 self._checkpoint_seqs[backend_name] = applied
-                if replayed:
-                    self._invalidate_results(backend_name)
-                    self._observe_backend_state(backend_name)
         return {
             "backend": backend_name,
             "applied_seq": applied,
@@ -882,10 +819,6 @@ class SearchEngine:
             self._auto_policies[backend_name] = policy
         return policy
 
-    def disable_auto_compaction(self, backend_name: str) -> None:
-        with self._lock:
-            self._auto_policies.pop(backend_name, None)
-
     def _maybe_auto_compact(self, backend_name: str) -> None:
         """Fire the auto-compaction policy after a mutation batch, at most once."""
         policy = self._auto_policies.get(backend_name)
@@ -900,8 +833,9 @@ class SearchEngine:
             delta = self._deltas.get(backend_name)
             if delta is None:
                 return
-            stats = BackendStats(self._stats.registry, backend_name)
-            if not policy.should_compact(len(delta.records), stats.avg_generated):
+            if not policy.should_compact(
+                len(delta.records), self._stats.avg_generated(backend_name)
+            ):
                 return
             thread = threading.Thread(
                 target=self._auto_compact,
@@ -930,8 +864,11 @@ class SearchEngine:
             backend=backend_name,
         ).inc()
 
-    def wait_for_compaction(self, backend_name: str, timeout: float | None = None) -> bool:
+    def wait_for_compaction(
+        self, backend_name: str | None = None, timeout: float | None = None
+    ) -> bool:
         """Block until any in-flight background compaction finishes."""
+        backend_name = self._resolve_backend(backend_name)
         with self._lock:
             thread = self._compaction_threads.get(backend_name)
         if thread is None:
@@ -939,8 +876,9 @@ class SearchEngine:
         thread.join(timeout)
         return not thread.is_alive()
 
-    def durability_info(self, backend_name: str) -> dict:
+    def durability_info(self, backend_name: str | None = None) -> dict:
         """WAL, checkpoint and auto-compaction state of one backend."""
+        backend_name = self._resolve_backend(backend_name)
         backend = self.backend(backend_name)
         self.store(backend_name)
         if not backend.mutable:
@@ -1144,9 +1082,23 @@ class SearchEngine:
                 stack.enter_context(lock)
             return self._stats.registry.to_wire()
 
-    def recent_traces(self, last: int | None = None) -> list[dict]:
-        """Most recent trace documents, newest first."""
-        return self._traces.snapshot(last)
+    # One process, no shards: the replica and worker-profiler views of the
+    # contract are empty here.
+
+    def shard_health(self) -> list[dict]:
+        return []
+
+    def replica_status(self) -> list[dict]:
+        return []
+
+    def profile_wire(self) -> list[dict]:
+        return []
+
+    def start_profiling(self, hz: float | None = None) -> None:
+        pass
+
+    def stop_profiling(self) -> None:
+        pass
 
     def search(self, query: Query) -> Response:
         """Answer one query (thresholded selection, or top-k when ``k`` is set)."""
@@ -1167,7 +1119,6 @@ class SearchEngine:
         if trace is not None:
             trace.finish()
             response.trace = trace.to_dict()
-            self._traces.add(response.trace)
         return response
 
     def _search_impl(self, query: Query, backend: Backend) -> Response:
@@ -1201,18 +1152,6 @@ class SearchEngine:
                     self._cache.popitem(last=False)
         return response
 
-    def search_batch(
-        self,
-        queries: Sequence[Query],
-        parallel: bool = False,
-        max_workers: int | None = None,
-    ) -> list[Response]:
-        """Answer a batch, optionally on a thread pool; order is preserved."""
-        queries = list(queries)
-        if not queries:
-            return []
-        if not parallel or len(queries) == 1:
-            return [self.search(query) for query in queries]
-        workers = max_workers or self._max_workers or min(8, len(queries))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.search, queries))
+    def search_batch(self, queries: Sequence[Query]) -> list[Response]:
+        """Answer a batch in order."""
+        return [self.search(query) for query in queries]

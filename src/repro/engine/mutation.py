@@ -36,8 +36,9 @@ snapshotted the overlay keeps a consistent view while writers advance it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,6 @@ class DeltaStore:
     def num_live(self) -> int:
         """Objects a query can currently match (main minus dead, plus delta)."""
         return len(self.ids) - len(self.tombstones) + len(self.records)
-
-    def is_live(self, obj_id: int) -> bool:
-        """Whether an external id currently names a live object."""
-        if obj_id in self.records:
-            return True
-        return obj_id in self.positions and obj_id not in self.tombstones
 
     def live_main(self) -> Iterator[tuple[int, int]]:
         """``(position, external id)`` of every live main object, id order."""
@@ -179,6 +174,55 @@ class DeltaStore:
             next_id=self.next_id,
             mutated=self.mutated,
         )
+
+
+# ---------------------------------------------------------------------------
+# Op validation (the one check both engines and the client encoder share)
+# ---------------------------------------------------------------------------
+
+
+def _check_id(obj_id: Any) -> int:
+    """``obj_id`` as a plain int; rejects bools, floats, strings, negatives."""
+    if isinstance(obj_id, bool) or not hasattr(obj_id, "__index__"):
+        raise ValueError(f"object ids are non-negative integers, got {obj_id!r}")
+    value = operator.index(obj_id)
+    if value < 0:
+        raise ValueError(f"object ids are non-negative, got {value}")
+    return value
+
+
+def check_ops(ops: Sequence[Any]) -> list[dict]:
+    """Validate one mutation batch's structure; returns the normalised ops.
+
+    Each op comes back as ``{"op": "upsert", "record": ..., "id": int | None}``
+    or ``{"op": "delete", "id": int}``.  Ids are never coerced: ``2.9``,
+    ``True`` and ``"7"`` are errors, not ids 2, 1 and 7.  Record *contents*
+    are the store's to judge (``Backend.check_record``), not this function's.
+    """
+    ops = list(ops)
+    if not ops:
+        raise ValueError("mutation batch is empty: 'ops' must be a non-empty list")
+    checked: list[dict] = []
+    for op in ops:
+        kind = op.get("op") if isinstance(op, dict) else None
+        if kind == "upsert":
+            if "record" not in op:
+                raise ValueError("upsert ops require a record")
+            obj_id = op.get("id")
+            checked.append(
+                {
+                    "op": "upsert",
+                    "record": op["record"],
+                    "id": None if obj_id is None else _check_id(obj_id),
+                }
+            )
+        elif kind == "delete":
+            if op.get("id") is None:
+                raise ValueError("delete ops require an id")
+            checked.append({"op": "delete", "id": _check_id(op["id"])})
+        else:
+            raise ValueError(f"unknown mutation op {kind!r}")
+    return checked
 
 
 # ---------------------------------------------------------------------------

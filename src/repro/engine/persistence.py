@@ -45,7 +45,7 @@ MANIFEST_NAME = "manifest.json"
 MUTATIONS_NAME = "mutations.json"
 
 
-def _fsync_directory(directory: str) -> None:
+def fsync_directory(directory: str) -> None:
     """Best-effort fsync of a directory entry (makes a rename durable)."""
     try:
         fd = os.open(directory or ".", os.O_RDONLY)
@@ -77,7 +77,7 @@ def atomic_write(path: str, writer: Callable[[BinaryIO], None]) -> None:
         if os.path.exists(temp_path):
             os.remove(temp_path)
         raise
-    _fsync_directory(os.path.dirname(path))
+    fsync_directory(os.path.dirname(path))
 
 
 def atomic_write_json(path: str, payload: Any, indent: int | None = None) -> None:

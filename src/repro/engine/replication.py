@@ -152,14 +152,10 @@ def _worker_search_many(queries: Sequence[Query]) -> list[dict]:
     return [_worker_search(query) for query in queries]
 
 
-def _worker_stats() -> dict:
-    """Snapshot of the worker engine's own EngineStats."""
-    return _WORKER["engine"].stats.snapshot()
-
-
-def _worker_metrics() -> dict:
-    """The worker engine's metrics registry as a wire dump (mergeable)."""
-    return _WORKER["engine"].metrics_wire()
+def _worker_call(method: str, *args: Any) -> Any:
+    """Run one method of the worker's engine: the generic IPC entry point
+    for everything that only forwards (info, replay, flush, metrics)."""
+    return getattr(_WORKER["engine"], method)(*args)
 
 
 def _worker_apply(ops: Sequence[dict], seq: int | None) -> dict:
@@ -175,16 +171,6 @@ def _worker_apply(ops: Sequence[dict], seq: int | None) -> dict:
     if seq is not None:
         engine.advance_applied_seq(_WORKER["backend"], seq)
     return outcome
-
-
-def _worker_applied_seq() -> int:
-    """The lineage sequence number this worker's state covers."""
-    return int(_WORKER["engine"].applied_seq(_WORKER["backend"]))
-
-
-def _worker_replay_from(wal_path: str) -> dict:
-    """Fold the shared WAL's unapplied suffix into the overlay (catch-up)."""
-    return _WORKER["engine"].replay_wal(_WORKER["backend"], wal_path)
 
 
 def _worker_compact_and_save(shard_dir: str | None) -> dict:
@@ -209,23 +195,6 @@ def _worker_compact_and_save(shard_dir: str | None) -> dict:
         summary["checkpointed"] = True
         summary["checkpoint_seq"] = engine.applied_seq(backend)
     return summary
-
-
-def _worker_durability_info() -> dict:
-    return _WORKER["engine"].durability_info(_WORKER["backend"])
-
-
-def _worker_wait_for_compaction(timeout: float | None = None) -> bool:
-    return _WORKER["engine"].wait_for_compaction(_WORKER["backend"], timeout)
-
-
-def _worker_mutation_info() -> dict:
-    return _WORKER["engine"].mutation_info(_WORKER["backend"])
-
-
-def _worker_flush(shard_dir: str) -> dict:
-    """Persist the worker's store (and overlay) back into its container."""
-    return _WORKER["engine"].save_index(_WORKER["backend"], shard_dir)
 
 
 def _worker_start_profiler(hz: float) -> None:
@@ -359,7 +328,8 @@ class ReplicaSet:
             only converge through a shared lineage).
         wal: the parent-owned :class:`WriteAheadLog`, or None for the
             WAL-less single-replica mode (in-memory mutations only).
-        backend: backend name, needed to encode WAL records.
+        backend: the shard's backend name (WAL records and worker calls
+            are addressed by it).
         on_death: callback fired (outside all locks) each time a replica
             transitions to ``dead`` -- the engine counts worker errors and
             marks the health scoreboard here.
@@ -373,7 +343,8 @@ class ReplicaSet:
         spawn: Callable[[], ProcessPoolExecutor],
         num_replicas: int = 1,
         wal: WriteAheadLog | None = None,
-        backend: str | None = None,
+        *,
+        backend: str,
         on_death: Callable[[], None] | None = None,
         on_failover: Callable[[], None] | None = None,
     ):
@@ -387,7 +358,7 @@ class ReplicaSet:
         self._spawn = spawn
         self._wal = wal
         self._backend = backend
-        self._backend_obj = get_backend(backend) if backend is not None else None
+        self._backend_obj = get_backend(backend)
         self._on_death = on_death
         self._on_failover = on_failover
         # _lock guards the replica table (states, applied seqs, in-flight
@@ -416,7 +387,7 @@ class ReplicaSet:
                 (
                     replica,
                     replica.pool.submit(_worker_ready),
-                    replica.pool.submit(_worker_applied_seq),
+                    replica.pool.submit(_worker_call, "applied_seq", self._backend),
                 )
             )
 
@@ -618,7 +589,7 @@ class ReplicaSet:
             replica.generation += 1
         try:
             pool.submit(_worker_ready).result()
-            seq = int(pool.submit(_worker_applied_seq).result())
+            seq = int(pool.submit(_worker_call, "applied_seq", self._backend).result())
         except (BrokenProcessPool, RuntimeError) as exc:
             self._mark_dead(replica)
             raise ShardWorkerError(
@@ -639,14 +610,16 @@ class ReplicaSet:
         """
         try:
             if wal_path is not None and self._wal is not None:
-                applied = int(replica.pool.submit(_worker_applied_seq).result())
+                replay = (_worker_call, "replay_wal", self._backend, wal_path)
+                applied = int(
+                    replica.pool.submit(_worker_call, "applied_seq", self._backend).result()
+                )
                 rounds = 0
                 while applied < self._wal.last_seq and rounds < max_rounds:
-                    result = replica.pool.submit(_worker_replay_from, wal_path).result()
-                    applied = int(result["applied_seq"])
+                    applied = int(replica.pool.submit(*replay).result()["applied_seq"])
                     rounds += 1
                 with self._write_lock:
-                    result = replica.pool.submit(_worker_replay_from, wal_path).result()
+                    result = replica.pool.submit(*replay).result()
                     with self._lock:
                         replica.applied_seq = int(result["applied_seq"])
                         replica.state = LIVE

@@ -1,9 +1,8 @@
 """Async network serving: a stdlib-only HTTP/1.1 JSON front-end.
 
-:class:`EngineServer` puts a network surface on anything that serves
-``search`` / ``search_batch`` -- an in-process
-:class:`repro.engine.executor.SearchEngine` or a multi-process
-:class:`repro.engine.sharding.ShardedEngine` -- so the repo's thresholded
+:class:`EngineServer` puts a network surface on anything that meets the
+:class:`repro.engine.api.Engine` contract -- in process or over shard worker
+processes, the server never asks which -- so the repo's thresholded
 similarity machinery is reachable by concurrent clients without importing
 the package:
 
@@ -55,8 +54,8 @@ from repro.common.obs import (
     SlowQueryLog,
     new_trace_id,
 )
-from repro.engine.api import Query
-from repro.engine.sharding import ShardedEngine, ShardWorkerError
+from repro.engine.api import Engine, Query
+from repro.engine.replication import ShardWorkerError
 from repro.engine.wire import (
     WIRE_SCHEMA_VERSION,
     WireFormatError,
@@ -81,6 +80,17 @@ _REASONS = {
 #: Request-line + single-header size cap handed to ``asyncio.start_server``.
 _LINE_LIMIT = 64 * 1024
 _MAX_HEADERS = 100
+#: Largest accepted request body (413 above it).
+_MAX_BODY_BYTES = 8 * 1024 * 1024
+#: The ``Retry-After`` hint, in seconds, on 429/503 responses.
+_RETRY_AFTER = {"Retry-After": "1"}
+#: Rotated slow-query log files retained.
+_SLOW_QUERY_KEEP_FILES = 3
+#: Capacity of the recent-traces ring (``/debug/traces``).
+_TRACE_BUFFER = 128
+#: Target good-request fraction of the serving SLO (burn rates on
+#: ``/healthz`` and ``/debug/slo`` are relative to the remaining budget).
+_SLO_OBJECTIVE = 0.99
 
 #: Known endpoint paths; anything else is bucketed under "other" in the
 #: per-endpoint stats so a path scanner cannot grow the dict unboundedly.
@@ -117,8 +127,6 @@ class ServerConfig:
             (a batch is whatever queued up while the previous one ran).
         max_pending: admission-control bound on in-flight queries (queued
             plus executing); excess requests get 429 + ``Retry-After``.
-        retry_after_s: the ``Retry-After`` hint on 429/503 responses.
-        max_body_bytes: largest accepted request body (413 above it).
         drain_timeout_s: longest :meth:`EngineServer.stop` waits for
             admitted queries before shutting the executor down regardless.
         trace: record a span timeline for every search request (clients can
@@ -128,11 +136,9 @@ class ServerConfig:
             are appended to the slow-query log (JSON lines; implies
             tracing so every slow entry carries its span timeline).
         slow_query_log: file path for the slow-query log; ``None`` keeps
-            slow entries only in the in-memory ring.
+            slow requests only in the trace ring (``/debug/traces``).
         slow_query_max_mb: size-rotate the slow-query log file once it
             reaches this many megabytes; ``None`` never rotates.
-        slow_query_keep_files: rotated slow-query files retained.
-        trace_buffer: capacity of the recent-traces ring (``/debug/traces``).
         trace_budget: fraction of ordinary (fast, successful) traces kept in
             the ring; slow and error traces are always kept.  1.0 keeps
             everything, 0.01 keeps every 100th ordinary trace.
@@ -140,9 +146,6 @@ class ServerConfig:
             rate for the server's lifetime (``GET /debug/profile`` then
             reads the running aggregate; without it the endpoint profiles
             on demand for ``?seconds=N``).
-        slo_objective: target good-request fraction of the serving SLO
-            (burn rates on ``/healthz`` and ``/debug/slo`` are relative to
-            the ``1 - slo_objective`` error budget).
         slo_latency_ms: latency target of the SLO; a request slower than
             this counts against the error budget like a failed one.
             ``None`` tracks errors only.
@@ -155,18 +158,13 @@ class ServerConfig:
     port: int = 0
     max_batch_size: int = 16
     max_pending: int = 256
-    retry_after_s: float = 1.0
-    max_body_bytes: int = 8 * 1024 * 1024
     drain_timeout_s: float = 30.0
     trace: bool = False
     slow_query_ms: float | None = None
     slow_query_log: str | None = None
     slow_query_max_mb: float | None = None
-    slow_query_keep_files: int = 3
-    trace_buffer: int = 128
     trace_budget: float = 1.0
     profile_hz: float | None = None
-    slo_objective: float = 0.99
     slo_latency_ms: float | None = None
     durability: str | None = None
 
@@ -181,16 +179,10 @@ class ServerConfig:
             raise ValueError("slow_query_ms must be non-negative")
         if self.slow_query_max_mb is not None and self.slow_query_max_mb <= 0:
             raise ValueError("slow_query_max_mb must be positive")
-        if self.slow_query_keep_files < 1:
-            raise ValueError("slow_query_keep_files must be at least 1")
-        if self.trace_buffer < 1:
-            raise ValueError("trace_buffer must be at least 1")
         if not 0.0 <= self.trace_budget <= 1.0:
             raise ValueError("trace_budget must be in [0, 1]")
         if self.profile_hz is not None and self.profile_hz <= 0:
             raise ValueError("profile_hz must be positive")
-        if not 0.0 < self.slo_objective < 1.0:
-            raise ValueError("slo_objective must be in (0, 1)")
         if self.slo_latency_ms is not None and self.slo_latency_ms <= 0:
             raise ValueError("slo_latency_ms must be positive")
 
@@ -198,7 +190,7 @@ class ServerConfig:
 class ServerStats:
     """Serving counters of one :class:`EngineServer`.
 
-    Registry-backed: the attributes and :meth:`snapshot` are views over a
+    Registry-backed: :meth:`snapshot` is computed from a
     :class:`repro.common.obs.MetricsRegistry`, the same one ``GET /metrics``
     renders, so the two surfaces can never disagree.
     """
@@ -276,86 +268,29 @@ class ServerStats:
 
     # -- read path -----------------------------------------------------------
 
-    def _counter_value(self, name: str, **labels: str) -> float:
-        instrument = self.registry.get(name, **labels)
-        return instrument.value if instrument is not None else 0.0
-
-    @property
-    def num_requests(self) -> int:
-        return int(
-            sum(self._counter_value("http_requests_total", route=route) for route in self._routes)
-        )
-
-    @property
-    def num_queries(self) -> int:
-        return int(self._queries.value)
-
-    @property
-    def num_batches(self) -> int:
-        return int(self._batches.value)
-
-    @property
-    def sum_batch_size(self) -> int:
-        return int(self._batch_queries.value)
-
-    @property
-    def max_batch_size(self) -> int:
-        return int(self._batch_max.value)
-
-    @property
-    def avg_batch_size(self) -> float:
-        return self.sum_batch_size / self.num_batches if self.num_batches else 0.0
-
-    @property
-    def rejected_busy(self) -> int:
-        return int(self._counter_value("server_rejected_total", reason="busy"))
-
-    @property
-    def rejected_invalid(self) -> int:
-        return int(self._counter_value("server_rejected_total", reason="invalid"))
-
-    @property
-    def errors_unavailable(self) -> int:
-        return int(self._counter_value("server_errors_total", kind="unavailable"))
-
-    @property
-    def errors_internal(self) -> int:
-        return int(self._counter_value("server_errors_total", kind="internal"))
-
-    @property
-    def num_upserts(self) -> int:
-        return int(self._counter_value("server_mutations_total", kind="upsert"))
-
-    @property
-    def num_deletes(self) -> int:
-        return int(self._counter_value("server_mutations_total", kind="delete"))
-
-    @property
-    def num_compactions(self) -> int:
-        return int(self._counter_value("server_mutations_total", kind="compact"))
-
-    @property
-    def per_endpoint(self) -> dict[str, int]:
-        return {
-            route: int(self._counter_value("http_requests_total", route=route))
-            for route in sorted(self._routes)
-        }
-
     def snapshot(self) -> dict:
+        def count(name: str, **labels: str) -> int:
+            instrument = self.registry.get(name, **labels)
+            return int(instrument.value) if instrument is not None else 0
+
+        per_endpoint = {
+            route: count("http_requests_total", route=route) for route in sorted(self._routes)
+        }
+        batches = int(self._batches.value)
         return {
-            "num_requests": self.num_requests,
-            "num_queries": self.num_queries,
-            "num_batches": self.num_batches,
-            "avg_batch_size": self.avg_batch_size,
-            "max_batch_size": self.max_batch_size,
-            "rejected_busy": self.rejected_busy,
-            "rejected_invalid": self.rejected_invalid,
-            "errors_unavailable": self.errors_unavailable,
-            "errors_internal": self.errors_internal,
-            "num_upserts": self.num_upserts,
-            "num_deletes": self.num_deletes,
-            "num_compactions": self.num_compactions,
-            "per_endpoint": self.per_endpoint,
+            "num_requests": sum(per_endpoint.values()),
+            "num_queries": int(self._queries.value),
+            "num_batches": batches,
+            "avg_batch_size": self._batch_queries.value / batches if batches else 0.0,
+            "max_batch_size": int(self._batch_max.value),
+            "rejected_busy": count("server_rejected_total", reason="busy"),
+            "rejected_invalid": count("server_rejected_total", reason="invalid"),
+            "errors_unavailable": count("server_errors_total", kind="unavailable"),
+            "errors_internal": count("server_errors_total", kind="internal"),
+            "num_upserts": count("server_mutations_total", kind="upsert"),
+            "num_deletes": count("server_mutations_total", kind="delete"),
+            "num_compactions": count("server_mutations_total", kind="compact"),
+            "per_endpoint": per_endpoint,
         }
 
 
@@ -363,16 +298,16 @@ class EngineServer:
     """An asyncio HTTP/1.1 JSON server over one engine.
 
     Args:
-        engine: a :class:`SearchEngine` or :class:`ShardedEngine` (anything
-            with ``search_batch``); queries from every connection funnel
-            into its ``search_batch`` through one FIFO queue.
+        engine: anything meeting the :class:`repro.engine.api.Engine`
+            contract; queries from every connection funnel into its
+            ``search_batch`` through one FIFO queue.
         config: serving tunables; ``None`` uses the defaults.
-        own_engine: close the engine (if it has ``close``) on :meth:`stop`.
+        own_engine: close the engine on :meth:`stop`.
     """
 
     def __init__(
         self,
-        engine: Any,
+        engine: Engine,
         config: ServerConfig | None = None,
         own_engine: bool = False,
     ):
@@ -382,7 +317,7 @@ class EngineServer:
         # Tail-based retention: slow (>= slow_query_ms) and error traces are
         # always kept, ordinary traces ride the trace_budget sampler.
         self.traces = diag.TailSampler(
-            capacity=self.config.trace_buffer,
+            capacity=_TRACE_BUFFER,
             budget=self.config.trace_budget,
             slow_ms=self.config.slow_query_ms,
         )
@@ -395,7 +330,7 @@ class EngineServer:
                     if self.config.slow_query_max_mb is not None
                     else None
                 ),
-                keep_files=self.config.slow_query_keep_files,
+                keep_files=_SLOW_QUERY_KEEP_FILES,
             )
             if self.config.slow_query_ms is not None
             else None
@@ -405,10 +340,7 @@ class EngineServer:
             if self.config.profile_hz is not None
             else None
         )
-        self.slo = diag.SloMonitor(
-            objective=self.config.slo_objective,
-            latency_ms=self.config.slo_latency_ms,
-        )
+        self.slo = diag.SloMonitor(objective=_SLO_OBJECTIVE, latency_ms=self.config.slo_latency_ms)
         self._span_bridge = diag.SpanMetricsBridge(self.stats.registry)
         self._own_engine = own_engine
         # Queue entries carry their enqueue time (loop clock) so each query's
@@ -448,18 +380,11 @@ class EngineServer:
     async def start(self) -> None:
         if self.profiler is not None:
             self.profiler.start()
-            # A sharded engine profiles its worker processes too.
-            start_worker_profilers = getattr(self.engine, "start_profiling", None)
-            if start_worker_profilers is not None:
-                start_worker_profilers(self.config.profile_hz)
+            # An engine with worker processes profiles those too.
+            self.engine.start_profiling(self.config.profile_hz)
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port, limit=_LINE_LIMIT
         )
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Graceful drain: refuse new work, finish admitted work, shut down."""
@@ -481,13 +406,11 @@ class EngineServer:
         self._executor.shutdown(wait=True)
         if self.profiler is not None:
             self.profiler.stop()
-            stop_worker_profilers = getattr(self.engine, "stop_profiling", None)
-            if stop_worker_profilers is not None:
-                try:
-                    stop_worker_profilers()
-                except Exception:  # noqa: BLE001 - dead workers must not block the drain
-                    self.stats.observe_suppressed("stop_worker_profilers")
-        if self._own_engine and hasattr(self.engine, "close"):
+            try:
+                self.engine.stop_profiling()
+            except Exception:  # noqa: BLE001 - dead workers must not block the drain
+                self.stats.observe_suppressed("stop_worker_profilers")
+        if self._own_engine:
             self.engine.close()
 
     # -- batch dispatch ----------------------------------------------------
@@ -663,11 +586,11 @@ class EngineServer:
                 writer, 400, {"error": f"bad Content-Length {length_text!r}"}, False, {}
             )
             return None
-        if length > self.config.max_body_bytes:
+        if length > _MAX_BODY_BYTES:
             await self._write_response(
                 writer,
                 413,
-                {"error": f"body of {length} bytes exceeds {self.config.max_body_bytes}"},
+                {"error": f"body of {length} bytes exceeds {_MAX_BODY_BYTES}"},
                 False,
                 {},
             )
@@ -763,16 +686,15 @@ class EngineServer:
     async def _handle_search(
         self, path: str, headers: dict[str, str], body: bytes
     ) -> tuple[int, dict, dict[str, str]]:
-        retry = {"Retry-After": f"{self.config.retry_after_s:g}"}
         if self._draining:
             self.stats.observe_error("unavailable")
-            return 503, {"error": "the server is draining"}, retry
+            return 503, {"error": "the server is draining"}, _RETRY_AFTER
         if self._in_flight >= self.config.max_pending:
             self.stats.observe_rejected("busy")
             return (
                 429,
                 {"error": f"{self._in_flight} queries in flight (limit {self.config.max_pending})"},
-                retry,
+                _RETRY_AFTER,
             )
         try:
             parsed = json.loads(body.decode("utf-8")) if body else None
@@ -812,7 +734,7 @@ class EngineServer:
             payload = {"error": str(exc)}
             if trace_id is not None:
                 payload["trace_id"] = trace_id
-            return 503, payload, retry
+            return 503, payload, _RETRY_AFTER
         except _REQUEST_ERRORS as exc:
             # Engine-level validation the wire decoder cannot see (backend
             # not attached, algorithm/backend mismatch against this index).
@@ -921,16 +843,15 @@ class EngineServer:
         it, and the admission-control / drain bookkeeping covers writes
         exactly like reads.
         """
-        retry = {"Retry-After": f"{self.config.retry_after_s:g}"}
         if self._draining:
             self.stats.observe_error("unavailable")
-            return 503, {"error": "the server is draining"}, retry
+            return 503, {"error": "the server is draining"}, _RETRY_AFTER
         if self._in_flight >= self.config.max_pending:
             self.stats.observe_rejected("busy")
             return (
                 429,
                 {"error": f"{self._in_flight} queries in flight (limit {self.config.max_pending})"},
-                retry,
+                _RETRY_AFTER,
             )
         try:
             parsed = json.loads(body.decode("utf-8")) if body else None
@@ -948,7 +869,7 @@ class EngineServer:
             payload = await loop.run_in_executor(self._executor, apply)
         except (ShardWorkerError, RuntimeError) as exc:
             self.stats.observe_error("unavailable")
-            return 503, {"error": str(exc)}, retry
+            return 503, {"error": str(exc)}, _RETRY_AFTER
         except (ValueError, KeyError, NotImplementedError) as exc:
             self.stats.observe_rejected("invalid")
             return 400, {"error": str(exc)}, {}
@@ -984,20 +905,10 @@ class EngineServer:
 
         else:
             backend_name = decode_compact(parsed)
-            if backend_name is None and not isinstance(engine, ShardedEngine):
-                attached = engine.attached_backends()
-                if len(attached) != 1:
-                    raise WireFormatError(
-                        f"this server serves {len(attached)} backends "
-                        f"({', '.join(attached) or 'none'}); pass 'backend'"
-                    )
-                backend_name = attached[0]
 
             def apply() -> dict:
                 summary = engine.compact(backend_name)
                 self.stats.observe_mutation("compact")
-                if isinstance(summary, list):  # per-shard summaries
-                    return {"backend": engine.backend_name, "shards": summary}
                 return summary
 
         return apply
@@ -1016,10 +927,9 @@ class EngineServer:
                 "slow_burn_rate": slo["windows"]["slow"]["burn_rate"],
             },
         }
-        shard_health = getattr(self.engine, "shard_health", None)
-        if shard_health is not None and not self._draining:
+        if not self._draining:
             try:
-                entries = shard_health()
+                entries = self.engine.shard_health()
             except Exception:  # noqa: BLE001 - scoreboard must not take /healthz down
                 self.stats.observe_suppressed("healthz_shard_health")
                 entries = []
@@ -1052,16 +962,19 @@ class EngineServer:
                 "max_batch_size": self.config.max_batch_size,
                 "max_pending": self.config.max_pending,
             },
+            "engine": self.engine.stats.snapshot(),
         }
-        stats = getattr(self.engine, "stats", None)
-        if stats is not None and hasattr(stats, "snapshot"):
-            payload["engine"] = stats.snapshot()
-        replica_status = getattr(self.engine, "replica_status", None)
-        if replica_status is not None:
-            try:
-                payload["replicas"] = replica_status()
-            except Exception:  # noqa: BLE001 - a respawn race must not take /stats down
-                self.stats.observe_suppressed("replica_status")
+        try:
+            payload["replicas"] = self.engine.replica_status()
+            # Per backend: WAL, checkpoint and background-compaction state,
+            # last_error included -- the only place a failed background
+            # compaction shows.
+            payload["durability"] = {
+                name: self.engine.durability_info(name)
+                for name in self.engine.describe()["backends"]
+            }
+        except Exception:  # noqa: BLE001 - a respawn race must not take /stats down
+            self.stats.observe_suppressed("engine_status")
         return payload
 
     def _metrics_text(self) -> str:
@@ -1070,12 +983,10 @@ class EngineServer:
         registry.gauge("server_in_flight", "admitted queries in flight").set(self._in_flight)
         merged = MetricsRegistry()
         merged.merge_wire(registry.to_wire())
-        engine_wire = getattr(self.engine, "metrics_wire", None)
-        if engine_wire is not None:
-            try:
-                merged.merge_wire(engine_wire())
-            except Exception:  # noqa: BLE001 - a dead worker must not take /metrics down
-                self.stats.observe_suppressed("engine_metrics_wire")
+        try:
+            merged.merge_wire(self.engine.metrics_wire())
+        except Exception:  # noqa: BLE001 - a dead worker must not take /metrics down
+            self.stats.observe_suppressed("engine_metrics_wire")
         return merged.render_prometheus()
 
     def _traces_payload(self) -> dict:
@@ -1125,12 +1036,10 @@ class EngineServer:
                 temporary.stop()
             profile = temporary.snapshot()
         wires = [profile]
-        worker_profiles = getattr(self.engine, "profile_wire", None)
-        if worker_profiles is not None:
-            try:
-                wires.extend(worker_profiles())
-            except Exception:  # noqa: BLE001 - a dead worker must not take the endpoint down
-                self.stats.observe_suppressed("worker_profile_wire")
+        try:
+            wires.extend(self.engine.profile_wire())
+        except Exception:  # noqa: BLE001 - a dead worker must not take the endpoint down
+            self.stats.observe_suppressed("worker_profile_wire")
         merged = diag.merge_profiles(wires)
         payload = {
             "schema_version": WIRE_SCHEMA_VERSION,
@@ -1150,36 +1059,14 @@ class EngineServer:
             "slo": self.slo.status(),
             "trace_sampling": self.traces.stats(),
         }
-        shard_health = getattr(self.engine, "shard_health", None)
-        if shard_health is not None:
-            try:
-                payload["shards"] = shard_health()
-            except Exception:  # noqa: BLE001 - scoreboard must not take the endpoint down
-                payload["shards"] = []
+        try:
+            payload["shards"] = self.engine.shard_health()
+        except Exception:  # noqa: BLE001 - scoreboard must not take the endpoint down
+            payload["shards"] = []
         return payload
 
     def _manifest_payload(self) -> dict:
-        if isinstance(self.engine, ShardedEngine):
-            return {
-                "schema_version": WIRE_SCHEMA_VERSION,
-                "engine": "ShardedEngine",
-                "backend": self.engine.backend_name,
-                "default_tau": self.engine.default_tau(),
-                "manifest": self.engine.manifest,
-            }
-        backends = {}
-        for name in self.engine.attached_backends():
-            backend = self.engine.backend(name)
-            store = self.engine.store(name)
-            backends[name] = {
-                "descriptor": backend.describe(store),
-                "default_tau": backend.default_tau(store),
-            }
-        return {
-            "schema_version": WIRE_SCHEMA_VERSION,
-            "engine": type(self.engine).__name__,
-            "backends": backends,
-        }
+        return {"schema_version": WIRE_SCHEMA_VERSION, **self.engine.describe()}
 
 
 class ServerThread:
@@ -1198,7 +1085,7 @@ class ServerThread:
 
     def __init__(
         self,
-        engine: Any,
+        engine: Engine,
         config: ServerConfig | None = None,
         own_engine: bool = False,
     ):

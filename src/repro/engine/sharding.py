@@ -32,10 +32,13 @@ log past the container checkpoint, and readmits each replica only once its
 apply-then-log write protocol and the rolling-compaction state machine).
 
 The parent tracks per-shard latency and merge overhead in
-:class:`ShardedStats`; the workers' own :class:`repro.engine.executor.
-EngineStats` snapshots are reachable through :meth:`ShardedEngine.
-worker_stats`, so the whole stats layer stays observable across the
-process boundary.
+:class:`ShardedStats`; the workers' own metrics registries are merged in by
+:meth:`ShardedEngine.metrics_wire`, so the whole stats layer stays
+observable across the process boundary.
+
+The engine meets the :class:`repro.engine.api.Engine` contract -- the same
+methods, signatures and return keys as :class:`repro.engine.executor.
+SearchEngine` -- so nothing above it asks which of the two it holds.
 """
 
 from __future__ import annotations
@@ -54,23 +57,19 @@ from repro.common.obs import MetricsRegistry
 from repro.common.stats import Timer
 from repro.engine.api import Query, Response
 from repro.engine.backend import get_backend
+from repro.engine.mutation import check_ops
 from repro.engine.persistence import atomic_write_json, save_container
 from repro.engine.replication import (
     LIVE,
     ReplicaSet,
     ShardWorkerError,
     _init_worker,
-    _worker_durability_info,
-    _worker_flush,
-    _worker_metrics,
-    _worker_mutation_info,
+    _worker_call,
     _worker_profile_wire,
     _worker_search,
     _worker_search_many,
     _worker_start_profiler,
-    _worker_stats,
     _worker_stop_profiler,
-    _worker_wait_for_compaction,
 )
 from repro.engine.wal import AutoCompactionPolicy, WriteAheadLog
 from repro.engine.wire import parse_session
@@ -80,7 +79,6 @@ __all__ = [
     "SHARDS_FORMAT_VERSION",
     "SUPPORTED_SHARDS_FORMAT_VERSIONS",
     "ShardWorkerError",
-    "ShardStats",
     "ShardedStats",
     "ShardedEngine",
     "build_shards",
@@ -227,40 +225,6 @@ def merge_topk(parts: Sequence[dict], k: int) -> tuple[list[int], list[float]]:
 # ---------------------------------------------------------------------------
 
 
-class ShardStats:
-    """Parent-observed serving totals for one shard (a registry view)."""
-
-    __slots__ = ("_registry", "_shard")
-
-    def __init__(self, registry: MetricsRegistry, shard_id: int) -> None:
-        self._registry = registry
-        self._shard = str(shard_id)
-
-    def _value(self, name: str) -> float:
-        instrument = self._registry.get(name, shard=self._shard)
-        return instrument.value if instrument is not None else 0.0
-
-    @property
-    def num_queries(self) -> int:
-        return int(self._value("sharded_shard_queries_total"))
-
-    @property
-    def worker_time(self) -> float:
-        return self._value("sharded_shard_seconds_total")
-
-    @property
-    def max_worker_time(self) -> float:
-        return self._value("sharded_shard_max_seconds")
-
-    @property
-    def worker_errors(self) -> int:
-        return int(self._value("sharded_worker_errors_total"))
-
-    @property
-    def failovers(self) -> int:
-        return int(self._value("sharded_failovers_total"))
-
-
 class ShardedStats:
     """Aggregate fan-out/merge statistics of one :class:`ShardedEngine`.
 
@@ -287,89 +251,84 @@ class ShardedStats:
         self._merge = r.counter(
             "sharded_merge_seconds_total", "wall seconds combining shard answers"
         )
-        self._num_shards = 0
+        self._merge_latency = r.histogram("sharded_merge_seconds", "per-query merge latency")
+        self._shards: list[dict[str, Any]] = []
 
-    def add_shard(self) -> int:
-        shard_id = self._num_shards
-        self._num_shards += 1
-        shard = str(shard_id)
+    def add_shard(self) -> None:
+        """Create one shard's instruments once; the per-query path holds
+        them instead of looking each up by label."""
         r = self.registry
-        r.counter("sharded_shard_queries_total", "queries answered by this shard", shard=shard)
-        r.counter("sharded_shard_seconds_total", "worker seconds on this shard", shard=shard)
-        r.gauge("sharded_shard_max_seconds", "slowest query on this shard", shard=shard)
-        r.counter(
-            "sharded_worker_errors_total", "worker process failures on this shard", shard=shard
+        shard = str(len(self._shards))
+        self._shards.append(
+            {
+                "queries": r.counter(
+                    "sharded_shard_queries_total", "queries answered by this shard", shard=shard
+                ),
+                "seconds": r.counter(
+                    "sharded_shard_seconds_total", "worker seconds on this shard", shard=shard
+                ),
+                "max_seconds": r.gauge(
+                    "sharded_shard_max_seconds", "slowest query on this shard", shard=shard
+                ),
+                "latency": r.histogram(
+                    "sharded_shard_seconds", "per-query worker latency", shard=shard
+                ),
+                "errors": r.counter(
+                    "sharded_worker_errors_total",
+                    "worker process failures on this shard",
+                    shard=shard,
+                ),
+                "failovers": r.counter(
+                    "sharded_failovers_total",
+                    "reads retried transparently on a sibling replica",
+                    shard=shard,
+                ),
+            }
         )
-        r.counter(
-            "sharded_failovers_total",
-            "reads retried transparently on a sibling replica",
-            shard=shard,
-        )
-        return shard_id
 
     def observe_query(self, fanout_s: float, merge_s: float, parts: Sequence[dict]) -> None:
-        r = self.registry
         self._queries.inc()
         self._fanout.inc(fanout_s)
         self._merge.inc(merge_s)
-        r.histogram("sharded_merge_seconds", "per-query merge latency").observe(merge_s)
-        for shard_id, part in enumerate(parts):
-            shard = str(shard_id)
+        self._merge_latency.observe(merge_s)
+        for shard, part in zip(self._shards, parts):
             seconds = part["engine_time"]
-            r.counter("sharded_shard_queries_total", shard=shard).inc()
-            r.counter("sharded_shard_seconds_total", shard=shard).inc(seconds)
-            gauge = r.gauge("sharded_shard_max_seconds", shard=shard)
-            if seconds > gauge.value:
-                gauge.set(seconds)
-            r.histogram(
-                "sharded_shard_seconds", "per-query worker latency", shard=shard
-            ).observe(seconds)
+            shard["queries"].inc()
+            shard["seconds"].inc(seconds)
+            if seconds > shard["max_seconds"].value:
+                shard["max_seconds"].set(seconds)
+            shard["latency"].observe(seconds)
 
     def observe_worker_error(self, shard_id: int) -> None:
-        self.registry.counter("sharded_worker_errors_total", shard=str(shard_id)).inc()
+        self._shards[shard_id]["errors"].inc()
 
     def observe_failover(self, shard_id: int) -> None:
-        self.registry.counter("sharded_failovers_total", shard=str(shard_id)).inc()
-
-    @property
-    def num_queries(self) -> int:
-        return int(self._queries.value)
-
-    @property
-    def fanout_time(self) -> float:
-        return self._fanout.value
-
-    @property
-    def merge_time(self) -> float:
-        return self._merge.value
-
-    @property
-    def per_shard(self) -> list[ShardStats]:
-        return [ShardStats(self.registry, shard_id) for shard_id in range(self._num_shards)]
+        self._shards[shard_id]["failovers"].inc()
 
     def snapshot(self) -> dict:
-        queries = self.num_queries
+        queries = int(self._queries.value)
+        fanout_s, merge_s = self._fanout.value, self._merge.value
         return {
             "num_queries": queries,
-            "fanout_time_s": self.fanout_time,
-            "merge_time_s": self.merge_time,
-            "avg_fanout_time_ms": 1000.0 * self.fanout_time / queries if queries else 0.0,
-            "avg_merge_time_ms": 1000.0 * self.merge_time / queries if queries else 0.0,
+            "fanout_time_s": fanout_s,
+            "merge_time_s": merge_s,
+            "avg_fanout_time_ms": 1000.0 * fanout_s / queries if queries else 0.0,
+            "avg_merge_time_ms": 1000.0 * merge_s / queries if queries else 0.0,
             "per_shard": [
                 {
                     "shard_id": shard_id,
-                    "num_queries": stats.num_queries,
-                    "worker_time_s": stats.worker_time,
+                    "num_queries": int(shard["queries"].value),
+                    "worker_time_s": shard["seconds"].value,
                     "avg_worker_time_ms": (
-                        1000.0 * stats.worker_time / stats.num_queries
-                        if stats.num_queries
+                        1000.0 * shard["seconds"].value / shard["queries"].value
+                        if shard["queries"].value
                         else 0.0
                     ),
-                    "max_worker_time_ms": 1000.0 * stats.max_worker_time,
-                    "worker_errors": stats.worker_errors,
-                    "failovers": stats.failovers,
+                    "max_worker_time_ms": 1000.0 * shard["max_seconds"].value,
+                    "worker_errors": int(shard["errors"].value),
+                    "failovers": int(shard["failovers"].value),
                 }
-                for shard_id, stats in enumerate(self.per_shard)
+                for shard_id, shard in enumerate(self._shards)
             ],
         }
 
@@ -415,7 +374,7 @@ class ShardedEngine:
 
         self._manifest = load_shards_manifest(directory)
         self._directory = directory
-        self._backend = get_backend(self._manifest["backend"])
+        self._backend_name: str = self._manifest["backend"]
         self._next_id = int(self._manifest.get("next_id", self._manifest["num_objects"]))
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
@@ -429,14 +388,18 @@ class ShardedEngine:
             multiprocessing.get_context(mp_context) if mp_context is not None else None
         )
         self._sets: list[ReplicaSet] = []
-        self._pools: list[ProcessPoolExecutor] = []
         self._wals: list[WriteAheadLog | None] = []
         self._wal_paths: list[str | None] = []
         self._supervisor: diag.Supervisor | None = None
-        self._auto_policy = AutoCompactionPolicy() if auto_compact else None
+        # Background compaction checkpoints into the WAL lineage, so it is
+        # armed only when there is one.
+        self._auto_policy = AutoCompactionPolicy() if auto_compact and wal_dir is not None else None
+        # Per shard: background compactions completed, and the last one's
+        # failure (None once one succeeds) -- see durability_info().
+        self._compaction_counts = [0] * len(self._manifest["shards"])
+        self._compaction_errors: list[str | None] = [None] * len(self._manifest["shards"])
         self._tick_count = 0
         self._stats = ShardedStats()
-        self._traces = diag.TailSampler(capacity=128)
         self._health = diag.HealthScoreboard(len(self._manifest["shards"]))
         self._profile_hz: float | None = None
         try:
@@ -459,8 +422,8 @@ class ShardedEngine:
                         spawn=functools.partial(self._spawn_pool, initargs),
                         num_replicas=replicas,
                         wal=wal,
-                        backend=self._manifest["backend"],
-                        on_death=functools.partial(self._observe_replica_death, shard_id),
+                        backend=self._backend_name,
+                        on_death=functools.partial(self._observe_shard_error, shard_id),
                         on_failover=functools.partial(self._observe_failover, shard_id),
                     )
                 )
@@ -472,13 +435,12 @@ class ShardedEngine:
                 rset.spawn()
             for rset in self._sets:
                 rset.await_ready()
-            self._pools = [rset.replicas[0].pool for rset in self._sets]
             if wal_dir is not None:
                 # WAL replay may have advanced a shard's local id high-water
                 # mark past what the (possibly stale, crash-survived) shards
                 # manifest recorded.
                 self._refresh_next_id()
-            if replicas > 1 or (auto_compact and wal_dir is not None):
+            if replicas > 1 or self._auto_policy is not None:
                 self._supervisor = diag.Supervisor(
                     self._supervise_tick, interval_s=0.2, name="replica-supervisor"
                 )
@@ -495,7 +457,7 @@ class ShardedEngine:
             initargs=initargs,
         )
 
-    def _observe_replica_death(self, shard_id: int) -> None:
+    def _observe_shard_error(self, shard_id: int) -> None:
         self._stats.observe_worker_error(shard_id)
         self._health.observe(shard_id, error=True)
 
@@ -505,9 +467,7 @@ class ShardedEngine:
     def _refresh_next_id(self) -> None:
         """Raise the global id high-water mark to cover every shard's overlay."""
         for shard_id, shard in enumerate(self._manifest["shards"]):
-            info = self._shard_result(
-                shard_id, self._submit_to_shard(shard_id, _worker_mutation_info)
-            )
+            info = self._shard_call(shard_id, "mutation_info")
             self._next_id = max(self._next_id, int(info["next_id"]) + shard["lo"])
 
     def respawn_shard(self, shard_id: int) -> None:
@@ -523,7 +483,6 @@ class ShardedEngine:
         wal_path = self._wal_paths[shard_id]
         for replica in rset.replicas:
             rset.respawn(replica, wal_path)
-        self._pools[shard_id] = rset.replicas[0].pool
         if self._profile_hz is not None:
             # The old workers took their profilers with them; re-arm.
             for replica in rset.replicas:
@@ -537,9 +496,6 @@ class ShardedEngine:
         if self._num_replicas > 1:
             for shard_id, rset in enumerate(self._sets):
                 healed = rset.heal(self._wal_paths[shard_id])
-                if not healed:
-                    continue
-                self._pools[shard_id] = rset.replicas[0].pool
                 if self._profile_hz is not None:
                     for replica in healed:
                         try:
@@ -551,23 +507,23 @@ class ShardedEngine:
                             # serves; count it rather than fail the sweep.
                             self._stats.observe_worker_error(shard_id)
                             continue
-        if (
-            self._auto_policy is not None
-            and self._wal_dir is not None
-            and self._tick_count % 10 == 0
-        ):
+        if self._auto_policy is not None and self._tick_count % 10 == 0:
             for shard_id, rset in enumerate(self._sets):
                 if rset.compacting:
                     continue
                 try:
-                    info = rset.submit(_worker_mutation_info).result()
+                    info = rset.submit(_worker_call, "mutation_info").result()
                 except ShardWorkerError:
                     continue
-                if self._auto_policy.should_compact(int(info["delta_records"]), 0.0):
-                    try:
-                        self._compact_shard(shard_id)
-                    except (ShardWorkerError, RuntimeError):
-                        continue
+                if not self._auto_policy.should_compact(int(info["delta_records"]), 0.0):
+                    continue
+                try:
+                    self._compact_shard(shard_id)
+                except Exception as exc:  # surfaced via durability_info, never raised
+                    self._compaction_errors[shard_id] = repr(exc)
+                else:
+                    self._compaction_counts[shard_id] += 1
+                    self._compaction_errors[shard_id] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -577,7 +533,6 @@ class ShardedEngine:
         if supervisor is not None:
             supervisor.stop()
         sets, self._sets = self._sets, []
-        self._pools = []
         for rset in sets:
             rset.close()
         wals, self._wals = self._wals, []
@@ -593,25 +548,23 @@ class ShardedEngine:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def manifest(self) -> dict:
-        return self._manifest
-
-    @property
-    def num_shards(self) -> int:
-        return self._manifest["num_shards"]
-
-    @property
-    def num_replicas(self) -> int:
-        return self._num_replicas
-
-    @property
-    def backend_name(self) -> str:
-        return self._manifest["backend"]
-
-    def default_tau(self) -> float | int:
-        """The build-time default threshold recorded in the manifest."""
-        return self._manifest["default_tau"]
+    def describe(self) -> dict:
+        """What this engine serves (the ``/manifest`` body): the one backend
+        with the whole index's descriptor and build-time default threshold,
+        plus the shards manifest under ``"shards"``."""
+        descriptor = dict(
+            self._manifest["shards"][0]["descriptor"], num_objects=self._manifest["num_objects"]
+        )
+        return {
+            "engine": type(self).__name__,
+            "backends": {
+                self._backend_name: {
+                    "descriptor": descriptor,
+                    "default_tau": self._manifest["default_tau"],
+                }
+            },
+            "shards": self._manifest,
+        }
 
     @property
     def stats(self) -> ShardedStats:
@@ -623,17 +576,6 @@ class ShardedEngine:
             self._stats.add_shard()
         self._health = diag.HealthScoreboard(len(self._sets))
 
-    def load_queries(self) -> list[Any] | None:
-        """The workload persisted next to the shards, if any."""
-        return self._backend.load_queries(self._directory)
-
-    def worker_stats(self) -> list[dict]:
-        """One worker engine's EngineStats snapshot per shard, in order."""
-        return [
-            self._shard_result(shard_id, self._submit_to_shard(shard_id, _worker_stats))
-            for shard_id in range(len(self._sets))
-        ]
-
     def metrics_wire(self) -> dict:
         """Parent registry plus every live worker's registry, merged.
 
@@ -644,13 +586,9 @@ class ShardedEngine:
         merged = MetricsRegistry()
         merged.merge_wire(self._stats.registry.to_wire())
         for rset in self._sets:
-            for wire in rset.broadcast(_worker_metrics):
+            for wire in rset.broadcast(_worker_call, "metrics_wire"):
                 merged.merge_wire(wire)
         return merged.to_wire()
-
-    def recent_traces(self, last: int | None = None) -> list[dict]:
-        """Most recent merged trace documents, newest first."""
-        return self._traces.snapshot(last)
 
     def start_profiling(self, hz: float | None = None) -> None:
         """Arm a continuous sampling profiler inside every shard worker.
@@ -661,16 +599,8 @@ class ShardedEngine:
         """
         self._require_open()
         self._profile_hz = float(hz) if hz else diag.DEFAULT_PROFILE_HZ
-        if self._num_replicas == 1:
-            futures = [
-                self._submit_to_shard(shard_id, _worker_start_profiler, self._profile_hz)
-                for shard_id in range(len(self._sets))
-            ]
-            for shard_id, future in enumerate(futures):
-                self._shard_result(shard_id, future)
-        else:
-            for rset in self._sets:
-                rset.broadcast(_worker_start_profiler, self._profile_hz, ignore_errors=False)
+        for rset in self._sets:
+            rset.broadcast(_worker_start_profiler, self._profile_hz, ignore_errors=False)
 
     def stop_profiling(self) -> None:
         """Disarm every worker's profiler (tolerates already-dead workers)."""
@@ -729,10 +659,11 @@ class ShardedEngine:
 
     # -- mutation ----------------------------------------------------------
 
-    def _check_backend(self, backend_name: str) -> None:
-        if backend_name != self.backend_name:
+    def _check_backend(self, backend_name: str | None) -> None:
+        """``None`` means "the one attached backend", which is always ours."""
+        if backend_name not in (None, self._backend_name):
             raise ValueError(
-                f"this sharded index serves backend {self.backend_name!r}, "
+                f"this sharded index serves backend {self._backend_name!r}, "
                 f"got backend {backend_name!r}"
             )
 
@@ -757,8 +688,7 @@ class ShardedEngine:
         try:
             return self._sets[shard_id].apply(local_ops, durability)
         except ShardWorkerError:
-            self._stats.observe_worker_error(shard_id)
-            self._health.observe(shard_id, error=True)
+            self._observe_shard_error(shard_id)
             raise
 
     def mutate(
@@ -782,36 +712,16 @@ class ShardedEngine:
         """
         self._require_open()
         self._check_backend(backend_name)
-        ops = list(ops)
-        if not ops:
-            raise ValueError("mutation batch is empty")
         # Validate the whole batch's structure before assigning any id, so a
         # malformed op cannot leave the batch half-routed.  Record contents
         # are validated by each worker engine against its own store (before
         # the worker applies anything).
-        for op in ops:
-            kind = op.get("op") if isinstance(op, dict) else None
-            if kind == "upsert":
-                if "record" not in op:
-                    raise ValueError("upsert ops require a record")
-                obj_id = op.get("id")
-                if obj_id is not None and (
-                    isinstance(obj_id, bool) or not isinstance(obj_id, int) or obj_id < 0
-                ):
-                    raise ValueError(f"object ids are non-negative, got {obj_id}")
-            elif kind == "delete":
-                obj_id = op.get("id")
-                if obj_id is None:
-                    raise ValueError("delete ops require an id")
-                if isinstance(obj_id, bool) or not isinstance(obj_id, int) or obj_id < 0:
-                    raise ValueError(f"object ids are non-negative, got {obj_id}")
-            else:
-                raise ValueError(f"unknown mutation op {kind!r}")
+        ops = check_ops(ops)
         # Assign global ids and route, preserving batch order per shard.
         routed: dict[int, list[tuple[int, int, dict]]] = {}
         for position, op in enumerate(ops):
             if op["op"] == "upsert":
-                obj_id = op.get("id")
+                obj_id = op["id"]
                 if obj_id is None:
                     obj_id = self._next_id
                 self._next_id = max(self._next_id, obj_id + 1)
@@ -861,7 +771,7 @@ class ShardedEngine:
                     doc["id"] = int(doc["id"]) + lo
                 results[position] = doc
         return {
-            "backend": self.backend_name,
+            "backend": self._backend_name,
             "results": results,
             "durability": level,
             "wal_seq": wal_seqs,
@@ -875,10 +785,9 @@ class ShardedEngine:
         durability: str | None = None,
     ) -> int:
         """Insert or overwrite one record (a one-op :meth:`mutate` batch)."""
-        op: dict[str, Any] = {"op": "upsert", "record": record}
-        if obj_id is not None:
-            op["id"] = obj_id
-        outcome = self.mutate(backend_name, [op], durability)
+        outcome = self.mutate(
+            backend_name, [{"op": "upsert", "record": record, "id": obj_id}], durability
+        )
         return int(outcome["results"][0]["id"])
 
     def delete(
@@ -902,95 +811,132 @@ class ShardedEngine:
         summary["shard_id"] = shard_id
         return summary
 
-    def compact(self, backend_name: str | None = None) -> list[dict]:
+    def compact(self, backend_name: str | None = None) -> dict:
         """Fold every shard's delta store into its rebuilt main index.
 
         Shards compact independently (each is its own container), one shard
         at a time; within a shard the replica set rolls the rebuild over
         its replicas so the write path never blocks while siblings serve
         (see :meth:`repro.engine.replication.ReplicaSet.compact`).  Returns
-        the per-shard summaries in shard order.
+        the plain engine's summary keys aggregated over the shards, with the
+        per-shard summaries in shard order under ``"shards"``.
         """
         self._require_open()
-        if backend_name is not None:
-            self._check_backend(backend_name)
-        return [self._compact_shard(shard_id) for shard_id in range(len(self._sets))]
+        self._check_backend(backend_name)
+        shards = [self._compact_shard(shard_id) for shard_id in range(len(self._sets))]
+        after = self.mutation_info()
+        del after["mutable"], after["per_shard"]
+        return {
+            "compacted": any(shard["compacted"] for shard in shards),
+            "folded_records": sum(shard.get("folded_records", 0) for shard in shards),
+            "dropped_tombstones": sum(shard.get("dropped_tombstones", 0) for shard in shards),
+            "checkpointed": any(shard.get("checkpointed", False) for shard in shards),
+            **after,
+            "shards": shards,
+        }
+
+    def _shard_call(self, shard_id: int, method: str, *args: Any) -> Any:
+        """One method of one shard's worker engine, on a live replica."""
+        return self._shard_result(
+            shard_id, self._submit_to_shard(shard_id, _worker_call, method, *args)
+        )
+
+    def _sum_deltas(self, summaries: Sequence[dict]) -> dict:
+        """Per-shard ``DeltaStore.summary()`` dicts as one, in the same keys."""
+        totals: dict[str, Any] = {
+            key: sum(summary[key] for summary in summaries)
+            for key in ("num_main", "num_tombstones", "delta_records", "num_live")
+        }
+        totals["next_id"] = self._next_id
+        totals["mutated"] = any(summary["mutated"] for summary in summaries)
+        return totals
 
     def mutation_info(self, backend_name: str | None = None) -> dict:
         """Aggregate overlay counters, plus the per-shard breakdown."""
         self._require_open()
-        if backend_name is not None:
-            self._check_backend(backend_name)
-        per_shard = []
-        for shard_id in range(len(self._sets)):
-            info = dict(
-                self._shard_result(
-                    shard_id, self._submit_to_shard(shard_id, _worker_mutation_info)
-                )
-            )
-            info["shard_id"] = shard_id
-            per_shard.append(info)
+        self._check_backend(backend_name)
+        per_shard = [
+            dict(self._shard_call(shard_id, "mutation_info"), shard_id=shard_id)
+            for shard_id in range(len(self._sets))
+        ]
         return {
-            "backend": self.backend_name,
+            "backend": self._backend_name,
             "mutable": True,
-            "num_tombstones": sum(info["num_tombstones"] for info in per_shard),
-            "delta_records": sum(info["delta_records"] for info in per_shard),
-            "num_live": sum(info["num_live"] for info in per_shard),
-            "next_id": self._next_id,
-            "mutated": any(info["mutated"] for info in per_shard),
+            **self._sum_deltas(per_shard),
             "per_shard": per_shard,
         }
 
     def durability_info(self, backend_name: str | None = None) -> dict:
         """Aggregate durability posture, plus the per-shard breakdown.
 
-        The parent owns the WAL lineage (workers are replay-only readers),
-        so the per-shard ``wal`` / ``default_durability`` fields come from
-        the parent's logs, overriding the workers' memory-only view.
+        The parent owns the WAL lineage (workers are replay-only readers)
+        and its supervisor drives background compaction, so the per-shard
+        ``wal`` / ``default_durability`` / ``auto_compaction`` fields come
+        from the parent, overriding the workers' memory-only view.
         """
         self._require_open()
-        if backend_name is not None:
-            self._check_backend(backend_name)
+        self._check_backend(backend_name)
+        policy = self._auto_policy
         per_shard = []
-        for shard_id in range(len(self._sets)):
-            info = dict(
-                self._shard_result(
-                    shard_id, self._submit_to_shard(shard_id, _worker_durability_info)
-                )
-            )
-            info["shard_id"] = shard_id
+        for shard_id, rset in enumerate(self._sets):
+            info = dict(self._shard_call(shard_id, "durability_info"), shard_id=shard_id)
             wal = self._wals[shard_id]
             info["default_durability"] = "wal" if wal is not None else "memory"
             info["wal"] = (
                 {"attached": True, **wal.describe()} if wal is not None else {"attached": False}
             )
+            if policy is not None:
+                info["auto_compaction"] = {
+                    "enabled": True,
+                    **policy.summary(),
+                    "in_flight": rset.compacting,
+                    "compactions": self._compaction_counts[shard_id],
+                    "last_error": self._compaction_errors[shard_id],
+                }
             per_shard.append(info)
+        auto: dict[str, Any] = {"enabled": False}
+        if policy is not None:
+            errors = [
+                f"shard {info['shard_id']}: {info['auto_compaction']['last_error']}"
+                for info in per_shard
+                if info["auto_compaction"]["last_error"] is not None
+            ]
+            auto = {
+                "enabled": True,
+                **policy.summary(),
+                "in_flight": any(info["auto_compaction"]["in_flight"] for info in per_shard),
+                "compactions": sum(self._compaction_counts),
+                "last_error": "; ".join(errors) or None,
+            }
         return {
-            "backend": self.backend_name,
-            "sharded": True,
-            "wal_dir": self._wal_dir,
+            "backend": self._backend_name,
+            "mutable": True,
             "default_durability": per_shard[0]["default_durability"],
+            # One WAL lineage per shard, so one checkpoint per shard (keyed
+            # like a mutation's ``wal_seq``).
+            "checkpoint_seq": {str(info["shard_id"]): info["checkpoint_seq"] for info in per_shard},
+            "checkpoint_dir": self._directory,
+            "delta": self._sum_deltas([info["delta"] for info in per_shard]),
+            "auto_compaction": auto,
+            "wal": {"attached": self._wal_dir is not None, "path": self._wal_dir},
             "per_shard": per_shard,
         }
 
-    def wait_for_compaction(self, timeout: float | None = None) -> bool:
-        """Block until no shard has a background compaction in flight."""
+    def wait_for_compaction(
+        self, backend_name: str | None = None, timeout: float | None = None
+    ) -> bool:
+        """Block until no shard has a compaction in flight (compactions run
+        synchronously inside ``ReplicaSet.compact``, so the flag is exact)."""
         self._require_open()
+        self._check_backend(backend_name)
         deadline = time.monotonic() + timeout if timeout is not None else None
         while any(rset.compacting for rset in self._sets):
             if deadline is not None and time.monotonic() >= deadline:
                 return False
             time.sleep(0.01)
-        futures = [
-            self._submit_to_shard(shard_id, _worker_wait_for_compaction, timeout)
-            for shard_id in range(len(self._sets))
-        ]
-        settled = True
-        for shard_id, future in enumerate(futures):
-            settled = self._shard_result(shard_id, future) and settled
-        return settled
+        return True
 
-    def flush(self) -> dict:
+    def flush(self) -> None:
         """Persist every shard (store + overlay) and the shards manifest.
 
         After ``flush`` the index directory reopens with all mutations
@@ -998,15 +944,15 @@ class ShardedEngine:
         upserts keep getting fresh ids, and the last shard's range absorbs
         the ids appended since the build.  Each persisted container
         checkpoints its shard's WAL position, after which the parent
-        truncates the log's folded prefix.  Returns the written manifest.
+        truncates the log's folded prefix.
         """
         self._require_open()
         shards = self._manifest["shards"]
         infos = []
         for shard_id, shard in enumerate(shards):
             directory = os.path.join(self._directory, shard["path"])
-            container_manifest = self._shard_result(
-                shard_id, self._submit_to_shard(shard_id, _worker_flush, directory)
+            container_manifest = self._shard_call(
+                shard_id, "save_index", self._backend_name, directory
             )
             shard["descriptor"] = container_manifest["descriptor"]
             wal = self._wals[shard_id]
@@ -1014,9 +960,7 @@ class ShardedEngine:
                 checkpoint = int(container_manifest.get("wal_seq", 0) or 0)
                 if checkpoint:
                     wal.truncate_upto(checkpoint)
-            info = self._shard_result(
-                shard_id, self._submit_to_shard(shard_id, _worker_mutation_info)
-            )
+            info = self._shard_call(shard_id, "mutation_info")
             shard["num_live"] = info["num_live"]
             infos.append(info)
         shards[-1]["hi"] = max(shards[-1]["hi"], self._next_id)
@@ -1026,7 +970,6 @@ class ShardedEngine:
         self._manifest["next_id"] = self._next_id
         path = os.path.join(self._directory, SHARDS_MANIFEST_NAME)
         atomic_write_json(path, self._manifest, indent=2)
-        return self._manifest
 
     # -- serving -----------------------------------------------------------
 
@@ -1038,24 +981,18 @@ class ShardedEngine:
         try:
             return self._sets[shard_id].submit(fn, *args, min_seq=min_seq)
         except ShardWorkerError:
-            self._stats.observe_worker_error(shard_id)
-            self._health.observe(shard_id, error=True)
+            self._observe_shard_error(shard_id)
             raise
 
     def _shard_result(self, shard_id: int, routed: Any) -> Any:
         try:
             return routed.result()
         except ShardWorkerError:
-            self._stats.observe_worker_error(shard_id)
-            self._health.observe(shard_id, error=True)
+            self._observe_shard_error(shard_id)
             raise
 
     def _submit(self, query: Query) -> list[Any]:
-        if query.backend != self.backend_name:
-            raise ValueError(
-                f"this sharded index serves backend {self.backend_name!r}, "
-                f"got a query for {query.backend!r}"
-            )
+        self._check_backend(query.backend)
         floors = parse_session(query.session)
         return [
             self._submit_to_shard(
@@ -1097,7 +1034,6 @@ class ShardedEngine:
             self._health.observe(shard_id, latency_s=part["engine_time"])
         if query.trace_id is not None:
             response.trace = self._build_trace(query, parts, elapsed, merge_time)
-            self._traces.add(response.trace, e2e_ms=response.engine_time * 1000.0)
         return response
 
     def _build_trace(
@@ -1170,11 +1106,7 @@ class ShardedEngine:
             return []
         floors: dict[int, int] = {}
         for query in queries:
-            if query.backend != self.backend_name:
-                raise ValueError(
-                    f"this sharded index serves backend {self.backend_name!r}, "
-                    f"got a query for {query.backend!r}"
-                )
+            self._check_backend(query.backend)
             # The batch shares one routing floor per shard (the max over
             # its queries' tokens): conservative, and it keeps every chunk
             # on replicas that satisfy all of its queries.

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.engine.mutation import DeltaStore
+from repro.engine.persistence import fsync_directory
 
 WAL_MAGIC = b"PRWAL001"
 _RECORD_HEADER = struct.Struct("<II")
@@ -78,20 +79,6 @@ class WalBatch:
     ops: tuple[dict, ...]
     offset: int
     num_bytes: int
-
-
-def _fsync_directory(directory: str) -> None:
-    """Best-effort fsync of a directory entry (after create/rename)."""
-    try:
-        fd = os.open(directory or ".", os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - filesystem refuses dir fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def read_wal(path: str) -> tuple[list[WalBatch], int, int, str | None]:
@@ -221,7 +208,7 @@ class WriteAheadLog:
             self._handle.write(WAL_MAGIC)
             self._handle.flush()
             os.fsync(self._handle.fileno())
-            _fsync_directory(directory)
+            fsync_directory(directory)
             self._last_seq = 0
 
     # -- state ---------------------------------------------------------------
@@ -279,12 +266,6 @@ class WriteAheadLog:
             self.last_append_bytes = _RECORD_HEADER.size + len(payload)
             return seq
 
-    def sync(self) -> None:
-        """Fsync pending appends (promotes earlier ``"memory"`` batches)."""
-        with self._lock:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
     def truncate_upto(self, seq: int) -> None:
         """Drop every batch with ``seq`` <= the given checkpoint, atomically.
 
@@ -305,7 +286,7 @@ class WriteAheadLog:
                 os.fsync(temp.fileno())
             self._handle.close()
             os.replace(temp_path, self.path)
-            _fsync_directory(os.path.dirname(self.path))
+            fsync_directory(os.path.dirname(self.path))
             self._handle = open(self.path, "r+b")
             self._handle.seek(0, os.SEEK_END)
 

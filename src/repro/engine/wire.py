@@ -60,6 +60,7 @@ from typing import Any
 
 from repro.engine.api import Query, Response
 from repro.engine.backend import available_backends, get_backend
+from repro.engine.mutation import check_ops
 
 #: Version of the request/response JSON schema (bump on incompatible changes).
 WIRE_SCHEMA_VERSION = 4
@@ -168,19 +169,8 @@ def decode_query(body: Any) -> Query:
     shape, unknown backend, undecodable payload, or parameters the
     :class:`Query` validator rejects (non-int ``k``, NaN ``tau``, ...).
     """
-    if not isinstance(body, dict):
-        raise WireFormatError("the request body must be a JSON object")
-    _check_schema_version(body)
-    backend_name = body.get("backend")
-    if not isinstance(backend_name, str):
-        raise WireFormatError("'backend' must be a backend name string")
-    try:
-        backend = get_backend(backend_name)
-    except KeyError:
-        raise WireFormatError(
-            f"unknown backend {backend_name!r}; available: "
-            f"{', '.join(available_backends())}"
-        ) from None
+    backend = _decode_backend(body, mutable=False)
+    backend_name = backend.name
     if "payload" not in body:
         raise WireFormatError("the request is missing 'payload'")
     try:
@@ -216,8 +206,9 @@ def decode_query(body: Any) -> Query:
         raise WireFormatError(str(exc)) from exc
 
 
-def _decode_backend(body: Any, required: bool = True) -> Any:
-    """Resolve and validate the ``backend`` field of a mutation body."""
+def _decode_backend(body: Any, required: bool = True, mutable: bool = True) -> Any:
+    """Resolve the ``backend`` field of a request body (for a mutation body,
+    ``mutable``, it must also name a backend that supports mutation)."""
     if not isinstance(body, dict):
         raise WireFormatError("the request body must be a JSON object")
     _check_schema_version(body)
@@ -233,7 +224,7 @@ def _decode_backend(body: Any, required: bool = True) -> Any:
             f"unknown backend {backend_name!r}; available: "
             f"{', '.join(available_backends())}"
         ) from None
-    if not backend.mutable:
+    if mutable and not backend.mutable:
         raise WireFormatError(f"backend {backend_name!r} does not support mutation")
     return backend
 
@@ -257,22 +248,20 @@ def encode_mutate(
     """The wire form of one mutation batch (client side).
 
     Each op is ``{"op": "upsert", "record": <raw record>, "id": optional}``
-    or ``{"op": "delete", "id": int}``; records are converted through the
-    backend's wire codec here so callers pass domain-native objects.
+    or ``{"op": "delete", "id": int}`` (validated by the engines' own
+    :func:`repro.engine.mutation.check_ops`); records are converted through
+    the backend's wire codec here so callers pass domain-native objects.
     """
     backend = get_backend(backend_name)
     wire_ops = []
-    for op in ops:
-        kind = op.get("op") if isinstance(op, dict) else None
-        if kind == "upsert":
+    for op in check_ops(ops):
+        if op["op"] == "upsert":
             doc: dict[str, Any] = {"op": "upsert", "record": backend.record_to_wire(op["record"])}
-            if op.get("id") is not None:
-                doc["id"] = int(op["id"])
+            if op["id"] is not None:
+                doc["id"] = op["id"]
             wire_ops.append(doc)
-        elif kind == "delete":
-            wire_ops.append({"op": "delete", "id": int(op["id"])})
         else:
-            raise ValueError(f"unknown mutation op {kind!r}")
+            wire_ops.append({"op": "delete", "id": op["id"]})
     body: dict[str, Any] = {
         "schema_version": WIRE_SCHEMA_VERSION,
         "backend": backend_name,

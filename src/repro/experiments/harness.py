@@ -37,7 +37,6 @@ def run_engine_workload(
     tau: float | int,
     chain_length: int | None = None,
     algorithm: str = "ring",
-    parallel: bool = False,
 ) -> QueryStats:
     """Run one engine configuration over a workload and aggregate statistics."""
     from repro.engine.api import Query  # local import: engine is optional here
@@ -52,9 +51,8 @@ def run_engine_workload(
         )
         for payload in payloads
     ]
-    responses = engine.search_batch(queries, parallel=parallel)
     stats = QueryStats()
-    for response in responses:
+    for response in engine.search_batch(queries):
         stats.add(response)
     return stats
 
@@ -85,6 +83,16 @@ class ComparisonRow:
     avg_total_time_ms: float
 
 
+def _series(stats: QueryStats) -> tuple[float, float, float, float]:
+    """The four plotted series of one row, in both row types' field order."""
+    return (
+        stats.avg_candidates,
+        stats.avg_results,
+        stats.avg_candidate_time * 1000.0,
+        stats.avg_total_time * 1000.0,
+    )
+
+
 def chain_length_rows(
     dataset_name: str,
     tau: float,
@@ -97,17 +105,7 @@ def chain_length_rows(
     for length in chain_lengths:
         search = make_searcher(length)
         stats = run_workload(search, queries)
-        rows.append(
-            ChainLengthRow(
-                dataset=dataset_name,
-                tau=tau,
-                chain_length=length,
-                avg_candidates=stats.avg_candidates,
-                avg_results=stats.avg_results,
-                avg_candidate_time_ms=stats.avg_candidate_time * 1000.0,
-                avg_total_time_ms=stats.avg_total_time * 1000.0,
-            )
-        )
+        rows.append(ChainLengthRow(dataset_name, tau, length, *_series(stats)))
     return rows
 
 
@@ -121,17 +119,7 @@ def comparison_rows(
     rows = []
     for name, search in searchers.items():
         stats = run_workload(search, queries)
-        rows.append(
-            ComparisonRow(
-                dataset=dataset_name,
-                tau=tau,
-                algorithm=name,
-                avg_candidates=stats.avg_candidates,
-                avg_results=stats.avg_results,
-                avg_candidate_time_ms=stats.avg_candidate_time * 1000.0,
-                avg_total_time_ms=stats.avg_total_time * 1000.0,
-            )
-        )
+        rows.append(ComparisonRow(dataset_name, tau, name, *_series(stats)))
     return rows
 
 
@@ -143,31 +131,14 @@ def engine_chain_length_rows(
     chain_lengths: Sequence[int],
     payloads: Sequence[object],
     algorithm: str = "ring",
-    parallel: bool = False,
 ) -> list[ChainLengthRow]:
     """Engine-served variant of :func:`chain_length_rows` (Figures 5-8)."""
     rows = []
     for length in chain_lengths:
         stats = run_engine_workload(
-            engine,
-            backend,
-            payloads,
-            tau,
-            chain_length=length,
-            algorithm=algorithm,
-            parallel=parallel,
+            engine, backend, payloads, tau, chain_length=length, algorithm=algorithm
         )
-        rows.append(
-            ChainLengthRow(
-                dataset=dataset_name,
-                tau=tau,
-                chain_length=length,
-                avg_candidates=stats.avg_candidates,
-                avg_results=stats.avg_results,
-                avg_candidate_time_ms=stats.avg_candidate_time * 1000.0,
-                avg_total_time_ms=stats.avg_total_time * 1000.0,
-            )
-        )
+        rows.append(ChainLengthRow(dataset_name, tau, length, *_series(stats)))
     return rows
 
 
@@ -178,7 +149,6 @@ def engine_comparison_rows(
     tau: float | int,
     algorithms: Sequence[str] | dict[str, dict],
     payloads: Sequence[object],
-    parallel: bool = False,
 ) -> list[ComparisonRow]:
     """Engine-served variant of :func:`comparison_rows` (Figures 9-12).
 
@@ -191,20 +161,8 @@ def engine_comparison_rows(
         algorithms = {name: {"algorithm": name} for name in algorithms}
     rows = []
     for name, overrides in algorithms.items():
-        stats = run_engine_workload(
-            engine, backend, payloads, tau, parallel=parallel, **overrides
-        )
-        rows.append(
-            ComparisonRow(
-                dataset=dataset_name,
-                tau=tau,
-                algorithm=name,
-                avg_candidates=stats.avg_candidates,
-                avg_results=stats.avg_results,
-                avg_candidate_time_ms=stats.avg_candidate_time * 1000.0,
-                avg_total_time_ms=stats.avg_total_time * 1000.0,
-            )
-        )
+        stats = run_engine_workload(engine, backend, payloads, tau, **overrides)
+        rows.append(ComparisonRow(dataset_name, tau, name, *_series(stats)))
     return rows
 
 

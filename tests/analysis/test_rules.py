@@ -516,3 +516,71 @@ def test_numpy_hotpath_ignores_files_without_numpy(make_tree):
         }
     )
     assert _run(root, "numpy-hotpath").findings == []
+
+
+# ---------------------------------------------------------------------------
+# unused-export
+# ---------------------------------------------------------------------------
+
+_EXPORTS = """
+class Engine:
+    def search(self, query):
+        return self._rank(query)
+
+    def recent_traces(self):
+        return []
+
+    def _rank(self, query):
+        return [query]
+
+def open_engine():
+    return Engine()
+
+def asearch():
+    return None
+"""
+
+
+def test_unused_export_flags_the_dead_and_spares_the_live(make_tree):
+    root = make_tree(
+        {
+            "src/repro/engine/core.py": _EXPORTS,
+            # A re-export makes a name reachable, not used ...
+            "src/repro/engine/__init__.py": """
+            from repro.engine.core import asearch, open_engine
+
+            __all__ = ["asearch", "open_engine"]
+            """,
+            # ... a call from an example does, and so does a string-dispatched one.
+            "examples/demo.py": """
+            from repro.engine import open_engine
+
+            getattr(open_engine(), "search")("q")
+            """,
+            # Tests are not callers.
+            "tests/test_core.py": """
+            from repro.engine.core import Engine, asearch
+
+            assert Engine().recent_traces() == [] and asearch() is None
+            """,
+        }
+    )
+    report = _run(root, "unused-export")
+    flagged = sorted(finding.message.split()[0] for finding in report.errors)
+    assert flagged == ["Engine.recent_traces", "asearch"]
+    assert all(finding.file == "src/repro/engine/core.py" for finding in report.errors)
+
+
+def test_unused_export_reads_the_smoke_scripts(make_tree):
+    root = make_tree(
+        {
+            "src/repro/engine/core.py": _EXPORTS,
+            "benchmarks/smoke.sh": """
+            python - <<'EOF'
+            from repro.engine.core import Engine, asearch, open_engine
+            open_engine().search("q"); asearch(); Engine().recent_traces()
+            EOF
+            """,
+        }
+    )
+    assert _run(root, "unused-export").findings == []

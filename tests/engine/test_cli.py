@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.obs import MetricsRegistry
+from repro.engine import Query, get_backend, open_engine
 from repro.engine.cli import main
 
 
@@ -49,6 +51,37 @@ def test_build_shards_then_upsert_and_compact(tmp_path, capsys):
     assert "shard 0 nothing to compact" in out
     assert "shard 1 compacted: folded 1 delta record(s)" in out
     assert "live 41  delta 0" in out
+
+
+def test_plain_container_upsert_delete_compact_keep_the_stored_queries(tmp_path, capsys):
+    directory = str(tmp_path / "idx")
+    assert run("build-index --backend strings --size 40 --queries 3 --out", directory) == 0
+    queries = get_backend("strings").load_queries(directory)
+    assert run("upsert --index", directory, "--record", '"a fresh string"') == 0
+    assert "upserted id 40" in capsys.readouterr().out
+    assert run("delete --id 40 --index", directory) == 0
+    assert run("delete --id 40 --index", directory) == 1
+    assert "id 40 was not live" in capsys.readouterr().err
+    assert run("compact --index", directory) == 0
+    assert "live 40  delta 0" in capsys.readouterr().out
+    assert get_backend("strings").load_queries(directory) == queries
+
+
+def test_serve_cache_size_reaches_a_sharded_index(tmp_path):
+    """``serve --cache-size`` is ``open_engine(cache_size=)``: it used to be
+    dropped for sharded directories."""
+    directory = str(tmp_path / "shards")
+    assert run("build-shards --backend sets --shards 2 --size 60 --queries 2 --out", directory) == 0
+    engine = open_engine(directory, cache_size=8)
+    try:
+        payload = get_backend("sets").load_queries(directory)[0]
+        query = Query(backend="sets", payload=payload, tau=0.5)
+        assert engine.search(query).ids == engine.search(query).ids
+        # The repeat came back cached, from both shard workers' result caches.
+        hits = MetricsRegistry.merged([engine.metrics_wire()]).get("engine_cache_hits_total")
+        assert hits.value == 2
+    finally:
+        engine.close()
 
 
 def test_wal_inspect_missing_file_exits_2(tmp_path, capsys):

@@ -1,0 +1,273 @@
+"""The :class:`repro.engine.api.Engine` contract, held to both topologies.
+
+One suite, parametrized over {a ``SearchEngine`` opened from a container,
+a ``ShardedEngine`` over 2 shards of the same data}, in process and through
+``ServerThread`` + ``EngineClient``: same methods, same signatures, same
+return keys (the sharded engine may add ``shards`` / ``per_shard``), so
+nothing above an engine has to ask which one it holds.
+"""
+
+from __future__ import annotations
+
+import inspect
+import shutil
+import time
+
+import pytest
+
+from repro.engine import (
+    Engine,
+    EngineClient,
+    Query,
+    RequestError,
+    SearchEngine,
+    ServerThread,
+    ShardedEngine,
+    build_shards,
+    get_backend,
+    open_engine,
+    register_backend,
+)
+
+TOPOLOGIES = ("plain", "sharded")
+#: Keys only the sharded engine's answers carry.
+SHARDED_EXTRAS = {"shards", "per_shard"}
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory, datasets, query_payloads):
+    """The sets dataset as a plain container and as 2 shards, built once."""
+    root = tmp_path_factory.mktemp("contract")
+    directories = {name: str(root / name) for name in TOPOLOGIES}
+    engine = SearchEngine()
+    engine.add_dataset("sets", datasets["sets"])
+    engine.save_index("sets", directories["plain"], queries=query_payloads["sets"])
+    build_shards(
+        "sets", datasets["sets"], directories["sharded"], 2, queries=query_payloads["sets"]
+    )
+    return directories
+
+
+@pytest.fixture()
+def fresh(built, tmp_path):
+    """A private, mutable copy of each built index: ``fresh(topology)``."""
+
+    def copy(topology: str) -> str:
+        target = str(tmp_path / topology)
+        shutil.copytree(built[topology], target)
+        return target
+
+    return copy
+
+
+@pytest.fixture()
+def opened(fresh):
+    """Both topologies opened through :func:`open_engine`, closed afterwards."""
+    engines = {topology: open_engine(fresh(topology)) for topology in TOPOLOGIES}
+    yield engines
+    for engine in engines.values():
+        engine.close()
+
+
+def _assert_same_keys(answers: dict[str, dict]) -> None:
+    plain, sharded = set(answers["plain"]), set(answers["sharded"])
+    assert plain == sharded - SHARDED_EXTRAS, (plain, sharded)
+
+
+# ---------------------------------------------------------------------------
+# Same methods, same signatures
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", [SearchEngine, ShardedEngine])
+def test_engine_classes_bind_the_protocol_signatures(cls):
+    declared = {
+        name: member
+        for name, member in vars(Engine).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    }
+    assert {"search", "mutate", "compact", "flush", "describe", "close"} <= set(declared)
+    assert isinstance(vars(cls)["stats"], property)
+    for name, member in declared.items():
+        parameters = list(inspect.signature(member).parameters.values())[1:]
+        signature = inspect.signature(getattr(cls, name))
+        # Called with everything the protocol names, by name ...
+        signature.bind(None, **{p.name: None for p in parameters})
+        # ... and with only what the protocol requires (an engine may take
+        # extra keywords, such as chunk_size, but never demand them).
+        signature.bind(None, **{p.name: None for p in parameters if p.default is p.empty})
+
+
+def test_open_engine_picks_the_topology(opened):
+    assert type(opened["plain"]) is SearchEngine
+    assert type(opened["sharded"]) is ShardedEngine
+
+
+# ---------------------------------------------------------------------------
+# Same return keys, in process and over HTTP
+# ---------------------------------------------------------------------------
+
+
+def test_answers_have_the_same_keys_in_process(opened):
+    # With nothing to fold, the no-op summary already has every key.
+    noop = {t: engine.compact() for t, engine in opened.items()}
+    assert not any(summary["compacted"] for summary in noop.values())
+    _assert_same_keys(noop)
+    for engine in opened.values():
+        engine.mutate("sets", [{"op": "upsert", "record": [901, 902]}, {"op": "delete", "id": 3}])
+    for method in ("describe", "mutation_info", "durability_info"):
+        _assert_same_keys({t: getattr(engine, method)() for t, engine in opened.items()})
+    folded = {t: engine.compact() for t, engine in opened.items()}
+    for summary in folded.values():
+        assert summary["compacted"] is True and summary["folded_records"] == 1
+    _assert_same_keys(folded)
+    assert set(folded["plain"]) == set(noop["plain"])
+    for engine in opened.values():
+        described = engine.describe()["backends"]["sets"]
+        assert set(described) == {"descriptor", "default_tau"}
+        assert described["descriptor"]["num_objects"] == 150
+        assert engine.shard_health() is not None and engine.profile_wire() == []
+
+
+def test_endpoints_have_the_same_keys_over_http(opened, query_payloads):
+    bodies: dict[str, dict[str, dict]] = {}
+    for topology, engine in opened.items():
+        with ServerThread(engine) as handle, EngineClient(handle.url) as client:
+            tau = client.manifest()["backends"]["sets"]["default_tau"]
+            assert client.search("sets", query_payloads["sets"][0], tau=tau).ids is not None
+            client.upsert("sets", [901, 902, 903])
+            bodies[topology] = {
+                "manifest": client.manifest(),
+                "compact": client.compact(),
+                "stats": client.stats(),
+                "healthz": client.healthz(),
+            }
+    for endpoint in ("manifest", "compact", "stats", "healthz"):
+        _assert_same_keys({t: body[endpoint] for t, body in bodies.items()})
+    assert all(body["compact"]["compacted"] is True for body in bodies.values())
+    _assert_same_keys({t: body["stats"]["durability"]["sets"] for t, body in bodies.items()})
+    assert bodies["plain"]["stats"]["replicas"] == []
+    assert len(bodies["sharded"]["stats"]["replicas"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# backend=None is "the one attached backend"
+# ---------------------------------------------------------------------------
+
+
+def test_backend_none_resolves_to_the_one_backend(opened):
+    for engine in opened.values():
+        assert engine.mutation_info() == engine.mutation_info("sets")
+        assert engine.durability_info()["backend"] == "sets"
+        assert engine.wait_for_compaction(timeout=1.0) is True
+        assert engine.compact()["backend"] == "sets"
+    with pytest.raises(ValueError, match="serves backend 'sets'"):
+        opened["sharded"].mutation_info("strings")
+
+
+def test_backend_none_is_an_error_without_exactly_one(engine):
+    # conftest's engine serves all four domains.
+    for call in (engine.compact, engine.mutation_info, engine.durability_info):
+        with pytest.raises(ValueError, match="4 backends .graphs, hamming, sets, strings."):
+            call()
+    with pytest.raises(ValueError, match="0 backends .none."):
+        SearchEngine().mutation_info()
+    with ServerThread(engine) as handle, EngineClient(handle.url) as client:
+        with pytest.raises(RequestError, match="pass 'backend'"):
+            client.compact()
+        assert client.compact("sets")["compacted"] is False
+        # /stats reports durability per backend, so it needs no default.
+        assert set(client.stats()["durability"]) == {"graphs", "hamming", "sets", "strings"}
+
+
+# ---------------------------------------------------------------------------
+# open -> mutate -> flush -> reopen
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_open_mutate_flush_reopen_round_trips(topology, fresh, query_payloads):
+    directory = fresh(topology)
+    engine = open_engine(directory)
+    try:
+        outcome = engine.mutate(
+            "sets", [{"op": "upsert", "record": [901, 902, 903]}, {"op": "delete", "id": 0}]
+        )
+        upserted = outcome["results"][0]["id"]
+        assert upserted == 150 and outcome["results"][1]["deleted"] is True
+        engine.flush()
+        info = engine.mutation_info()
+    finally:
+        engine.close()
+    reopened = open_engine(directory)
+    try:
+        assert reopened.mutation_info() == info
+        assert info["delta_records"] == 1 and info["num_tombstones"] == 1
+        hit = reopened.search(Query(backend="sets", payload=[901, 902, 903], tau=1.0))
+        assert hit.ids == [upserted]
+        assert reopened.mutate("sets", [{"op": "upsert", "record": [7]}])["results"][0]["id"] == 151
+    finally:
+        reopened.close()
+    # The stored query workload rides through a flush untouched.
+    assert get_backend("sets").load_queries(directory) == query_payloads["sets"]
+
+
+# ---------------------------------------------------------------------------
+# One op validator: ids are never coerced
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["upsert", "delete"])
+@pytest.mark.parametrize("bad_id", [2.9, True, "7", -1], ids=repr)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_mutate_rejects_ids_that_are_not_non_negative_ints(topology, bad_id, kind, fresh):
+    engine = open_engine(fresh(topology))
+    try:
+        before = engine.mutation_info()
+        op = {"op": kind, "id": bad_id}
+        if kind == "upsert":
+            op["record"] = [1, 2, 3]
+        with pytest.raises(ValueError, match="object ids are non-negative"):
+            engine.mutate("sets", [{"op": "upsert", "record": [4, 5]}, op])
+        assert engine.mutation_info() == before
+    finally:
+        engine.close()
+
+
+# ---------------------------------------------------------------------------
+# A failed background compaction is visible on /stats
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_failed_background_compaction_shows_on_stats(topology, fresh, tmp_path):
+    original = get_backend("sets")
+
+    class FullDisk(type(original)):
+        def apply_mutations(self, store, delta):
+            raise OSError("no space left on device")
+
+    # Registered before the engine opens, so forked shard workers inherit it.
+    register_backend(FullDisk(), replace=True)
+    try:
+        engine = open_engine(fresh(topology), wal_dir=str(tmp_path / "wal"), auto_compact=True)
+        with ServerThread(engine, own_engine=True) as handle, EngineClient(handle.url) as client:
+            # One batch past the policy's 256-record floor (on a sharded
+            # index the fresh ids all land on the last shard).
+            ops = [{"op": "upsert", "record": [1000 + i, 2000 + i]} for i in range(256)]
+            client.mutate("sets", ops)
+            deadline = time.monotonic() + 30.0
+            auto: dict = {}
+            while time.monotonic() < deadline:
+                auto = client.stats()["durability"]["sets"]["auto_compaction"]
+                if auto["last_error"]:
+                    break
+                time.sleep(0.1)
+            assert auto["enabled"] is True
+            assert "no space left on device" in auto["last_error"]
+            assert auto["compactions"] == 0
+            # The failure cost nothing that was acknowledged.
+            assert client.search("sets", [1000, 2000], tau=1.0).ids == [150]
+    finally:
+        register_backend(original, replace=True)
+

@@ -1,6 +1,8 @@
-"""Query execution: batching, parallelism, the LRU cache, and statistics."""
+"""Query execution: batching, thread safety, the LRU cache, and statistics."""
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,14 +23,16 @@ def test_batch_matches_sequential_execution(engine, query_payloads, taus, name):
     engine.clear_cache()
     batched = engine.search_batch(queries)
     engine.clear_cache()
-    parallel = engine.search_batch(queries, parallel=True, max_workers=4)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        parallel = list(pool.map(engine.search, queries))
     for a, b, c in zip(sequential, batched, parallel):
         assert sorted(a.ids) == sorted(b.ids) == sorted(c.ids)
 
 
 def test_parallel_batch_preserves_order(engine, query_payloads, taus):
     queries = _workload_queries(query_payloads, taus, "hamming")
-    responses = engine.search_batch(queries, parallel=True, max_workers=3)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        responses = list(pool.map(engine.search, queries))
     for query, response in zip(queries, responses):
         assert response.query.payload is query.payload
 
@@ -38,7 +42,7 @@ def test_mixed_domain_batch(engine, query_payloads, taus):
         _workload_queries(query_payloads, taus, name)[0]
         for name in ("hamming", "sets", "strings", "graphs")
     ]
-    responses = engine.search_batch(queries, parallel=True, max_workers=4)
+    responses = engine.search_batch(queries)
     assert [response.query.backend for response in responses] == [
         "hamming",
         "sets",
@@ -54,10 +58,11 @@ def test_lru_cache_hit_returns_same_results(engine, query_payloads, taus):
     assert not first.cached
     assert second.cached
     assert second.ids == first.ids
-    assert engine.stats.cache_hits == 1
-    assert engine.stats.cache_misses == 1
+    snapshot = engine.stats.snapshot()
+    assert snapshot["cache_hits"] == 1
+    assert snapshot["cache_misses"] == 1
     # Statistics count served (non-cached) queries only.
-    assert engine.stats.num_queries == 1
+    assert snapshot["num_queries"] == 1
 
 
 def test_cache_distinguishes_parameters(engine, query_payloads):
@@ -113,14 +118,14 @@ def test_replacing_a_dataset_invalidates_its_cache(datasets, query_payloads, tau
 def test_stats_aggregate_per_backend(engine, query_payloads, taus):
     for name in ("hamming", "sets"):
         engine.search_batch(_workload_queries(query_payloads, taus, name))
-    stats = engine.stats
-    assert set(stats.per_backend) == {"hamming", "sets"}
-    hamming = stats.per_backend["hamming"]
-    assert hamming.num_queries == len(query_payloads["hamming"])
-    assert stats.engine_time > 0.0
-    snapshot = stats.snapshot()
-    assert snapshot["num_queries"] == stats.num_queries
+    snapshot = engine.stats.snapshot()
+    assert set(snapshot["per_backend"]) == {"hamming", "sets"}
+    assert snapshot["per_backend"]["hamming"]["num_queries"] == len(query_payloads["hamming"])
     assert snapshot["per_backend"]["sets"]["num_queries"] == len(query_payloads["sets"])
+    assert snapshot["engine_time_s"] > 0.0
+    assert snapshot["num_queries"] == sum(
+        backend["num_queries"] for backend in snapshot["per_backend"].values()
+    )
 
 
 def test_engine_results_match_direct_searchers(engine, datasets, query_payloads):

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.engine import Query, SearchEngine
-from repro.engine.client import EngineClient
+from repro.engine.client import EngineClient, RequestError
 from repro.engine.persistence import atomic_write_json
 from repro.engine.server import ServerConfig, ServerThread
 from repro.engine.wire import (
@@ -172,7 +172,11 @@ def test_mutate_endpoint_and_client_shims(engine, tmp_path):
 
 def test_mutate_endpoint_rejects_malformed_batches(engine):
     with ServerThread(engine) as handle, EngineClient(handle.url) as client:
-        with pytest.raises(Exception, match="ops"):
+        with pytest.raises(RequestError, match="ops"):
+            client._request("POST", "/mutate", {"backend": "sets", "ops": []})
+        # The client's encoder runs the engines' validator, so the same batch
+        # through the public method never leaves the process.
+        with pytest.raises(ValueError, match="ops"):
             client.mutate("sets", [])
 
 

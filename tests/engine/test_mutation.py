@@ -18,7 +18,7 @@ from repro.engine import Query, SearchEngine
 from repro.engine.client import EngineClient
 from repro.engine.mutation import DeltaStore
 from repro.engine.server import ServerThread
-from repro.engine.sharding import ShardedEngine, build_shards
+from repro.engine.sharding import ShardedEngine, build_shards, load_shards_manifest
 from repro.graphs import GraphDataset
 from repro.hamming import BinaryVectorDataset
 from repro.sets import SetDataset
@@ -183,15 +183,22 @@ def _assert_matches_rebuild(engine, client, domain, payloads, records) -> None:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("topology", ["plain", "sharded"])
 @pytest.mark.parametrize("domain", DOMAINS)
-def test_mutated_plain_engine_matches_rebuild(domain, datasets, query_payloads):
-    """Unsharded: mutations over HTTP, answers checked on both surfaces."""
+def test_mutated_engine_matches_rebuild(domain, topology, datasets, query_payloads, tmp_path):
+    """Either topology: mutations over HTTP, answers checked on both surfaces."""
     rng = random.Random(42)
-    engine = SearchEngine(cache_size=64)
-    engine.add_dataset(domain, datasets[domain])
+    if topology == "plain":
+        engine = SearchEngine(cache_size=64)
+        engine.add_dataset(domain, datasets[domain])
+    else:
+        directory = str(tmp_path / f"{domain}-shards")
+        build_shards(domain, datasets[domain], directory, 2)
+        engine = ShardedEngine(directory, cache_size=16)
     records = dict(enumerate(_initial_records(domain, datasets)))
-    with ServerThread(engine) as handle, EngineClient(handle.url) as client:
-        # Mutations travel over HTTP (POST /mutate) for real.
+    with ServerThread(engine, own_engine=True) as handle, EngineClient(handle.url) as client:
+        # Mutations travel over HTTP (POST /mutate) for real; a sharded
+        # engine routes each one to the shard owning its id.
         records = _apply_random_mutations(client, domain, records, rng, datasets)
         records = _seed_topk_neighbours(client, domain, query_payloads[domain], records)
         _assert_matches_rebuild(engine, client, domain, query_payloads[domain], records)
@@ -200,23 +207,6 @@ def test_mutated_plain_engine_matches_rebuild(domain, datasets, query_payloads):
         assert summary["compacted"] is True
         assert summary["delta_records"] == 0 and summary["num_tombstones"] == 0
         _assert_matches_rebuild(engine, client, domain, query_payloads[domain], records)
-
-
-@pytest.mark.parametrize("domain", DOMAINS)
-def test_mutated_sharded_engine_matches_rebuild(domain, datasets, query_payloads, tmp_path):
-    """2-shard: mutations route to the owning shard; answers on both surfaces."""
-    rng = random.Random(1234)
-    directory = str(tmp_path / f"{domain}-shards")
-    build_shards(domain, datasets[domain], directory, 2)
-    records = dict(enumerate(_initial_records(domain, datasets)))
-    with ShardedEngine(directory, cache_size=16) as engine:
-        records = _apply_random_mutations(engine, domain, records, rng, datasets)
-        records = _seed_topk_neighbours(engine, domain, query_payloads[domain], records)
-        with ServerThread(engine) as handle, EngineClient(handle.url) as client:
-            _assert_matches_rebuild(engine, client, domain, query_payloads[domain], records)
-        # Per-shard compaction preserves every answer as well.
-        engine.compact(domain)
-        _assert_matches_rebuild(engine, None, domain, query_payloads[domain], records)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +245,8 @@ def test_sharded_flush_reloads_mutations(datasets, query_payloads, tmp_path):
     records = dict(enumerate(_initial_records("strings", datasets)))
     with ShardedEngine(directory) as engine:
         records = _apply_random_mutations(engine, "strings", records, rng, datasets, steps=30)
-        manifest = engine.flush()
-        assert manifest["format_version"] == 2
+        engine.flush()
+        assert load_shards_manifest(directory)["format_version"] == 2
         next_id = engine.mutation_info()["next_id"]
     with ShardedEngine(directory) as restored:
         _assert_matches_rebuild(restored, None, "strings", query_payloads["strings"], records)

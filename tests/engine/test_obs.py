@@ -103,35 +103,18 @@ def test_topk_rungs_nest_under_one_trace(engine, query_payloads):
     assert _find_spans(doc["spans"], "rank")
 
 
-def test_engine_trace_ring_buffer(engine, query_payloads, taus):
-    for i in range(3):
-        engine.search(
-            Query(
-                backend="sets",
-                payload=query_payloads["sets"][0],
-                tau=taus["sets"],
-                trace_id=f"ring-{i}",
-            )
-        )
-    recent = engine.recent_traces(2)
-    assert [doc["trace_id"] for doc in recent] == ["ring-2", "ring-1"]
-
-
 def test_engine_metrics_wire_matches_stats(engine, query_payloads, taus):
     engine.reset_stats()
     for payload in query_payloads["sets"][:3]:
         engine.search(Query(backend="sets", payload=payload, tau=taus["sets"]))
     wire = engine.metrics_wire()
     registry = MetricsRegistry.merged([wire])
-    assert registry.get("engine_queries_total").value == engine.stats.num_queries
+    snap = engine.stats.snapshot()
+    assert registry.get("engine_queries_total").value == snap["num_queries"] == 3
     hist = registry.get("engine_query_seconds", backend="sets")
     assert hist is not None and hist.count == 3
     # Registry-derived quantiles are what /stats reports (satellite: one
     # bookkeeping path).
-    snap = engine.stats.snapshot()
-    assert snap["per_backend"]["sets"]["p50_ms"] == pytest.approx(
-        engine.stats.per_backend["sets"].latency_quantile_ms(0.5)
-    )
     assert hist.quantile(0.5) * 1000.0 == pytest.approx(snap["per_backend"]["sets"]["p50_ms"])
 
 
@@ -168,7 +151,6 @@ def test_sharded_trace_embeds_per_shard_stage_spans(sharded_sets, query_payloads
         assert _find_spans(shard_span["children"], "candidates")
         assert _find_spans(shard_span["children"], "verify")
     assert _find_spans(doc["spans"], "merge")
-    assert doc["trace_id"] == sharded_sets.recent_traces(1)[0]["trace_id"]
 
 
 def test_sharded_metrics_merge_worker_registries(sharded_sets, query_payloads, taus):

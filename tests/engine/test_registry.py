@@ -40,9 +40,9 @@ def test_duplicate_registration_rejected_unless_replaced():
 
 def test_engine_tracks_attached_backends(datasets):
     engine = SearchEngine()
-    assert engine.attached_backends() == []
+    assert engine.describe()["backends"] == {}
     engine.add_dataset("strings", datasets["strings"])
-    assert engine.attached_backends() == ["strings"]
+    assert list(engine.describe()["backends"]) == ["strings"]
     with pytest.raises(KeyError, match="no dataset attached"):
         engine.store("hamming")
 
@@ -73,7 +73,8 @@ def test_raw_datasets_are_prepared(workloads):
     engine.add_dataset("sets", workloads["sets"].records)
     engine.add_dataset("strings", workloads["strings"].records)
     engine.add_dataset("graphs", workloads["graphs"].graphs)
-    assert engine.attached_backends() == ["graphs", "hamming", "sets", "strings"]
-    for name in engine.attached_backends():
-        descriptor = engine.backend(name).describe(engine.store(name))
-        assert descriptor["num_objects"] > 0
+    described = engine.describe()["backends"]
+    assert list(described) == ["graphs", "hamming", "sets", "strings"]
+    for name, entry in described.items():
+        assert entry["descriptor"] == engine.backend(name).describe(engine.store(name))
+        assert entry["descriptor"]["num_objects"] > 0

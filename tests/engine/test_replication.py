@@ -72,7 +72,6 @@ def test_replicas_require_a_wal_lineage(tmp_path, datasets):
 
 def test_replica_status_reports_every_replica(tmp_path, datasets):
     with _replicated(tmp_path, datasets) as engine:
-        assert engine.num_replicas == 2
         status = engine.replica_status()
         assert [entry["shard_id"] for entry in status] == [0, 1]
         for entry in status:
@@ -295,7 +294,7 @@ def test_rolling_compaction_keeps_writes_flowing(tmp_path, datasets, query_paylo
         thread = threading.Thread(target=writer, name="compaction-writer")
         thread.start()
         try:
-            summaries = engine.compact()
+            summaries = engine.compact()["shards"]
         finally:
             time.sleep(0.1)
             stop.set()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
@@ -22,7 +21,6 @@ from repro.engine import (
     ServerThread,
     ServerUnavailableError,
     ShardedEngine,
-    asearch,
     build_shards,
 )
 from repro.engine.wire import WireFormatError, decode_query, encode_query
@@ -129,15 +127,6 @@ def test_served_topk_identical_to_in_process(name, served, reference, query_payl
             assert wire.tau_effective == local.tau_effective
 
 
-def test_asearch_matches_blocking_client(served, client, query_payloads, taus):
-    payload = query_payloads["strings"][0]
-    blocking = client.search("strings", payload, tau=taus["strings"])
-    coro = asearch(served.url, "strings", payload, tau=taus["strings"])
-    async_response = asyncio.run(coro)
-    assert async_response.ids == blocking.ids
-    assert async_response.tau_effective == blocking.tau_effective
-
-
 # ---------------------------------------------------------------------------
 # Introspection endpoints
 # ---------------------------------------------------------------------------
@@ -217,7 +206,7 @@ def test_infinite_tau_is_400_not_500(served, client, query_payloads):
     with pytest.raises(RequestError, match="finite") as info:
         client.search_wire(body)
     assert info.value.status == 400
-    assert served.server.stats.errors_internal == 0
+    assert served.server.stats.snapshot()["errors_internal"] == 0
 
 
 def _raw_http(served, request: bytes) -> bytes:
@@ -418,7 +407,7 @@ def test_engine_exception_fails_exactly_its_batch():
             failure = callers.outcomes[index]
             assert isinstance(failure, RequestError) and failure.status == 500
             assert "engine blew up" in str(failure)
-        assert handle.server.stats.errors_internal == 2
+        assert handle.server.stats.snapshot()["errors_internal"] == 2
         # The dispatch lives on: the next query is answered.
         with EngineClient(handle.url) as client:
             assert client.search("sets", [9], tau=1).batch_size == 1
@@ -439,8 +428,8 @@ def test_bad_query_fails_alone_not_its_batch():
         failure = callers.outcomes[2]
         assert isinstance(failure, RequestError) and failure.status == 400
         assert "bad payload [2]" in str(failure)
-        assert handle.server.stats.rejected_invalid == 1
-        assert handle.server.stats.errors_internal == 0
+        assert handle.server.stats.snapshot()["rejected_invalid"] == 1
+        assert handle.server.stats.snapshot()["errors_internal"] == 0
         # The dispatch lives on, and a bad query on its own is still a 400.
         with EngineClient(handle.url) as client:
             assert client.search("sets", [9], tau=1).batch_size == 1
@@ -471,14 +460,14 @@ def test_backpressure_rejects_with_429_and_retry_after():
             with pytest.raises(ServerBusyError) as info:
                 client.search("sets", [3], tau=1)
         assert info.value.retry_after is not None
-        assert handle.server.stats.rejected_busy == 1
+        assert handle.server.stats.snapshot()["rejected_busy"] == 1
 
         engine.release.set()
         for thread in threads:
             thread.join(timeout=10)
         assert len(results) == 2
         # Rejected requests never reached the engine.
-        assert handle.server.stats.num_queries == 2
+        assert handle.server.stats.snapshot()["num_queries"] == 2
 
 
 def test_graceful_drain_answers_in_flight_queries():
@@ -551,7 +540,7 @@ def test_dead_shard_worker_maps_to_503_without_wedging(tmp_path, datasets, taus)
             assert ok.num_results >= 1  # the record itself matches at tau >= 0
 
             # Kill one shard's worker process out from under the engine.
-            victim = next(iter(engine._pools[0]._processes))
+            victim = engine.replica_status()[0]["replicas"][0]["pid"]
             os.kill(victim, signal.SIGKILL)
 
             with pytest.raises(ServerUnavailableError, match="shard"):
@@ -566,6 +555,6 @@ def test_dead_shard_worker_maps_to_503_without_wedging(tmp_path, datasets, taus)
             status, data, _retry = client._raw_request("GET", "/healthz")
             assert status == 503
             assert json.loads(data)["status"] == "failing"
-            assert handle.server.stats.errors_unavailable >= 1
+            assert handle.server.stats.snapshot()["errors_unavailable"] >= 1
             with pytest.raises(ServerUnavailableError):
                 client.search("strings", datasets["strings"].record(1), tau=taus["strings"])

@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from repro.engine import Query, SearchEngine, build_shards
+from repro.common.obs import MetricsRegistry
+from repro.engine import Query, SearchEngine, build_shards, get_backend
 from repro.engine.persistence import load_container
 from repro.engine.sharding import (
     ShardedEngine,
@@ -117,9 +118,11 @@ def test_build_shards_persists_queries_and_default_tau(tmp_path, datasets):
     # The sets default tau is a Jaccard float; JSON must keep it a float
     # (an int would silently switch the predicate to overlap counting).
     assert isinstance(load_shards_manifest(directory)["default_tau"], float)
+    assert get_backend("sets").load_queries(directory) == [[1, 2, 3], [4, 5]]
     with ShardedEngine(directory) as engine:
-        assert engine.load_queries() == [[1, 2, 3], [4, 5]]
-        assert engine.default_tau() == manifest["default_tau"]
+        described = engine.describe()
+        assert described["backends"]["sets"]["default_tau"] == manifest["default_tau"]
+        assert described["shards"] == manifest
 
 
 def test_loading_a_non_sharded_directory_fails(tmp_path):
@@ -242,9 +245,9 @@ def test_sharded_stats_observe_shards_and_merge(sharded_engines, query_payloads,
     assert len(snapshot["per_shard"]) == 3
     assert all(shard["num_queries"] == len(queries) for shard in snapshot["per_shard"])
     assert snapshot["merge_time_s"] >= 0.0
-    worker = engine.worker_stats()
-    assert len(worker) == 3
-    assert all(stats["num_queries"] >= len(queries) for stats in worker)
+    # The workers' own registries cross the process boundary merged.
+    merged = MetricsRegistry.merged([engine.metrics_wire()])
+    assert merged.get("engine_queries_total").value >= 3 * len(queries)
 
 
 def test_mismatched_backend_query_rejected(sharded_engines):
@@ -271,8 +274,7 @@ def _kill_shard_worker(engine: ShardedEngine, shard_id: int) -> None:
     import os
     import signal
 
-    victim = next(iter(engine._pools[shard_id]._processes))
-    os.kill(victim, signal.SIGKILL)
+    os.kill(engine.replica_status()[shard_id]["replicas"][0]["pid"], signal.SIGKILL)
 
 
 def test_killed_worker_surfaces_shard_worker_error(tmp_path, datasets, taus):
@@ -299,9 +301,9 @@ def test_killed_worker_mid_batch_fails_structured(tmp_path, datasets, taus):
         _kill_shard_worker(engine, 0)
         with pytest.raises(ShardWorkerError, match="shard 0"):
             engine.search_batch(queries, chunk_size=1)
-        # The error names the broken shard in worker_stats too.
-        with pytest.raises(ShardWorkerError):
-            engine.worker_stats()
+        # Every call routed to the broken shard names it the same way.
+        with pytest.raises(ShardWorkerError, match="shard 0"):
+            engine.mutation_info()
 
 
 def test_close_is_idempotent_and_double_exit_safe(tmp_path, datasets):

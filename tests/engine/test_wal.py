@@ -377,8 +377,7 @@ def test_sharded_worker_kill_and_respawn_replays_acked_writes(
     with ShardedEngine(directory, wal_dir=wal_dir) as engine:
         records = _apply_batched_mutations(engine, "sets", records, rng, datasets)
         victim = 0
-        for pid in list(engine._pools[victim]._processes):
-            os.kill(pid, signal.SIGKILL)
+        os.kill(engine.replica_status()[victim]["replicas"][0]["pid"], signal.SIGKILL)
         with pytest.raises(ShardWorkerError):
             engine.search(Query(backend="sets", payload=[1, 2, 3], tau=2))
         engine.respawn_shard(victim)
@@ -438,7 +437,7 @@ def test_crash_mid_rolling_compaction_swap_recovers_exactly(
         # truncation never does -- exactly what power loss mid-swap leaves.
         for wal in engine._wals:
             wal.truncate_upto = lambda seq: None
-        summaries = engine.compact()
+        summaries = engine.compact()["shards"]
         assert all(summary["rolling"] for summary in summaries)
         # A few more acked batches after the interrupted swap, then the
         # hard crash: every replica of every shard dies mid-flight.
