@@ -748,9 +748,8 @@ class GraphBackend(Backend):
         max_size: int | None = None,
     ) -> Iterable[int]:
         if max_size is None:
-            max_size = max(
-                (graph.num_vertices + graph.num_edges for graph in store.graphs), default=1
-            )
+            columns = store.columns()
+            max_size = int((columns.num_vertices + columns.num_edges).max())
         cap = min(max_size + payload.num_vertices + payload.num_edges, self.escalation_cap)
         tau = int(start) if start is not None else 1
         tau = max(1, min(tau, cap))

@@ -70,6 +70,11 @@ from repro.engine.wal import (
     replay_batches,
 )
 
+#: Most searchers (one built index per backend, store epoch, algorithm, tau
+#: and chain length) an engine keeps; the least recently used is dropped
+#: beyond it, so a client sweeping thresholds cannot pin an index per value.
+MAX_SEARCHERS = 32
+
 
 class EngineStats:
     """Aggregate serving statistics of one :class:`SearchEngine`.
@@ -235,7 +240,7 @@ class SearchEngine:
         self._mutation_epochs: dict[str, int] = {}
         # Per-backend delta/tombstone overlay (None for immutable backends).
         self._deltas: dict[str, DeltaStore | None] = {}
-        self._searchers: dict[tuple, Any] = {}
+        self._searchers: OrderedDict[tuple, Any] = OrderedDict()
         self._cache: OrderedDict[tuple, Response] = OrderedDict()
         self._cache_size = cache_size
         self._lock = threading.Lock()
@@ -336,9 +341,8 @@ class SearchEngine:
 
     def _evict_backend_state(self, backend_name: str) -> None:
         """Drop cached searchers/results that refer to a replaced store."""
-        self._searchers = {
-            key: value for key, value in self._searchers.items() if key[0] != backend_name
-        }
+        for key in [key for key in self._searchers if key[0] == backend_name]:
+            del self._searchers[key]
         for key in [key for key in self._cache if key[0] == backend_name]:
             del self._cache[key]
 
@@ -950,11 +954,14 @@ class SearchEngine:
         )
         with self._lock:
             searcher = self._searchers.get(key)
-        if searcher is not None:
-            return searcher
+            if searcher is not None:
+                self._searchers.move_to_end(key)
+                return searcher
         searcher = backend.make_searcher(store, query.algorithm, query.tau, query.chain_length)
         with self._lock:
             self._searchers.setdefault(key, searcher)
+            while len(self._searchers) > MAX_SEARCHERS:
+                self._searchers.popitem(last=False)
         return searcher
 
     def _snapshot(self, backend_name: str) -> tuple[Any, DeltaStore | None, int]:

@@ -11,7 +11,9 @@ so the expensive exact value is never computed.
 Public API:
 
 * :class:`repro.graphs.graph.Graph` -- labelled graphs.
-* :class:`repro.graphs.dataset.GraphDataset`
+* :class:`repro.graphs.dataset.GraphDataset` -- its ``columns()`` hold the
+  graphs int-coded on arrays (:mod:`repro.graphs.columns`), the form every
+  searcher and the exact distance run on.
 * :class:`repro.graphs.pars.ParsSearcher` -- the pigeonhole baseline.
 * :class:`repro.graphs.ring.RingGraphSearcher` -- the pigeonring searcher.
 * :class:`repro.graphs.linear.LinearGraphSearcher` -- brute force.

@@ -10,34 +10,163 @@ edit distance is the minimum over injective partial mappings.
 A branch-and-bound search with a label-multiset lower bound makes the
 threshold decision (``ged <= tau``) practical for the molecule-sized graphs
 used in the synthetic workloads; this is the verification step of both the
-Pars baseline and the Ring searcher.
+Pars baseline and the Ring searcher.  It runs over
+:class:`repro.graphs.columns.EncodedGraph` arrays: vertices and labels are
+ints, an edge test is a row lookup, and the label surplus of the unmapped
+remainder is updated on assign / unassign instead of recounted.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from typing import Mapping
 
+from repro.graphs.columns import EncodedGraph, encode_pair
 from repro.graphs.graph import Graph
+
+_UNASSIGNED = -2
+_DELETED = -1
+
+
+def _surplus(counts_a: Mapping, counts_b: Mapping) -> int:
+    """``max`` of the two one-sided multiset differences of two label counts."""
+    over_a = sum(max(0, count - counts_b.get(label, 0)) for label, count in counts_a.items())
+    common = sum(counts_a.values()) - over_a
+    return max(over_a, sum(counts_b.values()) - common)
 
 
 def _label_multiset_lower_bound(
-    labels_a: Counter, labels_b: Counter, edges_a: Counter, edges_b: Counter
+    labels_a: Mapping, labels_b: Mapping, edges_a: Mapping, edges_b: Mapping
 ) -> int:
     """Lower bound of the edit distance from label multiset differences.
 
-    Vertices: every surplus label on either side needs a relabel or an
-    insert/delete; ``max(surplus_a, surplus_b)`` relabelings plus the size
-    difference is a valid bound.  Edges contribute analogously, but edge edits
-    forced by vertex edits overlap, so only the vertex part and the edge count
+    The arguments map a label to its multiplicity.  Vertices: every surplus
+    label on either side needs a relabel or an insert/delete;
+    ``max(surplus_a, surplus_b)`` relabelings plus the size difference is a
+    valid bound.  Edges contribute analogously, but edge edits forced by
+    vertex edits overlap, so only the vertex part and the edge count
     difference are combined (a conservative, admissible bound).
     """
-    surplus_a = sum((labels_a - labels_b).values())
-    surplus_b = sum((labels_b - labels_a).values())
-    vertex_bound = max(surplus_a, surplus_b)
-    edge_surplus_a = sum((edges_a - edges_b).values())
-    edge_surplus_b = sum((edges_b - edges_a).values())
-    edge_bound = max(edge_surplus_a, edge_surplus_b)
-    return max(vertex_bound, edge_bound)
+    return max(_surplus(labels_a, labels_b), _surplus(edges_a, edges_b))
+
+
+def encoded_distance(e1: EncodedGraph, e2: EncodedGraph, cap: int) -> tuple[int, int]:
+    """``(min(ged, cap + 1), branch-and-bound nodes expanded)`` of two encoded graphs.
+
+    Both graphs must be coded over the same codebooks.
+    """
+    bound = _label_multiset_lower_bound(
+        e1.vertex_counts, e2.vertex_counts, e1.edge_counts, e2.edge_counts
+    )
+    if bound > cap:  # always so for a negative cap: the bound is at least 0
+        return cap + 1, 0
+
+    n1, n2 = e1.n, e2.n
+    labels1, labels2 = e1.labels, e2.labels
+    adj1, adj2 = e1.adj, e2.adj
+    nbrs1, nbrs2 = e1.nbrs, e2.nbrs
+    edges2 = e2.edges
+    order = e1.order
+    image_of = [_UNASSIGNED] * n1  # g1 vertex -> g2 vertex, or _DELETED
+    preimage = [-1] * n2  # g2 vertex -> g1 vertex, -1 while unused
+    # Unmapped g1 labels minus unused g2 labels; ``pos`` / ``neg`` are the sums
+    # of its positive / negative entries, whose larger is the completion bound.
+    diff = dict(e1.vertex_counts)
+    for code, count in e2.vertex_counts.items():
+        diff[code] = diff.get(code, 0) - count
+    # Edges still to be charged: a g1 edge when its later endpoint in ``order``
+    # is processed (``pending1``, per depth), a g2 edge when its second
+    # endpoint is used or at the end (``pending2``).  Each pending g1 edge
+    # pairs with at most one pending g2 edge, so their count difference is
+    # owed on top of the vertex bound.
+    pending1 = e1.pending
+    best = cap + 1
+    nodes = 0
+
+    def finish_cost() -> int:
+        """Inserting every unused g2 vertex and every g2 edge touching one."""
+        cost = preimage.count(-1)
+        for u, v in edges2:
+            if preimage[u] < 0 or preimage[v] < 0:
+                cost += 1
+        return cost
+
+    def backtrack(index: int, cost: int, pos: int, neg: int, pending2: int) -> None:
+        """Expand the node at depth ``index``; its own bound was checked by the caller."""
+        nonlocal best, nodes
+        nodes += 1
+        if index == n1:
+            total = cost + finish_cost()
+            if total < best:
+                best = total
+            return
+        vertex = order[index]
+        label = labels1[vertex]
+        row1 = adj1[vertex]
+        owed1 = pending1[index + 1]
+        # Earlier-assigned g1 neighbours: (image, edge label) of the mapped
+        # ones; an edge to a deleted neighbour is deleted whatever the image.
+        mapped = []
+        deleted = 0
+        for neighbor in nbrs1[vertex]:
+            neighbor_image = image_of[neighbor]
+            if neighbor_image >= 0:
+                mapped.append((neighbor_image, row1[neighbor]))
+            elif neighbor_image == _DELETED:
+                deleted += 1
+        # Taking ``label`` out of the unmapped g1 side of ``diff``.
+        before = diff[label]
+        diff[label] = before - 1
+        if before > 0:
+            pos_out, neg_out = pos - 1, neg
+        else:
+            pos_out, neg_out = pos, neg + 1
+        for image in range(n2):
+            if preimage[image] >= 0:
+                continue
+            image_label = labels2[image]
+            total = cost + deleted if image_label == label else cost + deleted + 1
+            row2 = adj2[image]
+            for neighbor_image, edge_label in mapped:
+                if row2[neighbor_image] != edge_label:
+                    total += 1  # delete or relabel the g1 edge
+            owed2 = pending2
+            for other in nbrs2[image]:
+                other_preimage = preimage[other]
+                if other_preimage >= 0:
+                    owed2 -= 1  # this g2 edge is charged now or matched
+                    if not row1[other_preimage]:
+                        total += 1  # no g1 counterpart: it is inserted
+            if total >= best:
+                continue
+            # Taking ``image_label`` out of the unused g2 side of ``diff``.
+            current = diff[image_label]
+            if current < 0:
+                pos_in, neg_in = pos_out, neg_out - 1
+            else:
+                pos_in, neg_in = pos_out + 1, neg_out
+            gap = owed1 - owed2 if owed1 > owed2 else owed2 - owed1
+            if total + (pos_in if pos_in > neg_in else neg_in) + gap >= best:
+                continue
+            diff[image_label] = current + 1
+            image_of[vertex] = image
+            preimage[image] = vertex
+            backtrack(index + 1, total, pos_in, neg_in, owed2)
+            preimage[image] = -1
+            diff[image_label] = current
+            if cost >= best:
+                break  # nothing below this node can improve on ``best`` any more
+        # Delete the vertex and its edges to every assigned neighbour.
+        total = cost + 1 + deleted + len(mapped)
+        gap = owed1 - pending2 if owed1 > pending2 else pending2 - owed1
+        if total + (pos_out if pos_out > neg_out else neg_out) + gap < best:
+            image_of[vertex] = _DELETED
+            backtrack(index + 1, total, pos_out, neg_out, pending2)
+        image_of[vertex] = _UNASSIGNED
+        diff[label] = before
+
+    pos = sum(count for count in diff.values() if count > 0)
+    backtrack(0, 0, pos, pos - sum(diff.values()), len(edges2))
+    return best, nodes
 
 
 def graph_edit_distance(g1: Graph, g2: Graph, upper_bound: int | None = None) -> int:
@@ -46,99 +175,9 @@ def graph_edit_distance(g1: Graph, g2: Graph, upper_bound: int | None = None) ->
     When ``upper_bound`` is given and the true distance exceeds it, the value
     ``upper_bound + 1`` is returned.
     """
-    cap = upper_bound if upper_bound is not None else g1.num_vertices + g2.num_vertices + g1.num_edges + g2.num_edges
-
-    labels_1 = Counter(g1.vertex_label(v) for v in g1.vertices)
-    labels_2 = Counter(g2.vertex_label(v) for v in g2.vertices)
-    edges_1 = Counter(label for *_pair, label in g1.edges())
-    edges_2 = Counter(label for *_pair, label in g2.edges())
-    if _label_multiset_lower_bound(labels_1, labels_2, edges_1, edges_2) > cap:
-        return cap + 1
-
-    # Order g1 vertices by decreasing degree (most constrained first).
-    order = sorted(g1.vertices, key=lambda v: -g1.degree(v))
-    g2_vertices = g2.vertices
-    best = cap + 1
-
-    def mapped_edge_cost(vertex, image, mapping) -> int:
-        """Edge cost induced by assigning ``vertex -> image`` given earlier assignments."""
-        cost = 0
-        for neighbor in g1.neighbors(vertex):
-            if neighbor not in mapping:
-                continue
-            neighbor_image = mapping[neighbor]
-            if image is None or neighbor_image is None:
-                cost += 1  # the g1 edge must be deleted
-                continue
-            if not g2.has_edge(image, neighbor_image):
-                cost += 1  # delete the g1 edge (or equivalently insert in g1)
-            elif g2.edge_label(image, neighbor_image) != g1.edge_label(vertex, neighbor):
-                cost += 1  # relabel
-        if image is not None:
-            # g2 edges between the image and earlier images with no g1
-            # counterpart must be inserted into g1.
-            for other, other_image in mapping.items():
-                if other_image is None or other_image == image:
-                    continue
-                if g2.has_edge(image, other_image) and not g1.has_edge(vertex, other):
-                    cost += 1
-        return cost
-
-    def completion_lower_bound(remaining_g1: list, used: set) -> int:
-        remaining_labels_1 = Counter(g1.vertex_label(v) for v in remaining_g1)
-        remaining_labels_2 = Counter(
-            g2.vertex_label(v) for v in g2_vertices if v not in used
-        )
-        surplus_a = sum((remaining_labels_1 - remaining_labels_2).values())
-        surplus_b = sum((remaining_labels_2 - remaining_labels_1).values())
-        return max(surplus_a, surplus_b)
-
-    def finish_cost(mapping, used) -> int:
-        """Cost of inserting every unused g2 vertex and its unmatched edges."""
-        cost = 0
-        unused = [v for v in g2_vertices if v not in used]
-        cost += len(unused)
-        # Edges of g2 with at least one unused endpoint must be inserted.
-        for u, v, _label in g2.edges():
-            if u in unused or v in unused:
-                cost += 1
-        return cost
-
-    def backtrack(index: int, cost: int, mapping: dict, used: set) -> None:
-        nonlocal best
-        if cost >= best:
-            return
-        if index == len(order):
-            total = cost + finish_cost(mapping, used)
-            if total < best:
-                best = total
-            return
-        remaining = order[index:]
-        if cost + completion_lower_bound(remaining, used) >= best:
-            return
-        vertex = order[index]
-        label = g1.vertex_label(vertex)
-        for image in g2_vertices:
-            if image in used:
-                continue
-            step = 0 if g2.vertex_label(image) == label else 1
-            step += mapped_edge_cost(vertex, image, mapping)
-            if cost + step >= best:
-                continue
-            mapping[vertex] = image
-            used.add(image)
-            backtrack(index + 1, cost + step, mapping, used)
-            used.discard(image)
-            del mapping[vertex]
-        # Delete the vertex.
-        step = 1 + mapped_edge_cost(vertex, None, mapping)
-        if cost + step < best:
-            mapping[vertex] = None
-            backtrack(index + 1, cost + step, mapping, used)
-            del mapping[vertex]
-
-    backtrack(0, 0, {}, set())
-    return best if best <= cap else cap + 1
+    e1, e2 = encode_pair(g1, g2)
+    cap = upper_bound if upper_bound is not None else e1.n + e2.n + e1.num_edges + e2.num_edges
+    return encoded_distance(e1, e2, cap)[0]
 
 
 def ged_within(g1: Graph, g2: Graph, tau: int) -> bool:

@@ -10,6 +10,14 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Mapping
 
 
+def _check_label(label: Hashable) -> None:
+    """Labels are compared and counted by value, so they must be hashable."""
+    try:
+        hash(label)
+    except TypeError:
+        raise ValueError(f"a label must be hashable, got {type(label).__name__}") from None
+
+
 class Graph:
     """An undirected labelled graph.
 
@@ -24,9 +32,11 @@ class Graph:
         vertex_labels: Mapping[Hashable, Hashable] | None = None,
         edges: Mapping | Iterable | None = None,
     ):
-        self._labels: dict = dict(vertex_labels or {})
+        self._labels: dict = {}
         self._edges: dict[frozenset, Hashable] = {}
-        self._adjacency: dict = {v: set() for v in self._labels}
+        self._adjacency: dict = {}
+        for vertex, label in (vertex_labels or {}).items():
+            self.add_vertex(vertex, label)
         if edges:
             items = edges.items() if isinstance(edges, Mapping) else (
                 ((u, v), label) for u, v, label in edges
@@ -37,6 +47,7 @@ class Graph:
     # -- construction -----------------------------------------------------
 
     def add_vertex(self, vertex: Hashable, label: Hashable) -> None:
+        _check_label(label)
         self._labels[vertex] = label
         self._adjacency.setdefault(vertex, set())
 
@@ -45,6 +56,7 @@ class Graph:
             raise ValueError("self loops are not supported")
         if u not in self._labels or v not in self._labels:
             raise ValueError("both endpoints must be existing vertices")
+        _check_label(label)
         self._edges[frozenset((u, v))] = label
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)

@@ -16,23 +16,16 @@ Two related questions are answered here:
 
 from __future__ import annotations
 
+from repro.graphs.columns import EncodedGraph, encode_pair
 from repro.graphs.graph import Graph
+
+_UNASSIGNED = -2
+_DELETED = -1
 
 
 def subgraph_isomorphic(pattern: Graph, target: Graph) -> bool:
     """Whether ``pattern`` is isomorphic to a (not necessarily induced) subgraph of ``target``."""
     return min_mapping_cost(pattern, target, budget=0) == 0
-
-
-def _label_feasible(pattern: Graph, target: Graph, budget: int) -> bool:
-    """Cheap necessary condition: missing vertex labels alone already cost more than the budget."""
-    target_counts = target.vertex_label_counts()
-    missing = 0
-    for label, count in pattern.vertex_label_counts().items():
-        missing += max(0, count - target_counts.get(label, 0))
-        if missing > budget:
-            return False
-    return True
 
 
 def min_mapping_cost(pattern: Graph, target: Graph, budget: int) -> int:
@@ -48,63 +41,73 @@ def min_mapping_cost(pattern: Graph, target: Graph, budget: int) -> int:
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if pattern.num_vertices == 0:
-        return 0
-    if not _label_feasible(pattern, target, budget):
-        return budget + 1
+    return encoded_mapping_cost(*encode_pair(pattern, target), budget)
 
-    # Order pattern vertices most-constrained first (highest degree).
-    order = sorted(pattern.vertices, key=lambda v: -pattern.degree(v))
-    target_vertices = target.vertices
+
+def encoded_mapping_cost(pattern: EncodedGraph, target: EncodedGraph, budget: int) -> int:
+    """:func:`min_mapping_cost` over two graphs coded with the same codebooks."""
+    n = pattern.n
+    if n == 0:
+        return 0
+    # Cheap necessary condition: missing vertex labels alone exceed the budget.
+    missing = 0
+    target_counts = target.vertex_counts
+    for code, count in pattern.vertex_counts.items():
+        missing += max(0, count - target_counts.get(code, 0))
+        if missing > budget:
+            return budget + 1
+
+    labels, target_labels = pattern.labels, target.labels
+    adj, target_adj = pattern.adj, target.adj
+    nbrs = pattern.nbrs
+    order = pattern.order  # most-constrained (highest degree) first
+    images = range(target.n)
+    image_of = [_UNASSIGNED] * n
+    used = [False] * target.n
     best = budget + 1
 
-    def edge_cost(vertex, image, mapping) -> int:
-        """Cost of pattern edges between ``vertex`` and already-mapped vertices."""
-        cost = 0
-        for neighbor in pattern.neighbors(vertex):
-            if neighbor not in mapping:
-                continue
-            neighbor_image = mapping[neighbor]
-            if image is None or neighbor_image is None:
-                cost += 1
-                continue
-            if not target.has_edge(image, neighbor_image):
-                cost += 1
-            elif target.edge_label(image, neighbor_image) != pattern.edge_label(
-                vertex, neighbor
-            ):
-                cost += 1
-        return cost
-
-    def backtrack(index: int, cost: int, mapping: dict, used: set) -> None:
+    def backtrack(index: int, cost: int) -> None:
         nonlocal best
-        if cost >= best:
-            return
-        if index == len(order):
+        if index == n:
             best = cost
             return
         vertex = order[index]
-        label = pattern.vertex_label(vertex)
-        for image in target_vertices:
-            if image in used:
+        label = labels[vertex]
+        row = adj[vertex]
+        # Pattern edges to earlier vertices: (image, edge label) of the mapped
+        # ones; an edge to a deleted neighbour costs 1 whatever the image.
+        mapped = []
+        deleted = 0
+        for neighbor in nbrs[vertex]:
+            neighbor_image = image_of[neighbor]
+            if neighbor_image >= 0:
+                mapped.append((neighbor_image, row[neighbor]))
+            elif neighbor_image == _DELETED:
+                deleted += 1
+        for image in images:
+            if used[image]:
                 continue
-            step = 0 if target.vertex_label(image) == label else 1
-            step += edge_cost(vertex, image, mapping)
+            step = deleted if target_labels[image] == label else deleted + 1
+            target_row = target_adj[image]
+            for neighbor_image, edge_label in mapped:
+                if target_row[neighbor_image] != edge_label:
+                    step += 1
             if cost + step >= best:
                 continue
-            mapping[vertex] = image
-            used.add(image)
-            backtrack(index + 1, cost + step, mapping, used)
-            used.discard(image)
-            del mapping[vertex]
-        # Deleting the vertex: 1 for the vertex plus 1 per incident edge to
-        # already-mapped neighbours (edges to later vertices are charged when
+            image_of[vertex] = image
+            used[image] = True
+            backtrack(index + 1, cost + step)
+            used[image] = False
+            if cost >= best:
+                break  # nothing below this node can improve on ``best`` any more
+        # Deleting the vertex: 1 for the vertex plus 1 per edge to an
+        # already-assigned neighbour (edges to later vertices are charged when
         # those vertices are processed).
-        step = 1 + edge_cost(vertex, None, mapping)
+        step = 1 + deleted + len(mapped)
         if cost + step < best:
-            mapping[vertex] = None
-            backtrack(index + 1, cost + step, mapping, used)
-            del mapping[vertex]
+            image_of[vertex] = _DELETED
+            backtrack(index + 1, cost + step)
+        image_of[vertex] = _UNASSIGNED
 
-    backtrack(0, 0, {}, set())
+    backtrack(0, 0)
     return best

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.common.stats import SearchResult, Timer
 from repro.graphs.dataset import GraphDataset
-from repro.graphs.ged import ged_within
+from repro.graphs.ged import encoded_distance
 from repro.graphs.graph import Graph
 
 
@@ -20,10 +20,12 @@ class LinearGraphSearcher:
 
     def search(self, query: Graph, tau: int) -> SearchResult:
         timer = Timer()
+        columns = self._dataset.columns()
+        encoded = columns.encode(query)
         results = [
             obj_id
-            for obj_id in range(len(self._dataset))
-            if ged_within(self._dataset.graph(obj_id), query, tau)
+            for obj_id, graph in enumerate(columns.graphs)
+            if encoded_distance(graph, encoded, tau)[0] <= tau
         ]
         elapsed = timer.elapsed()
         return SearchResult(

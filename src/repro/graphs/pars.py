@@ -4,22 +4,47 @@ Pars [136] partitions every data graph into ``tau + 1`` disjoint parts; a data
 graph is a candidate only if at least one part is subgraph-isomorphic to the
 query.  Candidates are verified with the threshold-limited exact GED.
 
-A cheap label-multiset containment test prunes parts before the isomorphism
-search.  It is this reproduction's substitution for Pars's partition index:
-at the scale of the synthetic workloads (tens to hundreds of small graphs)
-testing every part costs less than building and probing that index would.
+The filter runs cheapest step first.  The label-multiset lower bound of the
+edit distance -- the first thing verification would compute for a pair -- is
+evaluated for the whole corpus in one numpy expression over the dataset's
+count matrices (:meth:`repro.graphs.columns.GraphColumns.label_bounds`), and
+only the graphs it leaves (a few per cent of an AIDS-like corpus) have their
+parts matched against the query.  A part is tested by label-count containment
+first and by the isomorphism search second; parts are cut from the encoded
+graph the first time a query reaches it.  This is the reproduction's
+substitution for Pars's partition index.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
+from repro.common.obs import span
 from repro.common.stats import SearchResult, Timer
+from repro.graphs.columns import EncodedGraph
 from repro.graphs.dataset import GraphDataset
-from repro.graphs.ged import ged_within
+from repro.graphs.ged import encoded_distance
 from repro.graphs.graph import Graph
-from repro.graphs.isomorphism import subgraph_isomorphic
-from repro.graphs.partition import partition_graph
+from repro.graphs.isomorphism import encoded_mapping_cost
+from repro.graphs.partition import partition_encoded, partition_graph
+
+
+def _labels_contained(part: EncodedGraph, query: EncodedGraph) -> bool:
+    """Necessary condition for subgraph isomorphism: label multisets contained."""
+    counts = query.vertex_counts
+    for code, count in part.vertex_counts.items():
+        if count > counts.get(code, 0):
+            return False
+    counts = query.edge_counts
+    for code, count in part.edge_counts.items():
+        if count > counts.get(code, 0):
+            return False
+    return True
+
+
+def part_matches(part: EncodedGraph, query: EncodedGraph) -> bool:
+    """The Pars first step: whether ``part`` is subgraph-isomorphic to ``query``."""
+    return _labels_contained(part, query) and encoded_mapping_cost(part, query, 0) == 0
 
 
 class ParsSearcher:
@@ -35,12 +60,12 @@ class ParsSearcher:
         if tau < 0:
             raise ValueError("tau must be non-negative")
         self._dataset = dataset
+        self._columns = dataset.columns()
         self._tau = tau
         self._m = tau + 1
-        self._parts: list[list[Graph]] = [
-            partition_graph(dataset.graph(obj_id), self._m)
-            for obj_id in range(len(dataset))
-        ]
+        # Encoded parts per data graph, cut on first touch: the corpus-wide
+        # bound leaves few graphs per query, so most are never partitioned.
+        self._parts: list[list[EncodedGraph] | None] = [None] * len(dataset)
 
     @property
     def dataset(self) -> GraphDataset:
@@ -55,58 +80,57 @@ class ParsSearcher:
         return self._m
 
     def parts(self, obj_id: int) -> list[Graph]:
-        """The precomputed parts of one data graph."""
-        return self._parts[obj_id]
+        """The parts of one data graph."""
+        return partition_graph(self._dataset.graph(obj_id), self._m)
 
-    @staticmethod
-    def _labels_contained(part: Graph, query_labels: Counter, query_edge_labels: Counter) -> bool:
-        """Necessary condition for subgraph isomorphism: label multisets contained."""
-        for label, count in part.vertex_label_counts().items():
-            if count > query_labels.get(label, 0):
-                return False
-        for label, count in part.edge_label_counts().items():
-            if count > query_edge_labels.get(label, 0):
-                return False
-        return True
+    def _encoded_parts(self, obj_id: int) -> list[EncodedGraph]:
+        parts = self._parts[obj_id]
+        if parts is None:
+            parts = self._parts[obj_id] = partition_encoded(
+                self._dataset.graph(obj_id), self._columns.graphs[obj_id], self._m
+            )
+        return parts
 
     def matching_parts(self, obj_id: int, query: Graph) -> list[int]:
         """Indices of parts that are subgraph-isomorphic to the query."""
-        query_labels = Counter(query.vertex_label(v) for v in query.vertices)
-        query_edge_labels = Counter(label for *_e, label in query.edges())
-        matches = []
-        for index, part in enumerate(self._parts[obj_id]):
-            if not self._labels_contained(part, query_labels, query_edge_labels):
-                continue
-            if subgraph_isomorphic(part, query):
-                matches.append(index)
-        return matches
+        encoded = self._columns.encode(query)
+        return [
+            index
+            for index, part in enumerate(self._encoded_parts(obj_id))
+            if part_matches(part, encoded)
+        ]
+
+    def _is_candidate(self, obj_id: int, query: EncodedGraph) -> bool:
+        return any(part_matches(part, query) for part in self._encoded_parts(obj_id))
+
+    def _filter(self, query: Graph) -> tuple[EncodedGraph, list[int], list[int]]:
+        """The encoded query, the survivors of the corpus-wide bound, the candidates."""
+        encoded = self._columns.encode(query)
+        survivors = np.flatnonzero(self._columns.label_bounds(encoded) <= self._tau).tolist()
+        return encoded, survivors, [i for i in survivors if self._is_candidate(i, encoded)]
 
     def candidates(self, query: Graph) -> list[int]:
-        query_labels = Counter(query.vertex_label(v) for v in query.vertices)
-        query_edge_labels = Counter(label for *_e, label in query.edges())
-        found = []
-        for obj_id in range(len(self._dataset)):
-            for part in self._parts[obj_id]:
-                if not self._labels_contained(part, query_labels, query_edge_labels):
-                    continue
-                if subgraph_isomorphic(part, query):
-                    found.append(obj_id)
-                    break
-        return found
+        return self._filter(query)[2]
 
     def search(self, query: Graph) -> SearchResult:
         timer = Timer()
-        candidates = self.candidates(query)
+        with span("candidates"):
+            encoded, survivors, candidates = self._filter(query)
         candidate_time = timer.restart()
-        results = [
-            obj_id
-            for obj_id in candidates
-            if ged_within(self._dataset.graph(obj_id), query, self._tau)
-        ]
+        graphs = self._columns.graphs
+        results = []
+        nodes = 0
+        with span("verify"):
+            for obj_id in candidates:
+                distance, expanded = encoded_distance(graphs[obj_id], encoded, self._tau)
+                nodes += expanded
+                if distance <= self._tau:
+                    results.append(obj_id)
         verify_time = timer.elapsed()
         return SearchResult(
             results=results,
             candidates=candidates,
             candidate_time=candidate_time,
             verify_time=verify_time,
+            extra={"generated": len(survivors), "verified": len(candidates), "nodes": nodes},
         )

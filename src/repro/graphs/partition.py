@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.graphs.columns import EncodedGraph
 from repro.graphs.graph import Graph
 
 
@@ -58,4 +59,13 @@ def partition_graph(graph: Graph, num_parts: int) -> list[Graph]:
     """The ``num_parts`` induced subgraphs used as Pars / Ring features."""
     return [
         graph.induced_subgraph(group) for group in partition_vertices(graph, num_parts)
+    ]
+
+
+def partition_encoded(graph: Graph, encoded: EncodedGraph, num_parts: int) -> list[EncodedGraph]:
+    """The same parts as :func:`partition_graph`, cut from the graph's encoded arrays."""
+    position = {vertex: index for index, vertex in enumerate(graph.vertices)}
+    return [
+        encoded.induced([position[vertex] for vertex in group])
+        for group in partition_vertices(graph, num_parts)
     ]

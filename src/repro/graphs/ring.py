@@ -13,15 +13,10 @@ paper's Example 12.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from repro.common.obs import span
-from repro.common.stats import SearchResult, Timer
+from repro.graphs.columns import EncodedGraph
 from repro.graphs.dataset import GraphDataset
-from repro.graphs.ged import ged_within
-from repro.graphs.graph import Graph
-from repro.graphs.isomorphism import min_mapping_cost
-from repro.graphs.pars import ParsSearcher
+from repro.graphs.isomorphism import encoded_mapping_cost
+from repro.graphs.pars import ParsSearcher, part_matches
 
 
 class RingGraphSearcher(ParsSearcher):
@@ -46,75 +41,39 @@ class RingGraphSearcher(ParsSearcher):
     def chain_length(self) -> int:
         return self._chain_length
 
-    def _passes_chain_check(self, obj_id: int, starts: list[int], query: Graph) -> bool:
-        m = self._m
-        length = self._chain_length
-        quota = self._tau / m
-        parts = self._parts[obj_id]
-        # index -> (value, cap used); a value <= cap is exact, a value of
+    def _is_candidate(self, obj_id: int, query: EncodedGraph) -> bool:
+        parts = self._encoded_parts(obj_id)
+        # box index -> (value, cap used); a value <= cap is exact, a value of
         # cap + 1 is a truncated lower bound that may be refined with a larger
-        # budget later.
-        cache: dict[int, tuple[float, int]] = {start: (0.0, 0) for start in starts}
+        # budget later.  The first step fills it for every box at cap 0, so
+        # the chain check never repeats a budget-0 embedding.
+        cache = {
+            index: (0 if part_matches(part, query) else 1, 0) for index, part in enumerate(parts)
+        }
+        starts = [index for index, (value, _cap) in cache.items() if value == 0]
+        if not starts:
+            return False
+        if self._chain_length == 1:
+            return True
+        m = self._m
+        quota = self._tau / m
 
-        def box_value(index: int, cap: int) -> float:
+        def box_value(index: int, cap: int) -> int:
             """Lower bound of box ``index``, exact whenever it is at most ``cap``."""
-            cached = cache.get(index)
-            if cached is not None:
-                value, cap_used = cached
-                if value <= cap_used or cap <= cap_used:
-                    return value
-            value = float(min_mapping_cost(parts[index], query, budget=cap))
+            value, cap_used = cache[index]
+            if value <= cap_used or cap <= cap_used:
+                return value
+            value = encoded_mapping_cost(parts[index], query, cap)
             cache[index] = (value, cap)
             return value
 
         for start in starts:
-            running = 0.0
-            passed = True
-            for offset in range(length):
-                box = (start + offset) % m
+            running = 0
+            for offset in range(self._chain_length):
                 bound = (offset + 1) * quota
-                remaining = int(bound - running)
-                value = box_value(box, max(0, remaining))
-                running += value
+                running += box_value((start + offset) % m, max(0, int(bound - running)))
                 if running > bound + 1e-12:
-                    passed = False
                     break
-            if passed:
+            else:
                 return True
         return False
-
-    def candidates(self, query: Graph) -> list[int]:
-        query_labels = Counter(query.vertex_label(v) for v in query.vertices)
-        query_edge_labels = Counter(label for *_e, label in query.edges())
-        found = []
-        for obj_id in range(len(self._dataset)):
-            starts = []
-            for index, part in enumerate(self._parts[obj_id]):
-                if not self._labels_contained(part, query_labels, query_edge_labels):
-                    continue
-                if min_mapping_cost(part, query, budget=0) == 0:
-                    starts.append(index)
-            if not starts:
-                continue
-            if self._chain_length == 1 or self._passes_chain_check(obj_id, starts, query):
-                found.append(obj_id)
-        return found
-
-    def search(self, query: Graph) -> SearchResult:
-        timer = Timer()
-        with span("candidates"):
-            candidates = self.candidates(query)
-        candidate_time = timer.restart()
-        with span("verify"):
-            results = [
-                obj_id
-                for obj_id in candidates
-                if ged_within(self._dataset.graph(obj_id), query, self._tau)
-            ]
-        verify_time = timer.elapsed()
-        return SearchResult(
-            results=results,
-            candidates=candidates,
-            candidate_time=candidate_time,
-            verify_time=verify_time,
-        )

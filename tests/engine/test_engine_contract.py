@@ -271,3 +271,50 @@ def test_failed_background_compaction_shows_on_stats(topology, fresh, tmp_path):
     finally:
         register_backend(original, replace=True)
 
+
+
+# ---------------------------------------------------------------------------
+# A record the store cannot hold is refused before it is acknowledged
+# ---------------------------------------------------------------------------
+
+UNHASHABLE_LABEL_GRAPHS = [
+    {"vertices": [[1, "C"], [2, ["N"]]], "edges": [[1, 2, "x"]]},
+    {"vertices": [[1, "C"], [2, {"element": "N"}]], "edges": [[1, 2, "x"]]},
+    {"vertices": [[1, "C"], [2, "N"]], "edges": [[1, 2, ["x"]]]},
+    {"vertices": [[1, "C"], [2, "N"]], "edges": [[1, 2, {"order": 2}]]},
+]
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_unhashable_graph_labels_are_refused_as_record_and_as_query(
+    topology, datasets, query_payloads, tmp_path
+):
+    backend = get_backend("graphs")
+    for wire in UNHASHABLE_LABEL_GRAPHS:
+        with pytest.raises(ValueError, match="hashable"):
+            backend.record_from_wire(wire)
+        with pytest.raises(ValueError, match="hashable"):
+            backend.payload_from_wire(wire)
+    directory = str(tmp_path / topology)
+    if topology == "plain":
+        with SearchEngine() as builder:
+            builder.add_dataset("graphs", datasets["graphs"])
+            builder.save_index("graphs", directory)
+    else:
+        build_shards("graphs", datasets["graphs"], directory, 2)
+    engine = open_engine(directory)
+    with ServerThread(engine, own_engine=True) as handle, EngineClient(handle.url) as client:
+        payload = query_payloads["graphs"][0]
+        before = client.search("graphs", payload, tau=3).ids
+        info = engine.mutation_info()
+        for wire in UNHASHABLE_LABEL_GRAPHS:
+            ops = [{"op": "upsert", "id": 99, "record": wire}]
+            with pytest.raises(RequestError, match="hashable") as refused:
+                client._request("POST", "/mutate", {"backend": "graphs", "ops": ops})
+            assert refused.value.status == 400
+            with pytest.raises(RequestError, match="hashable") as refused:
+                client.search_wire({"backend": "graphs", "payload": wire, "tau": 3})
+            assert refused.value.status == 400
+        # Nothing was logged or applied, and the backend keeps answering.
+        assert engine.mutation_info() == info
+        assert client.search("graphs", payload, tau=3).ids == before

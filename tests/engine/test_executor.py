@@ -260,3 +260,28 @@ def test_compaction_evicts_stale_searchers(engine, query_payloads, taus):
     assert not after.cached
     assert doomed not in after.ids
     assert sorted(after.ids) == sorted(obj_id for obj_id in before.ids if obj_id != doomed)
+
+
+def test_searcher_cache_is_a_bounded_lru(datasets, query_payloads):
+    """A threshold sweep must not pin one built index per value forever."""
+    from repro.engine.executor import MAX_SEARCHERS
+
+    engine = SearchEngine(cache_size=0)
+    engine.add_dataset("sets", datasets["sets"])
+    payload = query_payloads["sets"][0]
+    hot = Query(backend="sets", payload=payload, tau=0.5)
+    taus = [0.3 + step / 100 for step in range(40)]
+    for tau in taus:
+        swept = engine.search(Query(backend="sets", payload=payload, tau=tau))
+        oracle = engine.search(Query(backend="sets", payload=payload, tau=tau, algorithm="linear"))
+        assert sorted(swept.ids) == sorted(oracle.ids)
+        engine.search(hot)  # in use throughout, so never the least recently used
+        assert len(engine._searchers) <= MAX_SEARCHERS
+    assert len(engine._searchers) == MAX_SEARCHERS
+    kept = {key[3][0] for key in engine._searchers}  # key[3] is (tau, is_int)
+    assert 0.5 in kept and taus[0] not in kept
+    # An evicted index is rebuilt on demand and answers as before.
+    again = engine.search(Query(backend="sets", payload=payload, tau=taus[0]))
+    oracle = engine.search(Query(backend="sets", payload=payload, tau=taus[0], algorithm="linear"))
+    assert sorted(again.ids) == sorted(oracle.ids)
+    engine.close()
