@@ -191,14 +191,15 @@ url = sys.argv[1]
 doomed = [70001, 70002, 70003]  # tokens no synthetic record uses
 keeper = [80001, 80002, 80003]
 with EngineClient(url) as client:
-    doomed_id = client.upsert("sets", doomed)
-    keeper_id = client.upsert("sets", keeper)
+    doomed_id = client.mutate("sets", [{"op": "upsert", "record": doomed}])["results"][0]["id"]
+    keeper_id = client.mutate("sets", [{"op": "upsert", "record": keeper}])["results"][0]["id"]
     hits = client.search("sets", doomed, tau=1.0)  # Jaccard 1.0: exact match
     assert doomed_id in hits.ids, f"upserted id {doomed_id} not served: {hits.ids}"
-    assert client.delete("sets", doomed_id) is True
+    delete = [{"op": "delete", "id": doomed_id}]
+    assert client.mutate("sets", delete)["results"][0]["deleted"] is True
     hits = client.search("sets", doomed, tau=1.0)
     assert doomed_id not in hits.ids, f"deleted id {doomed_id} still served: {hits.ids}"
-    assert client.delete("sets", doomed_id) is False  # idempotent
+    assert client.mutate("sets", delete)["results"][0]["deleted"] is False  # idempotent
     summary = client.compact()
     assert summary["compacted"] is True, summary
     hits = client.search("sets", keeper, tau=1.0)

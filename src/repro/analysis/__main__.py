@@ -1,8 +1,9 @@
 """``python -m repro.analysis``: run the rule suite against the repository.
 
 Exit status: 0 when clean, 1 on errors (or, under ``--strict``, on
-warnings and stale allowlist entries too).  ``--json`` prints the full
-report as one JSON document; ``--update-schemas`` regenerates the
+warnings and stale allowlist entries too).  Every run also reports the code
+size of the engine and common packages.  ``--json`` prints the full report
+as one JSON document; ``--update-schemas`` regenerates the
 wire-schema snapshots after a deliberate, version-bumped change.
 """
 
@@ -77,6 +78,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"allowlist: stale entry [{entry['rule']}] {entry['match']!r} "
                 f"matches nothing (reason was: {entry['reason']})"
             )
+        for package, size in report.sizes.items():
+            print(f"code lines (no blanks, comments or docstrings) under {package}:")
+            for relpath, lines in size["modules"].items():
+                print(f"  {lines:6d}  {relpath}")
+            print(f"  {size['total']:6d}  total")
         errors, warnings = len(report.errors), len(report.warnings)
         print(
             f"{len(report.rules_run)} rules: {errors} error(s), {warnings} warning(s), "

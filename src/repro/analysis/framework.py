@@ -199,6 +199,53 @@ def apply_allowlist(
 
 
 # ---------------------------------------------------------------------------
+# Size report
+# ---------------------------------------------------------------------------
+
+#: The packages whose size every run reports: "smaller" is measured in code
+#: lines here, not ``wc -l``.
+SIZE_PACKAGES = ("src/repro/engine", "src/repro/common")
+
+
+def code_lines(source: str, tree: ast.Module) -> int:
+    """Lines of ``source`` that hold code: blank lines, comment-only lines
+    and docstrings are excluded; every line of another string literal counts."""
+    docstrings: set[int] = set()
+    literals: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                docstrings.update(range(first.lineno, (first.end_lineno or first.lineno) + 1))
+        elif isinstance(node, (ast.Constant, ast.JoinedStr)) and node.end_lineno != node.lineno:
+            literals.update(range(node.lineno, (node.end_lineno or node.lineno) + 1))
+    count = 0
+    for number, line in enumerate(source.splitlines(), start=1):
+        if number in docstrings:
+            continue
+        text = line.strip()
+        if number in literals or (text and not text.startswith("#")):
+            count += 1
+    return count
+
+
+def measure_sizes(ctx: AnalysisContext) -> dict:
+    """``{package: {"modules": {relpath: code lines}, "total": n}}``."""
+    sizes = {}
+    for package in SIZE_PACKAGES:
+        modules = {
+            relpath: code_lines(ctx.source(relpath), ctx.tree(relpath))
+            for relpath in ctx.iter_python(package)
+        }
+        sizes[package] = {"modules": modules, "total": sum(modules.values())}
+    return sizes
+
+
+# ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
@@ -211,6 +258,7 @@ class Report:
     suppressed: list[Finding] = field(default_factory=list)
     stale_allowlist: list[dict] = field(default_factory=list)
     rules_run: list[str] = field(default_factory=list)
+    sizes: dict = field(default_factory=dict)
 
     @property
     def errors(self) -> list[Finding]:
@@ -233,6 +281,7 @@ class Report:
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
             "stale_allowlist": self.stale_allowlist,
+            "sizes": self.sizes,
         }
 
 
@@ -264,4 +313,5 @@ def run_analysis(
         suppressed=suppressed,
         stale_allowlist=stale,
         rules_run=[entry.name for entry in selected],
+        sizes=measure_sizes(ctx),
     )

@@ -13,7 +13,7 @@ searcher classes; this subsystem puts one serving layer on top of them:
   LRU result cache, batched execution, latency statistics.
 * :mod:`repro.engine.topk` -- top-k search via adaptive threshold escalation.
 * :mod:`repro.engine.mutation` -- :class:`DeltaStore`: the delta/tombstone
-  overlay behind online ``upsert`` / ``delete`` / ``compact``.
+  overlay behind online ``mutate`` / ``compact``.
 * :mod:`repro.engine.persistence` -- build-once/save/load index containers;
   every write is atomic (temp + fsync + rename).
 * :mod:`repro.engine.wal` -- :class:`WriteAheadLog`: checksummed,
@@ -34,10 +34,9 @@ searcher classes; this subsystem puts one serving layer on top of them:
   subcommands.
 
 Mutations flow through the batched ``mutate(backend, ops)`` entry point
-(``upsert``/``delete`` are one-op shims) on the engine, the sharded
-engine, ``POST /mutate`` and the client alike; attach a write-ahead log
-(``attach_wal`` / ``serve --wal-dir``) and each batch is fsync'd before
-it is acknowledged, then replayed on the next load.
+on the engine, the sharded engine, ``POST /mutate`` and the client alike;
+attach a write-ahead log (``attach_wal`` / ``serve --wal-dir``) and each
+batch is fsync'd before it is acknowledged, then replayed on the next load.
 
 :func:`open_engine` opens an index directory as whichever engine its layout
 calls for; it is the only code that looks.

@@ -67,14 +67,6 @@ class Backend(abc.ABC):
         """A ``payload -> SearchResult`` callable for one configuration."""
 
     @abc.abstractmethod
-    def distance(self, store: Any, payload: Any, obj_id: int, tau: float | int | None) -> float:
-        """Exact rank score of one object (lower is better).
-
-        For distance domains this is the distance itself; for similarity
-        domains it is the negated similarity, so that sorting ascending
-        always yields best-first order.
-        """
-
     def distances(
         self,
         store: Any,
@@ -82,8 +74,12 @@ class Backend(abc.ABC):
         ids: Sequence[int],
         tau: float | int | None,
     ) -> list[float]:
-        """Rank scores for many objects; backends override to batch the work."""
-        return [self.distance(store, payload, obj_id, tau) for obj_id in ids]
+        """Exact rank scores of many objects (lower is better).
+
+        For distance domains this is the distance itself; for similarity
+        domains it is the negated similarity, so that sorting ascending
+        always yields best-first order.
+        """
 
     def validate_tau(self, tau: float | int) -> None:
         """Reject thresholds that are meaningless for this domain.
@@ -140,6 +136,7 @@ class Backend(abc.ABC):
         """Number of data objects in the store (the id space is ``range(n)``)."""
         return int(self.describe(store)["num_objects"])
 
+    @abc.abstractmethod
     def shard_store(self, store: Any, lo: int, hi: int) -> Any:
         """A raw dataset holding objects ``[lo, hi)`` with local ids ``0..hi-lo``.
 
@@ -149,31 +146,14 @@ class Backend(abc.ABC):
         by :mod:`repro.engine.sharding` to split one dataset into id-range
         shards; global ids are recovered as ``local_id + lo``.
         """
-        raise NotImplementedError(f"backend {self.name!r} does not support id-range sharding")
 
     # -- mutation ----------------------------------------------------------
-
-    #: Whether the backend implements the mutation protocol below
-    #: (``delta_store`` / ``apply_mutations`` and the record primitives they
-    #: rest on).  The engine refuses ``upsert``/``delete`` on backends that
-    #: leave this False.
-    mutable: bool = False
 
     #: Whether :meth:`tau_ladder` actually depends on ``max_size``.  When
     #: False (Hamming: the ladder depends only on the shared dimension) the
     #: engine skips the O(live records) size scan before every top-k query
     #: on a mutated store.
     ladder_uses_max_size: bool = True
-
-    def delta_store(self, store: Any) -> Any:
-        """A fresh (identity) delta/tombstone overlay for a prepared store."""
-        from repro.engine.mutation import DeltaStore
-
-        if not self.mutable:
-            raise NotImplementedError(
-                f"backend {self.name!r} does not support online mutation"
-            )
-        return DeltaStore.fresh(self.store_size(store))
 
     def apply_mutations(self, store: Any, delta: Any) -> tuple[Any, Any]:
         """Fold an overlay into a rebuilt main store (compaction).
@@ -182,10 +162,6 @@ class Backend(abc.ABC):
         store (empty delta and tombstones; the external-id mapping and
         ``next_id`` survive, so ids stay stable across compactions).
         """
-        if not self.mutable:
-            raise NotImplementedError(
-                f"backend {self.name!r} does not support online mutation"
-            )
         live_ids, records = delta.live_records(self.store_records(store))
         if not records:
             raise ValueError(
@@ -195,17 +171,17 @@ class Backend(abc.ABC):
         rebuilt = self.prepare(self.make_dataset(store, records))
         return rebuilt, delta.compacted(live_ids)
 
+    @abc.abstractmethod
     def store_records(self, store: Any) -> Sequence[Any]:
         """The raw records of a store, indexed by main position."""
-        raise NotImplementedError(f"backend {self.name!r} does not expose raw records")
 
+    @abc.abstractmethod
     def make_dataset(self, store: Any, records: Sequence[Any]) -> Any:
         """A raw dataset over ``records`` preserving the store's parameters.
 
         Like :meth:`shard_store`, but from an explicit record list; used by
         compaction to rebuild the main store from the surviving records.
         """
-        raise NotImplementedError(f"backend {self.name!r} cannot rebuild from records")
 
     def check_record(self, store: Any, record: Any) -> Any:
         """Validate (and normalise) a record before it enters the delta.
@@ -220,32 +196,21 @@ class Backend(abc.ABC):
         """The :meth:`tau_ladder` size measure of one raw record."""
         return 1
 
-    def record_distance(
-        self, store: Any, payload: Any, record: Any, tau: float | int | None
-    ) -> float:
-        """Exact rank score between a payload and a raw record (lower wins).
-
-        The delta-store counterpart of :meth:`distance`: the record is not in
-        the main store, so it is scored directly.  Must agree, bit for bit,
-        with what :meth:`distance` would return once the record is folded
-        into the main store -- the mutation tests assert exactly that.
-        """
-        raise NotImplementedError(f"backend {self.name!r} cannot score raw records")
-
+    @abc.abstractmethod
     def record_distances(
         self, store: Any, payload: Any, records: Sequence[Any], tau: float | int | None
     ) -> list[float]:
-        """Rank scores for many raw records; backends override to batch.
+        """Exact rank scores between a payload and raw records (lower wins).
 
-        The delta-store counterpart of :meth:`distances`: the engine scores
-        a mutated index's whole delta in one call, so backends can run their
-        vectorised kernels instead of a per-record Python loop.  Must agree
-        element-wise with :meth:`record_distance`.
+        The delta-store counterpart of :meth:`distances`: the records are
+        not in the main store, so they are scored directly -- the engine
+        scores a mutated index's whole delta in one call.  Must agree, bit
+        for bit, with what :meth:`distances` would return once the records
+        are folded into the main store.
         """
-        return [self.record_distance(store, payload, record, tau) for record in records]
 
     def score_matches(self, score: float, tau: float | int) -> bool:
-        """Whether a :meth:`record_distance` score satisfies threshold ``tau``.
+        """Whether a :meth:`record_distances` score satisfies threshold ``tau``.
 
         Distance domains match when ``score <= tau``; similarity domains
         (which negate their similarity into the score) override.
@@ -261,7 +226,7 @@ class Backend(abc.ABC):
         :meth:`record_distances`, but backends may override with a cheaper
         predicate-only kernel (e.g. the banded edit-distance check, which
         never computes distances beyond ``tau``).  Must agree with
-        ``score_matches(record_distance(...), tau)`` on every record.
+        ``score_matches`` over :meth:`record_distances` on every record.
         """
         return [
             self.score_matches(score, tau)

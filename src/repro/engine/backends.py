@@ -85,7 +85,6 @@ class HammingBackend(Backend):
     """Hamming distance over binary vectors (GPH / pigeonring)."""
 
     name = "hamming"
-    mutable = True
     ladder_uses_max_size = False  # the ladder depends only on the dimension
 
     def prepare(self, dataset: Any) -> HammingStore:
@@ -135,11 +134,6 @@ class HammingBackend(Backend):
             searcher = LinearHammingSearcher(store.dataset)
         return lambda payload: searcher.search(payload, tau)
 
-    def distance(
-        self, store: HammingStore, payload: Any, obj_id: int, tau: float | int | None
-    ) -> float:
-        return self.distances(store, payload, [obj_id], tau)[0]
-
     def distances(
         self,
         store: HammingStore,
@@ -174,13 +168,6 @@ class HammingBackend(Backend):
 
     def record_size(self, store: HammingStore, record: Any) -> int:
         return int(np.asarray(record).reshape(-1).shape[0])
-
-    def record_distance(
-        self, store: HammingStore, payload: Any, record: Any, tau: float | int | None
-    ) -> float:
-        query = np.asarray(payload, dtype=np.uint8).reshape(-1)
-        vector = np.asarray(record, dtype=np.uint8).reshape(-1)
-        return float(np.count_nonzero(query != vector))
 
     def record_distances(
         self,
@@ -295,7 +282,6 @@ class SetBackend(Backend):
 
     name = "sets"
     algorithms = ("ring", "ring-scalar", "baseline", "adapt", "partalloc", "linear")
-    mutable = True
 
     def validate_tau(self, tau: float | int) -> None:
         """Similarity thresholds: Jaccard in (0, 1], overlap >= 1.
@@ -347,11 +333,6 @@ class SetBackend(Backend):
             searcher = LinearSetSearcher(store, predicate)
         return searcher.search
 
-    def distance(
-        self, store: SetDataset, payload: Any, obj_id: int, tau: float | int | None
-    ) -> float:
-        return self.distances(store, payload, [obj_id], tau)[0]
-
     def distances(
         self,
         store: SetDataset,
@@ -386,17 +367,6 @@ class SetBackend(Backend):
     def record_size(self, store: SetDataset, record: Any) -> int:
         return len(set(record))
 
-    def record_distance(
-        self, store: SetDataset, payload: Any, record: Any, tau: float | int | None
-    ) -> float:
-        # Token ranks are a bijection on tokens (unseen tokens get unique
-        # ranks), so intersection/union sizes -- hence overlap and Jaccard --
-        # are identical whether computed on raw tokens or on ranks.
-        use_overlap = tau is not None and isinstance(_set_predicate(tau), OverlapPredicate)
-        if use_overlap:
-            return -float(overlap(record, payload))
-        return -jaccard(record, payload)
-
     def record_distances(
         self,
         store: SetDataset,
@@ -407,6 +377,9 @@ class SetBackend(Backend):
         # The whole delta in one kernel: every record's distinct tokens are
         # concatenated and matched against the sorted query with a single
         # searchsorted sweep; per-record overlaps fall out of segment sums.
+        # Token ranks are a bijection on tokens (unseen tokens get unique
+        # ranks), so intersection/union sizes -- hence overlap and Jaccard --
+        # are identical whether computed on raw tokens or on ranks.
         if not records:
             return []
         query = np.unique(np.fromiter((int(token) for token in payload), dtype=np.int64))
@@ -501,7 +474,6 @@ class StringBackend(Backend):
 
     name = "strings"
     algorithms = ("ring", "ring-scalar", "baseline", "linear")
-    mutable = True
 
     def prepare(self, dataset: Any) -> StringDataset:
         if isinstance(dataset, StringDataset):
@@ -537,10 +509,11 @@ class StringBackend(Backend):
             searcher = PivotalSearcher(store, tau)
         return searcher.search
 
-    def distance(
-        self, store: StringDataset, payload: Any, obj_id: int, tau: float | int | None
-    ) -> float:
-        return float(edit_distance(store.record(obj_id), str(payload)))
+    def distances(
+        self, store: StringDataset, payload: Any, ids: Sequence[int], tau: float | int | None
+    ) -> list[float]:
+        query = str(payload)
+        return [float(edit_distance(store.record(obj_id), query)) for obj_id in ids]
 
     def shard_store(self, store: StringDataset, lo: int, hi: int) -> StringDataset:
         return StringDataset(store.records[lo:hi], kappa=store.kappa)
@@ -561,10 +534,11 @@ class StringBackend(Backend):
     def record_size(self, store: StringDataset, record: Any) -> int:
         return len(record)
 
-    def record_distance(
-        self, store: StringDataset, payload: Any, record: Any, tau: float | int | None
-    ) -> float:
-        return float(edit_distance(record, str(payload)))
+    def record_distances(
+        self, store: StringDataset, payload: Any, records: Sequence[Any], tau: float | int | None
+    ) -> list[float]:
+        query = str(payload)
+        return [float(edit_distance(record, query)) for record in records]
 
     def scan_records(
         self, store: StringDataset, payload: Any, records: Sequence[Any], tau: float | int
@@ -644,7 +618,6 @@ class GraphBackend(Backend):
 
     name = "graphs"
     algorithms = ("ring", "baseline", "linear")
-    mutable = True
 
     def prepare(self, dataset: Any) -> GraphDataset:
         if isinstance(dataset, GraphDataset):
@@ -685,13 +658,16 @@ class GraphBackend(Backend):
             searcher = ParsSearcher(store, tau)
         return searcher.search
 
-    def distance(
-        self, store: GraphDataset, payload: Graph, obj_id: int, tau: float | int | None
-    ) -> float:
+    def distances(
+        self, store: GraphDataset, payload: Graph, ids: Sequence[int], tau: float | int | None
+    ) -> list[float]:
         # Capping the branch-and-bound keeps ranking cheap; top-k only ranks
         # ids that already matched at threshold tau, whose GED is <= tau.
         upper = int(tau) if tau is not None else None
-        return float(graph_edit_distance(store.graph(obj_id), payload, upper_bound=upper))
+        return [
+            float(graph_edit_distance(store.graph(obj_id), payload, upper_bound=upper))
+            for obj_id in ids
+        ]
 
     #: largest GED threshold top-k escalation will reach.  Exact GED is
     #: exponential in the threshold, so beyond this radius even a brute-force
@@ -718,11 +694,13 @@ class GraphBackend(Backend):
     def record_size(self, store: GraphDataset, record: Graph) -> int:
         return record.num_vertices + record.num_edges
 
-    def record_distance(
-        self, store: GraphDataset, payload: Graph, record: Graph, tau: float | int | None
-    ) -> float:
+    def record_distances(
+        self, store: GraphDataset, payload: Graph, records: Sequence[Any], tau: float | int | None
+    ) -> list[float]:
         upper = int(tau) if tau is not None else None
-        return float(graph_edit_distance(record, payload, upper_bound=upper))
+        return [
+            float(graph_edit_distance(record, payload, upper_bound=upper)) for record in records
+        ]
 
     def scan_records(
         self, store: GraphDataset, payload: Graph, records: Sequence[Any], tau: float | int

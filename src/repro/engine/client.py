@@ -456,30 +456,6 @@ class EngineClient:
             self._session = merge_session(self._session, token)
         return body
 
-    def upsert(
-        self,
-        backend: str,
-        record: Any,
-        obj_id: int | None = None,
-        durability: str | None = None,
-    ) -> int:
-        """Insert or overwrite one record; returns its id.
-
-        One-op shim over :meth:`mutate`.
-        """
-        body = self.mutate(
-            backend, [{"op": "upsert", "record": record, "id": obj_id}], durability
-        )
-        return int(body["results"][0]["id"])
-
-    def delete(self, backend: str, obj_id: int, durability: str | None = None) -> bool:
-        """Remove one id; True when it named a live object.
-
-        One-op shim over :meth:`mutate`.
-        """
-        body = self.mutate(backend, [{"op": "delete", "id": obj_id}], durability)
-        return bool(body["results"][0]["deleted"])
-
     def compact(self, backend: str | None = None) -> dict:
         """Fold the server's delta store(s) into rebuilt indexes."""
         payload: dict | None = None

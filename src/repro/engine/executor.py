@@ -12,9 +12,8 @@ adds the serving-layer machinery the per-domain searchers do not have:
 * **online mutation** -- :meth:`SearchEngine.mutate` applies a batch of
   upserts/deletes to a per-backend :class:`repro.engine.mutation.DeltaStore`
   (delta records answered by exact linear scan, tombstones filtered from
-  main answers); :meth:`SearchEngine.upsert` / :meth:`SearchEngine.delete`
-  are one-op shims over it, and :meth:`SearchEngine.compact` folds the
-  overlay into a rebuilt main index;
+  main answers), and :meth:`SearchEngine.compact` folds the overlay into a
+  rebuilt main index;
 * **durability** -- :meth:`SearchEngine.attach_wal` puts a write-ahead log
   (:mod:`repro.engine.wal`) under the mutation path: batches are appended
   and fsynced before the caller is acknowledged (``durability="wal"``),
@@ -46,7 +45,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import ExitStack
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any, Hashable, Sequence
 
 import numpy as np
@@ -218,6 +217,53 @@ def _tau_key(tau: float | int | None) -> Hashable:
     return (float(tau), is_int)
 
 
+@dataclass
+class _BackendState:
+    """Everything the engine holds for one attached backend name.
+
+    Created on first attach and kept for the engine's lifetime: a later
+    ``add_dataset`` / ``load_index`` of the same name replaces fields, never
+    the record, so the epochs stay monotonic.  Fields are assigned under
+    ``SearchEngine._lock``.
+    """
+
+    store: Any
+    # The delta/tombstone overlay of ``store``.
+    delta: DeltaStore
+    # Bumped whenever the store is replaced; part of every searcher/result
+    # cache key, so entries built against a replaced store can never be
+    # served again (even by a search that raced the replacement).
+    epoch: int = 0
+    # Bumped on every upsert/delete; part of the *result* cache key only --
+    # a mutation invalidates cached answers but the searchers, which serve
+    # the unchanged main store, stay warm.
+    mutation_epoch: int = 0
+    wal: WriteAheadLog | None = None
+    # WAL seq already folded into the last persisted container; replay
+    # after a crash skips batches at or below it.
+    checkpoint_seq: int = 0
+    container_dir: str | None = None
+    # Ops that land during a compaction rebuild, replayed onto the compacted
+    # overlay at the swap; None when no rebuild is in flight.
+    pending_ops: list[dict] | None = None
+    auto_policy: AutoCompactionPolicy | None = None
+    compaction_thread: threading.Thread | None = None
+    compaction_count: int = 0
+    compaction_error: str | None = None
+
+
+def _nothing_folded(backend_name: str, delta: DeltaStore) -> dict:
+    """The :meth:`SearchEngine.compact` summary when no rebuild was installed."""
+    return {
+        "backend": backend_name,
+        "compacted": False,
+        "folded_records": 0,
+        "dropped_tombstones": 0,
+        "checkpointed": False,
+        **delta.summary(),
+    }
+
+
 class SearchEngine:
     """A unified serving layer over the four similarity-search domains.
 
@@ -228,18 +274,7 @@ class SearchEngine:
     def __init__(self, cache_size: int = 1024):
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
-        self._stores: dict[str, Any] = {}
-        # Bumped whenever a backend's store is replaced; part of every
-        # searcher/result cache key, so entries built against a replaced
-        # store can never be served again (even by a search that raced the
-        # replacement).
-        self._epochs: dict[str, int] = {}
-        # Bumped on every upsert/delete; part of the *result* cache key only
-        # -- a mutation invalidates cached answers but the searchers, which
-        # serve the unchanged main store, stay warm.
-        self._mutation_epochs: dict[str, int] = {}
-        # Per-backend delta/tombstone overlay (None for immutable backends).
-        self._deltas: dict[str, DeltaStore | None] = {}
+        self._backends: dict[str, _BackendState] = {}
         self._searchers: OrderedDict[tuple, Any] = OrderedDict()
         self._cache: OrderedDict[tuple, Response] = OrderedDict()
         self._cache_size = cache_size
@@ -249,19 +284,6 @@ class SearchEngine:
         # lock (always taken OUTSIDE self._lock), so the WAL append order is
         # the overlay apply order -- the invariant replay depends on.
         self._writer_locks: dict[str, threading.Lock] = {}
-        self._wals: dict[str, WriteAheadLog] = {}
-        # WAL seq already folded into the last persisted container; replay
-        # after a crash skips batches at or below it.
-        self._checkpoint_seqs: dict[str, int] = {}
-        self._container_dirs: dict[str, str] = {}
-        # Compaction-in-flight bookkeeping: ops that land during a rebuild
-        # are buffered here and replayed onto the compacted overlay at swap.
-        self._compacting: dict[str, bool] = {}
-        self._pending_ops: dict[str, list[dict]] = {}
-        self._auto_policies: dict[str, AutoCompactionPolicy] = {}
-        self._compaction_threads: dict[str, threading.Thread] = {}
-        self._compaction_counts: dict[str, int] = {}
-        self._compaction_errors: dict[str, str | None] = {}
 
     # -- dataset management ------------------------------------------------
 
@@ -269,7 +291,7 @@ class SearchEngine:
         """Attach a domain dataset; the backend builds its store/index once."""
         backend = get_backend(backend_name)
         store = backend.prepare(dataset)
-        delta = backend.delta_store(store) if backend.mutable else None
+        delta = DeltaStore.fresh(backend.store_size(store))
         self._install(backend_name, store, delta, checkpoint_seq=0, directory=None)
         return store
 
@@ -277,47 +299,58 @@ class SearchEngine:
         self,
         backend_name: str,
         store: Any,
-        delta: DeltaStore | None,
+        delta: DeltaStore,
         checkpoint_seq: int,
         directory: str | None,
     ) -> None:
-        """Serve a freshly built or loaded store in place of the current one."""
-        with self._lock:
-            self._stores[backend_name] = store
-            self._deltas[backend_name] = delta
-            self._epochs[backend_name] = self._epochs.get(backend_name, 0) + 1
-            # A replaced store invalidates any WAL history: detach the log
-            # (the caller re-attaches one against the new state) and reset
-            # the checkpoint bookkeeping to what the new state folds in.
-            stale_wal = self._wals.pop(backend_name, None)
-            self._checkpoint_seqs[backend_name] = checkpoint_seq
-            if directory is None:
-                self._container_dirs.pop(backend_name, None)
-            else:
-                self._container_dirs[backend_name] = directory
-            self._evict_backend_state(backend_name)
-            self._observe_backend_state(backend_name)
-        if stale_wal is not None:
-            stale_wal.close()
+        """Serve a freshly built or loaded store in place of the current one.
+
+        Runs under the writer lock like every other state replacement, so
+        the stale WAL closed here is never one a :meth:`mutate` has already
+        read and is about to append to.
+        """
+        with self._writer_lock(backend_name):
+            with self._lock:
+                state = self._backends.get(backend_name)
+                if state is None:
+                    state = self._backends[backend_name] = _BackendState(store, delta)
+                else:
+                    state.store = store
+                    state.delta = delta
+                state.epoch += 1
+                # A replaced store invalidates any WAL history: detach the
+                # log (the caller re-attaches one against the new state) and
+                # reset the checkpoint bookkeeping to what the new state
+                # folds in.
+                stale_wal, state.wal = state.wal, None
+                state.checkpoint_seq = checkpoint_seq
+                state.container_dir = directory
+                self._evict_backend_state(backend_name)
+                self._observe_backend_state(backend_name, state)
+            if stale_wal is not None:
+                stale_wal.close()
 
     def backend(self, backend_name: str) -> Backend:
         return get_backend(backend_name)
 
-    def store(self, backend_name: str) -> Any:
+    def _state(self, backend_name: str) -> _BackendState:
         try:
-            return self._stores[backend_name]
+            return self._backends[backend_name]
         except KeyError:
-            attached = ", ".join(sorted(self._stores)) or "(none)"
+            attached = ", ".join(sorted(self._backends)) or "(none)"
             raise KeyError(
                 f"no dataset attached for backend {backend_name!r}; "
                 f"attached backends: {attached}"
             ) from None
 
+    def store(self, backend_name: str) -> Any:
+        return self._state(backend_name).store
+
     def _resolve_backend(self, backend_name: str | None) -> str:
         """``None`` means "the one attached backend" (the contract's default)."""
         if backend_name is not None:
             return backend_name
-        attached = sorted(self._stores)
+        attached = sorted(self._backends)
         if len(attached) != 1:
             raise ValueError(
                 f"this engine serves {len(attached)} backends "
@@ -329,7 +362,7 @@ class SearchEngine:
         """What this engine serves: every attached backend's descriptor and
         default threshold (the ``/manifest`` body)."""
         with self._lock:
-            stores = dict(self._stores)
+            stores = {name: state.store for name, state in self._backends.items()}
         backends = {}
         for name in sorted(stores):
             backend = get_backend(name)
@@ -346,34 +379,32 @@ class SearchEngine:
         for key in [key for key in self._cache if key[0] == backend_name]:
             del self._cache[key]
 
-    def _invalidate_results(self, backend_name: str) -> None:
+    def _invalidate_results(self, backend_name: str, state: _BackendState) -> None:
         """Evict cached responses after a mutation; searchers stay warm.
 
         The epoch bump also fences any search that raced the mutation: its
         response was keyed under the old mutation epoch and can never be
         served again, even though it may have seen the new overlay.
         """
-        self._mutation_epochs[backend_name] = self._mutation_epochs.get(backend_name, 0) + 1
+        state.mutation_epoch += 1
         for key in [key for key in self._cache if key[0] == backend_name]:
             del self._cache[key]
 
-    def _observe_backend_state(self, backend_name: str) -> None:
+    def _observe_backend_state(self, backend_name: str, state: _BackendState) -> None:
         """Refresh the epoch / delta-store gauges after a state change."""
         r = self._stats.registry
         r.gauge("engine_store_epoch", "main-store rebuild epoch", backend=backend_name).set(
-            self._epochs.get(backend_name, 0)
+            state.epoch
         )
         r.gauge("engine_mutation_epoch", "upsert/delete epoch", backend=backend_name).set(
-            self._mutation_epochs.get(backend_name, 0)
+            state.mutation_epoch
         )
-        delta = self._deltas.get(backend_name)
-        if delta is not None:
-            r.gauge(
-                "engine_delta_records", "records in the delta store", backend=backend_name
-            ).set(len(delta.records))
-            r.gauge(
-                "engine_delta_tombstones", "tombstoned main ids", backend=backend_name
-            ).set(len(delta.tombstones))
+        r.gauge(
+            "engine_delta_records", "records in the delta store", backend=backend_name
+        ).set(len(state.delta.records))
+        r.gauge(
+            "engine_delta_tombstones", "tombstoned main ids", backend=backend_name
+        ).set(len(state.delta.tombstones))
 
     # -- persistence -------------------------------------------------------
 
@@ -390,22 +421,23 @@ class SearchEngine:
         bounded.  The writer lock is held across the save so the (store,
         overlay, seq) triple on disk is always consistent.
         """
+        state = self._state(backend_name)
         with self._writer_lock(backend_name):
             with self._lock:
-                store = self.store(backend_name)
-                delta = self._deltas.get(backend_name)
-                wal = self._wals.get(backend_name)
+                store = state.store
+                delta = state.delta
+                wal = state.wal
                 if wal is not None:
                     seq = wal.last_seq
                 else:
-                    seq = self._checkpoint_seqs.get(backend_name, 0)
+                    seq = state.checkpoint_seq
             manifest = save_container(
                 self.backend(backend_name), store, directory, queries, delta=delta, wal_seq=seq
             )
             with self._lock:
-                self._container_dirs[backend_name] = directory
+                state.container_dir = directory
                 if wal is not None:
-                    self._checkpoint_seqs[backend_name] = seq
+                    state.checkpoint_seq = seq
             if wal is not None:
                 wal.truncate_upto(seq)
         return manifest
@@ -415,8 +447,8 @@ class SearchEngine:
         container = load_container(directory)
         backend = container.backend
         delta = container.delta
-        if delta is None and backend.mutable:
-            delta = backend.delta_store(container.store)
+        if delta is None:
+            delta = DeltaStore.fresh(backend.store_size(container.store))
         self._install(backend.name, container.store, delta, container.wal_seq, directory)
         return container
 
@@ -428,27 +460,18 @@ class SearchEngine:
         have no container and are skipped.
         """
         with self._lock:
-            directories = dict(self._container_dirs)
-        for name, directory in directories.items():
-            queries = self.backend(name).load_queries(directory)
-            self.save_index(name, directory, queries=queries)
+            directories = [(name, state.container_dir) for name, state in self._backends.items()]
+        for name, directory in directories:
+            if directory is not None:
+                queries = self.backend(name).load_queries(directory)
+                self.save_index(name, directory, queries=queries)
 
     # -- mutation ----------------------------------------------------------
 
-    def delta(self, backend_name: str) -> DeltaStore | None:
-        """The backend's current overlay (None for immutable backends)."""
-        self.store(backend_name)  # fail fast when nothing is attached
+    def delta(self, backend_name: str) -> DeltaStore:
+        """The backend's current overlay."""
         with self._lock:
-            return self._deltas.get(backend_name)
-
-    def _require_mutable(self, backend_name: str) -> tuple[Backend, Any]:
-        backend = self.backend(backend_name)
-        store = self.store(backend_name)
-        if not backend.mutable:
-            raise NotImplementedError(
-                f"backend {backend_name!r} does not support online mutation"
-            )
-        return backend, store
+            return self._state(backend_name).delta
 
     def _writer_lock(self, backend_name: str) -> threading.Lock:
         """The per-backend writer lock (always acquired OUTSIDE ``_lock``)."""
@@ -477,13 +500,14 @@ class SearchEngine:
         result per op in order: upserts report their assigned ``id``,
         deletes report ``deleted``.
         """
-        backend, store = self._require_mutable(backend_name)
+        backend = self.backend(backend_name)
+        state = self._state(backend_name)
         checked = check_ops(ops)
         for op in checked:
             if op["op"] == "upsert":
-                op["record"] = backend.check_record(store, op["record"])
+                op["record"] = backend.check_record(state.store, op["record"])
         with self._writer_lock(backend_name):
-            wal = self._wals.get(backend_name)
+            wal = state.wal
             level = durability if durability is not None else ("wal" if wal else "memory")
             if level not in DURABILITY_LEVELS:
                 accepted = ", ".join(DURABILITY_LEVELS)
@@ -495,7 +519,7 @@ class SearchEngine:
             results: list[dict] = []
             applied: list[dict] = []
             with self._lock:
-                delta = self._deltas[backend_name]
+                delta = state.delta
                 for op in checked:
                     if op["op"] == "upsert":
                         delta, assigned = delta.with_upsert(op["record"], op["id"])
@@ -505,14 +529,14 @@ class SearchEngine:
                         delta, deleted = delta.with_delete(op["id"])
                         applied.append({"op": "delete", "id": op["id"]})
                         results.append({"op": "delete", "id": op["id"], "deleted": deleted})
-                self._deltas[backend_name] = delta
-                if self._compacting.get(backend_name):
+                state.delta = delta
+                if state.pending_ops is not None:
                     # A rebuild is in flight against an older overlay
                     # snapshot; buffer the ops (with their assigned ids) so
                     # the swap can replay them onto the compacted overlay.
-                    self._pending_ops[backend_name].extend(applied)
-                self._invalidate_results(backend_name)
-                self._observe_backend_state(backend_name)
+                    state.pending_ops.extend(applied)
+                self._invalidate_results(backend_name, state)
+                self._observe_backend_state(backend_name, state)
             seq = None
             append_s = 0.0
             if wal is not None:
@@ -551,32 +575,8 @@ class SearchEngine:
                         "synced WAL append latency (write + flush + fsync)",
                         backend=backend_name,
                     ).observe(append_s)
-        self._maybe_auto_compact(backend_name)
+        self._maybe_auto_compact(backend_name, state)
         return {"backend": backend_name, "results": results, "durability": level, "wal_seq": seq}
-
-    def upsert(
-        self,
-        backend_name: str,
-        record: Any,
-        obj_id: int | None = None,
-        durability: str | None = None,
-    ) -> int:
-        """Insert a new record (``obj_id=None``) or overwrite an existing id.
-
-        One-op shim over :meth:`mutate`; returns the record's external id.
-        """
-        outcome = self.mutate(
-            backend_name, [{"op": "upsert", "record": record, "id": obj_id}], durability
-        )
-        return outcome["results"][0]["id"]
-
-    def delete(self, backend_name: str, obj_id: int, durability: str | None = None) -> bool:
-        """Remove one id (tombstoning its main copy); True if it was live.
-
-        One-op shim over :meth:`mutate`.
-        """
-        outcome = self.mutate(backend_name, [{"op": "delete", "id": obj_id}], durability)
-        return outcome["results"][0]["deleted"]
 
     def compact(self, backend_name: str | None = None) -> dict:
         """Fold the delta store into a rebuilt main index, off the write path.
@@ -589,51 +589,51 @@ class SearchEngine:
         swap, so none are lost.  With a WAL attached (and a known container
         directory) the swap also checkpoints: the compacted container is
         saved atomically and the WAL truncated at the swap-point sequence
-        number.  Returns a summary of what was folded.
+        number.  A rebuild that finishes after :meth:`add_dataset` /
+        :meth:`load_index` replaced the store it was built from is
+        discarded (``compacted: False``): the newer store keeps serving.
+        Returns a summary of what was folded.
         """
         backend_name = self._resolve_backend(backend_name)
-        backend, _ = self._require_mutable(backend_name)
+        backend = self.backend(backend_name)
+        state = self._state(backend_name)
         with self._lock:
-            if self._compacting.get(backend_name):
+            if state.pending_ops is not None:
                 raise RuntimeError(f"compaction already in progress for {backend_name!r}")
-            store = self.store(backend_name)
-            delta = self._deltas[backend_name]
+            store = state.store
+            delta = state.delta
+            epoch = state.epoch
             before = delta.summary()
             if delta.is_identity:
-                return {
-                    "backend": backend_name,
-                    "compacted": False,
-                    "folded_records": 0,
-                    "dropped_tombstones": 0,
-                    "checkpointed": False,
-                    **before,
-                }
-            self._compacting[backend_name] = True
-            self._pending_ops[backend_name] = []
+                return _nothing_folded(backend_name, delta)
+            state.pending_ops = []
         compact_start = time.perf_counter()
         try:
             new_store, new_delta = backend.apply_mutations(store, delta)
         except BaseException:
             with self._lock:
-                self._compacting[backend_name] = False
-                self._pending_ops.pop(backend_name, None)
+                state.pending_ops = None
             raise
         with self._writer_lock(backend_name):
             with self._lock:
-                for op in self._pending_ops.pop(backend_name, []):
+                pending, state.pending_ops = state.pending_ops or [], None
+                if state.epoch != epoch:
+                    # The rebuild (and the ops buffered for it) belong to a
+                    # store that is no longer the one served.
+                    return _nothing_folded(backend_name, state.delta)
+                for op in pending:
                     new_delta = apply_op(new_delta, op)
-                self._stores[backend_name] = new_store
-                self._deltas[backend_name] = new_delta
-                self._epochs[backend_name] = self._epochs.get(backend_name, 0) + 1
+                state.store = new_store
+                state.delta = new_delta
+                state.epoch += 1
                 self._evict_backend_state(backend_name)
-                self._observe_backend_state(backend_name)
-                self._compacting[backend_name] = False
-                wal = self._wals.get(backend_name)
-                directory = self._container_dirs.get(backend_name)
+                self._observe_backend_state(backend_name, state)
+                wal = state.wal
+                directory = state.container_dir
                 if wal is not None:
                     seq = wal.last_seq
                 else:
-                    seq = self._checkpoint_seqs.get(backend_name, 0)
+                    seq = state.checkpoint_seq
             checkpointed = False
             if wal is not None and directory is not None:
                 # The writer lock is still held: the saved (store, overlay,
@@ -641,7 +641,7 @@ class SearchEngine:
                 # truncation drops exactly the batches the save folded in.
                 save_container(backend, new_store, directory, delta=new_delta, wal_seq=seq)
                 with self._lock:
-                    self._checkpoint_seqs[backend_name] = seq
+                    state.checkpoint_seq = seq
                 wal.truncate_upto(seq)
                 checkpointed = True
         r = self._stats.registry
@@ -663,13 +663,7 @@ class SearchEngine:
     def mutation_info(self, backend_name: str | None = None) -> dict:
         """Overlay counters of one backend (``/stats`` and CLI surface)."""
         backend_name = self._resolve_backend(backend_name)
-        backend = self.backend(backend_name)
-        self.store(backend_name)
-        if not backend.mutable:
-            return {"backend": backend_name, "mutable": False}
-        with self._lock:
-            delta = self._deltas[backend_name]
-        return {"backend": backend_name, "mutable": True, **delta.summary()}
+        return {"backend": backend_name, **self.delta(backend_name).summary()}
 
     # -- durability --------------------------------------------------------
 
@@ -685,9 +679,9 @@ class SearchEngine:
 
         Returns a summary of the attach (including ``replayed_batches``).
         """
-        self._require_mutable(backend_name)
+        state = self._state(backend_name)
         with self._writer_lock(backend_name):
-            if self._wals.get(backend_name) is not None:
+            if state.wal is not None:
                 raise RuntimeError(f"backend {backend_name!r} already has a WAL attached")
             wal = WriteAheadLog(path)
             checkpoint = self.applied_seq(backend_name)
@@ -698,7 +692,7 @@ class SearchEngine:
                 raise
             wal.resume_from(checkpoint)
             with self._lock:
-                self._wals[backend_name] = wal
+                state.wal = wal
         return {
             "backend": backend_name,
             "checkpoint_seq": checkpoint,
@@ -713,9 +707,10 @@ class SearchEngine:
         the overlay now covers, batches replayed)``.
         """
         backend = self.backend(backend_name)
+        state = self._state(backend_name)
         applied, replayed = after_seq, 0
         with self._lock:
-            delta = self._deltas[backend_name]
+            delta = state.delta
             for batch in replay_batches(path, after_seq=after_seq):
                 if batch.backend and batch.backend != backend_name:
                     raise ValueError(
@@ -725,14 +720,14 @@ class SearchEngine:
                 ops = [op_from_wire(backend, doc) for doc in batch.ops]
                 for op in ops:
                     delta = apply_op(delta, op)
-                if self._compacting.get(backend_name):
-                    self._pending_ops[backend_name].extend(ops)
+                if state.pending_ops is not None:
+                    state.pending_ops.extend(ops)
                 applied = batch.seq
                 replayed += 1
-            self._deltas[backend_name] = delta
+            state.delta = delta
             if replayed:
-                self._invalidate_results(backend_name)
-                self._observe_backend_state(backend_name)
+                self._invalidate_results(backend_name, state)
+                self._observe_backend_state(backend_name, state)
         return applied, replayed
 
     def replay_wal(self, backend_name: str, path: str) -> dict:
@@ -748,11 +743,11 @@ class SearchEngine:
 
         Returns ``{"backend", "applied_seq", "replayed_batches"}``.
         """
-        self._require_mutable(backend_name)
+        state = self._state(backend_name)
         with self._writer_lock(backend_name):
             applied, replayed = self._replay(backend_name, path, self.applied_seq(backend_name))
             with self._lock:
-                self._checkpoint_seqs[backend_name] = applied
+                state.checkpoint_seq = applied
         return {
             "backend": backend_name,
             "applied_seq": applied,
@@ -762,7 +757,7 @@ class SearchEngine:
     def applied_seq(self, backend_name: str) -> int:
         """The WAL sequence this engine's state covers (checkpoint + replays)."""
         with self._lock:
-            return self._checkpoint_seqs.get(backend_name, 0)
+            return self._state(backend_name).checkpoint_seq
 
     def advance_applied_seq(self, backend_name: str, seq: int) -> int:
         """Record that the state now covers the parent-assigned ``seq``.
@@ -775,15 +770,16 @@ class SearchEngine:
         the mark backwards.
         """
         with self._lock:
-            current = self._checkpoint_seqs.get(backend_name, 0)
-            self._checkpoint_seqs[backend_name] = max(current, int(seq))
-            return self._checkpoint_seqs[backend_name]
+            state = self._state(backend_name)
+            state.checkpoint_seq = max(state.checkpoint_seq, int(seq))
+            return state.checkpoint_seq
 
     def detach_wal(self, backend_name: str) -> None:
         """Close and detach the backend's WAL (later mutates are memory-only)."""
+        state = self._state(backend_name)
         with self._writer_lock(backend_name):
             with self._lock:
-                wal = self._wals.pop(backend_name, None)
+                wal, state.wal = state.wal, None
             if wal is not None:
                 wal.close()
 
@@ -795,7 +791,7 @@ class SearchEngine:
         may still answer in-flight reads.  Idempotent.
         """
         with self._lock:
-            names = list(self._wals)
+            names = [name for name, state in self._backends.items() if state.wal is not None]
         for name in names:
             self.detach_wal(name)
 
@@ -817,51 +813,46 @@ class SearchEngine:
         background thread -- rebuild off the write path, buffered-op replay
         at the swap, and a WAL checkpoint when one is attached.
         """
-        self._require_mutable(backend_name)
+        state = self._state(backend_name)
         policy = policy if policy is not None else AutoCompactionPolicy()
         with self._lock:
-            self._auto_policies[backend_name] = policy
+            state.auto_policy = policy
         return policy
 
-    def _maybe_auto_compact(self, backend_name: str) -> None:
+    def _maybe_auto_compact(self, backend_name: str, state: _BackendState) -> None:
         """Fire the auto-compaction policy after a mutation batch, at most once."""
-        policy = self._auto_policies.get(backend_name)
+        policy = state.auto_policy
         if policy is None:
             return
         with self._lock:
-            if self._compacting.get(backend_name):
+            if state.pending_ops is not None:
                 return
-            thread = self._compaction_threads.get(backend_name)
+            thread = state.compaction_thread
             if thread is not None and thread.is_alive():
                 return
-            delta = self._deltas.get(backend_name)
-            if delta is None:
-                return
             if not policy.should_compact(
-                len(delta.records), self._stats.avg_generated(backend_name)
+                len(state.delta.records), self._stats.avg_generated(backend_name)
             ):
                 return
             thread = threading.Thread(
                 target=self._auto_compact,
-                args=(backend_name,),
+                args=(backend_name, state),
                 name=f"auto-compact-{backend_name}",
                 daemon=True,
             )
-            self._compaction_threads[backend_name] = thread
+            state.compaction_thread = thread
         thread.start()
 
-    def _auto_compact(self, backend_name: str) -> None:
+    def _auto_compact(self, backend_name: str, state: _BackendState) -> None:
         try:
             self.compact(backend_name)
         except Exception as exc:  # surfaced via durability_info, never raised
             with self._lock:
-                self._compaction_errors[backend_name] = repr(exc)
+                state.compaction_error = repr(exc)
             return
         with self._lock:
-            self._compaction_counts[backend_name] = (
-                self._compaction_counts.get(backend_name, 0) + 1
-            )
-            self._compaction_errors[backend_name] = None
+            state.compaction_count += 1
+            state.compaction_error = None
         self._stats.registry.counter(
             "engine_auto_compactions_total",
             "background compactions completed",
@@ -874,7 +865,7 @@ class SearchEngine:
         """Block until any in-flight background compaction finishes."""
         backend_name = self._resolve_backend(backend_name)
         with self._lock:
-            thread = self._compaction_threads.get(backend_name)
+            thread = self._state(backend_name).compaction_thread
         if thread is None:
             return True
         thread.join(timeout)
@@ -883,30 +874,25 @@ class SearchEngine:
     def durability_info(self, backend_name: str | None = None) -> dict:
         """WAL, checkpoint and auto-compaction state of one backend."""
         backend_name = self._resolve_backend(backend_name)
-        backend = self.backend(backend_name)
-        self.store(backend_name)
-        if not backend.mutable:
-            return {"backend": backend_name, "mutable": False}
+        state = self._state(backend_name)
         with self._lock:
-            wal = self._wals.get(backend_name)
-            policy = self._auto_policies.get(backend_name)
-            delta = self._deltas[backend_name]
+            wal = state.wal
+            policy = state.auto_policy
             info = {
                 "backend": backend_name,
-                "mutable": True,
                 "default_durability": "wal" if wal is not None else "memory",
-                "checkpoint_seq": self._checkpoint_seqs.get(backend_name, 0),
-                "checkpoint_dir": self._container_dirs.get(backend_name),
-                "delta": delta.summary(),
+                "checkpoint_seq": state.checkpoint_seq,
+                "checkpoint_dir": state.container_dir,
+                "delta": state.delta.summary(),
                 "auto_compaction": {"enabled": False},
             }
             if policy is not None:
                 info["auto_compaction"] = {
                     "enabled": True,
                     **policy.summary(),
-                    "in_flight": bool(self._compacting.get(backend_name)),
-                    "compactions": self._compaction_counts.get(backend_name, 0),
-                    "last_error": self._compaction_errors.get(backend_name),
+                    "in_flight": state.pending_ops is not None,
+                    "compactions": state.compaction_count,
+                    "last_error": state.compaction_error,
                 }
         info["wal"] = {"attached": False} if wal is None else {"attached": True, **wal.describe()}
         return info
@@ -920,16 +906,20 @@ class SearchEngine:
     def reset_stats(self) -> None:
         with self._lock:
             self._stats = EngineStats()
+            # The state gauges are otherwise only set on the next change.
+            for name, state in self._backends.items():
+                self._observe_backend_state(name, state)
 
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()
 
     def _cache_key(self, query: Query, backend: Backend) -> tuple:
+        state = self._backends[query.backend]
         return (
             query.backend,
-            self._epochs.get(query.backend, 0),
-            self._mutation_epochs.get(query.backend, 0),
+            state.epoch,
+            state.mutation_epoch,
             backend.query_key(query.payload),
             _tau_key(query.tau),
             query.chain_length,
@@ -964,14 +954,11 @@ class SearchEngine:
                 self._searchers.popitem(last=False)
         return searcher
 
-    def _snapshot(self, backend_name: str) -> tuple[Any, DeltaStore | None, int]:
+    def _snapshot(self, backend_name: str) -> tuple[Any, DeltaStore, int]:
         """The current (store, overlay, store epoch), read atomically."""
         with self._lock:
-            return (
-                self.store(backend_name),
-                self._deltas.get(backend_name),
-                self._epochs.get(backend_name, 0),
-            )
+            state = self._state(backend_name)
+            return state.store, state.delta, state.epoch
 
     def _search_threshold(self, query: Query, backend: Backend) -> Response:
         """One tau-selection: main index answer merged with the delta scan."""
@@ -982,7 +969,7 @@ class SearchEngine:
         ids = list(outcome.results)
         num_candidates = outcome.num_candidates
         num_generated = outcome.extra.get("generated")
-        if delta is not None and delta.mutated:
+        if delta.mutated:
             # Map main positions to external ids, drop tombstoned objects,
             # scan the whole delta through the backend's batched kernel, and
             # return the union sorted by id -- the answer an index rebuilt
@@ -1026,7 +1013,7 @@ class SearchEngine:
         """
         backend = self.backend(backend_name)
         store, delta, _epoch = self._snapshot(backend_name)
-        if delta is None or not delta.mutated:
+        if not delta.mutated:
             return backend.distances(store, payload, list(ids), tau)
         scores: list[float | None] = [None] * len(ids)
         delta_slots: list[int] = []
@@ -1056,7 +1043,7 @@ class SearchEngine:
         """The top-k threshold ladder over the *live* record population."""
         backend = self.backend(backend_name)
         store, delta, _epoch = self._snapshot(backend_name)
-        if delta is None or not delta.mutated or not backend.ladder_uses_max_size:
+        if not delta.mutated or not backend.ladder_uses_max_size:
             return list(backend.tau_ladder(store, payload, start))
         if not delta.records and not delta.tombstones:
             # Post-compaction (or all mutations cancelled out): the live

@@ -571,7 +571,7 @@ class ReplicaSet:
 
     # -- respawn / readmission ---------------------------------------------
 
-    def respawn(self, replica: Replica, wal_path: str | None) -> Replica:
+    def respawn(self, replica: Replica) -> Replica:
         """Replace one replica's worker process and re-converge its state.
 
         The fresh worker reloads the shard container, replays the shared
@@ -598,9 +598,9 @@ class ReplicaSet:
         with self._lock:
             replica.applied_seq = seq
             replica.state = CATCHING_UP
-        return self._readmit(replica, wal_path)
+        return self._readmit(replica)
 
-    def _readmit(self, replica: Replica, wal_path: str | None, max_rounds: int = 64) -> Replica:
+    def _readmit(self, replica: Replica, max_rounds: int = 64) -> Replica:
         """Catch a replica up with the WAL lineage, then mark it live.
 
         Catch-up replays happen off the write lock (writes keep flowing);
@@ -609,8 +609,8 @@ class ReplicaSet:
         with *exactly* the lineage state and no write can land in between.
         """
         try:
-            if wal_path is not None and self._wal is not None:
-                replay = (_worker_call, "replay_wal", self._backend, wal_path)
+            if self._wal is not None:
+                replay = (_worker_call, "replay_wal", self._backend, self._wal.path)
                 applied = int(
                     replica.pool.submit(_worker_call, "applied_seq", self._backend).result()
                 )
@@ -634,7 +634,7 @@ class ReplicaSet:
             ) from exc
         return replica
 
-    def heal(self, wal_path: str | None) -> list[Replica]:
+    def heal(self) -> list[Replica]:
         """Respawn every dead replica (the supervisor's per-tick sweep).
 
         Also notices replicas whose process was killed but whose pool has
@@ -651,7 +651,7 @@ class ReplicaSet:
             if not needs:
                 continue
             try:
-                self.respawn(replica, wal_path)
+                self.respawn(replica)
             except ShardWorkerError:
                 continue
             healed.append(replica)
@@ -664,7 +664,7 @@ class ReplicaSet:
         with self._lock:
             return self._compacting
 
-    def compact(self, persist_dir: str | None, wal_path: str | None) -> dict:
+    def compact(self, persist_dir: str | None) -> dict:
         """Compact the set's replicas; rolling when there are siblings.
 
         With one replica this is the classic in-place compaction.  With
@@ -682,12 +682,12 @@ class ReplicaSet:
                 )
             self._compacting = True
         try:
-            return self._compact_impl(persist_dir, wal_path)
+            return self._compact_impl(persist_dir)
         finally:
             with self._lock:
                 self._compacting = False
 
-    def _compact_impl(self, persist_dir: str | None, wal_path: str | None) -> dict:
+    def _compact_impl(self, persist_dir: str | None) -> dict:
         with self._lock:
             targets = [r for r in self.replicas if r.state == LIVE]
         if not targets:
@@ -726,7 +726,7 @@ class ReplicaSet:
             compacted += 1
             if drained:
                 try:
-                    self._readmit(replica, wal_path)
+                    self._readmit(replica)
                 except ShardWorkerError:
                     continue
         if summary is None:
@@ -740,6 +740,11 @@ class ReplicaSet:
         return summary
 
     # -- introspection -----------------------------------------------------
+
+    @property
+    def wal(self) -> WriteAheadLog | None:
+        """The shard's parent-owned log (its ``path`` is the lineage file)."""
+        return self._wal
 
     def status(self) -> list[dict]:
         """Per-replica state for ``/stats`` and ``shard_health()``.

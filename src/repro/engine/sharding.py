@@ -388,8 +388,6 @@ class ShardedEngine:
             multiprocessing.get_context(mp_context) if mp_context is not None else None
         )
         self._sets: list[ReplicaSet] = []
-        self._wals: list[WriteAheadLog | None] = []
-        self._wal_paths: list[str | None] = []
         self._supervisor: diag.Supervisor | None = None
         # Background compaction checkpoints into the WAL lineage, so it is
         # armed only when there is one.
@@ -407,21 +405,18 @@ class ShardedEngine:
                 wal_path = (
                     os.path.join(wal_dir, f"{shard['path']}.wal") if wal_dir is not None else None
                 )
-                wal = WriteAheadLog(wal_path) if wal_path is not None else None
                 initargs = (
                     os.path.join(directory, shard["path"]),
                     shard["lo"],
                     cache_size,
                     wal_path,
                 )
-                self._wals.append(wal)
-                self._wal_paths.append(wal_path)
                 self._sets.append(
                     ReplicaSet(
                         shard_id,
                         spawn=functools.partial(self._spawn_pool, initargs),
                         num_replicas=replicas,
-                        wal=wal,
+                        wal=WriteAheadLog(wal_path) if wal_path is not None else None,
                         backend=self._backend_name,
                         on_death=functools.partial(self._observe_shard_error, shard_id),
                         on_failover=functools.partial(self._observe_failover, shard_id),
@@ -480,9 +475,8 @@ class ShardedEngine:
         """
         self._require_open()
         rset = self._sets[shard_id]
-        wal_path = self._wal_paths[shard_id]
         for replica in rset.replicas:
-            rset.respawn(replica, wal_path)
+            rset.respawn(replica)
         if self._profile_hz is not None:
             # The old workers took their profilers with them; re-arm.
             for replica in rset.replicas:
@@ -495,7 +489,7 @@ class ShardedEngine:
         self._tick_count += 1
         if self._num_replicas > 1:
             for shard_id, rset in enumerate(self._sets):
-                healed = rset.heal(self._wal_paths[shard_id])
+                healed = rset.heal()
                 if self._profile_hz is not None:
                     for replica in healed:
                         try:
@@ -535,10 +529,8 @@ class ShardedEngine:
         sets, self._sets = self._sets, []
         for rset in sets:
             rset.close()
-        wals, self._wals = self._wals, []
-        for wal in wals:
-            if wal is not None:
-                wal.close()
+            if rset.wal is not None:
+                rset.wal.close()
 
     def __enter__(self) -> "ShardedEngine":
         return self
@@ -646,12 +638,11 @@ class ShardedEngine:
         """Per-shard replica lifecycle view (the ``/stats`` replica table)."""
         status = []
         for shard_id, rset in enumerate(self._sets):
-            wal = self._wals[shard_id]
             status.append(
                 {
                     "shard_id": shard_id,
                     "num_replicas": self._num_replicas,
-                    "wal_last_seq": wal.last_seq if wal is not None else None,
+                    "wal_last_seq": rset.wal.last_seq if rset.wal is not None else None,
                     "replicas": rset.status(),
                 }
             )
@@ -777,26 +768,6 @@ class ShardedEngine:
             "wal_seq": wal_seqs,
         }
 
-    def upsert(
-        self,
-        backend_name: str,
-        record: Any,
-        obj_id: int | None = None,
-        durability: str | None = None,
-    ) -> int:
-        """Insert or overwrite one record (a one-op :meth:`mutate` batch)."""
-        outcome = self.mutate(
-            backend_name, [{"op": "upsert", "record": record, "id": obj_id}], durability
-        )
-        return int(outcome["results"][0]["id"])
-
-    def delete(
-        self, backend_name: str, obj_id: int, durability: str | None = None
-    ) -> bool:
-        """Remove one external id (a one-op :meth:`mutate` batch)."""
-        outcome = self.mutate(backend_name, [{"op": "delete", "id": obj_id}], durability)
-        return bool(outcome["results"][0]["deleted"])
-
     def _compact_shard(self, shard_id: int) -> dict:
         rset = self._sets[shard_id]
         # Persist (and afterwards truncate the WAL) only when a WAL exists;
@@ -804,10 +775,10 @@ class ShardedEngine:
         # containers, exactly as the single-worker engine always has.
         persist_dir = (
             os.path.join(self._directory, self._manifest["shards"][shard_id]["path"])
-            if self._wals[shard_id] is not None
+            if rset.wal is not None
             else None
         )
-        summary = dict(rset.compact(persist_dir, self._wal_paths[shard_id]))
+        summary = dict(rset.compact(persist_dir))
         summary["shard_id"] = shard_id
         return summary
 
@@ -825,7 +796,7 @@ class ShardedEngine:
         self._check_backend(backend_name)
         shards = [self._compact_shard(shard_id) for shard_id in range(len(self._sets))]
         after = self.mutation_info()
-        del after["mutable"], after["per_shard"]
+        del after["per_shard"]
         return {
             "compacted": any(shard["compacted"] for shard in shards),
             "folded_records": sum(shard.get("folded_records", 0) for shard in shards),
@@ -861,7 +832,6 @@ class ShardedEngine:
         ]
         return {
             "backend": self._backend_name,
-            "mutable": True,
             **self._sum_deltas(per_shard),
             "per_shard": per_shard,
         }
@@ -880,7 +850,7 @@ class ShardedEngine:
         per_shard = []
         for shard_id, rset in enumerate(self._sets):
             info = dict(self._shard_call(shard_id, "durability_info"), shard_id=shard_id)
-            wal = self._wals[shard_id]
+            wal = rset.wal
             info["default_durability"] = "wal" if wal is not None else "memory"
             info["wal"] = (
                 {"attached": True, **wal.describe()} if wal is not None else {"attached": False}
@@ -910,7 +880,6 @@ class ShardedEngine:
             }
         return {
             "backend": self._backend_name,
-            "mutable": True,
             "default_durability": per_shard[0]["default_durability"],
             # One WAL lineage per shard, so one checkpoint per shard (keyed
             # like a mutation's ``wal_seq``).
@@ -955,7 +924,7 @@ class ShardedEngine:
                 shard_id, "save_index", self._backend_name, directory
             )
             shard["descriptor"] = container_manifest["descriptor"]
-            wal = self._wals[shard_id]
+            wal = self._sets[shard_id].wal
             if wal is not None:
                 checkpoint = int(container_manifest.get("wal_seq", 0) or 0)
                 if checkpoint:

@@ -169,7 +169,7 @@ def decode_query(body: Any) -> Query:
     shape, unknown backend, undecodable payload, or parameters the
     :class:`Query` validator rejects (non-int ``k``, NaN ``tau``, ...).
     """
-    backend = _decode_backend(body, mutable=False)
+    backend = _decode_backend(body)
     backend_name = backend.name
     if "payload" not in body:
         raise WireFormatError("the request is missing 'payload'")
@@ -206,9 +206,8 @@ def decode_query(body: Any) -> Query:
         raise WireFormatError(str(exc)) from exc
 
 
-def _decode_backend(body: Any, required: bool = True, mutable: bool = True) -> Any:
-    """Resolve the ``backend`` field of a request body (for a mutation body,
-    ``mutable``, it must also name a backend that supports mutation)."""
+def _decode_backend(body: Any, required: bool = True) -> Any:
+    """Resolve the ``backend`` field of a request body."""
     if not isinstance(body, dict):
         raise WireFormatError("the request body must be a JSON object")
     _check_schema_version(body)
@@ -224,8 +223,6 @@ def _decode_backend(body: Any, required: bool = True, mutable: bool = True) -> A
             f"unknown backend {backend_name!r}; available: "
             f"{', '.join(available_backends())}"
         ) from None
-    if mutable and not backend.mutable:
-        raise WireFormatError(f"backend {backend_name!r} does not support mutation")
     return backend
 
 

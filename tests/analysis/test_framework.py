@@ -86,6 +86,39 @@ def test_module_name():
     assert AnalysisContext.module_name("src/repro/analysis/__init__.py") == "repro.analysis"
 
 
+def test_size_report_counts_code_not_prose(make_tree):
+    root = make_tree(
+        {
+            "src/repro/engine/sized.py": """
+            \"\"\"Module docstring,
+            two lines.\"\"\"
+
+            # a comment-only line
+            BANNER = \"\"\"a literal
+
+            # that keeps its blank and hash lines\"\"\"
+
+
+            def double(value):
+                \"\"\"Docstring.\"\"\"
+                return (
+                    # explains the next line
+                    value * 2  # trailing comments ride on a code line
+                )
+            """,
+            "src/repro/common/empty.py": "",
+            "src/repro/other/ignored.py": "x = 1\n",
+        }
+    )
+    sizes = run_analysis(root, rules=[]).sizes
+    # BANNER's three lines, def, return (, value * 2, ).
+    assert sizes["src/repro/engine"] == {
+        "modules": {"src/repro/engine/sized.py": 7},
+        "total": 7,
+    }
+    assert sizes["src/repro/common"] == {"modules": {"src/repro/common/empty.py": 0}, "total": 0}
+
+
 def test_repository_is_clean_under_strict():
     report = run_analysis(str(REPO_ROOT))
     assert report.findings == []
@@ -123,3 +156,4 @@ def test_cli_json_output_and_exit_code(make_tree):
     assert payload["rules_run"] == ["exception-hygiene"]
     assert len(payload["findings"]) == 1
     assert payload["findings"][0]["file"] == "src/repro/broken.py"
+    assert payload["sizes"]["src/repro/engine"] == {"modules": {}, "total": 0}

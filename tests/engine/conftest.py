@@ -44,6 +44,18 @@ def engine(datasets):
     engine.close()
 
 
+def upsert(target, backend, record, obj_id=None, durability=None):
+    """One upsert as a ``mutate`` batch (engine or client); the record's id."""
+    op = {"op": "upsert", "record": record, "id": obj_id}
+    return target.mutate(backend, [op], durability)["results"][0]["id"]
+
+
+def delete(target, backend, obj_id, durability=None):
+    """One delete as a ``mutate`` batch (engine or client); whether it was live."""
+    op = {"op": "delete", "id": obj_id}
+    return target.mutate(backend, [op], durability)["results"][0]["deleted"]
+
+
 DEFAULT_TAUS = {"hamming": 16, "sets": 0.6, "strings": 2, "graphs": 3}
 
 

@@ -29,6 +29,8 @@ from repro.sets import ColumnarSetSearcher, RingSetSearcher, SetDataset
 from repro.sets.similarity import JaccardPredicate, OverlapPredicate
 from repro.strings import ColumnarStringSearcher, RingStringSearcher, StringDataset
 
+from .conftest import delete, upsert
+
 #: The reference algorithm per domain.
 REFERENCE = {
     "hamming": "linear",
@@ -201,10 +203,10 @@ def test_mutated_index_byte_identical_to_rebuild(name, datasets, payloads, workl
     rng = random.Random(77)
     # Upsert recycled records (fresh ids), overwrite one id, delete a few.
     for index in range(8):
-        engine.upsert(name, records[rng.randrange(len(records))])
-    engine.upsert(name, records[0], obj_id=1)
+        upsert(engine, name, records[rng.randrange(len(records))])
+    upsert(engine, name, records[0], obj_id=1)
     for obj_id in (2, 5, len(records) + 2):
-        engine.delete(name, obj_id)
+        delete(engine, name, obj_id)
 
     delta = engine.delta(name)
     live_ids, live_records = delta.live_records(backend.store_records(store))
@@ -257,10 +259,10 @@ def test_hamming_wide_codes_after_mutation_and_topk():
     engine.add_dataset("hamming", dataset)
     rng = random.Random(78)
     for _ in range(6):
-        engine.upsert("hamming", workload.vectors[rng.randrange(150)])
-    engine.upsert("hamming", workload.vectors[0], obj_id=1)
+        upsert(engine, "hamming", workload.vectors[rng.randrange(150)])
+    upsert(engine, "hamming", workload.vectors[0], obj_id=1)
     for obj_id in (2, 5, 152):
-        engine.delete("hamming", obj_id)
+        delete(engine, "hamming", obj_id)
     for compacted in (False, True):
         if compacted:
             engine.compact("hamming")

@@ -29,6 +29,8 @@ from repro.engine import (
     register_backend,
 )
 
+from .conftest import upsert
+
 TOPOLOGIES = ("plain", "sharded")
 #: Keys only the sharded engine's answers carry.
 SHARDED_EXTRAS = {"shards", "per_shard"}
@@ -135,7 +137,7 @@ def test_endpoints_have_the_same_keys_over_http(opened, query_payloads):
         with ServerThread(engine) as handle, EngineClient(handle.url) as client:
             tau = client.manifest()["backends"]["sets"]["default_tau"]
             assert client.search("sets", query_payloads["sets"][0], tau=tau).ids is not None
-            client.upsert("sets", [901, 902, 903])
+            upsert(client, "sets", [901, 902, 903])
             bodies[topology] = {
                 "manifest": client.manifest(),
                 "compact": client.compact(),
@@ -210,6 +212,20 @@ def test_open_mutate_flush_reopen_round_trips(topology, fresh, query_payloads):
         reopened.close()
     # The stored query workload rides through a flush untouched.
     assert get_backend("sets").load_queries(directory) == query_payloads["sets"]
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_a_one_op_batch_reports_the_assigned_id_and_the_deleted_flag(topology, opened):
+    """``mutate`` is the only write call: what a caller unwraps from one op."""
+    engine = opened[topology]
+    appended = engine.mutate("sets", [{"op": "upsert", "record": [901, 902]}])["results"]
+    assert appended == [{"op": "upsert", "id": 150}] and type(appended[0]["id"]) is int
+    overwritten = engine.mutate("sets", [{"op": "upsert", "record": [903], "id": 7}])["results"]
+    assert overwritten == [{"op": "upsert", "id": 7}] and type(overwritten[0]["id"]) is int
+    for expected in (True, False):  # the second delete finds nothing live
+        deleted = engine.mutate("sets", [{"op": "delete", "id": 150}])["results"]
+        assert deleted == [{"op": "delete", "id": 150, "deleted": expected}]
+        assert deleted[0]["deleted"] is expected
 
 
 # ---------------------------------------------------------------------------

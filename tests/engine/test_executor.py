@@ -8,6 +8,8 @@ import pytest
 
 from repro.engine import Query, SearchEngine
 
+from .conftest import delete, upsert
+
 
 def _workload_queries(query_payloads, taus, name, algorithm="ring"):
     return [
@@ -204,11 +206,11 @@ def test_mutation_evicts_stale_cached_responses(engine, query_payloads, taus):
     query = Query(backend="strings", payload=payload, tau=taus["strings"])
     engine.search(query)
     assert engine.search(query).cached
-    new_id = engine.upsert("strings", str(payload))  # an exact match, distance 0
+    new_id = upsert(engine, "strings", str(payload))  # an exact match, distance 0
     refreshed = engine.search(query)
     assert not refreshed.cached, "a cached Response survived an upsert"
     assert new_id in refreshed.ids
-    engine.delete("strings", new_id)
+    delete(engine, "strings", new_id)
     after_delete = engine.search(query)
     assert not after_delete.cached, "a cached Response survived a delete"
     assert new_id not in after_delete.ids
@@ -224,7 +226,7 @@ def test_mutation_keeps_other_backends_cached(engine, query_payloads, taus):
     )
     engine.search(strings_query)
     engine.search(hamming_query)
-    engine.upsert("strings", "brand new record")
+    upsert(engine, "strings", "brand new record")
     assert not engine.search(strings_query).cached
     assert engine.search(hamming_query).cached
 
@@ -246,13 +248,43 @@ def test_store_replacement_evicts_responses_and_searchers(query_payloads, taus):
     assert refreshed.ids == [1]
 
 
+def test_compaction_that_finishes_after_a_reload_is_discarded():
+    """A rebuild of a store that was replaced meanwhile must not be installed."""
+    from repro.engine import get_backend, register_backend
+    from repro.strings import StringDataset
+
+    original = get_backend("strings")
+    engine = SearchEngine(cache_size=8)
+
+    class ReloadsDuringRebuild(type(original)):
+        def apply_mutations(self, store, delta):
+            rebuilt = super().apply_mutations(store, delta)
+            engine.add_dataset("strings", StringDataset(["zeta", "eta", "theta"], kappa=2))
+            return rebuilt
+
+    engine.add_dataset("strings", StringDataset(["alpha", "beta", "gamma", "delta"], kappa=2))
+    upsert(engine, "strings", "epsilon")
+    register_backend(ReloadsDuringRebuild(), replace=True)
+    try:
+        summary = engine.compact("strings")
+    finally:
+        register_backend(original, replace=True)
+    assert summary["compacted"] is False and summary["delta_records"] == 0
+    assert engine.store("strings").records == ["zeta", "eta", "theta"]
+    assert engine.search(Query(backend="strings", payload="zeta", tau=1)).ids == [0, 1]
+    # Nothing is left in flight: writes and compactions carry on.
+    assert upsert(engine, "strings", "iota") == 3
+    assert engine.compact("strings")["compacted"] is True
+    assert engine.store("strings").records == ["zeta", "eta", "theta", "iota"]
+
+
 def test_compaction_evicts_stale_searchers(engine, query_payloads, taus):
     """After compact the main store changed: searchers must be rebuilt."""
     payload = query_payloads["sets"][0]
     query = Query(backend="sets", payload=payload, tau=taus["sets"])
     before = engine.search(query)
     doomed = min(before.ids, default=0)
-    engine.delete("sets", doomed)
+    delete(engine, "sets", doomed)
     engine.compact("sets")
     after = engine.search(query)
     # Compaction shifts main positions: a stale searcher would emit wrong

@@ -26,6 +26,8 @@ from repro.engine.wire import (
     encode_mutate,
 )
 
+from .conftest import delete, upsert
+
 # ---------------------------------------------------------------------------
 # Engine surface
 # ---------------------------------------------------------------------------
@@ -88,8 +90,8 @@ def test_mutate_durability_levels(engine, tmp_path):
 
 
 def test_upsert_and_delete_are_one_op_batches(engine):
-    assigned = engine.upsert("strings", "shimmed")
-    assert engine.delete("strings", assigned) is True
+    assigned = upsert(engine, "strings", "shimmed")
+    assert delete(engine, "strings", assigned) is True
     counter = engine.stats.registry.get("engine_mutation_batches_total", backend="strings")
     assert counter is not None and counter.value >= 2
 
@@ -165,9 +167,9 @@ def test_mutate_endpoint_and_client_shims(engine, tmp_path):
         assert outcome["results"][1] == {"op": "delete", "id": 0, "deleted": True}
         upserted = outcome["results"][0]["id"]
         assert client.search("sets", [901, 902, 903], tau=3).ids == [upserted]
-        # One-op shims ride the same batch path end to end.
-        assigned = client.upsert("sets", [1, 3, 5], durability="memory")
-        assert client.delete("sets", assigned) is True
+        # One-op batches ride the same path end to end.
+        assigned = upsert(client, "sets", [1, 3, 5], durability="memory")
+        assert delete(client, "sets", assigned) is True
 
 
 def test_mutate_endpoint_rejects_malformed_batches(engine):
@@ -204,13 +206,13 @@ def test_server_config_rejects_bad_durability():
 
 def test_failed_save_leaves_the_old_container_intact(engine, tmp_path, monkeypatch):
     directory = str(tmp_path / "idx")
-    engine.upsert("sets", [1, 2, 3])
+    upsert(engine, "sets", [1, 2, 3])
     engine.save_index("sets", directory)
     before = SearchEngine()
     before.load_index(directory)
     baseline = before.mutation_info("sets")
 
-    engine.upsert("sets", [4, 5, 6])
+    upsert(engine, "sets", [4, 5, 6])
     import repro.engine.persistence as persistence
 
     real_replace = os.replace

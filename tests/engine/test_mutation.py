@@ -24,6 +24,8 @@ from repro.hamming import BinaryVectorDataset
 from repro.sets import SetDataset
 from repro.strings import StringDataset
 
+from .conftest import delete, upsert
+
 DOMAINS = ("hamming", "sets", "strings", "graphs")
 
 #: Threshold / top-k parameters per domain (graphs kept small: exact GED).
@@ -113,18 +115,18 @@ def _apply_random_mutations(
         action = rng.random()
         if action < 0.5 or not records:
             record = next(pool)
-            assigned = target.upsert(domain, record)
+            assigned = upsert(target, domain, record)
             assert assigned == next_id
             records[assigned] = record
             next_id += 1
         elif action < 0.75:
             obj_id = rng.choice(sorted(records))
             record = next(pool)
-            assert target.upsert(domain, record, obj_id) == obj_id
+            assert upsert(target, domain, record, obj_id) == obj_id
             records[obj_id] = record
         else:
             obj_id = rng.choice(sorted(records))
-            assert target.delete(domain, obj_id) is True
+            assert delete(target, domain, obj_id) is True
             del records[obj_id]
     return records
 
@@ -146,10 +148,10 @@ def _seed_topk_neighbours(target, domain: str, payloads, records: dict) -> dict:
     k = PARAMS["graphs"]["k"]
     for index, payload in enumerate(payloads):
         for low_id in range(index * k, index * k + k):
-            assert target.upsert(domain, payload.copy(), low_id) == low_id
+            assert upsert(target, domain, payload.copy(), low_id) == low_id
             records[low_id] = payload.copy()
         for _ in range(k):
-            assigned = target.upsert(domain, payload.copy())
+            assigned = upsert(target, domain, payload.copy())
             records[assigned] = payload.copy()
     return records
 
@@ -216,8 +218,8 @@ def test_mutated_engine_matches_rebuild(domain, topology, datasets, query_payloa
 
 def test_plain_container_roundtrips_live_delta(engine, query_payloads, tmp_path):
     directory = str(tmp_path / "sets-idx")
-    engine.upsert("sets", [1, 2, 3, 4])
-    engine.delete("sets", 0)
+    upsert(engine, "sets", [1, 2, 3, 4])
+    delete(engine, "sets", 0)
     manifest = engine.save_index("sets", directory)
     assert manifest["format_version"] == 2
     assert manifest["mutations"]["delta_records"] == 1
@@ -228,7 +230,7 @@ def test_plain_container_roundtrips_live_delta(engine, query_payloads, tmp_path)
         query = Query(backend="sets", payload=payload, tau=0.5)
         assert restored.search(query).ids == engine.search(query).ids
     # Ids keep advancing from the persisted high-water mark.
-    assert restored.upsert("sets", [9, 9, 1]) == engine.delta("sets").next_id
+    assert upsert(restored, "sets", [9, 9, 1]) == engine.delta("sets").next_id
 
 
 def test_unmutated_container_stays_format_v1(engine, tmp_path):
@@ -250,7 +252,7 @@ def test_sharded_flush_reloads_mutations(datasets, query_payloads, tmp_path):
         next_id = engine.mutation_info()["next_id"]
     with ShardedEngine(directory) as restored:
         _assert_matches_rebuild(restored, None, "strings", query_payloads["strings"], records)
-        assert restored.upsert("strings", "freshly appended") == next_id
+        assert upsert(restored, "strings", "freshly appended") == next_id
 
 
 # ---------------------------------------------------------------------------
@@ -277,28 +279,28 @@ def test_delta_store_upsert_delete_lifecycle():
 
 def test_upsert_rejects_invalid_records(engine):
     with pytest.raises(ValueError, match="dimension"):
-        engine.upsert("hamming", np.zeros(7, dtype=np.uint8))
+        upsert(engine, "hamming", np.zeros(7, dtype=np.uint8))
     with pytest.raises(ValueError, match="token"):
-        engine.upsert("sets", 17)
+        upsert(engine, "sets", 17)
     with pytest.raises(ValueError, match="at least one token"):
-        engine.upsert("sets", [])
+        upsert(engine, "sets", [])
     with pytest.raises(ValueError, match="string"):
-        engine.upsert("strings", 42)
+        upsert(engine, "strings", 42)
     with pytest.raises(ValueError, match="Graph"):
-        engine.upsert("graphs", "not a graph")
+        upsert(engine, "graphs", "not a graph")
     with pytest.raises(ValueError, match="non-negative"):
-        engine.upsert("strings", "fine", -3)
+        upsert(engine, "strings", "fine", -3)
 
 
 def test_delete_of_unknown_id_is_false(engine):
-    assert engine.delete("strings", 10**6) is False
+    assert delete(engine, "strings", 10**6) is False
     assert engine.mutation_info("strings")["mutated"] is False
 
 
 def test_compact_refuses_to_empty_a_store():
     engine = SearchEngine()
     engine.add_dataset("strings", StringDataset(["solo"], kappa=2))
-    engine.delete("strings", 0)
+    delete(engine, "strings", 0)
     with pytest.raises(ValueError, match="zero live"):
         engine.compact("strings")
     # The tombstoned store still answers (with nothing) instead of crashing.
@@ -309,52 +311,3 @@ def test_compact_without_mutations_is_a_noop(engine):
     summary = engine.compact("hamming")
     assert summary["compacted"] is False
 
-
-def test_mutation_requires_a_mutable_backend(engine):
-    from repro.engine.backend import Backend, register_backend
-
-    class Immutable(Backend):
-        name = "immutable-test"
-
-        def describe(self, store):
-            return {"num_objects": 1}
-
-        def default_tau(self, store):
-            return 1
-
-        def query_key(self, payload):
-            return str(payload)
-
-        def make_searcher(self, store, algorithm, tau, chain_length):
-            raise NotImplementedError
-
-        def distance(self, store, payload, obj_id, tau):
-            raise NotImplementedError
-
-        def tau_ladder(self, store, payload, start, max_size=None):
-            return [1]
-
-        def save_store(self, store, directory):
-            raise NotImplementedError
-
-        def load_store(self, directory):
-            raise NotImplementedError
-
-        def save_queries(self, queries, directory):
-            raise NotImplementedError
-
-        def load_queries(self, directory):
-            return None
-
-        def make_workload(self, size, num_queries, seed):
-            raise NotImplementedError
-
-    from repro.engine import backend as backend_module
-
-    register_backend(Immutable(), replace=True)
-    try:
-        engine.add_dataset("immutable-test", object())
-        with pytest.raises(NotImplementedError, match="does not support online mutation"):
-            engine.upsert("immutable-test", object())
-    finally:
-        backend_module._REGISTRY.pop("immutable-test", None)

@@ -118,6 +118,26 @@ def test_engine_metrics_wire_matches_stats(engine, query_payloads, taus):
     assert hist.quantile(0.5) * 1000.0 == pytest.approx(snap["per_backend"]["sets"]["p50_ms"])
 
 
+def test_reset_stats_keeps_the_state_gauges(engine):
+    engine.mutate("strings", [{"op": "upsert", "record": "fresh"}, {"op": "delete", "id": 0}])
+    names = (
+        "engine_store_epoch",
+        "engine_mutation_epoch",
+        "engine_delta_records",
+        "engine_delta_tombstones",
+    )
+
+    def gauges(backend: str) -> list:
+        found = [engine.stats.registry.get(name, backend=backend) for name in names]
+        return [gauge and gauge.value for gauge in found]
+
+    assert gauges("strings") == [1.0, 1.0, 1.0, 1.0]
+    engine.reset_stats()
+    assert gauges("strings") == [1.0, 1.0, 1.0, 1.0]
+    # Every attached backend is re-observed, not only the mutated one.
+    assert gauges("hamming") == [1.0, 0.0, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # sharded engine
 # ---------------------------------------------------------------------------

@@ -78,3 +78,41 @@ def test_raw_datasets_are_prepared(workloads):
     for name, entry in described.items():
         assert entry["descriptor"] == engine.backend(name).describe(engine.store(name))
         assert entry["descriptor"]["num_objects"] > 0
+
+
+# ---------------------------------------------------------------------------
+# The adapter surface: one scoring spelling, checked at instantiation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["hamming", "sets", "strings", "graphs"])
+def test_stored_and_raw_records_score_alike(name, engine, query_payloads, taus):
+    """``distances`` over ids and ``record_distances`` over those ids' records
+    are the same floats, and ``scan_records`` is ``score_matches`` over them."""
+    backend, store = engine.backend(name), engine.store(name)
+    ids = list(range(0, backend.store_size(store), 3))
+    records = [backend.store_records(store)[i] for i in ids]
+    thresholds = [taus[name], None] + ([2] if name == "sets" else [])  # overlap too
+    for payload in query_payloads[name][:2]:
+        for tau in thresholds:
+            if name == "graphs" and tau is None:
+                continue  # uncapped exact GED
+            scores = backend.distances(store, payload, ids, tau)
+            assert all(type(score) is float for score in scores)
+            raw = backend.record_distances(store, payload, records, tau)
+            assert [score.hex() for score in raw] == [score.hex() for score in scores]
+            if tau is not None:
+                matches = backend.scan_records(store, payload, records, tau)
+                assert matches == [backend.score_matches(score, tau) for score in scores]
+    assert backend.distances(store, query_payloads[name][0], [], taus[name]) == []
+    assert backend.record_distances(store, query_payloads[name][0], [], taus[name]) == []
+
+
+@pytest.mark.parametrize(
+    "missing", ["distances", "record_distances", "store_records", "make_dataset", "shard_store"]
+)
+def test_an_incomplete_backend_fails_at_instantiation(missing):
+    complete = type(get_backend("strings"))
+    incomplete = type("Incomplete", (complete,), {missing: getattr(Backend, missing)})
+    with pytest.raises(TypeError, match=missing):
+        incomplete()

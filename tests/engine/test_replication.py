@@ -334,7 +334,8 @@ def test_compaction_checkpoint_truncates_the_shared_wal(
         records = _apply_batched_mutations(engine, DOMAIN, records, rng, datasets, num_batches=8)
         before = [entry["wal_last_seq"] for entry in engine.replica_status()]
         engine.compact()
-        for wal in engine._wals:
+        for rset in engine._sets:
+            wal = rset.wal
             assert wal is not None
             # Everything acked before the compaction was folded into the
             # swapped container, so the log holds no batch at or below the

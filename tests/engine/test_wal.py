@@ -27,6 +27,7 @@ from repro.engine.wal import (
     read_wal,
     wal_summary,
 )
+from tests.engine.conftest import upsert
 from tests.engine.test_mutation import (
     DOMAINS,
     _assert_matches_rebuild,
@@ -280,7 +281,7 @@ def test_wal_replay_recovers_sharded_engine(domain, datasets, query_payloads, tm
     with ShardedEngine(directory, wal_dir=wal_dir) as recovered:
         _assert_matches_rebuild(recovered, None, domain, query_payloads[domain], records)
         # The id high-water mark was rebuilt from the replayed overlays.
-        assert recovered.upsert(domain, next(_record_pool(domain, rng, datasets))) == next_id
+        assert upsert(recovered, domain, next(_record_pool(domain, rng, datasets))) == next_id
 
 
 def test_wal_replay_is_idempotent(datasets, query_payloads, tmp_path):
@@ -435,8 +436,8 @@ def test_crash_mid_rolling_compaction_swap_recovers_exactly(
         records = _apply_batched_mutations(engine, "sets", records, rng, datasets)
         # Freeze the crash point: the checkpoint rename happens, the WAL
         # truncation never does -- exactly what power loss mid-swap leaves.
-        for wal in engine._wals:
-            wal.truncate_upto = lambda seq: None
+        for rset in engine._sets:
+            rset.wal.truncate_upto = lambda seq: None
         summaries = engine.compact()["shards"]
         assert all(summary["rolling"] for summary in summaries)
         # A few more acked batches after the interrupted swap, then the
