@@ -9,8 +9,8 @@
 # may depend on which engine answers.  The
 # server runs with a 1 ms slow-query threshold, so the smoke also asserts
 # that /metrics parses as Prometheus text with monotone counters and that
-# the served queries landed in the slow-query log with their span
-# timelines.  Run from the repo root with the package importable
+# the slow requests sit under /debug/traces with their query summaries and
+# span timelines.  Run from the repo root with the package importable
 # (PYTHONPATH=src or an installed checkout):
 #
 #   PYTHONPATH=src timeout 300 bash benchmarks/server_smoke.sh
@@ -33,17 +33,16 @@ python -m repro.engine build-index --backend sets --out "$workdir/plain" \
 python -m repro.engine build-shards --backend sets --out "$workdir/sharded" \
     --shards 2 --size 4000 --queries 12 --seed 42
 
-# One served lifecycle: serve_and_drive <index directory> [profile].
+# One served lifecycle: serve_and_drive <index directory> <profile check>,
+# the check being "named" (plain) or "shard-worker" (sharded), see below.
 serve_and_drive() {
 index="$1"
-check_profile="${2:-}"
+profile_check="$2"
 echo "== serving $index"
-rm -f "$workdir/ready" "$workdir/slow.jsonl"
+rm -f "$workdir/ready"
 
 python -m repro.engine serve --index "$index" --port 0 \
-    --ready-file "$workdir/ready" \
-    --slow-query-ms 1 --slow-query-log "$workdir/slow.jsonl" \
-    --profile-hz 67 &
+    --ready-file "$workdir/ready" --slow-query-ms 1 &
 server_pid=$!
 
 for _ in $(seq 1 100); do
@@ -149,18 +148,20 @@ print(
 )
 EOF
 
-# The continuous profiler (--profile-hz 67) must attribute the load it just
-# served: non-empty folded stacks, with the lion's share of self time on
-# named engine roles rather than unattributed threads.  Checked on the
-# single-process pass only: the attribution bound is about the server's own
-# thread population, and a sharded parent adds the process pools' unnamed
-# management threads to it.
-[ "$check_profile" != "profile" ] || python - "$url" <<'EOF'
+# A profiling window needs no serve flag: /debug/profile arms a sampler in
+# the server and in every live shard worker, sleeps, collects and disarms.
+# It must come back with non-empty folded stacks and the lion's share of
+# self time on named engine roles rather than unattributed threads.  The
+# 90% bound is about the server's own thread population, so it is checked
+# on the single-process pass; a sharded parent adds the process pools'
+# unnamed management threads, and that pass instead requires the workers'
+# own role, which only arrives through the engine contract.
+python - "$url" "$profile_check" <<'EOF'
 import json
 import sys
 import urllib.request
 
-url = sys.argv[1]
+url, profile_check = sys.argv[1:]
 payload = json.load(urllib.request.urlopen(f"{url}/debug/profile?seconds=1"))
 profile = payload["profile"]
 assert profile["roles"], "profiler returned no samples"
@@ -170,13 +171,17 @@ for line in payload["folded"]:
     assert ";" in head and int(count) > 0, f"bad folded line: {line!r}"
 attribution = payload["attribution"]
 named = sum(share for role, share in attribution.items() if role != "other")
-assert named >= 0.9, f"only {named:.0%} of self time on named roles: {attribution}"
+if profile_check == "named":
+    assert named >= 0.9, f"only {named:.0%} of self time on named roles: {attribution}"
+else:
+    assert attribution.get(profile_check, 0) > 0, f"no {profile_check} samples: {attribution}"
 slo = json.load(urllib.request.urlopen(f"{url}/debug/slo"))
 assert slo["slo"]["windows"]["fast"]["requests"] > 0, slo
 assert slo["slo"]["breaching"] is False, slo
 print(
     f"profile smoke: {sum(r['samples'] for r in profile['roles'].values())} samples, "
-    f"{len(payload['folded'])} stacks, {named:.0%} attributed OK"
+    f"{len(payload['folded'])} stacks, {named:.0%} on named roles "
+    f"({', '.join(sorted(attribution))}) OK"
 )
 EOF
 
@@ -207,22 +212,30 @@ with EngineClient(url) as client:
     print(f"mutation smoke: upsert/delete/compact OK (ids {doomed_id}/{keeper_id})")
 EOF
 
-# The first served query builds its searcher, well over the 1 ms threshold,
-# so the slow-query log must hold it with its span timeline.
-python - "$workdir/slow.jsonl" <<'EOF'
+# The 1 ms threshold traces every request, and the first served query built
+# its searcher, well over it: the slow ring under /debug/traces must hold
+# slow requests, each with its query summary and span timeline.
+python - "$url" <<'EOF'
 import json
 import sys
+import urllib.request
 
-with open(sys.argv[1], encoding="utf-8") as handle:
-    entries = [json.loads(line) for line in handle]
-assert entries, "slow-query log is empty"
-entry = entries[0]
-assert entry["e2e_ms"] >= 1.0, entry
-assert entry["trace_id"], entry
-names = [span["name"] for span in entry["trace"]["spans"]]
-assert names == ["coalesce_wait", "batch_exec"], names
-assert entry["backend"] == "sets" and entry["route"].startswith("/search"), entry
-print(f"slow-query log: {len(entries)} entries, first {entry['e2e_ms']:.2f} ms OK")
+body = json.load(urllib.request.urlopen(f"{sys.argv[1]}/debug/traces"))
+assert body["sampling"]["kept_slow"] > 0, body["sampling"]
+slow = [doc for doc in body["traces"] if doc["duration_ms"] >= 1.0 and "query" in doc]
+assert slow, "no slow request under /debug/traces"
+for doc in slow:
+    assert doc["trace_id"], doc
+    names = [span["name"] for span in doc["spans"]]
+    assert names == ["coalesce_wait", "batch_exec"], names
+    summary = doc["query"]
+    assert summary["backend"] == "sets" and summary["route"].startswith("/search"), doc
+    assert summary["num_candidates"] >= summary["num_results"] >= 0, doc
+    assert summary["tau"] is not None and summary["batch_size"] >= 1, doc
+print(
+    f"slow ring: {body['sampling']['kept_slow']} kept, {len(slow)} shown, "
+    f"slowest {max(doc['duration_ms'] for doc in slow):.2f} ms OK"
+)
 EOF
 
 kill -TERM "$server_pid"
@@ -236,12 +249,12 @@ fi
 echo "server shut down cleanly"
 }
 
-serve_and_drive "$workdir/plain" profile
-serve_and_drive "$workdir/sharded"
+serve_and_drive "$workdir/plain" named
+serve_and_drive "$workdir/sharded" shard-worker
 
 # A clean shutdown must also be a *complete* one: run the full server
-# lifecycle in-process (with the continuous profiler armed, the same
-# thread population the subprocess above had) and require that stop()
+# lifecycle in-process (a profiling window included, the same thread
+# population the subprocess above had) and require that stop()
 # leaves no non-daemon thread behind -- and none of the named engine
 # roles (executor / batcher / compaction) still running, daemon or not,
 # as classified by the profiler's role registry (diag.thread_role).
@@ -261,9 +274,10 @@ engine = SearchEngine(cache_size=16)
 engine.add_dataset("sets", SetDataset(workload.records, num_classes=4))
 
 baseline = {t.ident for t in threading.enumerate()}
-with ServerThread(engine, ServerConfig(profile_hz=50)) as handle:
+with ServerThread(engine, ServerConfig(slow_query_ms=1)) as handle:
     with EngineClient(handle.url) as client:
         client.search("sets", list(workload.queries[0]), tau=0.6)
+        assert client.profile(seconds=0.3)["profile"]["roles"]
 
 leaked = []
 deadline = time.monotonic() + 10.0

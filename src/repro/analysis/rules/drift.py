@@ -9,13 +9,18 @@ Code -> docs (an undocumented feature is one nobody can discover):
 * Every ``--flag`` registered via ``add_argument`` in
   ``src/repro/engine/cli.py`` must appear verbatim in ENGINE.md or
   README.md.
+* Every literal series name passed to ``.counter(`` / ``.gauge(`` /
+  ``.histogram(`` under ``src/repro/engine`` must appear backtick-quoted in
+  ENGINE.md (bare, or with its labels as ``name{label}``): a series with
+  no runbook line has no reader.
 
 Docs -> code (a deleted verb, flag or file must not live on in the docs):
 
 * Every ``python -m repro.engine <verb>`` in ENGINE.md or README.md must
   name a subcommand ``cli.py`` registers via ``add_parser``.
-* Every back-ticked ``--flag`` in the first column of ENGINE.md's flag
-  table (the one headed ``Flag``) must be registered in ``cli.py``.
+* Every ``--flag`` anywhere in those two files must be registered by one of
+  the repo's own command lines (``FLAG_SOURCES``) or be listed, with its
+  tool, in ``OTHER_TOOLS_FLAGS``.
 * Every back-ticked ``benchmarks/``, ``src/``, ``tests/`` or ``examples/``
   path in those two files must exist (``*`` and ``{a,b}`` expand).
 
@@ -35,10 +40,16 @@ from repro.analysis.framework import AnalysisContext, Finding, rule
 
 SERVER_FILE = "src/repro/engine/server.py"
 CLI_FILE = "src/repro/engine/cli.py"
+ENGINE_PACKAGE = "src/repro/engine"
 DOC_FILES = ("ENGINE.md", "README.md")
+#: Every argparse command line the docs may quote a flag of.
+FLAG_SOURCES = (CLI_FILE, "src/repro/analysis/__main__.py", "benchmarks/perf/run.py")
+#: Flags of other tools the docs quote, and whose they are.
+OTHER_TOOLS_FLAGS = {"--benchmark-only": "pytest-benchmark"}
 
 _VERB_RE = re.compile(r"python -m repro\.engine\s+([a-z][a-z-]*)")
-_FLAG_RE = re.compile(r"`(--[a-z][a-z0-9-]*)`")
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_INSTRUMENTS = ("counter", "gauge", "histogram")
 _PATH_RE = re.compile(r"`((?:benchmarks|src|tests|examples)/[^`\s]*)`")
 _ROOT_DOC_RE = re.compile(r"(?<![\w/.-])([A-Z_]+\.md)\b")
 
@@ -70,46 +81,41 @@ def server_routes(ctx: AnalysisContext) -> list[tuple[str, int]]:
     return sorted(routes.items())
 
 
-def _string_args(ctx: AnalysisContext, method: str) -> list[tuple[str, int]]:
-    """String literals passed positionally to ``<anything>.<method>(...)`` in cli.py."""
+def _string_args(
+    ctx: AnalysisContext, relpath: str, methods: tuple[str, ...], first_only: bool = False
+) -> list[tuple[str, int]]:
+    """String literals passed positionally to ``<anything>.<method>(...)``."""
     found: dict[str, int] = {}
-    for node in ast.walk(ctx.tree(CLI_FILE)):
+    for node in ast.walk(ctx.tree(relpath)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == method):
+        if not (isinstance(func, ast.Attribute) and func.attr in methods):
             continue
-        for arg in node.args:
+        for arg in node.args[:1] if first_only else node.args:
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                 found.setdefault(arg.value, arg.lineno)
     return sorted(found.items())
 
 
-def cli_flags(ctx: AnalysisContext) -> list[tuple[str, int]]:
+def cli_flags(ctx: AnalysisContext, relpath: str = CLI_FILE) -> list[tuple[str, int]]:
     """Every ``--flag`` string passed to an ``add_argument`` call."""
-    arguments = _string_args(ctx, "add_argument")
+    arguments = _string_args(ctx, relpath, ("add_argument",))
     return [(flag, line) for flag, line in arguments if flag.startswith("--")]
 
 
 def cli_subcommands(ctx: AnalysisContext) -> set[str]:
     """Every subcommand name passed to an ``add_parser`` call."""
-    return {name for name, _line in _string_args(ctx, "add_parser")}
+    return {name for name, _line in _string_args(ctx, CLI_FILE, ("add_parser",))}
 
 
-def flag_table_flags(engine_md: str) -> list[tuple[str, int]]:
-    """Back-ticked flags in the first column of the table headed ``Flag``."""
-    found: list[tuple[str, int]] = []
-    in_table = False
-    for number, line in enumerate(engine_md.splitlines(), 1):
-        if not line.startswith("|"):
-            in_table = False
-            continue
-        first_cell = line.split("|")[1].strip()
-        if first_cell == "Flag":
-            in_table = True
-        elif in_table:
-            found.extend((flag, number) for flag in _FLAG_RE.findall(first_cell))
-    return found
+def engine_series(ctx: AnalysisContext) -> list[tuple[str, str, int]]:
+    """``(file, name, line)`` of every literal series name the engine registers."""
+    return [
+        (relpath, name, line)
+        for relpath in ctx.iter_python(ENGINE_PACKAGE)
+        for name, line in _string_args(ctx, relpath, _INSTRUMENTS, first_only=True)
+    ]
 
 
 def _path_exists(ctx: AnalysisContext, path: str) -> bool:
@@ -160,6 +166,10 @@ def check_doc_drift(ctx: AnalysisContext) -> list[Finding]:
             for route, line in server_routes(ctx):
                 if f"`{route}`" not in engine_md:
                     drift(SERVER_FILE, line, f"route {route} is served but missing from ENGINE.md")
+    if "ENGINE.md" in docs:
+        for relpath, name, line in engine_series(ctx):
+            if not re.search(f"`{name}[`{{]", docs["ENGINE.md"]):
+                drift(relpath, line, f"series {name} is emitted but ENGINE.md never names it")
     if ctx.exists(CLI_FILE) and docs:
         haystack = "\n".join(docs.values())
         flags = cli_flags(ctx)
@@ -173,11 +183,15 @@ def check_doc_drift(ctx: AnalysisContext) -> list[Finding]:
                 if verb not in subcommands:
                     message = f"documents CLI verb {verb}, which cli.py does not register"
                     drift(name, _line_of(text, match), message)
-        registered = {flag for flag, _line in flags}
-        for flag, line in flag_table_flags(docs.get("ENGINE.md", "")):
-            if flag not in registered:
-                message = f"the flag table lists {flag}, which cli.py does not register"
-                drift("ENGINE.md", line, message)
+        registered = set(OTHER_TOOLS_FLAGS)
+        for source in FLAG_SOURCES:
+            if ctx.exists(source):
+                registered.update(flag for flag, _line in cli_flags(ctx, source))
+        for name, text in docs.items():
+            for match in _FLAG_RE.finditer(text):
+                if match.group(0) not in registered:
+                    message = f"names {match.group(0)}, which no command line registers"
+                    drift(name, _line_of(text, match), message)
     for name, text in docs.items():
         for match in _PATH_RE.finditer(text):
             if not _path_exists(ctx, match.group(1)):

@@ -12,14 +12,13 @@ The protocol lives here so the experiment harness can drive any searcher
 uniformly.
 """
 
-from repro.common.obs import MetricsRegistry, SlowQueryLog, Trace, span
+from repro.common.obs import MetricsRegistry, Trace, span
 from repro.common.stats import QueryStats, SearchResult, Timer
 
 __all__ = [
     "MetricsRegistry",
     "QueryStats",
     "SearchResult",
-    "SlowQueryLog",
     "Timer",
     "Trace",
     "span",

@@ -1,36 +1,36 @@
-"""Diagnostics layer: continuous profiler, tail sampling and SLO monitors.
+"""Diagnostics layer: sampling profiler, tail sampling and SLO monitors.
 
-Four facilities that answer "why is p99 slow *right now*", layered on the
+Three facilities that answer "why is p99 slow *right now*", layered on the
 metrics/tracing substrate of :mod:`repro.common.obs`:
 
-* a **continuous sampling profiler** -- a daemon thread samples
-  ``sys._current_frames()`` at a configurable rate and aggregates folded
-  (flamegraph-collapsed) stacks per *thread role*: the server's asyncio
-  loop is the ``batcher``, the ``engine-batch`` executor thread is the
-  ``executor``, ``auto-compact-*`` threads are ``compaction`` and shard
-  worker processes report as ``shard-worker``.  Memory is bounded (at most
-  ``max_stacks`` distinct stacks per role, overflow folded into a
-  ``(other)`` pseudo-stack), snapshots are JSON-safe and mergeable across
-  processes, and ``render_folded`` emits standard collapsed-stack lines
-  that flamegraph tooling consumes directly.
+* a **sampling profiler** -- a daemon thread samples
+  ``sys._current_frames()`` and aggregates folded (flamegraph-collapsed)
+  stacks per *thread role*: the server's asyncio loop is the ``batcher``,
+  the ``engine-batch`` executor thread is the ``executor``,
+  ``auto-compact-*`` threads are ``compaction`` and shard worker processes
+  report as ``shard-worker``.  It runs for one ``GET /debug/profile``
+  window at a time (armed, slept on, collected, disarmed), never for a
+  process lifetime.  Memory is bounded (at most ``max_stacks`` distinct
+  stacks per role, overflow folded into an ``(overflow)`` pseudo-stack),
+  snapshots are JSON-safe and mergeable across processes, and
+  ``render_folded`` emits standard collapsed-stack lines that flamegraph
+  tooling consumes directly.
 
 * a **tail-based trace sampler** -- a ring of recent trace documents
   (``add`` / ``snapshot`` / ``__len__``) with a retention policy: slow
   traces (over ``slow_ms``) and error traces are *always* kept in a
   dedicated ring, while ordinary traces pass through a budgeted stride
-  sampler (``budget=0.01`` keeps ~1%).  Tracing can stay enabled under
-  load without the interesting tail being evicted by the boring middle.
-
-* a **span->metrics bridge** -- folds span trees into per-backend,
-  per-stage *self-time* counters (span duration minus its children), the
-  continuously-collected cost profile the ROADMAP's cost-based planner
-  will consume.
+  sampler (``budget=0.01`` keeps ~1%).  The always-keep ring is the
+  server's slow-query log: each document carries the query summary next to
+  its span timeline, and ordinary traffic cannot evict it.
 
 * **SLO burn-rate monitors** -- a multi-window (fast 5m / slow 1h)
   burn-rate monitor over a latency/error objective, plus a per-shard
-  health scoreboard for the sharded engine.
+  health scoreboard for the sharded engine.  Windows, thresholds and
+  bucket width are module constants: nothing ever set them.
 
-Everything here is stdlib-only and safe to import in shard worker
+The :class:`Supervisor` loop the replicated engine heals with lives here
+too.  Everything is stdlib-only and safe to import in shard worker
 processes.
 """
 
@@ -42,13 +42,11 @@ import time
 from collections import deque
 from typing import Callable, Iterable
 
-from repro.common import obs
-
 PROFILE_WIRE_VERSION = 1
 
-# Default sampling rate. 67 Hz resolves millisecond-scale stages while the
-# sampling thread itself stays well under 1% of one core; a prime-ish rate
-# avoids beating against periodic work.
+# The sampling rate of every profiling window.  67 Hz resolves
+# millisecond-scale stages while the sampling thread itself stays well under
+# 1% of one core; a prime-ish rate avoids beating against periodic work.
 DEFAULT_PROFILE_HZ = 67.0
 
 # A sampled stack deeper than this is truncated at the root end; the leaf
@@ -95,13 +93,13 @@ def _fold(frame) -> str:
 
 
 class SamplingProfiler:
-    """Continuous sampling profiler with bounded memory.
+    """Sampling profiler with bounded memory.
 
     ``start()`` spawns a daemon thread that wakes ``hz`` times a second,
     walks ``sys._current_frames()`` and attributes each thread's folded
     stack to its role.  ``snapshot()`` returns a JSON-safe, mergeable dump
-    at any time (running or stopped); ``clear()`` resets the aggregate.
-    The profiler's own sampling thread is excluded from its samples.
+    at any time (running or stopped).  The profiler's own sampling thread
+    is excluded from its samples.
     """
 
     def __init__(
@@ -152,18 +150,6 @@ class SamplingProfiler:
             if self._t0 is not None:
                 self._active_s += time.perf_counter() - self._t0
                 self._t0 = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
-    def clear(self) -> None:
-        with self._lock:
-            self._roles = {}
-            self._ticks = 0
-            self._active_s = 0.0
-            if self._t0 is not None:
-                self._t0 = time.perf_counter()
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()
@@ -245,31 +231,6 @@ def merge_profiles(wires: Iterable[dict]) -> dict:
             for stack, count in dumped.get("stacks", {}).items():
                 stacks[stack] = stacks.get(stack, 0) + int(count)
     return merged
-
-
-def profile_diff(before: dict, after: dict) -> dict:
-    """The samples accumulated between two snapshots of one profiler."""
-    roles: dict = {}
-    before_roles = before.get("roles", {})
-    for role, dumped in after.get("roles", {}).items():
-        prior = before_roles.get(role, {}).get("stacks", {})
-        stacks = {}
-        for stack, count in dumped.get("stacks", {}).items():
-            delta = int(count) - int(prior.get(stack, 0))
-            if delta > 0:
-                stacks[stack] = delta
-        if stacks:
-            roles[role] = {"samples": sum(stacks.values()), "stacks": stacks}
-    return {
-        "diag_wire_version": PROFILE_WIRE_VERSION,
-        "hz": after.get("hz", 0.0),
-        "running": after.get("running", False),
-        "duration_s": round(
-            float(after.get("duration_s", 0.0)) - float(before.get("duration_s", 0.0)), 3
-        ),
-        "ticks": int(after.get("ticks", 0)) - int(before.get("ticks", 0)),
-        "roles": roles,
-    }
 
 
 def render_folded(profile: dict) -> str:
@@ -412,80 +373,19 @@ class TailSampler:
 
 
 # ---------------------------------------------------------------------------
-# Span -> metrics bridge
-# ---------------------------------------------------------------------------
-
-
-def span_self_times(trace_doc: dict) -> dict[str, float]:
-    """Per-stage self time (ms) folded from one trace's span tree.
-
-    Self time is a span's duration minus its children's, clamped at zero;
-    repeated span names (e.g. ``shard[0]`` verify across batches) add up.
-    """
-    out: dict[str, float] = {}
-
-    def walk(node: dict) -> None:
-        children = node.get("children") or ()
-        child_ms = sum(c.get("duration_ms", 0.0) for c in children)
-        name = node.get("name", "?")
-        self_ms = max(0.0, node.get("duration_ms", 0.0) - child_ms)
-        out[name] = out.get(name, 0.0) + self_ms
-        for child in children:
-            walk(child)
-
-    for span in trace_doc.get("spans", ()):
-        walk(span)
-    return out
-
-
-class SpanMetricsBridge:
-    """Folds span trees into per-backend per-stage self-time counters.
-
-    Every recorded trace adds ``trace_stage_self_seconds_total{backend,
-    stage}`` (plus a ``trace_stage_folds_total`` denominator), turning the
-    sampled traces into the continuously-updated cost profile the planned
-    cost-based optimizer reads: "on backend X, stage Y costs Z seconds of
-    self time per traced request".
-    """
-
-    METRIC = "trace_stage_self_seconds_total"
-    FOLDS = "trace_stage_folds_total"
-
-    def __init__(self, registry: obs.MetricsRegistry) -> None:
-        self.registry = registry
-        # record() sits on the per-response hot path when diagnostics are
-        # always-on, so instruments are resolved once per (backend, stage)
-        # instead of paying the registry's lock + label-key sort per trace.
-        self._counters: dict[tuple[str, str], obs.Counter] = {}
-        self._folds: dict[str, obs.Counter] = {}
-
-    def record(self, trace_doc: dict, backend: str = "") -> None:
-        stages = span_self_times(trace_doc)
-        if not stages:
-            return
-        for stage, self_ms in stages.items():
-            counter = self._counters.get((backend, stage))
-            if counter is None:
-                counter = self.registry.counter(
-                    self.METRIC,
-                    "span self-time folded from traces",
-                    backend=backend,
-                    stage=stage,
-                )
-                self._counters[(backend, stage)] = counter
-            counter.inc(self_ms / 1000.0)
-        folds = self._folds.get(backend)
-        if folds is None:
-            folds = self.registry.counter(
-                self.FOLDS, "traces folded into stage self-times", backend=backend
-            )
-            self._folds[backend] = folds
-        folds.inc()
-
-
-# ---------------------------------------------------------------------------
 # SLO burn-rate monitoring
 # ---------------------------------------------------------------------------
+
+
+# The multi-window burn-rate recipe: the fast window catches a fresh
+# regression, the slow one stops a blip from paging.  A burn rate of 14.4
+# spends a 30-day error budget in two days, 6.0 in five.
+_FAST_WINDOW_S = 300.0
+_SLOW_WINDOW_S = 3600.0
+_FAST_BURN = 14.4
+_SLOW_BURN = 6.0
+# Granularity of the good/bad counts (memory is O(slow window / bucket)).
+_BUCKET_S = 10.0
 
 
 class SloMonitor:
@@ -495,52 +395,31 @@ class SloMonitor:
     request is bad when it errored or (with ``latency_ms`` set) exceeded
     the latency target.  Burn rate over a window is the observed bad
     fraction divided by the error budget ``1 - objective``: 1.0 means the
-    budget is being spent exactly at the sustainable rate, 14.4 means a
-    30-day budget burns in two days.  Following the multi-window pattern,
-    :meth:`status` reports ``breaching`` only when *both* the fast and the
-    slow window exceed their thresholds -- the fast window catches fresh
-    regressions quickly, the slow window stops a brief blip from paging.
+    budget is being spent exactly at the sustainable rate.  Following the
+    multi-window pattern, :meth:`status` reports ``breaching`` only when
+    *both* the fast (5 min) and the slow (1 h) window exceed their
+    thresholds.
 
-    Counts are bucketed at ``bucket_s`` granularity in a bounded ring, so
-    memory is O(slow_window / bucket_s) regardless of traffic.  ``now``
-    can be injected on every call for deterministic tests.
+    Counts are bucketed at 10 s granularity in a bounded ring, so memory is
+    O(slow window / bucket) regardless of traffic.  ``now`` can be injected
+    on every call for deterministic tests.
     """
 
-    def __init__(
-        self,
-        objective: float = 0.99,
-        latency_ms: float | None = None,
-        fast_window_s: float = 300.0,
-        slow_window_s: float = 3600.0,
-        fast_burn: float = 14.4,
-        slow_burn: float = 6.0,
-        bucket_s: float = 10.0,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    def __init__(self, objective: float = 0.99, latency_ms: float | None = None) -> None:
         if not 0.0 < objective < 1.0:
             raise ValueError("SLO objective must be in (0, 1)")
         if latency_ms is not None and latency_ms <= 0:
             raise ValueError("SLO latency target must be positive")
-        if not 0 < fast_window_s <= slow_window_s:
-            raise ValueError("windows must satisfy 0 < fast <= slow")
-        if bucket_s <= 0:
-            raise ValueError("bucket_s must be positive")
         self.objective = float(objective)
         self.latency_ms = latency_ms
-        self.fast_window_s = float(fast_window_s)
-        self.slow_window_s = float(slow_window_s)
-        self.fast_burn = float(fast_burn)
-        self.slow_burn = float(slow_burn)
-        self.bucket_s = float(bucket_s)
-        self._clock = clock
         self._lock = threading.Lock()
-        max_buckets = int(self.slow_window_s / self.bucket_s) + 2
+        max_buckets = int(_SLOW_WINDOW_S / _BUCKET_S) + 2
         self._buckets: "deque[list]" = deque(maxlen=max_buckets)  # [start, good, bad]
 
     def observe(self, latency_ms: float, error: bool = False, now: float | None = None) -> None:
         bad = error or (self.latency_ms is not None and latency_ms > self.latency_ms)
-        now = self._clock() if now is None else now
-        start = now - (now % self.bucket_s)
+        now = time.time() if now is None else now
+        start = now - (now % _BUCKET_S)
         with self._lock:
             if self._buckets and self._buckets[-1][0] == start:
                 bucket = self._buckets[-1]
@@ -549,41 +428,31 @@ class SloMonitor:
                 self._buckets.append(bucket)
             bucket[2 if bad else 1] += 1
 
-    def _window_counts(self, seconds: float, now: float) -> tuple[int, int]:
-        lo = now - seconds
-        good = bad = 0
-        for start, g, b in self._buckets:
-            if start >= lo - self.bucket_s:
-                good += g
-                bad += b
-        return good, bad
+    def _window(self, seconds: float, threshold: float, now: float) -> dict:
+        lo = now - seconds - _BUCKET_S
+        with self._lock:
+            counts = [(good, bad) for start, good, bad in self._buckets if start >= lo]
+        bad = sum(b for _g, b in counts)
+        total = sum(g for g, _b in counts) + bad
+        rate = (bad / total) / (1.0 - self.objective) if total else 0.0
+        return {
+            "seconds": seconds,
+            "requests": total,
+            "bad": bad,
+            "burn_rate": round(rate, 4),
+            "threshold": threshold,
+        }
 
     def status(self, now: float | None = None) -> dict:
-        now = self._clock() if now is None else now
-        with self._lock:
-            fast_good, fast_bad = self._window_counts(self.fast_window_s, now)
-            slow_good, slow_bad = self._window_counts(self.slow_window_s, now)
-        budget = 1.0 - self.objective
-
-        def window(good: int, bad: int, seconds: float, threshold: float) -> dict:
-            total = good + bad
-            rate = (bad / total) / budget if total else 0.0
-            return {
-                "seconds": seconds,
-                "requests": total,
-                "bad": bad,
-                "burn_rate": round(rate, 4),
-                "threshold": threshold,
-            }
-
-        fast = window(fast_good, fast_bad, self.fast_window_s, self.fast_burn)
-        slow = window(slow_good, slow_bad, self.slow_window_s, self.slow_burn)
+        now = time.time() if now is None else now
+        fast = self._window(_FAST_WINDOW_S, _FAST_BURN, now)
+        slow = self._window(_SLOW_WINDOW_S, _SLOW_BURN, now)
         return {
             "objective": self.objective,
             "latency_ms": self.latency_ms,
             "windows": {"fast": fast, "slow": slow},
             "breaching": bool(
-                fast["burn_rate"] >= self.fast_burn and slow["burn_rate"] >= self.slow_burn
+                fast["burn_rate"] >= _FAST_BURN and slow["burn_rate"] >= _SLOW_BURN
             ),
         }
 
@@ -658,25 +527,22 @@ class Supervisor:
             }
 
 
+# How far back the per-shard health scoreboard looks.
+_HEALTH_WINDOW_S = 60.0
+
+
 class HealthScoreboard:
     """Per-shard rolling health for the sharded engine.
 
     Tracks requests, errors and worst latency per shard over a sliding
-    window and grades each shard ``ok`` / ``degraded`` / ``failing``
+    60 s window and grades each shard ``ok`` / ``degraded`` / ``failing``
     (``idle`` with no recent traffic).  A shard is degraded once any
     recent request failed, failing when at least half did.
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        window_s: float = 60.0,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("scoreboard needs at least one shard")
-        self.window_s = float(window_s)
-        self._clock = clock
         self._lock = threading.Lock()
         # Per shard: deque of (ts, latency_s, error) capped to keep memory
         # bounded even if pruning lags behind a traffic burst.
@@ -691,19 +557,19 @@ class HealthScoreboard:
     ) -> None:
         if not 0 <= shard < len(self._events):
             return
-        now = self._clock() if now is None else now
+        now = time.time() if now is None else now
         with self._lock:
             events = self._events[shard]
             events.append((now, float(latency_s), bool(error)))
             self._prune(events, now)
 
     def _prune(self, events: deque, now: float) -> None:
-        lo = now - self.window_s
+        lo = now - _HEALTH_WINDOW_S
         while events and events[0][0] < lo:
             events.popleft()
 
     def report(self, now: float | None = None) -> list[dict]:
-        now = self._clock() if now is None else now
+        now = time.time() if now is None else now
         out: list[dict] = []
         with self._lock:
             for shard, events in enumerate(self._events):
@@ -722,7 +588,7 @@ class HealthScoreboard:
                 out.append(
                     {
                         "shard": shard,
-                        "window_s": self.window_s,
+                        "window_s": _HEALTH_WINDOW_S,
                         "requests": requests,
                         "errors": errors,
                         "error_rate": round(errors / requests, 4) if requests else 0.0,

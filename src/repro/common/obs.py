@@ -25,12 +25,12 @@ engine and the HTTP server:
   ``{"name", "start_ms", "duration_ms", "children"}`` nodes that the server
   stitches into an end-to-end request timeline (coalesce wait -> batch exec
   -> per-shard candidate/verify -> merge), retrievable via
-  ``Response.trace``, ``GET /debug/traces`` and the slow-query log.
+  ``Response.trace`` and ``GET /debug/traces`` (whose always-keep ring holds
+  every request over the server's slow-query threshold).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
@@ -568,72 +568,3 @@ def span_tree_coverage(trace_doc: dict) -> float:
         return 0.0
     covered = sum(s.get("duration_ms", 0.0) for s in trace_doc.get("spans", ()))
     return covered / total
-
-
-# ---------------------------------------------------------------------------
-# Slow-query log
-# ---------------------------------------------------------------------------
-
-
-class SlowQueryLog:
-    """Structured JSON-lines log of queries over a latency threshold.
-
-    Each entry is one line of JSON carrying the trace id, route, funnel
-    counts and span timeline.  (In memory, the server's tail sampler keeps
-    the same slow requests in its always-keep ring.)
-
-    When ``max_bytes`` is set the file is size-rotated: once an append
-    pushes it past the limit it is renamed to ``<path>.1`` (older rotations
-    shifting to ``.2``, ``.3``, ...) and a fresh file is started; at most
-    ``keep_files`` rotated files are retained, so a long-running server
-    with a low threshold occupies bounded disk.
-    """
-
-    def __init__(
-        self,
-        threshold_ms: float,
-        path: str | None = None,
-        max_bytes: int | None = None,
-        keep_files: int = 3,
-    ) -> None:
-        if threshold_ms < 0:
-            raise ValueError("slow-query threshold must be non-negative")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("slow-query log max_bytes must be positive")
-        if keep_files < 1:
-            raise ValueError("slow-query log keep_files must be at least 1")
-        self.threshold_ms = float(threshold_ms)
-        self.path = path
-        self.max_bytes = max_bytes
-        self.keep_files = int(keep_files)
-        self.rotations = 0
-        self._lock = threading.Lock()
-
-    def maybe_log(self, e2e_ms: float, entry: dict) -> bool:
-        """Record ``entry`` if the query exceeded the threshold."""
-        if e2e_ms < self.threshold_ms:
-            return False
-        entry = {"e2e_ms": round(e2e_ms, 4), **entry}
-        if self.path:
-            line = json.dumps(entry, separators=(",", ":"), default=str)
-            with self._lock:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-                    size = fh.tell()
-                if self.max_bytes is not None and size >= self.max_bytes:
-                    self._rotate()
-        return True
-
-    def _rotate(self) -> None:
-        """Shift ``path -> path.1 -> path.2 ...``, dropping beyond keep_files."""
-        import os
-
-        overflow = f"{self.path}.{self.keep_files + 1}"
-        for i in range(self.keep_files, 0, -1):
-            src = f"{self.path}.{i}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{i + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        if os.path.exists(overflow):
-            os.remove(overflow)
-        self.rotations += 1

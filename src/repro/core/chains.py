@@ -16,12 +16,23 @@ this repository.
 All helpers in this module accept plain Python sequences of numbers (ints or
 floats).  They are deliberately free of numpy so they stay usable for the
 tiny per-candidate checks performed inside search loops.
+
+Every predicate compares a running box sum against ``l * quota_per_box``.
+With a float quota that product rounds (``7 * (61 / 7) < 61``), so for integer
+boxes and ``n`` pass the quota as a :class:`fractions.Fraction` --
+:func:`repro.core.principle.pigeonhole_bound` returns one -- and every
+comparison below is decided exactly: Python compares an (exactly summed)
+integer-valued total with a ``Fraction`` without rounding either side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
+
+#: A per-box quota: a ``Fraction`` decides viability exactly, a float may round.
+Quota = float | Fraction
 
 
 def chain_sum(boxes: Sequence[float], start: int, length: int) -> float:
@@ -176,13 +187,13 @@ class Ring:
     def chain_sum(self, start: int, length: int) -> float:
         return chain_sum(self._boxes, start, length)
 
-    def is_viable(self, start: int, length: int, quota_per_box: float) -> bool:
+    def is_viable(self, start: int, length: int, quota_per_box: Quota) -> bool:
         return is_viable(self._boxes, start, length, quota_per_box)
 
-    def is_prefix_viable(self, start: int, length: int, quota_per_box: float) -> bool:
+    def is_prefix_viable(self, start: int, length: int, quota_per_box: Quota) -> bool:
         return is_prefix_viable(self._boxes, start, length, quota_per_box)
 
-    def is_suffix_viable(self, start: int, length: int, quota_per_box: float) -> bool:
+    def is_suffix_viable(self, start: int, length: int, quota_per_box: Quota) -> bool:
         return is_suffix_viable(self._boxes, start, length, quota_per_box)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -190,18 +201,19 @@ class Ring:
 
 
 def is_viable(
-    boxes: Sequence[float], start: int, length: int, quota_per_box: float
+    boxes: Sequence[float], start: int, length: int, quota_per_box: Quota
 ) -> bool:
     """True when ``||c_start^length||_1 <= length * quota_per_box``.
 
-    ``quota_per_box`` is ``n / m`` in the uniform setting of Theorems 2 and 3.
-    Empty chains (``length == 0``) are viable by convention (their sum is 0).
+    ``quota_per_box`` is ``n / m`` in the uniform setting of Theorems 2 and 3
+    (``Fraction(n, m)`` to decide the comparison exactly, see the module
+    docstring).  Empty chains (``length == 0``) are viable by convention (their sum is 0).
     """
     return chain_sum(boxes, start, length) <= length * quota_per_box
 
 
 def is_prefix_viable(
-    boxes: Sequence[float], start: int, length: int, quota_per_box: float
+    boxes: Sequence[float], start: int, length: int, quota_per_box: Quota
 ) -> bool:
     """True when every prefix ``c_start^{l'}``, ``l' in [1..length]``, is viable."""
     m = len(boxes)
@@ -219,7 +231,7 @@ def is_prefix_viable(
 
 
 def is_suffix_viable(
-    boxes: Sequence[float], start: int, length: int, quota_per_box: float
+    boxes: Sequence[float], start: int, length: int, quota_per_box: Quota
 ) -> bool:
     """True when every suffix of ``c_start^length`` is viable.
 
@@ -241,7 +253,7 @@ def is_suffix_viable(
 
 
 def prefix_viable_lengths(
-    boxes: Sequence[float], start: int, quota_per_box: float, max_length: int | None = None
+    boxes: Sequence[float], start: int, quota_per_box: Quota, max_length: int | None = None
 ) -> int:
     """Return the largest ``l`` such that ``c_start^l`` is prefix-viable.
 
@@ -266,7 +278,7 @@ def prefix_viable_lengths(
 
 
 def first_prefix_violation(
-    boxes: Sequence[float], start: int, quota_per_box: float, length: int
+    boxes: Sequence[float], start: int, quota_per_box: Quota, length: int
 ) -> int | None:
     """Return the smallest prefix length at which ``c_start^length`` stops being viable.
 

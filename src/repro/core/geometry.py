@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.chains import is_prefix_viable
+from repro.core.principle import pigeonhole_bound
 
 
 def cumulative_sums(boxes: Sequence[float]) -> list[float]:
@@ -81,5 +82,5 @@ def verify_geometric_witness(boxes: Sequence[float], n: float) -> bool:
     if start is None:
         return True
     m = len(boxes)
-    quota = n / m
+    quota = pigeonhole_bound(n, m)
     return all(is_prefix_viable(boxes, start, length, quota) for length in range(1, m + 1))

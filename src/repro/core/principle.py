@@ -33,6 +33,7 @@ allocation and integer reduction (Theorems 4-7) live in
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from repro.core.chains import (
@@ -43,11 +44,18 @@ from repro.core.chains import (
 )
 
 
-def pigeonhole_bound(n: float, m: int) -> float:
-    """The per-box quota ``n / m`` guaranteed by Theorem 1."""
+def pigeonhole_bound(n: float, m: int) -> Fraction:
+    """The per-box quota ``n / m`` guaranteed by Theorem 1, as an exact rational.
+
+    A float quota rounds: ``7 * (61 / 7) < 61``, so a layout whose total is
+    exactly ``n`` would fail its own complete chain.  Every filter in this
+    module compares box sums against multiples of this ``Fraction`` instead,
+    which decides ``||c||_1 <= l * n / m`` exactly (it equals the float
+    ``n / m`` wherever that is exact: ``pigeonhole_bound(7, 2) == 3.5``).
+    """
     if m <= 0:
         raise ValueError("the number of boxes m must be positive")
-    return n / m
+    return Fraction(n) / m
 
 
 def pigeonhole_witnesses(boxes: Sequence[float], n: float) -> list[int]:

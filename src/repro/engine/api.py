@@ -60,14 +60,15 @@ class Query:
             retained scalar pigeonring reference); sets also accepts
             ``adapt`` and ``partalloc``.
         trace_id: when set, the engine records a span timeline for this
-            query and attaches it as ``Response.trace``.  The id also
-            threads through the diagnostics layer: it becomes the
-            OpenMetrics exemplar on the latency-histogram bucket the query
-            lands in (see :mod:`repro.common.obs`) and keys the trace in
-            the tail sampler's ring (:class:`repro.common.diag.
-            TailSampler`), so a slow bucket on ``/metrics`` resolves to a
-            concrete timeline under ``/debug/traces``.  Excluded from
-            equality/hashing so tracing never perturbs the result cache.
+            query and attaches it as ``Response.trace``.  The server keys
+            the request's trace document by it -- span timeline plus the
+            query summary, under ``/debug/traces``, where a request at or
+            over the slow-query threshold is always kept (:class:`repro.
+            common.diag.TailSampler`) -- and it becomes the OpenMetrics
+            exemplar on the latency-histogram bucket the query lands in
+            (see :mod:`repro.common.obs`), so a slow bucket on ``/metrics``
+            resolves to that document.  Excluded from equality/hashing so
+            tracing never perturbs the result cache.
         session: read-your-writes session token -- the ``wal_seq`` map the
             caller's last mutation was acknowledged at, rendered as
             ``"shard:seq,shard:seq"`` (see :func:`repro.engine.wire.
@@ -211,7 +212,7 @@ class Engine(Protocol):
 
     def profile_wire(self) -> list[dict]: ...
 
-    def start_profiling(self, hz: float | None = None) -> None: ...
+    def start_profiling(self) -> None: ...
 
     def stop_profiling(self) -> None: ...
 

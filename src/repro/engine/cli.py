@@ -19,10 +19,11 @@ The subcommands make the engine drivable end-to-end without writing code:
 * ``stats`` -- dump a running server's stats snapshot, or its Prometheus
   text exposition with ``--metrics``.
 * ``trace`` -- fetch a running server's recent request traces
-  (``/debug/traces``) and pretty-print each span timeline as a tree.
-* ``profile`` -- fetch a running server's sampling-profiler snapshot
-  (``/debug/profile``) and print the top self-time frames per thread role,
-  or the raw flamegraph-collapsed stacks with ``--folded``.
+  (``/debug/traces``; every request over ``--slow-query-ms`` is kept there)
+  and print each one's query summary and span timeline as a tree.
+* ``profile`` -- have a running server sample itself and its shard workers
+  for ``--seconds`` (``/debug/profile``) and print the top self-time frames
+  per thread role, or the raw flamegraph-collapsed stacks with ``--folded``.
 """
 
 from __future__ import annotations
@@ -228,10 +229,7 @@ def _serve(args: argparse.Namespace) -> int:
         trace=args.trace,
         trace_budget=args.trace_budget,
         slow_query_ms=args.slow_query_ms,
-        slow_query_log=args.slow_query_log,
-        slow_query_max_mb=args.slow_query_max_mb,
         durability=args.durability,
-        profile_hz=args.profile_hz,
         slo_latency_ms=args.slo_latency_ms,
     )
     server = EngineServer(engine, config, own_engine=True)
@@ -321,7 +319,7 @@ def _profile(args: argparse.Namespace) -> int:
         print(f"  {role:<16}{100.0 * share:5.1f}%")
     top = payload.get("top", [])
     if not top:
-        print("no samples recorded yet (is the profiler armed? try --seconds 2)")
+        print("the window recorded no samples (try a longer --seconds)")
         return 1
     print(f"top {len(top)} self-time frame(s):")
     for entry in top:
@@ -347,6 +345,8 @@ def _trace(args: argparse.Namespace) -> int:
     for doc in traces[: args.last]:
         total_ms = doc.get("duration_ms", 0.0)
         print(f"trace {doc.get('trace_id', '?')}  {doc.get('name', '?')}  {total_ms:.3f} ms")
+        if "query" in doc:
+            print("  " + "  ".join(f"{key}={value}" for key, value in doc["query"].items()))
         for node in doc.get("spans", ()):
             _print_span(node, 0, total_ms)
     return 0
@@ -419,19 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--slow-query-ms",
         type=float,
         default=None,
-        help="log queries slower than this many ms end-to-end (0 logs all)",
-    )
-    http_serve.add_argument(
-        "--slow-query-log",
-        default=None,
-        help="append slow-query JSON lines to this file (default: in-memory ring only)",
-    )
-    http_serve.add_argument(
-        "--slow-query-max-mb",
-        type=float,
-        default=None,
-        help="rotate the slow-query log file once it reaches this many MB "
-        "(a bounded number of rotated files is kept)",
+        help="trace every query and always keep those at least this many ms "
+        "end-to-end under /debug/traces (0 keeps all)",
     )
     http_serve.add_argument(
         "--trace-budget",
@@ -439,13 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="fraction of ordinary traces the tail sampler retains (slow and "
         "errored traces are always kept); 1.0 keeps everything",
-    )
-    http_serve.add_argument(
-        "--profile-hz",
-        type=float,
-        default=None,
-        help="arm a continuous sampling profiler at this rate (server thread "
-        "and every shard worker); snapshots via /debug/profile",
     )
     http_serve.add_argument(
         "--slo-latency-ms",
@@ -540,15 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=_trace)
 
     profile = commands.add_parser(
-        "profile", help="print a running server's sampling-profiler snapshot"
+        "profile", help="sample a running server (and its shard workers) for a window"
     )
     profile.add_argument("--url", required=True, help="server base URL")
     profile.add_argument(
         "--seconds",
         type=float,
         default=None,
-        help="measure a fresh window of this length instead of the "
-        "continuous profiler's whole-lifetime snapshot",
+        help="length of the sampling window (server default: 1 s, at most 30)",
     )
     profile.add_argument(
         "--folded",

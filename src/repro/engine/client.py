@@ -489,12 +489,9 @@ class EngineClient:
         return self._request("GET", "/debug/traces")
 
     def profile(self, seconds: float | None = None) -> dict:
-        """Folded-stack profile of the serving process (``GET /debug/profile``).
-
-        With ``seconds`` the server measures a fresh window of that length
-        (capped server-side); without it, the continuous profiler's
-        whole-lifetime snapshot comes back instantly.
-        """
+        """Folded-stack profile of the server and its shard workers (``GET
+        /debug/profile``), sampled over a window of ``seconds`` (server
+        default 1 s, capped server-side); the call returns when it ends."""
         path = "/debug/profile"
         if seconds is not None:
             path = f"/debug/profile?seconds={seconds:g}"

@@ -1088,7 +1088,7 @@ class SearchEngine:
     def profile_wire(self) -> list[dict]:
         return []
 
-    def start_profiling(self, hz: float | None = None) -> None:
+    def start_profiling(self) -> None:
         pass
 
     def stop_profiling(self) -> None:

@@ -197,19 +197,16 @@ def _worker_compact_and_save(shard_dir: str | None) -> dict:
     return summary
 
 
-def _worker_start_profiler(hz: float) -> None:
-    """Arm (or re-arm) this worker's continuous sampling profiler.
+def _worker_start_profiler() -> None:
+    """Arm this worker's sampler for one ``/debug/profile`` window.
 
-    The profiler lives in the worker global and keeps sampling between
-    queries, so :func:`_worker_profile_wire` answers instantly -- an
-    on-demand profiling window would block the shard's single worker and
-    stall every in-flight query behind it.
+    The sampler ticks on its own daemon thread between and during queries,
+    so the parent's window never occupies the shard's single worker; a
+    sampler left over from a window whose disarm never reached this worker
+    is replaced, not resumed.
     """
-    profiler = _WORKER.get("profiler")
-    if profiler is None:
-        profiler = diag.SamplingProfiler(hz=hz, main_role="shard-worker")
-        _WORKER["profiler"] = profiler
-    profiler.start()
+    _worker_stop_profiler()
+    _WORKER["profiler"] = diag.SamplingProfiler(main_role="shard-worker").start()
 
 
 def _worker_stop_profiler() -> None:
@@ -219,7 +216,7 @@ def _worker_stop_profiler() -> None:
 
 
 def _worker_profile_wire() -> dict | None:
-    """Snapshot of the worker's profiler, or None when profiling is off."""
+    """Snapshot of the worker's sampler, or None when no window armed it."""
     profiler = _WORKER.get("profiler")
     return profiler.snapshot() if profiler is not None else None
 
@@ -463,22 +460,17 @@ class ReplicaSet:
         the set has none left."""
         return RoutedFuture(self, fn, args, min_seq)
 
-    def broadcast(
-        self, fn: Callable, *args: Any, ignore_errors: bool = True
-    ) -> list[Any]:
-        """Run a task on every live replica, collecting the results."""
+    def broadcast(self, fn: Callable, *args: Any) -> list[Any]:
+        """Run a task on every live replica, collecting the results; a
+        replica found dead is marked so and contributes nothing."""
         with self._lock:
             targets = [r for r in self.replicas if r.state == LIVE]
         results: list[Any] = []
         for replica in targets:
             try:
                 results.append(replica.pool.submit(fn, *args).result())
-            except (BrokenProcessPool, CancelledError, RuntimeError) as exc:
+            except (BrokenProcessPool, CancelledError, RuntimeError):
                 self._mark_dead(replica)
-                if not ignore_errors:
-                    raise ShardWorkerError(
-                        self.shard_id, f"replica {replica.index} died ({exc})"
-                    ) from exc
         return results
 
     # -- write path --------------------------------------------------------
@@ -634,15 +626,12 @@ class ReplicaSet:
             ) from exc
         return replica
 
-    def heal(self) -> list[Replica]:
+    def heal(self) -> None:
         """Respawn every dead replica (the supervisor's per-tick sweep).
 
         Also notices replicas whose process was killed but whose pool has
         not yet observed the death (nothing was submitted since the kill).
-        Returns the replicas brought back live, so the caller can re-arm
-        per-worker state such as profilers.
         """
-        healed: list[Replica] = []
         for replica in self.replicas:
             with self._lock:
                 needs = replica.state == DEAD or (
@@ -653,9 +642,7 @@ class ReplicaSet:
             try:
                 self.respawn(replica)
             except ShardWorkerError:
-                continue
-            healed.append(replica)
-        return healed
+                pass  # still dead: the next sweep retries
 
     # -- compaction --------------------------------------------------------
 

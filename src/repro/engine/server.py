@@ -48,14 +48,8 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.common import diag
-from repro.common.obs import (
-    BATCH_SIZE_BUCKETS,
-    MetricsRegistry,
-    SlowQueryLog,
-    new_trace_id,
-)
+from repro.common.obs import BATCH_SIZE_BUCKETS, MetricsRegistry, new_trace_id
 from repro.engine.api import Engine, Query
-from repro.engine.replication import ShardWorkerError
 from repro.engine.wire import (
     WIRE_SCHEMA_VERSION,
     WireFormatError,
@@ -84,8 +78,6 @@ _MAX_HEADERS = 100
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: The ``Retry-After`` hint, in seconds, on 429/503 responses.
 _RETRY_AFTER = {"Retry-After": "1"}
-#: Rotated slow-query log files retained.
-_SLOW_QUERY_KEEP_FILES = 3
 #: Capacity of the recent-traces ring (``/debug/traces``).
 _TRACE_BUFFER = 128
 #: Target good-request fraction of the serving SLO (burn rates on
@@ -108,7 +100,7 @@ _ENDPOINTS = (
     "/debug/slo",
 )
 
-#: Longest on-demand profiling window ``GET /debug/profile?seconds=N`` accepts.
+#: Longest profiling window ``GET /debug/profile?seconds=N`` accepts.
 _MAX_PROFILE_SECONDS = 30.0
 
 #: What the engine raises for a query that is itself at fault (a payload of
@@ -132,20 +124,13 @@ class ServerConfig:
         trace: record a span timeline for every search request (clients can
             also opt in per request with an ``X-Trace: 1`` header, or pin
             the id with ``X-Trace-Id``).
-        slow_query_ms: when set, queries at or above this end-to-end latency
-            are appended to the slow-query log (JSON lines; implies
-            tracing so every slow entry carries its span timeline).
-        slow_query_log: file path for the slow-query log; ``None`` keeps
-            slow requests only in the trace ring (``/debug/traces``).
-        slow_query_max_mb: size-rotate the slow-query log file once it
-            reaches this many megabytes; ``None`` never rotates.
+        slow_query_ms: when set, every request is traced, and one at or
+            above this end-to-end latency is always kept in the trace ring
+            (``/debug/traces``) -- span timeline plus query summary --
+            where ordinary traces cannot evict it: the slow-query log.
         trace_budget: fraction of ordinary (fast, successful) traces kept in
             the ring; slow and error traces are always kept.  1.0 keeps
             everything, 0.01 keeps every 100th ordinary trace.
-        profile_hz: when set, run the continuous sampling profiler at this
-            rate for the server's lifetime (``GET /debug/profile`` then
-            reads the running aggregate; without it the endpoint profiles
-            on demand for ``?seconds=N``).
         slo_latency_ms: latency target of the SLO; a request slower than
             this counts against the error budget like a failed one.
             ``None`` tracks errors only.
@@ -161,10 +146,7 @@ class ServerConfig:
     drain_timeout_s: float = 30.0
     trace: bool = False
     slow_query_ms: float | None = None
-    slow_query_log: str | None = None
-    slow_query_max_mb: float | None = None
     trace_budget: float = 1.0
-    profile_hz: float | None = None
     slo_latency_ms: float | None = None
     durability: str | None = None
 
@@ -177,12 +159,8 @@ class ServerConfig:
             raise ValueError("max_pending must be at least 1")
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
             raise ValueError("slow_query_ms must be non-negative")
-        if self.slow_query_max_mb is not None and self.slow_query_max_mb <= 0:
-            raise ValueError("slow_query_max_mb must be positive")
         if not 0.0 <= self.trace_budget <= 1.0:
             raise ValueError("trace_budget must be in [0, 1]")
-        if self.profile_hz is not None and self.profile_hz <= 0:
-            raise ValueError("profile_hz must be positive")
         if self.slo_latency_ms is not None and self.slo_latency_ms <= 0:
             raise ValueError("slo_latency_ms must be positive")
 
@@ -321,27 +299,10 @@ class EngineServer:
             budget=self.config.trace_budget,
             slow_ms=self.config.slow_query_ms,
         )
-        self.slow_log = (
-            SlowQueryLog(
-                self.config.slow_query_ms,
-                self.config.slow_query_log,
-                max_bytes=(
-                    int(self.config.slow_query_max_mb * 1024 * 1024)
-                    if self.config.slow_query_max_mb is not None
-                    else None
-                ),
-                keep_files=_SLOW_QUERY_KEEP_FILES,
-            )
-            if self.config.slow_query_ms is not None
-            else None
-        )
-        self.profiler = (
-            diag.SamplingProfiler(hz=self.config.profile_hz)
-            if self.config.profile_hz is not None
-            else None
-        )
         self.slo = diag.SloMonitor(objective=_SLO_OBJECTIVE, latency_ms=self.config.slo_latency_ms)
-        self._span_bridge = diag.SpanMetricsBridge(self.stats.registry)
+        # One /debug/profile window at a time: a second request waits for
+        # the first to disarm instead of sharing (and cutting short) it.
+        self._profile_lock = asyncio.Lock()
         self._own_engine = own_engine
         # Queue entries carry their enqueue time (loop clock) so each query's
         # wait behind the running batch can be reported, and whether the
@@ -378,10 +339,6 @@ class EngineServer:
         return f"http://{host}:{port}"
 
     async def start(self) -> None:
-        if self.profiler is not None:
-            self.profiler.start()
-            # An engine with worker processes profiles those too.
-            self.engine.start_profiling(self.config.profile_hz)
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port, limit=_LINE_LIMIT
         )
@@ -404,12 +361,6 @@ class EngineServer:
         # abandoned, so a late batch completion cannot pump a dead executor.
         self._queue.clear()
         self._executor.shutdown(wait=True)
-        if self.profiler is not None:
-            self.profiler.stop()
-            try:
-                self.engine.stop_profiling()
-            except Exception:  # noqa: BLE001 - dead workers must not block the drain
-                self.stats.observe_suppressed("stop_worker_profilers")
         if self._own_engine:
             self.engine.close()
 
@@ -679,28 +630,59 @@ class EngineServer:
         requested = headers.get("x-trace")
         if requested is not None and requested.strip().lower() not in ("", "0", "false", "no"):
             return new_trace_id()
-        if self.config.trace or self.slow_log is not None:
+        if self.config.trace or self.config.slow_query_ms is not None:
             return new_trace_id()
         return None
+
+    def _admit_body(self, body: bytes) -> tuple[tuple[int, dict, dict[str, str]] | None, Any]:
+        """The admission prologue of every POST: 503 while draining, 429 at
+        ``max_pending``, 400 for a body that is not JSON.  Returns
+        ``(refusal, parsed body)``; the refusal is ``None`` when admitted."""
+        if self._draining:
+            self.stats.observe_error("unavailable")
+            return (503, {"error": "the server is draining"}, _RETRY_AFTER), None
+        if self._in_flight >= self.config.max_pending:
+            self.stats.observe_rejected("busy")
+            error = f"{self._in_flight} queries in flight (limit {self.config.max_pending})"
+            return (429, {"error": error}, _RETRY_AFTER), None
+        try:
+            return None, json.loads(body.decode("utf-8")) if body else None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            self.stats.observe_rejected("invalid")
+            return (400, {"error": f"request body is not valid JSON: {exc}"}, {}), None
+
+    def _failure(
+        self, exc: Exception, trace_id: str | None = None
+    ) -> tuple[int, dict, dict[str, str]]:
+        """The response for a failed engine call, counted by kind.
+
+        A dead shard worker or a closed engine (``ShardWorkerError`` is a
+        ``RuntimeError``) is a 503: the request is lost but the batcher
+        keeps serving, and clients may retry elsewhere or later.  Engine-level
+        validation the wire decoder cannot see (backend not attached, a
+        payload of the wrong dimension) is that request's own 400.  Anything
+        else is a 500, not a crash.  The trace id rides along on the 5xx so
+        the failure is correlatable.
+        """
+        if isinstance(exc, RuntimeError):
+            self.stats.observe_error("unavailable")
+            status, payload, headers = 503, {"error": str(exc)}, _RETRY_AFTER
+        elif isinstance(exc, _REQUEST_ERRORS):
+            self.stats.observe_rejected("invalid")
+            return 400, {"error": str(exc)}, {}
+        else:
+            self.stats.observe_error("internal")
+            status, payload, headers = 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
+        if trace_id is not None:
+            payload["trace_id"] = trace_id
+        return status, payload, headers
 
     async def _handle_search(
         self, path: str, headers: dict[str, str], body: bytes
     ) -> tuple[int, dict, dict[str, str]]:
-        if self._draining:
-            self.stats.observe_error("unavailable")
-            return 503, {"error": "the server is draining"}, _RETRY_AFTER
-        if self._in_flight >= self.config.max_pending:
-            self.stats.observe_rejected("busy")
-            return (
-                429,
-                {"error": f"{self._in_flight} queries in flight (limit {self.config.max_pending})"},
-                _RETRY_AFTER,
-            )
-        try:
-            parsed = json.loads(body.decode("utf-8")) if body else None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.stats.observe_rejected("invalid")
-            return 400, {"error": f"request body is not valid JSON: {exc}"}, {}
+        refusal, parsed = self._admit_body(body)
+        if refusal is not None:
+            return refusal
         try:
             query = decode_query(parsed)
             if path == "/search/topk":
@@ -725,63 +707,36 @@ class EngineServer:
         started = time.perf_counter()
         try:
             response, batch_size, wait_s, exec_s = await self._admit(query)
-        except (ShardWorkerError, RuntimeError) as exc:
-            # A dead shard worker or a closed engine: the query is lost but
-            # the batcher keeps serving; clients may retry elsewhere/later.
-            # The trace id rides along so the failure is correlatable.
-            self.stats.observe_error("unavailable")
-            self._observe_failure(query, trace_id, started, exc)
-            payload = {"error": str(exc)}
-            if trace_id is not None:
-                payload["trace_id"] = trace_id
-            return 503, payload, _RETRY_AFTER
-        except _REQUEST_ERRORS as exc:
-            # Engine-level validation the wire decoder cannot see (backend
-            # not attached, algorithm/backend mismatch against this index).
-            self.stats.observe_rejected("invalid")
-            return 400, {"error": str(exc)}, {}
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a crash
-            self.stats.observe_error("internal")
-            self._observe_failure(query, trace_id, started, exc)
-            payload = {"error": f"{type(exc).__name__}: {exc}"}
-            if trace_id is not None:
-                payload["trace_id"] = trace_id
-            return 500, payload, {}
+        except Exception as exc:  # noqa: BLE001 - answered by kind, never a crash
+            failure = self._failure(exc, trace_id)
+            if failure[0] >= 500:  # the server's fault: counts against the SLO
+                self._observe_failure(query, trace_id, started, exc)
+            return failure
         e2e_ms = (time.perf_counter() - started) * 1000.0
         self.stats.observe_query()
         self.slo.observe(e2e_ms)
         payload = encode_response(response, batch_size)
         if trace_id is not None:
-            trace_doc = self._request_trace(trace_id, response, wait_s, exec_s, e2e_ms)
-            payload["trace"] = trace_doc
-            self.traces.add(trace_doc, e2e_ms=e2e_ms)
-            self._span_bridge.record(trace_doc, backend=query.backend)
-            if self.slow_log is not None:
-                self.slow_log.maybe_log(
-                    e2e_ms,
-                    {
-                        "ts": time.time(),
-                        "trace_id": trace_id,
-                        "route": path,
-                        "backend": query.backend,
-                        "tau": query.tau,
-                        "k": query.k,
-                        "algorithm": query.algorithm,
-                        "batch_size": batch_size,
-                        "num_results": response.num_results,
-                        "num_candidates": response.num_candidates,
-                        "num_generated": response.num_generated,
-                        "cached": response.cached,
-                        "trace": trace_doc,
-                    },
-                )
+            payload["trace"] = self._request_trace(
+                path, query, response, batch_size, wait_s, exec_s, e2e_ms
+            )
+            self.traces.add(payload["trace"], e2e_ms=e2e_ms)
         return 200, payload, {}
 
     def _request_trace(
-        self, trace_id: str, response: Any, wait_s: float, exec_s: float, e2e_ms: float
+        self,
+        path: str,
+        query: Query,
+        response: Any,
+        batch_size: int,
+        wait_s: float,
+        exec_s: float,
+        e2e_ms: float,
     ) -> dict:
-        """The request timeline: coalesce wait, then the batch execution with
-        the engine's own span tree (which for a sharded engine holds the
+        """One request's diagnostic document: what was asked and what it
+        cost (``query``, the line a slow-query log would carry), and the
+        timeline -- coalesce wait, then the batch execution with the
+        engine's own span tree (which for a sharded engine holds the
         per-shard candidate/verify spans and the merge) embedded."""
         wait_ms = wait_s * 1000.0
         children = []
@@ -796,9 +751,22 @@ class EngineServer:
                 }
             )
         return {
-            "trace_id": trace_id,
+            "trace_id": query.trace_id,
             "name": "request",
             "duration_ms": round(e2e_ms, 4),
+            "query": {
+                "ts": round(time.time(), 3),
+                "route": path,
+                "backend": query.backend,
+                "tau": query.tau,
+                "k": query.k,
+                "algorithm": query.algorithm,
+                "batch_size": batch_size,
+                "num_results": response.num_results,
+                "num_candidates": response.num_candidates,
+                "num_generated": response.num_generated,
+                "cached": response.cached,
+            },
             "spans": [
                 {
                     "name": "coalesce_wait",
@@ -843,21 +811,9 @@ class EngineServer:
         it, and the admission-control / drain bookkeeping covers writes
         exactly like reads.
         """
-        if self._draining:
-            self.stats.observe_error("unavailable")
-            return 503, {"error": "the server is draining"}, _RETRY_AFTER
-        if self._in_flight >= self.config.max_pending:
-            self.stats.observe_rejected("busy")
-            return (
-                429,
-                {"error": f"{self._in_flight} queries in flight (limit {self.config.max_pending})"},
-                _RETRY_AFTER,
-            )
-        try:
-            parsed = json.loads(body.decode("utf-8")) if body else None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.stats.observe_rejected("invalid")
-            return 400, {"error": f"request body is not valid JSON: {exc}"}, {}
+        refusal, parsed = self._admit_body(body)
+        if refusal is not None:
+            return refusal
         try:
             apply = self._decode_mutation(path, parsed)
         except WireFormatError as exc:
@@ -867,15 +823,8 @@ class EngineServer:
         self._in_flight += 1
         try:
             payload = await loop.run_in_executor(self._executor, apply)
-        except (ShardWorkerError, RuntimeError) as exc:
-            self.stats.observe_error("unavailable")
-            return 503, {"error": str(exc)}, _RETRY_AFTER
-        except (ValueError, KeyError, NotImplementedError) as exc:
-            self.stats.observe_rejected("invalid")
-            return 400, {"error": str(exc)}, {}
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a crash
-            self.stats.observe_error("internal")
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
+        except Exception as exc:  # noqa: BLE001 - answered by kind, never a crash
+            return self._failure(exc)
         finally:
             self._in_flight -= 1
         payload["schema_version"] = WIRE_SCHEMA_VERSION
@@ -1001,46 +950,33 @@ class EngineServer:
     ) -> tuple[int, dict, dict[str, str]]:
         """``GET /debug/profile[?seconds=N]``: folded stacks per thread role.
 
-        With a continuous profiler (``profile_hz``) the bare endpoint
-        returns the running aggregate and ``?seconds=N`` the delta over an
-        N-second window; without one, ``?seconds=N`` (default 1s) profiles
-        on demand.  The asyncio handler only sleeps -- sampling happens on
-        the profiler's daemon thread -- so other requests keep flowing.
+        One on-demand window (default 1 s): arm a sampler in this process
+        and, through the engine, in every live shard worker; sleep; collect;
+        disarm -- in a ``finally``, so a window cancelled by a timed-out
+        drain leaves no sampler running.  The handler only sleeps (sampling
+        happens on daemon threads), so other requests keep flowing, and a
+        worker that dies or is healed mid-window contributes no samples.
         """
-        raw = params.get("seconds")
-        seconds: float | None = None
-        if raw is not None:
-            try:
-                seconds = float(raw)
-            except ValueError:
-                return 400, {"error": f"bad seconds {raw!r}"}, {}
-            if not 0 < seconds <= _MAX_PROFILE_SECONDS:
-                return (
-                    400,
-                    {"error": f"seconds must be in (0, {_MAX_PROFILE_SECONDS:g}]"},
-                    {},
-                )
-        if self.profiler is not None:
-            if seconds is None:
-                profile = self.profiler.snapshot()
-            else:
-                before = self.profiler.snapshot()
-                await asyncio.sleep(seconds)
-                profile = diag.profile_diff(before, self.profiler.snapshot())
-        else:
-            temporary = diag.SamplingProfiler()
-            temporary.start()
-            try:
-                await asyncio.sleep(seconds if seconds is not None else 1.0)
-            finally:
-                temporary.stop()
-            profile = temporary.snapshot()
-        wires = [profile]
+        raw = params.get("seconds", "1")
         try:
-            wires.extend(self.engine.profile_wire())
-        except Exception:  # noqa: BLE001 - a dead worker must not take the endpoint down
-            self.stats.observe_suppressed("worker_profile_wire")
-        merged = diag.merge_profiles(wires)
+            seconds = float(raw)
+        except ValueError:
+            return 400, {"error": f"bad seconds {raw!r}"}, {}
+        if not 0 < seconds <= _MAX_PROFILE_SECONDS:
+            return 400, {"error": f"seconds must be in (0, {_MAX_PROFILE_SECONDS:g}]"}, {}
+        wires: list[dict] = []
+        async with self._profile_lock:
+            sampler = diag.SamplingProfiler().start()
+            try:
+                self.engine.start_profiling()
+                await asyncio.sleep(seconds)
+                wires = self.engine.profile_wire()
+            except Exception:  # noqa: BLE001 - a closed engine must not take the endpoint down
+                self.stats.observe_suppressed("worker_profile_wire")
+            finally:
+                sampler.stop()
+                self.engine.stop_profiling()
+        merged = diag.merge_profiles([sampler.snapshot(), *wires])
         payload = {
             "schema_version": WIRE_SCHEMA_VERSION,
             "profile": merged,

@@ -399,7 +399,6 @@ class ShardedEngine:
         self._tick_count = 0
         self._stats = ShardedStats()
         self._health = diag.HealthScoreboard(len(self._manifest["shards"]))
-        self._profile_hz: float | None = None
         try:
             for shard_id, shard in enumerate(self._manifest["shards"]):
                 wal_path = (
@@ -477,10 +476,6 @@ class ShardedEngine:
         rset = self._sets[shard_id]
         for replica in rset.replicas:
             rset.respawn(replica)
-        if self._profile_hz is not None:
-            # The old workers took their profilers with them; re-arm.
-            for replica in rset.replicas:
-                replica.pool.submit(_worker_start_profiler, self._profile_hz).result()
         if self._wal_dir is not None:
             self._refresh_next_id()
 
@@ -488,19 +483,8 @@ class ShardedEngine:
         """One supervisor sweep: heal dead replicas, drive auto-compaction."""
         self._tick_count += 1
         if self._num_replicas > 1:
-            for shard_id, rset in enumerate(self._sets):
-                healed = rset.heal()
-                if self._profile_hz is not None:
-                    for replica in healed:
-                        try:
-                            replica.pool.submit(
-                                _worker_start_profiler, self._profile_hz
-                            ).result()
-                        except Exception:
-                            # A healed replica without a profiler still
-                            # serves; count it rather than fail the sweep.
-                            self._stats.observe_worker_error(shard_id)
-                            continue
+            for rset in self._sets:
+                rset.heal()
         if self._auto_policy is not None and self._tick_count % 10 == 0:
             for shard_id, rset in enumerate(self._sets):
                 if rset.compacting:
@@ -582,26 +566,21 @@ class ShardedEngine:
                 merged.merge_wire(wire)
         return merged.to_wire()
 
-    def start_profiling(self, hz: float | None = None) -> None:
-        """Arm a continuous sampling profiler inside every shard worker.
-
-        Workers keep profiling between queries, so :meth:`profile_wire`
-        snapshots without a measurement window; a respawned worker is
-        re-armed automatically.
-        """
+    def start_profiling(self) -> None:
+        """Arm a sampler inside every live shard worker, for the one
+        ``/debug/profile`` window the caller then sleeps on.  A worker that
+        dies or is respawned mid-window contributes no samples."""
         self._require_open()
-        self._profile_hz = float(hz) if hz else diag.DEFAULT_PROFILE_HZ
         for rset in self._sets:
-            rset.broadcast(_worker_start_profiler, self._profile_hz, ignore_errors=False)
+            rset.broadcast(_worker_start_profiler)
 
     def stop_profiling(self) -> None:
-        """Disarm every worker's profiler (tolerates already-dead workers)."""
-        self._profile_hz = None
+        """Disarm every live worker's sampler (a no-op once closed)."""
         for rset in self._sets:
             rset.broadcast(_worker_stop_profiler)
 
     def profile_wire(self) -> list[dict]:
-        """Every armed worker's profiler snapshot (mergeable wire dumps)."""
+        """Every armed worker's sampler snapshot (mergeable wire dumps)."""
         self._require_open()
         wires: list[dict] = []
         for rset in self._sets:

@@ -342,16 +342,68 @@ def test_doc_drift_trips_on_deleted_verb_flag_and_path(make_tree):
     stale = (
         _ENGINE_MD_OK
         + "| `--rate` | `load-bench` | open-loop dispatch rate |\n\n"
-        + "```sh\npython -m repro.engine load-bench --url http://x\n```\n"
+        + "```sh\npython -m repro.engine load-bench --tau 2\n```\n"
         + "The suite is `benchmarks/run_all.py`.\n"
     )
     report = _run(_reverse_tree(make_tree, stale), "doc-drift")
     messages = sorted(f.message for f in report.errors)
     assert len(messages) == 3
     assert "documents CLI verb load-bench" in messages[0]
-    assert "names benchmarks/run_all.py, which does not exist" in messages[1]
-    assert "the flag table lists --rate" in messages[2]
+    assert "names --rate, which no command line registers" in messages[1]
+    assert "names benchmarks/run_all.py, which does not exist" in messages[2]
     assert {f.file for f in report.errors} == {"ENGINE.md"}
+
+
+def test_doc_drift_checks_every_flag_the_docs_name_not_only_the_table(make_tree):
+    """Prose, a code block, the sibling command lines and the other tools' list."""
+    files = {
+        "src/repro/engine/cli.py": _CLI_VERBS,
+        "src/repro/analysis/__main__.py": 'parser.add_argument("--strict")\n',
+        "benchmarks/perf/run.py": 'parser.add_argument("--workload")\n',
+        "tests/test_cli.py": "",
+        "ENGINE.md": _ENGINE_MD_OK
+        + "Run `python -m repro.analysis --strict`, `run.py --workload x` and\n"
+        + "`pytest --benchmark-only`; a rule row holds -- as prose -- no flag.\n",
+    }
+    assert _run(make_tree(files), "doc-drift").findings == []
+    files["README.md"] = "Rotation keeps `--slow-query-keep-files` generations:\n\n"
+    files["README.md"] += "```sh\npython -m repro.engine query --tau 2 --profile-hz 67\n```\n"
+    report = _run(make_tree(files), "doc-drift")
+    assert sorted((f.file, f.line, f.message) for f in report.errors) == [
+        ("README.md", 1, "names --slow-query-keep-files, which no command line registers"),
+        ("README.md", 4, "names --profile-hz, which no command line registers"),
+    ]
+
+
+_STATS = """
+class Stats:
+    def __init__(self, r):
+        self._queries = r.counter("engine_queries_total", "queries served")
+        r.gauge("engine_delta_records", "records in the delta store", backend="sets")
+        r.histogram(name, "a computed name is not a literal")
+
+    def observe(self, r, backend):
+        r.histogram("engine_query_seconds", "latency", backend=backend).observe(1.0)
+"""
+
+
+def test_doc_drift_requires_a_line_for_every_series_the_engine_emits(make_tree):
+    files = {
+        "src/repro/engine/executor.py": _STATS,
+        "src/repro/sets/searcher.py": 'registry.counter("not_under_engine_total")\n',
+        "ENGINE.md": "Read `engine_queries_total` and `engine_query_seconds{backend}`;\n"
+        "engine_delta_records without backticks does not count.\n",
+    }
+    report = _run(make_tree(files), "doc-drift")
+    assert [(f.file, f.line, f.message) for f in report.errors] == [
+        (
+            "src/repro/engine/executor.py",
+            5,
+            "series engine_delta_records is emitted but ENGINE.md never names it",
+        )
+    ]
+    files["ENGINE.md"] += "Overlay size: `engine_delta_records{backend}`.\n"
+    assert _run(make_tree(files), "doc-drift").findings == []
 
 
 def test_doc_drift_requires_engine_md_when_server_exists(make_tree):

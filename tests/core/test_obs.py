@@ -10,7 +10,6 @@ from repro.common import obs
 from repro.common.obs import (
     Histogram,
     MetricsRegistry,
-    SlowQueryLog,
     Trace,
     span,
     span_tree_coverage,
@@ -247,25 +246,3 @@ def test_span_tree_coverage():
     doc = {"duration_ms": 10.0, "spans": [{"duration_ms": 6.0}, {"duration_ms": 3.0}]}
     assert span_tree_coverage(doc) == pytest.approx(0.9)
     assert span_tree_coverage({"duration_ms": 0.0, "spans": []}) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# slow-query log
-# ---------------------------------------------------------------------------
-
-
-def test_slow_query_log_threshold_and_file(tmp_path):
-    path = tmp_path / "slow.jsonl"
-    log = SlowQueryLog(threshold_ms=5.0, path=str(path))
-    assert not log.maybe_log(1.0, {"trace_id": "fast"})
-    assert log.maybe_log(9.0, {"trace_id": "slow", "route": "/search"})
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    entry = json.loads(lines[0])
-    assert entry["trace_id"] == "slow"
-    assert entry["e2e_ms"] == 9.0
-
-
-def test_slow_query_log_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        SlowQueryLog(threshold_ms=-1.0)

@@ -1,8 +1,9 @@
 """Tests of the pigeonhole and pigeonring principles (Theorems 1-3, Corollaries 1-2)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from repro.core.geometry import verify_geometric_witness
 from repro.core.principle import (
     candidate_subset_holds,
     complete_chain_sum,
@@ -139,6 +140,7 @@ def layouts(draw, max_m=8, max_value=12):
 
 class TestPrincipleProperties:
     @given(layouts())
+    @example(([0, 1, 12, 12, 12, 12, 12], 61))  # 7 * (61 / 7) < 61 in floats
     def test_theorem_2_and_3_guarantee(self, layout):
         """If ||B||_1 <= n both forms must pass for every chain length."""
         boxes, n = layout
@@ -147,6 +149,23 @@ class TestPrincipleProperties:
         for length in range(1, len(boxes) + 1):
             assert passes_pigeonring_basic(boxes, n, length)
             assert passes_pigeonring_strong(boxes, n, length)
+
+    def test_a_total_of_exactly_n_passes_at_every_length(self):
+        """Theorems 2/3 at the boundary ``||B||_1 == n``, where a float quota
+        ``l * (n / m)`` can round below ``n``: every m <= 8, n <= 96, a layout
+        summing to exactly n (uneven, so prefixes differ), every l."""
+        for m in range(1, 9):
+            for n in range(97):
+                boxes = [n] if m == 1 else [n // 3] + [0] * (m - 2) + [n - n // 3]
+                assert verify_geometric_witness(boxes, n)
+                # The complete chain is viable, so no chain has every prefix
+                # (or suffix) over its quota.
+                assert not prefix_nonviable_witnesses(boxes, n, m)
+                assert not suffix_nonviable_witnesses(boxes, n, m)
+                for length in range(1, m + 1):
+                    assert passes_pigeonring_basic(boxes, n, length), (boxes, n, length)
+                    assert passes_pigeonring_strong(boxes, n, length), (boxes, n, length)
+                    assert suffix_viable_witnesses(boxes, n, length), (boxes, n, length)
 
     @given(layouts())
     def test_lemma_1_and_4_monotonicity(self, layout):

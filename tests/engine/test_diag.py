@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import os
 import re
+import signal
 import threading
 import time
 
@@ -20,6 +23,7 @@ from repro.engine import (
     ShardedEngine,
     build_shards,
 )
+from tests.engine.test_replication import _replica_pid, _replicated, _wait_until
 
 # ---------------------------------------------------------------------------
 # Sampling profiler
@@ -76,7 +80,7 @@ def test_profiler_attributes_samples_to_roles():
     assert abs(sum(attribution.values()) - 1.0) < 1e-9
 
 
-def test_profiler_snapshot_mergeable_and_diffable():
+def test_profiler_snapshots_merge():
     a = {
         "diag_wire_version": 1,
         "hz": 67.0,
@@ -101,11 +105,6 @@ def test_profiler_snapshot_mergeable_and_diffable():
     assert merged["duration_s"] == 5.0
     assert merged["roles"]["executor"]["stacks"]["m:f;m:g"] == 4
     assert merged["roles"]["shard-worker"]["samples"] == 4
-
-    diff = diag.profile_diff(a, merged)
-    assert diff["ticks"] == 10
-    assert diff["roles"]["executor"]["stacks"] == {"m:f;m:g": 1, "m:f;m:h": 1}
-    assert diff["roles"]["shard-worker"]["stacks"] == {"w:scan": 4}
 
 
 def test_profiler_memory_is_bounded():
@@ -253,54 +252,12 @@ def test_tail_sampler_rejects_bad_budget():
         diag.TailSampler(budget=1.5)
 
 
-# ---------------------------------------------------------------------------
-# Span -> metrics bridge
-# ---------------------------------------------------------------------------
-
-_TRACE_DOC = {
-    "trace_id": "abc",
-    "name": "request",
-    "duration_ms": 10.0,
-    "spans": [
-        {"name": "coalesce_wait", "start_ms": 0.0, "duration_ms": 2.0, "children": []},
-        {
-            "name": "batch_exec",
-            "start_ms": 2.0,
-            "duration_ms": 8.0,
-            "children": [
-                {"name": "verify", "start_ms": 3.0, "duration_ms": 5.0, "children": []}
-            ],
-        },
-    ],
-}
-
-
-def test_span_self_times_subtract_children():
-    self_times = diag.span_self_times(_TRACE_DOC)
-    assert self_times == {"coalesce_wait": 2.0, "batch_exec": 3.0, "verify": 5.0}
-
-
-def test_span_self_times_clamp_negative():
-    doc = {
-        "spans": [
-            {
-                "name": "parent",
-                "duration_ms": 1.0,
-                "children": [{"name": "child", "duration_ms": 5.0, "children": []}],
-            }
-        ]
-    }
-    assert diag.span_self_times(doc) == {"parent": 0.0, "child": 5.0}
-
-
-def test_span_metrics_bridge_records_counters():
-    registry = obs.MetricsRegistry()
-    bridge = diag.SpanMetricsBridge(registry)
-    bridge.record(_TRACE_DOC, backend="sets")
-    bridge.record(_TRACE_DOC, backend="sets")
-    counter = registry.get(bridge.METRIC, backend="sets", stage="batch_exec")
-    assert counter.value == pytest.approx(2 * 3.0 / 1000.0)
-    assert registry.get(bridge.FOLDS, backend="sets").value == 2
+def test_tail_sampler_rejects_negative_slow_ms():
+    """The slow ring's threshold is validated where it is set."""
+    with pytest.raises(ValueError, match="slow_ms"):
+        diag.TailSampler(slow_ms=-1.0)
+    with pytest.raises(ValueError, match="slow_query_ms"):
+        ServerConfig(slow_query_ms=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +302,14 @@ def test_slo_breaching_requires_both_windows():
 
 
 def test_slo_memory_is_bounded():
-    slo = diag.SloMonitor(objective=0.99, bucket_s=10.0, slow_window_s=3600.0)
+    slo = diag.SloMonitor(objective=0.99)
     for i in range(100_000):
         slo.observe(1.0, now=float(i))
-    assert len(slo._buckets) <= 3600 / 10 + 2
+    assert len(slo._buckets) <= diag._SLOW_WINDOW_S / diag._BUCKET_S + 2
 
 
 def test_health_scoreboard_grades_shards():
-    board = diag.HealthScoreboard(num_shards=3, window_s=60.0)
+    board = diag.HealthScoreboard(num_shards=3)
     now = 1000.0
     board.observe(0, latency_s=0.01, now=now)
     board.observe(1, latency_s=0.02, now=now)
@@ -367,37 +324,6 @@ def test_health_scoreboard_grades_shards():
     assert board.report(now=now)[2]["status"] == "failing"
     # Events age out of the window entirely.
     assert [e["status"] for e in board.report(now=now + 120.0)] == ["idle"] * 3
-
-
-# ---------------------------------------------------------------------------
-# Slow-query log rotation
-# ---------------------------------------------------------------------------
-
-
-def test_slow_query_log_rotates_and_bounds_disk(tmp_path):
-    path = tmp_path / "slow.jsonl"
-    log = obs.SlowQueryLog(0.0, str(path), max_bytes=512, keep_files=2)
-    entry = {"trace_id": "x" * 32, "route": "/search", "spans": []}
-    for i in range(100):
-        assert log.maybe_log(5.0, {**entry, "i": i})
-    assert log.rotations >= 2
-    assert path.exists() or (tmp_path / "slow.jsonl.1").exists()
-    assert (tmp_path / "slow.jsonl.1").exists()
-    assert (tmp_path / "slow.jsonl.2").exists()
-    assert not (tmp_path / "slow.jsonl.3").exists()
-    # Every retained file stays near the rotation bound.
-    for candidate in tmp_path.iterdir():
-        assert candidate.stat().st_size < 512 + 256
-    # Retained lines are intact JSON (rotation never splits a line).
-    kept = (tmp_path / "slow.jsonl.1").read_text(encoding="utf-8").splitlines()
-    assert kept and all(json.loads(line)["e2e_ms"] == 5.0 for line in kept)
-
-
-def test_slow_query_log_rejects_bad_rotation_config():
-    with pytest.raises(ValueError, match="max_bytes"):
-        obs.SlowQueryLog(1.0, "x.log", max_bytes=0)
-    with pytest.raises(ValueError, match="keep_files"):
-        obs.SlowQueryLog(1.0, "x.log", keep_files=0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +380,12 @@ def test_metrics_scrape_is_consistent_under_concurrent_mutation(datasets):
 
 @pytest.fixture(scope="module")
 def diag_served(datasets):
-    """A server with the full diagnostics stack armed."""
+    """A server with tracing and a latency SLO on."""
     engine = SearchEngine(cache_size=0)
     for name, dataset in datasets.items():
         engine.add_dataset(name, dataset)
     config = ServerConfig(
         trace=True,
-        profile_hz=97.0,
         slo_latency_ms=5000.0,
         trace_budget=1.0,
     )
@@ -493,7 +418,8 @@ def test_debug_profile_returns_folded_stacks(diag_served, query_payloads, taus):
             client.search("sets", payload, tau=taus["sets"])
         payload = client.profile(seconds=0.5)
     profile = payload["profile"]
-    assert profile["roles"], "continuous profiler produced no samples"
+    assert profile["roles"], "the window produced no samples"
+    assert not profile["running"] and 0.4 <= profile["duration_s"] < 2.0
     assert payload["folded"]
     assert payload["top"]
     assert payload["attribution"]
@@ -503,13 +429,6 @@ def test_debug_profile_returns_folded_stacks(diag_served, query_payloads, taus):
     for line in payload["folded"]:
         head, _sep, count = line.rpartition(" ")
         assert ";" in head and int(count) > 0
-
-
-def test_debug_profile_lifetime_snapshot(diag_served):
-    with EngineClient(diag_served.url) as client:
-        payload = client.profile()
-    assert payload["profile"]["running"]
-    assert payload["profile"]["ticks"] > 0
 
 
 @pytest.mark.parametrize("seconds", ["0", "-1", "31", "nan", "bogus"])
@@ -553,7 +472,7 @@ def test_sharded_engine_profiles_workers_and_reports_health(tmp_path, datasets):
     directory = str(tmp_path / "shards")
     build_shards("sets", datasets["sets"], directory, 2)
     with ShardedEngine(directory) as engine:
-        engine.start_profiling(hz=150.0)
+        engine.start_profiling()
         for step in range(4):
             engine.search(Query(backend="sets", payload=[1, 2, 3 + step], tau=0.5))
         time.sleep(0.3)  # let the worker samplers tick
@@ -567,3 +486,189 @@ def test_sharded_engine_profiles_workers_and_reports_health(tmp_path, datasets):
         assert all(entry["status"] == "ok" for entry in health)
         assert all(entry["requests"] >= 4 for entry in health)
         engine.stop_profiling()
+        assert engine.profile_wire() == []
+
+
+# ---------------------------------------------------------------------------
+# One on-demand /debug/profile window, with no serve flag
+# ---------------------------------------------------------------------------
+
+_PROFILE_KEYS = {"schema_version", "profile", "folded", "top", "attribution"}
+
+
+def _thread_names() -> list[str]:
+    return [thread.name for thread in threading.enumerate()]
+
+
+def _armed_samplers(engine: ShardedEngine) -> int:
+    """``diag-profiler`` threads alive in this process and every live worker."""
+    names = _thread_names()
+    for rset in engine._sets:
+        for worker_names in rset.broadcast(_thread_names):
+            names.extend(worker_names)
+    return names.count("diag-profiler")
+
+
+def _profile_in_thread(url: str, seconds: float, out: list) -> threading.Thread:
+    def run() -> None:
+        with EngineClient(url) as client:
+            try:
+                out.append((client.profile(seconds=seconds), time.perf_counter()))
+            except Exception as exc:  # noqa: BLE001 - the test inspects it
+                out.append((exc, time.perf_counter()))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+def test_profile_window_covers_shard_workers_with_no_flag(tmp_path, datasets):
+    directory = str(tmp_path / "shards")
+    build_shards("sets", datasets["sets"], directory, 2)
+    with ShardedEngine(directory) as engine, ServerThread(engine) as handle:
+        with EngineClient(handle.url) as client:
+            payload = client.profile(seconds=0.3)
+        assert set(payload) == _PROFILE_KEYS
+        assert payload["profile"]["roles"]["shard-worker"]["samples"] > 0
+        assert payload["attribution"]["shard-worker"] > 0
+        assert _armed_samplers(engine) == 0 and engine.profile_wire() == []
+
+
+def test_plain_engine_answers_the_profile_window_with_the_same_keys(diag_served):
+    with EngineClient(diag_served.url) as client:
+        payload = client.profile(seconds=0.2)
+    assert set(payload) == _PROFILE_KEYS
+    assert "shard-worker" not in payload["profile"]["roles"]
+    assert "diag-profiler" not in _thread_names()
+
+
+def test_overlapping_profile_windows_run_one_at_a_time(tmp_path, datasets):
+    directory = str(tmp_path / "shards")
+    build_shards("sets", datasets["sets"], directory, 2)
+    with ShardedEngine(directory) as engine, ServerThread(engine) as handle:
+        out: list = []
+        started = time.perf_counter()
+        first = _profile_in_thread(handle.url, 0.5, out)
+        time.sleep(0.1)
+        second = _profile_in_thread(handle.url, 0.5, out)
+        first.join()
+        second.join()
+        assert _armed_samplers(engine) == 0
+    (one, _), (two, finished) = out
+    # The second waited for the first to disarm instead of cutting it short:
+    # both windows ran whole, back to back.
+    assert finished - started >= 0.95
+    for payload in (one, two):
+        assert payload["profile"]["duration_s"] >= 0.45
+        assert payload["profile"]["roles"]["shard-worker"]["samples"] > 0
+
+
+def test_replica_killed_and_healed_mid_window_fails_nothing(tmp_path, datasets):
+    with _replicated(tmp_path, datasets) as engine, ServerThread(engine) as handle:
+        out: list = []
+        window = _profile_in_thread(handle.url, 1.5, out)
+        time.sleep(0.3)
+        os.kill(_replica_pid(engine, 0, 0), signal.SIGKILL)
+        window.join()
+        payload, _ = out[0]
+        assert set(payload) == _PROFILE_KEYS, payload
+        assert payload["profile"]["roles"]["shard-worker"]["samples"] > 0
+        assert _wait_until(
+            lambda: all(
+                entry["live_replicas"] == 2 for entry in engine.shard_health()
+            )
+        )
+        assert _armed_samplers(engine) == 0 and engine.profile_wire() == []
+        with EngineClient(handle.url) as client:
+            again = client.profile(seconds=0.3)
+        # All four workers (the healed one included) sampled the next window.
+        assert again["profile"]["ticks"] > payload["profile"]["ticks"] / 5
+        assert again["profile"]["roles"]["shard-worker"]["samples"] > 0
+        assert _armed_samplers(engine) == 0
+
+
+def test_a_drain_that_cancels_a_window_disarms_it(tmp_path, datasets):
+    directory = str(tmp_path / "shards")
+    build_shards("sets", datasets["sets"], directory, 2)
+    with ShardedEngine(directory) as engine:
+        out: list = []
+        with ServerThread(engine, ServerConfig(drain_timeout_s=0.2)) as handle:
+            window = _profile_in_thread(handle.url, 20.0, out)
+            assert _wait_until(lambda: len(engine.profile_wire()) == 2, timeout=5.0)
+        window.join()
+        assert isinstance(out[0][0], Exception)  # the connection was cut
+        assert _armed_samplers(engine) == 0 and engine.profile_wire() == []
+
+
+# ---------------------------------------------------------------------------
+# The slow ring is the slow-query log
+# ---------------------------------------------------------------------------
+
+
+def test_slow_request_keeps_its_summary_through_a_flood_of_fast_traces(
+    datasets, query_payloads, taus
+):
+    engine = SearchEngine(cache_size=64)
+    engine.add_dataset("sets", datasets["sets"])
+    search_batch = engine.search_batch
+
+    def stall_the_marked_query(queries):
+        if queries[0].trace_id == "slow-one":
+            time.sleep(0.05)
+        return search_batch(queries)
+
+    engine.search_batch = stall_the_marked_query
+    # The cached repeats that follow are far under the threshold.
+    config = ServerConfig(slow_query_ms=25.0, trace_budget=0.01)
+    with ServerThread(engine, config) as handle, EngineClient(handle.url) as client:
+        payload = query_payloads["sets"][0]
+        slow = client.search("sets", payload, tau=taus["sets"], trace_id="slow-one")
+        assert slow.trace["duration_ms"] >= 25.0
+        for _ in range(400):  # three times the ring's capacity
+            client.search("sets", payload, tau=taus["sets"])
+        body = client.traces()
+    assert body["sampling"]["kept_slow"] >= 1
+    assert body["sampling"]["dropped"] > 300
+    kept = {doc["trace_id"]: doc for doc in body["traces"]}
+    doc = kept["slow-one"]
+    assert [span["name"] for span in doc["spans"]] == ["coalesce_wait", "batch_exec"]
+    summary = doc["query"]
+    assert summary["route"] == "/search" and summary["backend"] == "sets"
+    assert summary["tau"] == taus["sets"] and summary["k"] is None
+    assert summary["algorithm"] == "ring" and summary["batch_size"] == 1
+    assert summary["num_results"] == len(slow.ids)
+    assert summary["num_candidates"] >= summary["num_results"]
+    assert summary["cached"] is False and summary["ts"] > 0
+
+
+# ---------------------------------------------------------------------------
+# The removed options stay removed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["slow_query_log", "slow_query_max_mb", "profile_hz"])
+def test_server_config_rejects_removed_fields(name):
+    with pytest.raises(TypeError, match=name):
+        ServerConfig(**{name: 1})
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--slow-query-log", "--slow-query-max-mb", "--profile-hz", "--slow-query-keep-files"],
+)
+def test_serve_rejects_removed_flags(flag, capsys):
+    from repro.engine.cli import build_parser
+
+    parser = build_parser()
+    parser.parse_args(["serve", "--index", "x", "--slow-query-ms", "5"])  # still there
+    with pytest.raises(SystemExit):
+        parser.parse_args(["serve", "--index", "x", flag, "1"])
+    assert flag in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        parser.parse_args(["serve", "--help"])
+    assert flag not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("engine_class", [SearchEngine, ShardedEngine])
+def test_start_profiling_takes_no_rate(engine_class):
+    assert list(inspect.signature(engine_class.start_profiling).parameters) == ["self"]

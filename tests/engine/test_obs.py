@@ -1,4 +1,4 @@
-"""Observability across the stack: traces, metrics, slow-query log, overhead."""
+"""Observability across the stack: traces, metrics, the slow ring, overhead."""
 
 from __future__ import annotations
 
@@ -306,23 +306,23 @@ def test_served_2shard_trace_and_error_trace_id(tmp_path, datasets, query_payloa
         engine.close()
 
 
-def test_slow_query_log_records_served_queries(tmp_path, datasets, query_payloads, taus):
+def test_slow_query_threshold_traces_every_request_into_the_slow_ring(
+    datasets, query_payloads, taus
+):
     engine = SearchEngine(cache_size=0)
     engine.add_dataset("sets", datasets["sets"])
-    log_path = tmp_path / "slow.jsonl"
-    config = ServerConfig(slow_query_ms=0.0, slow_query_log=str(log_path))
-    with ServerThread(engine, config) as handle:
+    with ServerThread(engine, ServerConfig(slow_query_ms=0.0)) as handle:
         with EngineClient(handle.url) as client:
             response = client.search("sets", query_payloads["sets"][0], tau=taus["sets"])
             # slow_query_ms forces tracing even without an X-Trace header.
             assert response.trace is not None
-    entries = [json.loads(line) for line in log_path.read_text().splitlines()]
-    assert len(entries) == 1
-    entry = entries[0]
-    assert entry["route"] == "/search" and entry["backend"] == "sets"
-    assert entry["trace_id"] == entry["trace"]["trace_id"]
-    assert _find_spans(entry["trace"]["spans"], "batch_exec")
-    assert entry["num_candidates"] >= entry["num_results"]
+            body = client.traces()
+    assert body["sampling"]["kept_slow"] == 1 and len(body["traces"]) == 1
+    entry = body["traces"][0]
+    assert entry == response.trace
+    assert entry["query"]["route"] == "/search" and entry["query"]["backend"] == "sets"
+    assert _find_spans(entry["spans"], "batch_exec")
+    assert entry["query"]["num_candidates"] >= entry["query"]["num_results"]
 
 
 # ---------------------------------------------------------------------------
