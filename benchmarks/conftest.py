@@ -1,9 +1,10 @@
 """Shared helpers for the per-figure benchmark modules.
 
 Every benchmark regenerates one figure of the paper at a reduced scale (the
-``scale`` arguments below) so the whole suite completes in minutes on a
-laptop.  Pass ``--benchmark-only`` to run them; each benchmark prints the
-regenerated series so the numbers can be compared against EXPERIMENTS.md.
+``scale`` arguments in each module) with the served searchers and asserts
+the figure's shape.  ``--benchmark-disable`` runs them untimed (the CI
+gate), ``--benchmark-only`` times them; each benchmark prints the
+regenerated series (run with ``-s`` to see them).
 """
 
 from __future__ import annotations

@@ -45,7 +45,10 @@ DOC_FILES = ("ENGINE.md", "README.md")
 #: Every argparse command line the docs may quote a flag of.
 FLAG_SOURCES = (CLI_FILE, "src/repro/analysis/__main__.py", "benchmarks/perf/run.py")
 #: Flags of other tools the docs quote, and whose they are.
-OTHER_TOOLS_FLAGS = {"--benchmark-only": "pytest-benchmark"}
+OTHER_TOOLS_FLAGS = {
+    "--benchmark-only": "pytest-benchmark",
+    "--benchmark-disable": "pytest-benchmark",
+}
 
 _VERB_RE = re.compile(r"python -m repro\.engine\s+([a-z][a-z-]*)")
 _FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")

@@ -52,13 +52,10 @@ class Query:
         chain_length: pigeonring chain length ``l``; ``None`` picks the
             backend's paper-tuned default.
         algorithm: which searcher family answers the query; every backend
-            understands ``ring`` (pigeonring -- served by the columnar
-            candidate pipeline on the sets and strings backends),
-            ``baseline`` (the paper's per-domain baseline: GPH / pkwise /
-            Pivotal / Pars) and ``linear`` (brute force).  The sets and
-            strings backends additionally accept ``ring-scalar`` (the
-            retained scalar pigeonring reference); sets also accepts
-            ``adapt`` and ``partalloc``.
+            understands ``ring`` (pigeonring), ``baseline`` (the paper's
+            per-domain baseline: GPH / pkwise / Pivotal / Pars) and
+            ``linear`` (brute force); sets also accepts ``adapt`` and
+            ``partalloc``.
         trace_id: when set, the engine records a span timeline for this
             query and attaches it as ``Response.trace``.  The server keys
             the request's trace document by it -- span timeline plus the
@@ -126,7 +123,7 @@ class Response:
             own ``tau``, or the final rung of the top-k escalation ladder.
         num_candidates: objects that reached verification (filter output).
         num_generated: objects that *entered* the filter pipeline before the
-            chain checks (reported by the columnar searchers; ``None`` when
+            chain checks (reported by the ring searchers; ``None`` when
             the searcher does not track it).
         candidate_time / verify_time: searcher-reported seconds, as in
             :class:`repro.common.stats.SearchResult`.

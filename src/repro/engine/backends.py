@@ -35,14 +35,12 @@ from repro.hamming.index import PartitionIndex
 from repro.hamming.linear import LinearHammingSearcher
 from repro.hamming.ring import RingHammingSearcher
 from repro.sets.adaptsearch import AdaptSearchSearcher
-from repro.sets.columnar import ColumnarSetSearcher
 from repro.sets.dataset import SetDataset
 from repro.sets.linear import LinearSetSearcher
 from repro.sets.partalloc import PartAllocSearcher
 from repro.sets.pkwise import PkwiseSearcher
 from repro.sets.ring import RingSetSearcher
 from repro.sets.similarity import JaccardPredicate, OverlapPredicate, jaccard, overlap
-from repro.strings.columnar import ColumnarStringSearcher
 from repro.strings.dataset import StringDataset
 from repro.strings.edit_distance import edit_distance, edit_distance_within
 from repro.strings.linear import LinearStringSearcher
@@ -281,7 +279,7 @@ class SetBackend(Backend):
     """Set similarity (overlap / Jaccard) over token sets (pkwise / pigeonring)."""
 
     name = "sets"
-    algorithms = ("ring", "ring-scalar", "baseline", "adapt", "partalloc", "linear")
+    algorithms = ("ring", "baseline", "adapt", "partalloc", "linear")
 
     def validate_tau(self, tau: float | int) -> None:
         """Similarity thresholds: Jaccard in (0, 1], overlap >= 1.
@@ -318,10 +316,6 @@ class SetBackend(Backend):
         self.check_algorithm(algorithm)
         predicate = _set_predicate(tau)
         if algorithm == "ring":
-            # The served hot path: the columnar candidate pipeline, byte-
-            # identical to the scalar Ring searcher kept as ``ring-scalar``.
-            searcher = ColumnarSetSearcher(store, predicate, chain_length=chain_length or 2)
-        elif algorithm == "ring-scalar":
             searcher = RingSetSearcher(store, predicate, chain_length=chain_length or 2)
         elif algorithm == "baseline":
             searcher = PkwiseSearcher(store, predicate)
@@ -377,9 +371,10 @@ class SetBackend(Backend):
         # The whole delta in one kernel: every record's distinct tokens are
         # concatenated and matched against the sorted query with a single
         # searchsorted sweep; per-record overlaps fall out of segment sums.
-        # Token ranks are a bijection on tokens (unseen tokens get unique
-        # ranks), so intersection/union sizes -- hence overlap and Jaccard --
-        # are identical whether computed on raw tokens or on ranks.
+        # Token ranks are a bijection on tokens (``TokenOrder.encode`` gives
+        # distinct unseen tokens distinct ranks), so intersection/union
+        # sizes -- hence overlap and Jaccard -- are identical whether
+        # computed on raw tokens or on ranks.
         if not records:
             return []
         query = np.unique(np.fromiter((int(token) for token in payload), dtype=np.int64))
@@ -473,7 +468,7 @@ class StringBackend(Backend):
     """Edit distance over strings (Pivotal / pigeonring)."""
 
     name = "strings"
-    algorithms = ("ring", "ring-scalar", "baseline", "linear")
+    algorithms = ("ring", "baseline", "linear")
 
     def prepare(self, dataset: Any) -> StringDataset:
         if isinstance(dataset, StringDataset):
@@ -502,8 +497,6 @@ class StringBackend(Backend):
             searcher = LinearStringSearcher(store)
             return lambda payload: searcher.search(payload, tau)
         if algorithm == "ring":
-            searcher = ColumnarStringSearcher(store, tau, chain_length=chain_length)
-        elif algorithm == "ring-scalar":
             searcher = RingStringSearcher(store, tau, chain_length=chain_length)
         else:
             searcher = PivotalSearcher(store, tau)

@@ -7,9 +7,9 @@ Two families of drivers coexist here:
   ``query -> SearchResult`` functions and are used by the per-figure
   benchmark modules; and
 * engine-based drivers (:func:`run_engine_workload`,
-  :func:`engine_chain_length_rows`, :func:`engine_comparison_rows`), which
-  route the same experiments through :class:`repro.engine.SearchEngine` so
-  sweeps benefit from the engine's searcher reuse, batching and statistics.
+  :func:`engine_comparison_rows`), which route the same experiments through
+  :class:`repro.engine.SearchEngine` so sweeps benefit from the engine's
+  searcher reuse, batching and statistics.
 """
 
 from __future__ import annotations
@@ -120,25 +120,6 @@ def comparison_rows(
     for name, search in searchers.items():
         stats = run_workload(search, queries)
         rows.append(ComparisonRow(dataset_name, tau, name, *_series(stats)))
-    return rows
-
-
-def engine_chain_length_rows(
-    engine,
-    backend: str,
-    dataset_name: str,
-    tau: float | int,
-    chain_lengths: Sequence[int],
-    payloads: Sequence[object],
-    algorithm: str = "ring",
-) -> list[ChainLengthRow]:
-    """Engine-served variant of :func:`chain_length_rows` (Figures 5-8)."""
-    rows = []
-    for length in chain_lengths:
-        stats = run_engine_workload(
-            engine, backend, payloads, tau, chain_length=length, algorithm=algorithm
-        )
-        rows.append(ChainLengthRow(dataset_name, tau, length, *_series(stats)))
     return rows
 
 

@@ -7,7 +7,7 @@ checked under Theorem 7 (integer reduction), i.e. each prefix must satisfy
 ``||c_i^{l'}||_1 <= l' - 1 + sum t_j``.  Only objects passing the check are
 verified.  With ``chain_length=1`` the searcher is exactly GPH.
 
-The pipeline is columnar, like :mod:`repro.sets.columnar`: one XOR + popcount
+The pipeline is columnar, like :mod:`repro.sets.ring`: one XOR + popcount
 pass over the distinct part codes (:class:`repro.hamming.index.PartScan`)
 feeds the cost model and the first step; the second step evaluates every
 probed (object, starting part) pair at once over the objects' ``(U, m)`` box

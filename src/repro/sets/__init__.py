@@ -15,12 +15,11 @@ Public API:
   token order with class assignments.
 * :class:`repro.sets.similarity.OverlapPredicate` /
   :class:`repro.sets.similarity.JaccardPredicate` -- selection predicates.
-* :class:`repro.sets.ring.RingSetSearcher` -- the pigeonring searcher
+* :class:`repro.sets.ring.RingSetSearcher` -- the pigeonring searcher, the
+  engine's served ``ring``: batch-at-a-time numpy kernels over CSR columns
   (``chain_length=1`` is exactly pkwise).
-* :class:`repro.sets.columnar.ColumnarSetSearcher` -- the same filter as
-  batch-at-a-time numpy kernels over CSR columns (the engine's served hot
-  path; byte-identical results).
-* :class:`repro.sets.pkwise.PkwiseSearcher` -- the pkwise baseline.
+* :class:`repro.sets.pkwise.PkwiseSearcher` -- the pkwise baseline: the same
+  searcher at ``chain_length=1``.
 * :class:`repro.sets.adaptsearch.AdaptSearchSearcher` -- prefix-filter
   baseline (AllPairs / PPJoin search version).
 * :class:`repro.sets.partalloc.PartAllocSearcher` -- partition-allocation
@@ -34,7 +33,6 @@ from repro.sets.dataset import SetDataset
 from repro.sets.linear import LinearSetSearcher
 from repro.sets.pkwise import PkwiseSearcher
 from repro.sets.ring import RingSetSearcher
-from repro.sets.columnar import ColumnarSetSearcher
 from repro.sets.adaptsearch import AdaptSearchSearcher
 from repro.sets.partalloc import PartAllocSearcher
 
@@ -48,7 +46,6 @@ __all__ = [
     "LinearSetSearcher",
     "PkwiseSearcher",
     "RingSetSearcher",
-    "ColumnarSetSearcher",
     "AdaptSearchSearcher",
     "PartAllocSearcher",
 ]

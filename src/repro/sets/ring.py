@@ -15,6 +15,16 @@ The searcher follows the paper's pkwise-based filtering instance:
 
 ``chain_length=1`` reproduces the pkwise baseline exactly.
 
+Every stage runs over flat numpy arrays, a batch of candidates at a time:
+the records are read in CSR form (:meth:`repro.sets.dataset.SetDataset.
+columns`), the prefix inverted index is CSR postings probed with one
+``searchsorted`` per query prefix, the per-(object, class) counters come out
+of one grouped ``bincount``, the length filter, chain condition and
+suffix-box bound are evaluated over the whole touched-object array at once,
+and verification counts every candidate's overlap with one ``searchsorted``
+sweep.  Candidates and results are emitted ascending by id.  Scratch
+buffers are thread-local, so the engine's pooled ``search_batch`` stays safe.
+
 Edge cases that the synthetic workloads do hit are handled conservatively to
 preserve exactness:
 
@@ -30,10 +40,26 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
+import numpy as np
+
+from repro.common.obs import span
+from repro.common.scratch import (
+    PerThread,
+    Scratch,
+    csr_gather_indices,
+    grouped_counts,
+    segment_sums,
+    sorted_member_mask,
+)
 from repro.common.stats import SearchResult, Timer
 from repro.sets.dataset import SetDataset
 from repro.sets.prefix import class_counts, pkwise_prefix_length
-from repro.sets.verify import overlap_at_least
+
+
+def _kwise_budget(classes: list[int], num_classes: int) -> int:
+    """``sum_k max(0, cnt(x, |x|, k) - k + 1)``: the most a whole record can cover."""
+    counts = class_counts(classes, len(classes), num_classes)
+    return sum(max(0, counts[k] - k + 1) for k in range(1, num_classes + 1))
 
 
 class RingSetSearcher:
@@ -54,7 +80,12 @@ class RingSetSearcher:
         self._num_classes = dataset.num_classes
         self._m = self._num_classes + 1
         self._chain_length = min(chain_length, self._m)
+        columns = dataset.columns()
+        self._tokens = columns.tokens
+        self._offsets = columns.offsets
+        self._sizes = columns.sizes
         self._build_index()
+        self._scratch: PerThread = PerThread(Scratch)
 
     @property
     def chain_length(self) -> int:
@@ -65,209 +96,234 @@ class RingSetSearcher:
         return self._dataset
 
     def _build_index(self) -> None:
+        """The pkwise prefix postings as CSR keyed by token rank."""
         order = self._dataset.order
-        self._postings: dict[int, list[int]] = defaultdict(list)
-        self._always_candidates: list[int] = []
-        self._prefix_lengths: list[int] = []
-        for obj_id in range(len(self._dataset)):
-            record = self._dataset.record(obj_id)
+        postings: dict[int, list[int]] = defaultdict(list)
+        always: list[int] = []
+        prefix_lengths: list[int] = []
+        last_prefix: list[int] = []
+        for obj_id, record in enumerate(self._dataset.encoded):
+            size = len(record)
+            required = self._predicate.index_required_overlap(size)
+            prefix_length = 0
+            # A record that can never reach the required overlap matches
+            # nothing and stays out of the index.
             if not record:
-                self._always_candidates.append(obj_id)
-                self._prefix_lengths.append(0)
-                continue
-            required = self._predicate.index_required_overlap(len(record))
-            if required > len(record):
-                # The record can never satisfy the predicate; skip entirely.
-                self._prefix_lengths.append(0)
-                continue
-            classes = order.classes_of(record)
-            prefix_length = pkwise_prefix_length(classes, self._num_classes, required)
-            budget = sum(
-                max(0, count - k + 1)
-                for k, count in enumerate(
-                    class_counts(classes, len(record), self._num_classes)
-                )
-                if k >= 1
-            )
-            if budget < len(record) - required + 1:
-                # The k-wise budget cannot be covered even by the full record:
-                # keep the record as an always-candidate for exactness.
-                self._always_candidates.append(obj_id)
-                self._prefix_lengths.append(len(record))
-                continue
-            self._prefix_lengths.append(prefix_length)
-            for token in record[:prefix_length]:
-                self._postings[token].append(obj_id)
+                always.append(obj_id)
+            elif required <= size:
+                classes = order.classes_of(record)
+                if _kwise_budget(classes, self._num_classes) < size - required + 1:
+                    # The k-wise budget cannot be covered even by the full
+                    # record: keep it as an always-candidate for exactness.
+                    always.append(obj_id)
+                    prefix_length = size
+                else:
+                    prefix_length = pkwise_prefix_length(classes, self._num_classes, required)
+                    for token in record[:prefix_length]:
+                        postings[token].append(obj_id)
+            prefix_lengths.append(prefix_length)
+            last_prefix.append(record[prefix_length - 1] if prefix_length else -1)
+        # Lists per token while scanning, streamed into CSR at the end: no
+        # flat copy of all posting entries exists besides the final array,
+        # which keeps the build's peak memory low (it sets peak RSS here).
+        items = sorted(postings.items())
+        self._post_keys = np.fromiter((token for token, _ in items), np.int64, len(items))
+        self._post_offsets = np.zeros(len(items) + 1, dtype=np.int64)
+        np.cumsum([len(objs) for _, objs in items], out=self._post_offsets[1:])
+        self._post_objs = np.fromiter(
+            (obj_id for _, objs in items for obj_id in objs),
+            np.int64,
+            int(self._post_offsets[-1]),
+        )
+        self._always = np.asarray(always, dtype=np.int64)
+        self._prefix_lengths = np.asarray(prefix_lengths, dtype=np.int64)
+        self._last_prefix = np.asarray(last_prefix, dtype=np.int64)
 
     def _query_plan(self, encoded_query: list[int]):
-        """Compute the query prefix, class counts and threshold allocation."""
-        order = self._dataset.order
+        """The query prefix length, threshold allocation and fallback flag."""
         required = self._predicate.query_required_overlap(len(encoded_query))
-        classes = order.classes_of(encoded_query)
         target = len(encoded_query) - required + 1
         if target <= 0:
             return None
-        budget = sum(
-            max(0, count - k + 1)
-            for k, count in enumerate(
-                class_counts(classes, len(encoded_query), self._num_classes)
-            )
-            if k >= 1
-        )
-        fallback = budget < target
+        classes = self._dataset.order.classes_of(encoded_query)
+        fallback = _kwise_budget(classes, self._num_classes) < target
         prefix_length = pkwise_prefix_length(classes, self._num_classes, required)
         counts = class_counts(classes, prefix_length, self._num_classes)
         thresholds = [len(encoded_query) - prefix_length + 1]
         for k in range(1, self._num_classes + 1):
             thresholds.append(k if counts[k] >= k else counts[k] + 1)
-        return prefix_length, classes, counts, thresholds, fallback
+        return prefix_length, thresholds, fallback
+
+    # -- candidate generation ----------------------------------------------
 
     def candidates(self, query: Sequence[int]) -> list[int]:
-        encoded_query = self._dataset.encode_query(query)
-        return self._candidates_encoded(encoded_query)
+        cands, _generated = self._candidates(self._dataset.encode_query(query))
+        return cands.tolist()
 
-    def _candidates_encoded(self, encoded_query: list[int]) -> list[int]:
+    def _candidates(self, encoded_query: list[int]) -> tuple[np.ndarray, int]:
+        """Candidate ids (ascending) plus the pre-chain candidate count."""
         plan = self._query_plan(encoded_query)
         if plan is None:
-            return []
-        prefix_length, classes, _counts, thresholds, fallback = plan
+            return np.empty(0, dtype=np.int64), 0
+        prefix_length, thresholds, fallback = plan
         low, high = self._predicate.length_bounds(len(encoded_query))
-        order = self._dataset.order
+        scratch = self._scratch.get()
 
-        # First step: probe the prefix inverted index with the query's prefix
-        # tokens and maintain per-(object, class) shared counters.
-        shared: dict[int, list[int]] = {}
-        for position in range(prefix_length):
-            token = encoded_query[position]
-            postings = self._postings.get(token)
-            if not postings:
-                continue
-            token_class = order.token_class(token)
-            for obj_id in postings:
-                size = self._dataset.size(obj_id)
-                if size < low or size > high:
-                    continue
-                counters = shared.get(obj_id)
-                if counters is None:
-                    counters = [0] * (self._num_classes + 1)
-                    shared[obj_id] = counters
-                counters[token_class] += 1
+        always = self._always
+        if always.size:
+            always_sizes = self._sizes[always]
+            always = always[(always_sizes >= low) & (always_sizes <= high)]
 
-        ordered: list[int] = []
-        seen: set[int] = set()
-        for obj_id in sorted(self._always_candidates):
-            size = self._dataset.size(obj_id)
-            if low <= size <= high and obj_id not in seen:
-                seen.add(obj_id)
-                ordered.append(obj_id)
+        # Step 1: probe the CSR postings with the query prefix and gather the
+        # (object, class) pairs that survive the length filter.
+        prefix_tokens = np.asarray(encoded_query[:prefix_length], dtype=np.int64)
+        if prefix_tokens.size and self._post_keys.size:
+            slots = np.searchsorted(self._post_keys, prefix_tokens)
+            in_range = slots < self._post_keys.size
+            slots = slots[in_range]
+            tokens = prefix_tokens[in_range]
+            hits = self._post_keys[slots] == tokens
+            slots = slots[hits]
+            tokens = tokens[hits]
+            starts = self._post_offsets[slots]
+            ends = self._post_offsets[slots + 1]
+            gather = csr_gather_indices(starts, ends, scratch)
+            objs = self._post_objs[gather]
+            classes = np.repeat(tokens % self._num_classes + 1, ends - starts)
+            sizes = self._sizes[objs]
+            keep = (sizes >= low) & (sizes <= high)
+            objs = objs[keep]
+            classes = classes[keep]
+        else:
+            objs = np.empty(0, dtype=np.int64)
+            classes = objs
 
         if fallback:
             # Degenerate query: plain prefix filter (share one prefix token).
-            for obj_id in shared:
-                if obj_id not in seen:
-                    seen.add(obj_id)
-                    ordered.append(obj_id)
-            return ordered
+            touched = np.unique(objs)
+            generated = int(touched.size + always.size)
+            return _sorted_union(always, touched), generated
 
-        length = self._chain_length
-        query_last_prefix = encoded_query[prefix_length - 1] if prefix_length else -1
-        query_suffix_size = len(encoded_query) - prefix_length
-        for obj_id, counters in shared.items():
-            if obj_id in seen:
-                continue
-            if self._passes_chain_check(
-                obj_id,
-                counters,
-                thresholds,
-                length,
-                query_last_prefix,
-                query_suffix_size,
-                len(encoded_query),
-            ):
-                seen.add(obj_id)
-                ordered.append(obj_id)
-        return ordered
+        # Step 2: per-(object, class) counters for every touched object, then
+        # the chain condition over the whole candidate array at once.
+        touched, counters = grouped_counts(objs, classes, self._m)
+        generated = int(touched.size + always.size)
+        if touched.size:
+            passing = self._chain_check(
+                touched, counters, thresholds, encoded_query, prefix_length
+            )
+            touched = touched[passing]
+        return _sorted_union(always, touched), generated
 
-    def _passes_chain_check(
+    def _chain_check(
         self,
-        obj_id: int,
-        counters: list[int],
+        touched: np.ndarray,
+        counters: np.ndarray,
         thresholds: list[int],
-        length: int,
-        query_last_prefix: int,
-        query_suffix_size: int,
-        query_size: int,
-    ) -> bool:
-        """Second step: a prefix-viable chain (>= direction, integer reduction).
+        encoded_query: list[int],
+        prefix_length: int,
+    ) -> np.ndarray:
+        """A prefix-viable chain (>= direction, integer reduction).
 
-        Boxes are ``b_0`` (suffix, never computed -- reaching it passes the
-        object, as in the paper) and ``b_k = counters[k]`` for the classes.
-        Chains starting at witness class boxes are checked exactly; a chain
-        that would start at the suffix box cannot be evaluated cheaply, so a
+        ``counters`` is the ``(num_touched, m)`` per-class counter matrix;
+        the return value is a boolean mask over ``touched``.  Boxes are
+        ``b_0`` (suffix, never computed -- reaching it passes the object, as
+        in the paper) and ``b_k = counters[:, k]`` for the classes.  Chains
+        starting at witness class boxes are checked exactly; a chain that
+        would start at the suffix box cannot be evaluated cheaply, so a
         cheap upper bound on ``b_0`` decides whether it might exist -- if so
         the object is conservatively kept, which preserves exactness.
         """
         m = self._m
-        has_class_witness = False
-        for start_class in range(1, self._num_classes + 1):
-            if counters[start_class] < thresholds[start_class]:
+        length = self._chain_length
+        thresholds_arr = np.asarray(thresholds, dtype=np.int64)
+        passed = np.zeros(touched.size, dtype=bool)
+        witness = np.zeros(touched.size, dtype=bool)
+        for start in range(1, self._num_classes + 1):
+            alive = counters[:, start] >= thresholds_arr[start]
+            witness |= alive
+            if not alive.any():
                 continue
-            has_class_witness = True
-            running = 0
-            passed = True
+            alive = alive.copy()
+            running = np.zeros(touched.size, dtype=np.int64)
+            bound = 0
             for offset in range(length):
-                box = (start_class + offset) % m
+                box = (start + offset) % m
                 if box == 0:
-                    # Suffix box: the paper verifies directly instead of
-                    # computing the expensive suffix overlap.
-                    return True
-                running += counters[box]
-                bound = (
-                    sum(thresholds[(start_class + j) % m] for j in range(offset + 1))
-                    - offset
-                )
-                if running < bound:
-                    passed = False
+                    # Suffix box reached: every still-alive candidate passes.
                     break
-            if passed:
-                return True
-        if not has_class_witness or length == 1:
-            # Every result has a witness class (one-sided k-wise argument), so
-            # objects without one cannot be results; with l = 1 the class
+                running += counters[:, box]
+                bound += int(thresholds_arr[box])
+                alive &= running >= bound - offset
+                if not alive.any():
+                    break
+            passed |= alive
+        if length == 1 or not witness.any():
+            # Every result has a witness class (one-sided k-wise argument),
+            # so objects without one cannot be results; with l = 1 the class
             # witness itself is the complete pkwise condition.
-            return False
+            return passed
+        remaining = np.flatnonzero(witness & ~passed)
+        if not remaining.size:
+            return passed
         # A prefix-viable chain might still start at the suffix box b_0.  Its
         # first prefix needs b_0 >= t_0; bound b_0 from above without touching
         # the suffix: it cannot exceed the data suffix size (when the data
         # prefix ends first), the query suffix size (otherwise), or the query
         # tokens not already matched by prefix classes.
-        record = self._dataset.record(obj_id)
-        data_prefix_length = self._prefix_lengths[obj_id]
-        data_last_prefix = record[data_prefix_length - 1] if data_prefix_length else -1
-        if data_last_prefix <= query_last_prefix:
-            suffix_bound = len(record) - data_prefix_length
-        else:
-            suffix_bound = query_suffix_size
-        suffix_bound = min(suffix_bound, query_size - sum(counters[1:]))
-        return suffix_bound >= thresholds[0]
+        query_last_prefix = encoded_query[prefix_length - 1] if prefix_length else -1
+        query_suffix_size = len(encoded_query) - prefix_length
+        ids = touched[remaining]
+        suffix_bound = np.where(
+            self._last_prefix[ids] <= query_last_prefix,
+            self._sizes[ids] - self._prefix_lengths[ids],
+            query_suffix_size,
+        )
+        shared_total = counters[remaining, 1:].sum(axis=1)
+        np.minimum(suffix_bound, len(encoded_query) - shared_total, out=suffix_bound)
+        passed[remaining] |= suffix_bound >= thresholds_arr[0]
+        return passed
+
+    # -- search -------------------------------------------------------------
 
     def search(self, query: Sequence[int]) -> SearchResult:
         timer = Timer()
-        encoded_query = self._dataset.encode_query(query)
-        candidates = self._candidates_encoded(encoded_query)
+        with span("candidates"):
+            encoded_query = self._dataset.encode_query(query)
+            cands, generated = self._candidates(encoded_query)
         candidate_time = timer.restart()
-        results = []
-        for obj_id in candidates:
-            record = self._dataset.record(obj_id)
-            required = self._predicate.pair_required_overlap(
-                len(record), len(encoded_query)
-            )
-            if overlap_at_least(record, encoded_query, required):
-                results.append(obj_id)
+        with span("verify"):
+            query_arr = np.asarray(encoded_query, dtype=np.int64)
+            if cands.size:
+                starts = self._offsets[cands]
+                ends = self._offsets[cands + 1]
+                gather = csr_gather_indices(starts, ends, self._scratch.get())
+                flat = self._tokens[gather]
+                hits = sorted_member_mask(query_arr, flat)
+                boundaries = np.zeros(cands.size + 1, dtype=np.int64)
+                np.cumsum(ends - starts, out=boundaries[1:])
+                overlaps = segment_sums(hits, boundaries)
+                required = self._predicate.pair_required_overlap_array(
+                    self._sizes[cands], len(encoded_query)
+                )
+                results = cands[overlaps >= required]
+            else:
+                results = cands
         verify_time = timer.elapsed()
         return SearchResult(
-            results=results,
-            candidates=candidates,
+            results=results.tolist(),
+            candidates=cands.tolist(),
             candidate_time=candidate_time,
             verify_time=verify_time,
+            extra={"generated": generated, "verified": int(cands.size)},
         )
+
+
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending union of two disjoint id arrays (always-candidates are
+    never indexed, so probe hits cannot repeat them)."""
+    if not a.size:
+        return b
+    if not b.size:
+        return a
+    return np.sort(np.concatenate([a, b]))

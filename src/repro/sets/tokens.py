@@ -51,18 +51,33 @@ class TokenOrder:
         return self._num_classes
 
     def rank(self, token: int) -> int:
-        """Rank of a token; unseen tokens rank after every known token."""
+        """Rank of a token; unseen tokens rank after every known token.
+
+        Unseen tokens are rarer than anything in the collection, so they
+        rank beyond the known universe, by hash; two unseen tokens may share
+        this rank, which :meth:`encode` resolves.  They can never match a
+        data token.
+        """
         rank = self._rank.get(token)
         if rank is None:
-            # Unseen tokens are rarer than anything in the collection; give
-            # them unique ranks beyond the known universe so ordering stays a
-            # total order.  They can never match a data token.
             return len(self._tokens) + hash(token) % (1 << 30)
         return rank
 
     def encode(self, record: Sequence[int]) -> list[int]:
-        """Map a record to its sorted list of distinct token ranks."""
-        return sorted({self.rank(token) for token in record})
+        """Map a record to its sorted list of distinct token ranks.
+
+        Distinct tokens get distinct ranks: an unseen token whose hash rank
+        is already taken by another unseen token of the record moves up to
+        the next free rank (in ``(rank, token)`` order), so the size of the
+        encoded record is its number of distinct tokens.
+        """
+        ranks = sorted({self.rank(token) for token in record})
+        if not ranks or ranks[-1] < len(self._tokens):
+            return ranks  # known tokens only: ranks are distinct already
+        ranks = []
+        for rank, _token in sorted((self.rank(token), token) for token in set(record)):
+            ranks.append(max(rank, ranks[-1] + 1) if ranks else rank)
+        return ranks
 
     def token_class(self, rank: int) -> int:
         """Class (1-based) of the token with the given rank."""

@@ -15,11 +15,11 @@ Public API:
 
 * :class:`repro.strings.dataset.StringDataset`
 * :class:`repro.strings.pivotal.PivotalSearcher` -- the pigeonhole baseline
-  (reports Cand-1 and Cand-2 like the paper's Figure 11).
-* :class:`repro.strings.ring.RingStringSearcher` -- the pigeonring searcher.
-* :class:`repro.strings.columnar.ColumnarStringSearcher` -- the columnar
-  candidate pipeline (CSR postings, bulk chain checks, bit-parallel
-  verification; byte-identical results).
+  (reports Cand-1 and Cand-2 like the paper's Figure 11); a separate
+  algorithm, since its alignment filter is not the ring at ``l = 1``.
+* :class:`repro.strings.ring.RingStringSearcher` -- the pigeonring searcher,
+  the engine's served ``ring`` (CSR postings, bulk chain checks,
+  bit-parallel verification).
 * :class:`repro.strings.linear.LinearStringSearcher` -- brute force.
 """
 
@@ -29,7 +29,6 @@ from repro.strings.dataset import StringDataset
 from repro.strings.linear import LinearStringSearcher
 from repro.strings.pivotal import PivotalSearcher
 from repro.strings.ring import RingStringSearcher
-from repro.strings.columnar import ColumnarStringSearcher
 
 __all__ = [
     "edit_distance",
@@ -40,5 +39,4 @@ __all__ = [
     "LinearStringSearcher",
     "PivotalSearcher",
     "RingStringSearcher",
-    "ColumnarStringSearcher",
 ]

@@ -71,7 +71,9 @@ class _Candidate:
 
 
 class PivotalIndexBase:
-    """Shared index and Cand-1 generation for Pivotal and Ring searchers."""
+    """The prefix/pivotal index and query plan shared by the Pivotal and Ring
+    searchers (Ring converts the dict indexes into CSR postings), plus
+    Pivotal's Cand-1 generation."""
 
     def __init__(self, dataset: StringDataset, tau: int):
         if tau < 0:
@@ -118,9 +120,6 @@ class PivotalIndexBase:
     def m(self) -> int:
         """Number of boxes (pivotal grams): ``tau + 1``."""
         return self._m
-
-    def data_pivotal(self, obj_id: int) -> list[PositionalGram] | None:
-        return self._data_pivotal[obj_id]
 
     def query_plan(self, query: str) -> _QueryPlan:
         extractor = self._dataset.extractor

@@ -8,15 +8,87 @@ exact pivotal-gram match).  Box values along the chain are evaluated with the
 content-based bit-vector lower bound instead of exact edit distances, which
 preserves completeness (a lower bound can only make a chain look *more*
 viable) at a fraction of the cost -- the paper's key implementation remark.
+
+The pipeline moves every loop from per-posting Python dispatch to array
+kernels:
+
+* the pivotal and prefix inverted indexes are CSR postings keyed by the
+  extractor's global gram rank (rank equality is gram equality for any
+  (query gram, data gram) pair: data grams all carry learned ranks and
+  unseen query grams rank beyond the learned universe);
+* Cand-1 generation gathers each matching posting slice once and applies
+  the position-window, length and prefix-rank filters vectorised;
+* the matched boxes form an ``(n, m)`` boolean matrix, a complete
+  whole-string content-bound prefilter (``ceil(popcount(mask_x ^ mask_q)
+  / 2) > tau`` implies ``ed > tau``) prunes candidates in bulk, and every
+  candidate with ``l`` consecutive exactly-matched (zero-valued) boxes is
+  accepted without touching the per-box lower bounds;
+* the remaining candidates get their chain checked over the whole array at
+  once: every box's content-bound lower bound is a windowed minimum over
+  precomputed substring masks, gathered and reduced in bulk; and
+* survivors are verified with a per-query bit-parallel (Myers) matcher
+  whose query masks are built once for the whole candidate batch.
+
+Candidates and results are emitted ascending by id.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
+from repro.common.obs import span
+from repro.common.scratch import PerThread, Scratch, csr_gather_indices
 from repro.common.stats import SearchResult, Timer
 from repro.strings.dataset import StringDataset
-from repro.strings.edit_distance import edit_distance_within
-from repro.strings.pivotal import PivotalIndexBase, _Candidate, _QueryPlan
-from repro.strings.qgrams import PositionalGram, character_mask, content_lower_bound
+from repro.strings.edit_distance import QueryMatcher
+from repro.strings.pivotal import PivotalIndexBase, _QueryPlan
+from repro.strings.qgrams import character_mask
+
+#: Cap on the whole-corpus substring mask table (entries, 8 bytes each --
+#: 128 MB at the cap).  Above it each query builds a table over just the
+#: records its chain check reads.
+_MAX_TABLE_ENTRIES = 1 << 24
+
+#: Cap on the substring masks one chain-check pass gathers (entries, 8 bytes
+#: each, a few arrays of that length alive at once).
+_MAX_GATHER_ENTRIES = 1 << 22
+
+
+def _substring_mask_table(
+    texts: Sequence[str], window: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Character masks of every substring of length ``1..window`` of ``texts``.
+
+    Returns ``(flat, offsets, base)``: text ``t`` occupies positions
+    ``base[t]:base[t + 1]`` of the concatenation, and the masks of the
+    substrings starting at position ``i`` (shortest first, never crossing a
+    text boundary) sit in ``flat[offsets[i]:offsets[i + 1]]``.
+    """
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    base = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=base[1:])
+    total = int(base[-1])
+    codes = np.fromiter((ord(char) for text in texts for char in text), np.int64, total)
+    bits = np.left_shift(np.uint64(1), (codes % 64).astype(np.uint64))
+    counts = np.minimum(np.repeat(base[1:], lengths) - np.arange(total), window)
+    offsets = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # Width-by-width cumulative ORs written straight into the flat layout
+    # (position-major, shortest substring first) -- no dense intermediate.
+    flat = np.zeros(int(offsets[-1]), dtype=np.uint64)
+    current = bits
+    for width in range(1, window + 1):
+        if width > 1:
+            current = current[:-1] | bits[width - 1 :]
+        starts = np.flatnonzero(counts >= width)
+        if not starts.size:
+            break
+        # counts[s] >= width implies s + width <= total, so every such start
+        # indexes into ``current`` (length total - width + 1).
+        flat[offsets[starts] + width - 1] = current[starts]
+    return flat, offsets, base
 
 
 class RingStringSearcher(PivotalIndexBase):
@@ -35,118 +107,294 @@ class RingStringSearcher(PivotalIndexBase):
             chain_length = min(3, tau + 1)
         if chain_length < 1:
             raise ValueError("chain_length must be at least 1")
-        self._chain_length = min(chain_length, self._m)
+        m = self._m
+        self._chain_length = min(chain_length, m)
+        # windows[i] lists the boxes of the chain of length l starting at i;
+        # its prefix of length l' may sum to at most floor(l' * tau / m).
+        self._windows = (np.arange(m)[:, np.newaxis] + np.arange(self._chain_length)) % m
+        self._bounds = np.arange(1, self._chain_length + 1) * tau // m
+        columns = dataset.columns()
+        self._lengths = columns.lengths
+        self._masks = columns.masks
+        self._build_columns()
+        self._scratch: PerThread = PerThread(Scratch)
+        self._window = dataset.kappa + tau
+        self._corpus_table_fits = int(self._lengths.sum()) * self._window <= _MAX_TABLE_ENTRIES
+        # The record-corpus substring mask table only pays off once a query
+        # actually reaches the chain check on the "query" side; built lazily.
+        self._corpus_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def chain_length(self) -> int:
         return self._chain_length
 
-    def _box_lower_bound(
-        self, gram: PositionalGram, text: str, mask_cache: dict[int, int]
-    ) -> int:
-        """Content-filter lower bound of one alignment box.
+    def _build_columns(self) -> None:
+        """Convert the dict indexes built by the Pivotal base into CSR."""
+        extractor = self._dataset.extractor
 
-        For every substring of ``text`` starting within ``tau`` of the gram's
-        position and of length up to ``kappa + tau``, take
-        ``ceil(popcount(mask(gram) XOR mask(substring)) / 2)`` and return the
-        minimum.  In an optimal edit script of cost at most ``tau`` the gram
-        is aligned to one of these substrings at cost ``c_i``, and the content
-        bound of that substring is at most ``c_i``; therefore the chain check
-        driven by these values never rejects a true result.
-        """
-        kappa = len(gram.gram)
-        gram_mask = character_mask(gram.gram)
-        # Empty aligned segment: the gram is fully deleted, bound <= kappa.
-        best = (gram_mask.bit_count() + 1) // 2
-        if best == 0:
-            return 0
-        low = max(0, gram.position - self._tau)
-        high = min(gram.position + self._tau, len(text) - 1)
-        max_length = kappa + self._tau
-        for start in range(low, high + 1):
-            cached = mask_cache.get(start)
-            if cached is None:
-                cached = []
-                mask = 0
-                for offset in range(min(max_length, len(text) - start)):
-                    mask |= 1 << (ord(text[start + offset]) % 64)
-                    cached.append(mask)
-                mask_cache[start] = cached
-            for mask in cached:
-                bound = content_lower_bound(gram_mask, mask)
-                if bound < best:
-                    best = bound
-                    if best == 0:
-                        return 0
-        return best
-
-    def _passes_chain_check(
-        self, obj_id: int, candidate: _Candidate, query: str, plan: _QueryPlan
-    ) -> bool:
-        pivotal, text = self.candidate_boxes(obj_id, candidate, query, plan)
-        m = self._m
-        length = self._chain_length
-        quota = self._tau / m
-        values: dict[int, float] = {box: 0.0 for box in candidate.matched_boxes}
-        mask_cache: dict[int, list[int]] = {}
-
-        def box_value(index: int) -> float:
-            value = values.get(index)
-            if value is None:
-                value = float(
-                    self._box_lower_bound(pivotal[index], text, mask_cache)
+        def to_csr(index: dict, width: int):
+            items = sorted(
+                (extractor.rank(gram), entries) for gram, entries in index.items()
+            )
+            keys = np.asarray([rank for rank, _ in items], dtype=np.int64)
+            offsets = np.zeros(len(items) + 1, dtype=np.int64)
+            np.cumsum([len(entries) for _, entries in items], out=offsets[1:])
+            flat = [
+                np.fromiter(
+                    (entry[field] for _, entries in items for entry in entries),
+                    dtype=np.int64,
+                    count=int(offsets[-1]),
                 )
-                values[index] = value
-            return value
+                for field in range(width)
+            ]
+            return keys, offsets, flat
 
-        def prefix_viable_from(start: int) -> bool:
-            running = 0.0
-            for offset in range(length):
-                running += box_value((start + offset) % m)
-                if running > (offset + 1) * quota + 1e-12:
-                    return False
-            return True
-
-        for start in sorted(candidate.matched_boxes):
-            if prefix_viable_from(start):
-                return True
-        # Theorem 3 only guarantees a prefix-viable chain starting at *some*
-        # zero-valued box, which may be a pivotal gram whose exact match lies
-        # outside the other side's prefix.  Checking the remaining zero-valued
-        # boxes (under the same cheap lower bound) keeps the filter complete.
-        for start in range(m):
-            if start in candidate.matched_boxes:
+        keys, offsets, (objs, positions, boxes) = to_csr(self._pivotal_index, 3)
+        self._piv_keys, self._piv_offsets = keys, offsets
+        self._piv_objs, self._piv_positions, self._piv_boxes = objs, positions, boxes
+        keys, offsets, (objs, positions) = to_csr(self._prefix_index, 2)
+        self._pre_keys, self._pre_offsets = keys, offsets
+        self._pre_objs, self._pre_positions = objs, positions
+        # The dict indexes were only scaffolding for the CSR conversion.
+        del self._pivotal_index
+        del self._prefix_index
+        self._last_rank = np.asarray(self._data_last_rank, dtype=np.int64)
+        self._always = np.asarray(self._always_candidates, dtype=np.int64)
+        # Per-record pivotal gram positions and character masks, one row per
+        # record (rows of records without pivotal grams stay zero and are
+        # never read: such records are always-candidates, never matched).
+        num = len(self._dataset)
+        self._piv_pos_mat = np.zeros((num, self._m), dtype=np.int64)
+        self._piv_mask_mat = np.zeros((num, self._m), dtype=np.uint64)
+        for obj_id, pivotal in enumerate(self._data_pivotal):
+            if pivotal is None:
                 continue
-            if box_value(start) <= quota and prefix_viable_from(start):
-                return True
-        return False
+            for box, gram in enumerate(pivotal):
+                self._piv_pos_mat[obj_id, box] = gram.position
+                self._piv_mask_mat[obj_id, box] = character_mask(gram.gram)
+
+    # -- candidate generation ----------------------------------------------
 
     def candidates(self, query: str) -> list[int]:
+        cands, _generated = self._candidates(query)
+        return cands.tolist()
+
+    def _lookup(self, keys: np.ndarray, offsets: np.ndarray, rank: int) -> slice | None:
+        slot = int(np.searchsorted(keys, rank))
+        if slot >= keys.size or keys[slot] != rank:
+            return None
+        return slice(int(offsets[slot]), int(offsets[slot + 1]))
+
+    def _candidates(self, query: str) -> tuple[np.ndarray, int]:
+        """Candidate ids (ascending) plus the pre-filter candidate count."""
         plan = self.query_plan(query)
-        matches, unconditional = self.first_step(query, plan)
-        ordered = list(unconditional)
-        seen = set(unconditional)
-        for obj_id, candidate in matches.items():
-            if obj_id in seen:
-                continue
-            if self._passes_chain_check(obj_id, candidate, query, plan):
-                seen.add(obj_id)
-                ordered.append(obj_id)
-        return sorted(seen)
+        tau = self._tau
+        length_q = len(query)
+        lengths = self._lengths
+        if plan.fallback:
+            # The query cannot supply pivotal grams: verify every
+            # length-compatible string (this includes the always-candidates).
+            cands = np.flatnonzero(np.abs(lengths - length_q) <= tau).astype(np.int64)
+            return cands, int(cands.size)
+
+        always = self._always
+        if always.size:
+            always = always[np.abs(lengths[always] - length_q) <= tau]
+
+        extractor = self._dataset.extractor
+        obj_parts: list[np.ndarray] = []
+        box_parts: list[np.ndarray] = []
+        # Case 1: a data pivotal gram matches a query prefix gram and the
+        # data prefix ends no later than the query prefix.
+        if self._piv_keys.size:
+            for gram in plan.prefix:
+                rows = self._lookup(self._piv_keys, self._piv_offsets, extractor.rank(gram.gram))
+                if rows is None:
+                    continue
+                objs = self._piv_objs[rows]
+                keep = (
+                    (np.abs(self._piv_positions[rows] - gram.position) <= tau)
+                    & (np.abs(lengths[objs] - length_q) <= tau)
+                    & (self._last_rank[objs] <= plan.last_prefix_rank)
+                )
+                obj_parts.append(objs[keep])
+                box_parts.append(self._piv_boxes[rows][keep])
+        # Case 2: a query pivotal gram matches a data prefix gram and the
+        # data prefix ends later than the query prefix.
+        if self._pre_keys.size and plan.pivotal is not None:
+            for box_index, gram in enumerate(plan.pivotal):
+                rows = self._lookup(self._pre_keys, self._pre_offsets, extractor.rank(gram.gram))
+                if rows is None:
+                    continue
+                objs = self._pre_objs[rows]
+                keep = (
+                    (np.abs(self._pre_positions[rows] - gram.position) <= tau)
+                    & (np.abs(lengths[objs] - length_q) <= tau)
+                    & (self._last_rank[objs] > plan.last_prefix_rank)
+                )
+                objs = objs[keep]
+                obj_parts.append(objs)
+                box_parts.append(np.full(objs.size, box_index, dtype=np.int64))
+
+        obj_all = np.concatenate(obj_parts) if obj_parts else np.empty(0, dtype=np.int64)
+        if not obj_all.size:
+            return always.copy(), int(always.size)
+
+        # The (candidate, box) matrix of exact pivotal-gram matches.
+        matched, rows = np.unique(obj_all, return_inverse=True)
+        exact = np.zeros((matched.size, self._m), dtype=bool)
+        exact[rows, np.concatenate(box_parts)] = True
+        generated = int(matched.size + always.size)
+
+        # Complete whole-string content prefilter, evaluated in bulk.
+        query_mask = np.uint64(character_mask(query))
+        bound = (np.bitwise_count(self._masks[matched] ^ query_mask) + np.uint64(1)) >> 1
+        keep = bound <= tau
+        matched = matched[keep]
+        exact = exact[keep]
+
+        # l consecutive exactly-matched boxes form a prefix-viable chain of
+        # zeros: accept those without any lower bound (an unmatched box is
+        # given a value no chain prefix can absorb).
+        accepted = self._chain_passes(np.where(exact, 0, tau + 1))
+        # The rest get every box's content-bound lower bound; matched boxes
+        # are exact pivotal-gram matches, hence zero whatever the bound says.
+        # A candidate gathers at most m * (2 tau + 1) * window substring
+        # masks, so large thresholds take the candidates a chunk at a time.
+        undecided = np.flatnonzero(~accepted)
+        step = max(1, _MAX_GATHER_ENTRIES // (self._m * (2 * tau + 1) * self._window))
+        for first in range(0, undecided.size, step):
+            chunk = undecided[first : first + step]
+            values = self._box_values(matched[chunk], query, plan)
+            values[exact[chunk]] = 0
+            accepted[chunk] = self._chain_passes(values)
+        return np.sort(np.concatenate([always, matched[accepted]])), generated
+
+    def _chain_passes(self, values: np.ndarray) -> np.ndarray:
+        """Which rows of the ``(n, m)`` box-value matrix have a prefix-viable
+        chain of length ``l`` from some box.
+
+        Every box is tried as a start: one whose value exceeds the quota
+        fails at offset zero, and Theorem 3 only promises a viable chain
+        from *some* zero-valued box, which need not be an exactly matched one.
+        """
+        chains = np.cumsum(values[:, self._windows], axis=2)
+        return (chains <= self._bounds).all(axis=2).any(axis=1)
+
+    # -- box values ----------------------------------------------------------
+
+    def _window_min_bounds(
+        self,
+        gram_masks: np.ndarray,
+        gram_positions: np.ndarray,
+        base: np.ndarray | int,
+        text_lengths: np.ndarray | int,
+        sub_flat: np.ndarray,
+        sub_off: np.ndarray,
+    ) -> np.ndarray:
+        """Content-filter lower bound of one alignment box per gram.
+
+        Entry ``i`` is the minimum ``ceil(popcount(mask(gram) XOR
+        mask(substring)) / 2)`` over every substring of its text starting
+        within ``tau`` of the gram position (lengths up to ``kappa + tau``),
+        capped by the full-deletion bound.  In an optimal edit script of
+        cost at most ``tau`` the gram is aligned to one of these substrings
+        at cost ``c_i``, and the content bound of that substring is at most
+        ``c_i``; so the chain check driven by these values never rejects a
+        true result.
+        """
+        tau = self._tau
+        cap = (np.bitwise_count(gram_masks).astype(np.int64) + 1) >> 1
+        empty = gram_positions - tau > text_lengths - 1
+        lo = np.clip(gram_positions - tau, 0, text_lengths - 1)
+        hi = np.maximum(np.minimum(gram_positions + tau, text_lengths - 1), lo)
+        starts = sub_off[base + lo]
+        ends = sub_off[base + hi + 1]
+        gather = csr_gather_indices(starts, ends, self._scratch.get())
+        sizes = ends - starts
+        diffs = np.bitwise_count(sub_flat[gather] ^ np.repeat(gram_masks, sizes))
+        bounds = (diffs.astype(np.int64) + 1) >> 1
+        segments = np.zeros(sizes.size, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=segments[1:])
+        values = np.minimum(np.minimum.reduceat(bounds, segments), cap)
+        values[empty] = cap[empty]
+        return values
+
+    def _box_values(self, ids: np.ndarray, query: str, plan: _QueryPlan) -> np.ndarray:
+        """The ``(len(ids), m)`` matrix of content-bound box values.
+
+        "data"-side candidates align their own pivotal grams against the
+        query text (one mask table per query); "query"-side candidates align
+        the query's pivotal grams against their record: the corpus table,
+        built lazily and shared by every query, or -- when it would exceed
+        :data:`_MAX_TABLE_ENTRIES` -- a table over just these records.
+        """
+        m = self._m
+        values = np.zeros((ids.size, m), dtype=np.int64)
+        side_data = self._last_rank[ids] <= plan.last_prefix_rank
+        rows = np.flatnonzero(side_data)
+        if rows.size:
+            ids_data = ids[rows]
+            q_flat, q_off, _ = _substring_mask_table([query], self._window)
+            values[rows] = self._window_min_bounds(
+                self._piv_mask_mat[ids_data].ravel(),
+                self._piv_pos_mat[ids_data].ravel(),
+                0,
+                len(query),
+                q_flat,
+                q_off,
+            ).reshape(rows.size, m)
+        rows = np.flatnonzero(~side_data)
+        if rows.size:
+            ids_query = ids[rows]
+            if self._corpus_table_fits:
+                if self._corpus_table is None:
+                    self._corpus_table = _substring_mask_table(
+                        self._dataset.records, self._window
+                    )
+                flat, offsets, base = self._corpus_table
+                base = base[ids_query]
+            else:
+                records = self._dataset.records
+                flat, offsets, base = _substring_mask_table(
+                    [records[obj_id] for obj_id in ids_query.tolist()], self._window
+                )
+                base = base[:-1]
+            positions = np.asarray([gram.position for gram in plan.pivotal], dtype=np.int64)
+            gram_masks = np.asarray(
+                [character_mask(gram.gram) for gram in plan.pivotal], dtype=np.uint64
+            )
+            values[rows] = self._window_min_bounds(
+                np.tile(gram_masks, ids_query.size),
+                np.tile(positions, ids_query.size),
+                np.repeat(base, m),
+                np.repeat(self._lengths[ids_query], m),
+                flat,
+                offsets,
+            ).reshape(rows.size, m)
+        return values
+
+    # -- search -------------------------------------------------------------
 
     def search(self, query: str) -> SearchResult:
         timer = Timer()
-        candidates = self.candidates(query)
+        with span("candidates"):
+            cands, generated = self._candidates(query)
         candidate_time = timer.restart()
-        results = [
-            obj_id
-            for obj_id in candidates
-            if edit_distance_within(self._dataset.record(obj_id), query, self._tau)
-        ]
+        with span("verify"):
+            records = self._dataset.records
+            # One Myers matcher per query: the query bit masks are built once
+            # and every candidate costs O(len(record)) word operations.
+            matcher = QueryMatcher(query)
+            tau = self._tau
+            results = [
+                obj_id for obj_id in cands.tolist() if matcher.within(records[obj_id], tau)
+            ]
         verify_time = timer.elapsed()
         return SearchResult(
             results=results,
-            candidates=candidates,
+            candidates=cands.tolist(),
             candidate_time=candidate_time,
             verify_time=verify_time,
+            extra={"generated": generated, "verified": int(cands.size)},
         )

@@ -107,6 +107,17 @@ def test_size_report_counts_code_not_prose(make_tree):
                 )
             """,
             "src/repro/common/empty.py": "",
+            "src/repro/sets/ring.py": """
+            \"\"\"A domain package counts too.\"\"\"
+
+            class RingSetSearcher:
+                \"\"\"Docstring.\"\"\"
+
+                def search(self, query):
+                    return query  # one line
+            """,
+            "src/repro/strings/__init__.py": "from repro.strings.ring import x\n",
+            "src/repro/strings/ring.py": "x = 1\n\n\n# trailing comment\n",
             "src/repro/other/ignored.py": "x = 1\n",
         }
     )
@@ -117,6 +128,22 @@ def test_size_report_counts_code_not_prose(make_tree):
         "total": 7,
     }
     assert sizes["src/repro/common"] == {"modules": {"src/repro/common/empty.py": 0}, "total": 0}
+    # class, def, return.
+    assert sizes["src/repro/sets"] == {"modules": {"src/repro/sets/ring.py": 3}, "total": 3}
+    assert sizes["src/repro/strings"] == {
+        "modules": {"src/repro/strings/__init__.py": 1, "src/repro/strings/ring.py": 1},
+        "total": 2,
+    }
+    # Packages absent from the tree report nothing; others are never read.
+    assert sizes["src/repro/hamming"] == sizes["src/repro/graphs"] == {"modules": {}, "total": 0}
+    assert set(sizes) == {
+        "src/repro/engine",
+        "src/repro/common",
+        "src/repro/sets",
+        "src/repro/strings",
+        "src/repro/hamming",
+        "src/repro/graphs",
+    }
 
 
 def test_repository_is_clean_under_strict():

@@ -1,8 +1,11 @@
 """Correctness and containment tests for the set similarity searchers."""
 
+import contextlib
+
 import pytest
 
 from repro.datasets.tokens import zipfian_set_workload
+from repro.engine import Query, SearchEngine, ShardedEngine, build_shards
 from repro.sets.adaptsearch import AdaptSearchSearcher
 from repro.sets.dataset import SetDataset
 from repro.sets.linear import LinearSetSearcher
@@ -176,6 +179,29 @@ class TestTinyRecordsEdgeCases:
         for query in self.RECORDS + [[1, 2, 3, 4], [7, 8], [12, 13]]:
             expected = ground_truth(dataset, predicate, query)
             assert sorted(ring.search(query).results) == expected
+
+    @pytest.mark.parametrize("sharded", (False, True))
+    def test_unseen_query_tokens_with_one_hash_rank_count_twice(self, sharded, tmp_path):
+        """Two unseen query tokens whose hash ranks collide are still two
+        tokens: |q| = 3, so [1, 2] has Jaccard 1/4 with the query -- in the
+        main index, in the delta and after compaction alike."""
+        records = [[1, 2], [3, 4], [5, 6, 7]]
+        query = [1, 100, 100 + 2**30]
+        with contextlib.ExitStack() as stack:
+            if sharded:
+                directory = str(tmp_path / "shards")
+                build_shards("sets", SetDataset(records, num_classes=2), directory, 2)
+                engine = stack.enter_context(ShardedEngine(directory, replicas=1))
+            else:
+                engine = stack.enter_context(SearchEngine(cache_size=0))
+                engine.add_dataset("sets", SetDataset(records, num_classes=2))
+            engine.mutate("sets", [{"op": "upsert", "record": [1, 2]}])  # id 3
+            assert engine.search(Query("sets", query, tau=0.3)).ids == []
+            topk = engine.search(Query("sets", query, tau=0.3, k=2))
+            assert (topk.ids, topk.scores) == ([0, 3], [-0.25, -0.25])
+            engine.compact("sets")
+            assert engine.search(Query("sets", query, tau=0.3)).ids == []
+            assert engine.search(Query("sets", query, tau=0.25)).ids == [0, 3]
 
     @pytest.mark.parametrize("tau", (1, 2, 3))
     def test_exactness_on_tiny_records_overlap(self, tau):

@@ -97,6 +97,17 @@ class TestTokenOrder:
         order = TokenOrder(self.RECORDS)
         assert order.rank(999) >= order.universe_size
 
+    def test_distinct_unseen_tokens_get_distinct_ranks(self):
+        order = TokenOrder(self.RECORDS)
+        # Same hash rank: 999 and 999 + 2**30 collide modulo 2**30.
+        assert order.rank(999) == order.rank(999 + 2**30)
+        encoded = order.encode([1, 999, 999 + 2**30, 5])
+        assert len(encoded) == 4 and encoded == sorted(set(encoded))
+        assert encoded[:2] == [order.rank(1), order.rank(5)]
+        assert encoded[2] == order.rank(999) and encoded[3] > encoded[2]
+        # Without a collision the ranks are the plain per-token ranks.
+        assert order.encode([1, 999]) == [order.rank(1), order.rank(999)]
+
     def test_classes_round_robin(self):
         order = TokenOrder(self.RECORDS, num_classes=2)
         assert order.token_class(0) == 1
