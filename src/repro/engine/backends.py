@@ -15,7 +15,7 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.common.scratch import segment_sums, sorted_member_mask
+from repro.common.scratch import csr_gather_indices, segment_sums, sorted_member_mask
 from repro.common.stats import SearchResult
 from repro.datasets.binary import gist_like
 from repro.datasets.molecules import aids_like
@@ -40,7 +40,8 @@ from repro.sets.linear import LinearSetSearcher
 from repro.sets.partalloc import PartAllocSearcher
 from repro.sets.pkwise import PkwiseSearcher
 from repro.sets.ring import RingSetSearcher
-from repro.sets.similarity import JaccardPredicate, OverlapPredicate, jaccard, overlap
+from repro.sets.similarity import JaccardPredicate, OverlapPredicate
+from repro.sets.tokens import TokenRecords, check_tokens
 from repro.strings.dataset import StringDataset
 from repro.strings.edit_distance import edit_distance, edit_distance_within
 from repro.strings.linear import LinearStringSearcher
@@ -275,6 +276,21 @@ def _set_predicate(tau: float | int):
     return JaccardPredicate(tau)
 
 
+def _set_scores(
+    overlaps: np.ndarray, sizes: np.ndarray, query_size: int, tau: float | int | None
+) -> list[float]:
+    """Rank scores from overlaps: ``-overlap`` under an overlap threshold,
+    else ``-Jaccard`` (``-1.0`` for two empty sets), each a Python float
+    division so that every caller's scores agree bit for bit."""
+    if tau is not None and isinstance(_set_predicate(tau), OverlapPredicate):
+        return [-float(count) for count in overlaps.tolist()]
+    unions = sizes + query_size - overlaps
+    return [
+        -(count / union) if union else -1.0
+        for count, union in zip(overlaps.tolist(), unions.tolist())
+    ]
+
+
 class SetBackend(Backend):
     """Set similarity (overlap / Jaccard) over token sets (pkwise / pigeonring)."""
 
@@ -304,7 +320,7 @@ class SetBackend(Backend):
         return 0.8
 
     def query_key(self, payload: Any) -> Hashable:
-        return tuple(sorted(set(payload)))
+        return tuple(sorted(set(check_tokens(payload))))
 
     def make_searcher(
         self,
@@ -334,26 +350,30 @@ class SetBackend(Backend):
         ids: Sequence[int],
         tau: float | int | None,
     ) -> list[float]:
-        encoded = store.encode_query(payload)
-        use_overlap = tau is not None and isinstance(_set_predicate(tau), OverlapPredicate)
-        if use_overlap:
-            return [-float(overlap(store.record(obj_id), encoded)) for obj_id in ids]
-        return [-jaccard(store.record(obj_id), encoded) for obj_id in ids]
+        # The verifier's kernel over the stored columns: gather the ids' rank
+        # rows, match them against the sorted encoded query, segment-sum.
+        if not ids:
+            return []
+        query = np.asarray(store.encode_query(payload), dtype=np.int64)
+        columns = store.columns()
+        rows = np.asarray(ids, dtype=np.int64)
+        starts, ends = columns.offsets[rows], columns.offsets[rows + 1]
+        hits = sorted_member_mask(query, columns.tokens[csr_gather_indices(starts, ends)])
+        boundaries = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(ends - starts, out=boundaries[1:])
+        return _set_scores(segment_sums(hits, boundaries), columns.sizes[rows], query.size, tau)
 
     def shard_store(self, store: SetDataset, lo: int, hi: int) -> SetDataset:
         return SetDataset(store.raw_records[lo:hi], num_classes=store.num_classes)
 
-    def store_records(self, store: SetDataset) -> list[list[int]]:
+    def store_records(self, store: SetDataset) -> TokenRecords:
         return store.raw_records
 
     def make_dataset(self, store: SetDataset, records: Sequence[Any]) -> SetDataset:
         return SetDataset(list(records), num_classes=store.num_classes)
 
     def check_record(self, store: SetDataset, record: Any) -> list[int]:
-        try:
-            tokens = [int(token) for token in record]
-        except TypeError:
-            raise ValueError("a sets record must be an iterable of integer tokens") from None
+        tokens = check_tokens(record)
         if not tokens:
             raise ValueError("a sets record needs at least one token")
         return tokens
@@ -377,22 +397,14 @@ class SetBackend(Backend):
         # computed on raw tokens or on ranks.
         if not records:
             return []
-        query = np.unique(np.fromiter((int(token) for token in payload), dtype=np.int64))
+        query = np.unique(np.asarray(check_tokens(payload), dtype=np.int64))
         distinct = [np.unique(np.asarray(list(record), dtype=np.int64)) for record in records]
         sizes = np.asarray([tokens.size for tokens in distinct], dtype=np.int64)
         flat = np.concatenate(distinct) if distinct else np.empty(0, dtype=np.int64)
         hits = sorted_member_mask(query, flat)
         boundaries = np.zeros(len(records) + 1, dtype=np.int64)
         np.cumsum(sizes, out=boundaries[1:])
-        overlaps = segment_sums(hits, boundaries)
-        use_overlap = tau is not None and isinstance(_set_predicate(tau), OverlapPredicate)
-        if use_overlap:
-            return [-float(count) for count in overlaps]
-        unions = sizes + query.size - overlaps
-        return [
-            -(int(count) / int(union)) if union else -1.0
-            for count, union in zip(overlaps, unions)
-        ]
+        return _set_scores(segment_sums(hits, boundaries), sizes, query.size, tau)
 
     def score_matches(self, score: float, tau: float | int) -> bool:
         return -score >= float(tau)
@@ -403,7 +415,7 @@ class SetBackend(Backend):
     def payload_from_wire(self, data: Any) -> list[int]:
         if not isinstance(data, (list, tuple)):
             raise ValueError("a sets payload must be a list of token ids")
-        return [int(token) for token in data]
+        return check_tokens(data)
 
     def tau_ladder(
         self,
@@ -421,7 +433,7 @@ class SetBackend(Backend):
             return
         # Jaccard: any pair sharing one token has J >= 1 / |union|.
         if max_size is None:
-            max_size = max((store.size(obj_id) for obj_id in range(len(store))), default=1)
+            max_size = int(store.columns().sizes.max())
         floor = 1.0 / max(1, len(set(payload)) + max_size)
         tau = float(start) if start is not None else self.default_tau(store)
         while tau > floor:
@@ -430,18 +442,18 @@ class SetBackend(Backend):
         yield floor
 
     def save_store(self, store: SetDataset, directory: str) -> None:
-        _write_json(
-            directory,
-            "data.json",
-            {
-                "records": [list(map(int, record)) for record in store.raw_records],
-                "num_classes": store.num_classes,
-            },
-        )
+        raw = store.raw_records
+        arrays = {
+            "tokens": raw.tokens,
+            "offsets": raw.offsets,
+            "num_classes": np.asarray([store.num_classes], dtype=np.int64),
+        }
+        _write_npz(directory, "data.npz", arrays)
 
     def load_store(self, directory: str) -> SetDataset:
-        data = _read_json(directory, "data.json")
-        return SetDataset(data["records"], num_classes=int(data["num_classes"]))
+        with np.load(os.path.join(directory, "data.npz")) as data:
+            raw = TokenRecords(data["tokens"], data["offsets"])
+            return SetDataset(raw, num_classes=int(data["num_classes"][0]))
 
     def save_queries(self, queries: Sequence[Any], directory: str) -> None:
         _write_json(

@@ -66,8 +66,20 @@ def _build_index(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open(directory: str, **options):
+    """``open_engine``; a directory it refuses (a container of an older
+    format, ``--replicas`` on a plain container) exits with the reason."""
+    try:
+        return open_engine(directory, **options)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _load(engine: SearchEngine, directory: str):
-    container = engine.load_index(directory)
+    try:
+        container = engine.load_index(directory)
+    except ValueError as exc:  # e.g. a container of an older format
+        raise SystemExit(str(exc)) from None
     if not container.queries:
         print(f"container {directory} holds no stored queries", file=sys.stderr)
         raise SystemExit(2)
@@ -127,7 +139,7 @@ def _mutate(args: argparse.Namespace) -> int:
     """Shared driver of the ``upsert`` / ``delete`` / ``compact`` commands."""
     from repro.engine.wire import WireFormatError
 
-    engine = open_engine(args.index, mp_context=args.mp_context)
+    engine = _open(args.index, mp_context=args.mp_context)
     try:
         backend_name = next(iter(engine.describe()["backends"]))
         status = 0
@@ -210,17 +222,14 @@ async def _serve_until_signalled(server, ready_file: str | None) -> None:
 def _serve(args: argparse.Namespace) -> int:
     from repro.engine.server import EngineServer, ServerConfig
 
-    try:
-        engine = open_engine(
-            args.index,
-            cache_size=args.cache_size,
-            wal_dir=args.wal_dir,
-            auto_compact=args.auto_compact,
-            replicas=args.replicas,
-            mp_context=args.mp_context,
-        )
-    except ValueError as exc:  # e.g. --replicas on a plain container
-        raise SystemExit(str(exc)) from None
+    engine = _open(
+        args.index,
+        cache_size=args.cache_size,
+        wal_dir=args.wal_dir,
+        auto_compact=args.auto_compact,
+        replicas=args.replicas,
+        mp_context=args.mp_context,
+    )
     config = ServerConfig(
         host=args.host,
         port=args.port,

@@ -2,23 +2,25 @@
 
 A container is a directory holding
 
-* ``manifest.json`` -- format version, backend name and store descriptor,
+* ``manifest.json`` -- format version, backend name, store descriptor and
+  ``wal_seq``,
 * a backend-owned payload (``data.npz`` for Hamming -- vectors plus the
-  serialised partition index -- or ``data.json`` for the other domains),
+  serialised partition index -- and for sets -- the raw records as CSR
+  token and offset arrays plus ``num_classes``; ``data.json`` for strings
+  and graphs),
 * an optional persisted query workload (``queries.npz`` / ``queries.json``),
   and
-* an optional ``mutations.json`` -- the delta/tombstone overlay of a
-  mutated index (:mod:`repro.engine.mutation`), so upserts and deletes
-  survive save/load without forcing a compaction.
+* ``mutations.json`` when the index is mutated -- the delta/tombstone
+  overlay (:mod:`repro.engine.mutation`), so upserts and deletes survive
+  save/load without forcing a compaction.
 
-Format versioning: version 1 is the original immutable layout; version 2
-adds the overlay; version 3 adds ``wal_seq`` -- the write-ahead-log sequence
-number this container checkpoints (every WAL batch with ``seq <= wal_seq``
-is already folded into the stored state, so replay after a crash skips
-them).  Containers are written at the *lowest* version that can represent
-them (an unmutated index with no WAL history still writes version 1), and
-readers accept all three -- but an old reader refuses a newer container
-outright rather than silently serving it without its mutations.
+Format versioning: there is one format, version 4, with one writer and one
+reader.  ``wal_seq`` is the write-ahead-log sequence number the container
+checkpoints (every WAL batch with ``seq <= wal_seq`` is already folded into
+the stored state, so replay after a crash skips them; 0 without a WAL).  A
+container of any other version -- including the versions 1-3 of earlier
+builds, whose sets payload was ``data.json`` -- is refused with a message
+to rebuild it with ``build-index``.
 
 Every file a container write touches goes through :func:`atomic_write`:
 write to a temp file, fsync, then ``os.replace`` over the target.  A crash
@@ -39,8 +41,8 @@ from typing import Any, BinaryIO, Callable, Sequence
 from repro.engine.backend import Backend, get_backend
 from repro.engine.mutation import DeltaStore, delta_from_json, delta_to_json
 
-FORMAT_VERSION = 3
-SUPPORTED_FORMAT_VERSIONS = frozenset({1, 2, 3})
+FORMAT_VERSION = 4
+SUPPORTED_FORMAT_VERSIONS = frozenset({FORMAT_VERSION})
 MANIFEST_NAME = "manifest.json"
 MUTATIONS_NAME = "mutations.json"
 
@@ -99,7 +101,7 @@ class Container:
     @property
     def wal_seq(self) -> int:
         """The WAL sequence number this container's state checkpoints."""
-        return int(self.manifest.get("wal_seq", 0))
+        return int(self.manifest["wal_seq"])
 
 
 def save_container(
@@ -117,23 +119,16 @@ def save_container(
     """
     os.makedirs(directory, exist_ok=True)
     write_delta = delta is not None and delta.mutated
-    if wal_seq > 0:
-        version = 3
-    elif write_delta:
-        version = 2
-    else:
-        version = 1
     manifest = {
-        "format_version": version,
+        "format_version": FORMAT_VERSION,
         "backend": backend.name,
         "descriptor": backend.describe(store),
         # Recorded at build time (JSON keeps the int/float distinction, which
         # is semantic for the sets backend) so network clients and the load
         # generator can pick a threshold without loading the store.
         "default_tau": backend.default_tau(store),
+        "wal_seq": int(wal_seq),
     }
-    if wal_seq > 0:
-        manifest["wal_seq"] = int(wal_seq)
     backend.save_store(store, directory)
     mutations_path = os.path.join(directory, MUTATIONS_NAME)
     if write_delta:
@@ -159,8 +154,10 @@ def load_container(directory: str) -> Container:
         manifest = json.load(handle)
     version = manifest.get("format_version")
     if version not in SUPPORTED_FORMAT_VERSIONS:
-        supported = ", ".join(str(v) for v in sorted(SUPPORTED_FORMAT_VERSIONS))
-        raise ValueError(f"unsupported container format {version!r} (supported: {supported})")
+        raise ValueError(
+            f"unsupported container format {version!r} in {directory!r} (this build reads "
+            f"version {FORMAT_VERSION}); rebuild the index with `build-index`"
+        )
     backend = get_backend(manifest["backend"])
     store = backend.load_store(directory)
     queries = backend.load_queries(directory)

@@ -12,7 +12,8 @@ maintains.
 Public API:
 
 * :class:`repro.sets.dataset.SetDataset` -- records encoded in the global
-  token order with class assignments.
+  token order with class assignments, built and held as flat arrays
+  (:class:`repro.sets.tokens.TokenRecords` for the raw records).
 * :class:`repro.sets.similarity.OverlapPredicate` /
   :class:`repro.sets.similarity.JaccardPredicate` -- selection predicates.
 * :class:`repro.sets.ring.RingSetSearcher` -- the pigeonring searcher, the
@@ -28,7 +29,7 @@ Public API:
 """
 
 from repro.sets.similarity import JaccardPredicate, OverlapPredicate, jaccard, overlap
-from repro.sets.tokens import TokenOrder
+from repro.sets.tokens import TokenOrder, TokenRecords
 from repro.sets.dataset import SetDataset
 from repro.sets.linear import LinearSetSearcher
 from repro.sets.pkwise import PkwiseSearcher
@@ -42,6 +43,7 @@ __all__ = [
     "jaccard",
     "overlap",
     "TokenOrder",
+    "TokenRecords",
     "SetDataset",
     "LinearSetSearcher",
     "PkwiseSearcher",

@@ -1,4 +1,12 @@
-"""Dataset container for set similarity search."""
+"""Dataset container for set similarity search.
+
+A :class:`SetDataset` is flat arrays end to end: the raw records as supplied
+(:class:`repro.sets.tokens.TokenRecords`, which is also what a container's
+``data.npz`` stores) and the rank-encoded records the searchers read
+(:class:`SetColumns`), both CSR.  Building one is a handful of whole-array
+sorts (:meth:`repro.sets.tokens.TokenOrder.fit_encode`); a record is
+materialised as a Python list only when asked for by id.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sets.tokens import TokenOrder
+from repro.sets.tokens import TokenOrder, TokenRecords
 
 
 @dataclass(frozen=True)
@@ -30,24 +38,29 @@ class SetDataset:
     """A collection of token sets encoded in a global frequency order.
 
     Args:
-        records: raw records (iterables of hashable integer tokens).
+        records: raw records (sequences of integer tokens that fit in 64
+            signed bits), or a :class:`~repro.sets.tokens.TokenRecords`
+            holding them already flat.
         num_classes: number of token classes for the pkwise-family searchers
             (the paper's ``m - 1``; the default 4 matches the paper's
             ``m = 5``).
+
+    Raises:
+        ValueError: no records, ``num_classes < 1``, or a token that is not
+            an integer within ``int64``.
     """
 
     def __init__(self, records: Sequence[Sequence[int]], num_classes: int = 4):
-        if not records:
+        if not len(records):
             raise ValueError("the dataset needs at least one record")
         if num_classes < 1:
             raise ValueError("num_classes must be at least 1")
-        self._raw = [list(record) for record in records]
-        self._order = TokenOrder(self._raw, num_classes=num_classes)
-        self._encoded = [self._order.encode(record) for record in self._raw]
-        self._columns: SetColumns | None = None
+        self._raw = TokenRecords.of(records)
+        self._order, tokens, offsets = TokenOrder.fit_encode(self._raw, num_classes)
+        self._columns = SetColumns(tokens=tokens, offsets=offsets, sizes=np.diff(offsets))
 
     @property
-    def raw_records(self) -> list[list[int]]:
+    def raw_records(self) -> TokenRecords:
         """The records as originally supplied (before rank encoding)."""
         return self._raw
 
@@ -59,35 +72,21 @@ class SetDataset:
     def num_classes(self) -> int:
         return self._order.num_classes
 
-    @property
-    def encoded(self) -> list[list[int]]:
-        """Records as sorted rank arrays (in dataset order)."""
-        return self._encoded
-
     def record(self, obj_id: int) -> list[int]:
-        """The encoded record with the given id."""
-        return self._encoded[obj_id]
+        """The encoded record with the given id (sorted distinct ranks)."""
+        columns = self._columns
+        return columns.tokens[columns.offsets[obj_id] : columns.offsets[obj_id + 1]].tolist()
 
     def size(self, obj_id: int) -> int:
-        return len(self._encoded[obj_id])
+        return int(self._columns.sizes[obj_id])
 
     def encode_query(self, query: Sequence[int]) -> list[int]:
         """Encode a query with the dataset's global order."""
         return self._order.encode(query)
 
     def columns(self) -> SetColumns:
-        """The records in CSR form (built lazily, cached on the dataset)."""
-        if self._columns is None:
-            sizes = np.asarray([len(record) for record in self._encoded], dtype=np.int64)
-            offsets = np.zeros(len(self._encoded) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=offsets[1:])
-            tokens = np.fromiter(
-                (token for record in self._encoded for token in record),
-                dtype=np.int64,
-                count=int(offsets[-1]),
-            )
-            self._columns = SetColumns(tokens=tokens, offsets=offsets, sizes=sizes)
+        """The encoded records in CSR form."""
         return self._columns
 
     def __len__(self) -> int:
-        return len(self._encoded)
+        return len(self._raw)

@@ -17,7 +17,10 @@ The searcher follows the paper's pkwise-based filtering instance:
 
 Every stage runs over flat numpy arrays, a batch of candidates at a time:
 the records are read in CSR form (:meth:`repro.sets.dataset.SetDataset.
-columns`), the prefix inverted index is CSR postings probed with one
+columns`), the index is built from them without a per-record loop (token
+classes, the running k-wise budget and the prefix lengths as segmented
+cumsums, the postings from one sort of the prefix (token, object) pairs),
+the prefix inverted index is CSR postings probed with one
 ``searchsorted`` per query prefix, the per-(object, class) counters come out
 of one grouped ``bincount``, the length filter, chain condition and
 suffix-box bound are evaluated over the whole touched-object array at once,
@@ -37,7 +40,6 @@ preserve exactness:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -55,11 +57,22 @@ from repro.common.stats import SearchResult, Timer
 from repro.sets.dataset import SetDataset
 from repro.sets.prefix import class_counts, pkwise_prefix_length
 
+#: Records per step of the index build; bounds its per-token temporaries.
+_CHUNK = 4096
+
 
 def _kwise_budget(classes: list[int], num_classes: int) -> int:
     """``sum_k max(0, cnt(x, |x|, k) - k + 1)``: the most a whole record can cover."""
     counts = class_counts(classes, len(classes), num_classes)
     return sum(max(0, counts[k] - k + 1) for k in range(1, num_classes + 1))
+
+
+def _running_count(flags: np.ndarray, bounds: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per position, the set ``flags`` from its record's start up to and
+    including it (records split at ``bounds``, of ``sizes`` positions)."""
+    counts = np.zeros(flags.size + 1, dtype=np.int64)
+    np.cumsum(flags, out=counts[1:])
+    return counts[1:] - np.repeat(counts[bounds[:-1]], sizes)
 
 
 class RingSetSearcher:
@@ -96,48 +109,74 @@ class RingSetSearcher:
         return self._dataset
 
     def _build_index(self) -> None:
-        """The pkwise prefix postings as CSR keyed by token rank."""
-        order = self._dataset.order
-        postings: dict[int, list[int]] = defaultdict(list)
-        always: list[int] = []
-        prefix_lengths: list[int] = []
-        last_prefix: list[int] = []
-        for obj_id, record in enumerate(self._dataset.encoded):
-            size = len(record)
-            required = self._predicate.index_required_overlap(size)
-            prefix_length = 0
-            # A record that can never reach the required overlap matches
-            # nothing and stays out of the index.
-            if not record:
-                always.append(obj_id)
-            elif required <= size:
-                classes = order.classes_of(record)
-                if _kwise_budget(classes, self._num_classes) < size - required + 1:
-                    # The k-wise budget cannot be covered even by the full
-                    # record: keep it as an always-candidate for exactness.
-                    always.append(obj_id)
-                    prefix_length = size
-                else:
-                    prefix_length = pkwise_prefix_length(classes, self._num_classes, required)
-                    for token in record[:prefix_length]:
-                        postings[token].append(obj_id)
-            prefix_lengths.append(prefix_length)
-            last_prefix.append(record[prefix_length - 1] if prefix_length else -1)
-        # Lists per token while scanning, streamed into CSR at the end: no
-        # flat copy of all posting entries exists besides the final array,
-        # which keeps the build's peak memory low (it sets peak RSS here).
-        items = sorted(postings.items())
-        self._post_keys = np.fromiter((token for token, _ in items), np.int64, len(items))
-        self._post_offsets = np.zeros(len(items) + 1, dtype=np.int64)
-        np.cumsum([len(objs) for _, objs in items], out=self._post_offsets[1:])
-        self._post_objs = np.fromiter(
-            (obj_id for _, objs in items for obj_id in objs),
-            np.int64,
-            int(self._post_offsets[-1]),
-        )
-        self._always = np.asarray(always, dtype=np.int64)
-        self._prefix_lengths = np.asarray(prefix_lengths, dtype=np.int64)
-        self._last_prefix = np.asarray(last_prefix, dtype=np.int64)
+        """The pkwise prefix postings as CSR keyed by token rank.
+
+        A record's prefix is the shortest one whose k-wise budget
+        ``sum_k max(0, cnt(x, p, k) - k + 1)`` reaches ``|x| - t + 1``
+        (:func:`repro.sets.prefix.pkwise_prefix_length`).  A token raises
+        the budget by one exactly when it is at least the ``k``-th class-``k``
+        token of its record, so over the flat token array the running budget
+        is a segmented cumsum, and the prefix length is one plus the number
+        of positions still short of the target.  Records go through in
+        chunks of :data:`_CHUNK`, which bounds the per-token temporaries.
+
+        A record that can never reach the required overlap (``t > |x|``)
+        matches nothing and stays out of the index; an empty record, or one
+        whose whole budget falls short of the target, is kept as an
+        always-candidate for exactness.
+        """
+        sizes, offsets = self._sizes, self._offsets
+        # The required overlap depends on the size alone: one scalar call
+        # per distinct size.
+        distinct, slot = np.unique(sizes, return_inverse=True)
+        required = np.asarray(
+            [self._predicate.index_required_overlap(int(size)) for size in distinct],
+            dtype=np.int64,
+        )[slot]
+        targets = sizes - required + 1  # > 0 iff the record can reach t
+        prefix_lengths = np.zeros(sizes.size, dtype=np.int64)
+        always = sizes == 0
+        pairs: list[np.ndarray] = []  # token * n + object, per chunk
+        for lo in range(0, sizes.size, _CHUNK):
+            hi = min(lo + _CHUNK, sizes.size)
+            record_sizes, target = sizes[lo:hi], targets[lo:hi]
+            bounds = offsets[lo : hi + 1] - offsets[lo]
+            tokens = self._tokens[offsets[lo] : offsets[hi]]
+            classes = tokens % self._num_classes + 1
+            increments = np.zeros(tokens.size, dtype=bool)
+            for k in range(1, self._num_classes + 1):
+                of_class = classes == k
+                increments |= of_class & (_running_count(of_class, bounds, record_sizes) >= k)
+            budget = _running_count(increments, bounds, record_sizes)
+            reachable = target > 0
+            indexed = reachable & (segment_sums(increments, bounds) >= target)
+            uncovered = reachable & ~indexed
+            always[lo:hi] |= uncovered
+            short = segment_sums(budget < np.repeat(target, record_sizes), bounds)
+            lengths = np.where(indexed, short + 1, 0)
+            prefix_lengths[lo:hi] = np.where(uncovered, record_sizes, lengths)
+            position = np.arange(tokens.size, dtype=np.int64) - np.repeat(bounds[:-1], record_sizes)
+            in_prefix = position < np.repeat(lengths, record_sizes)
+            objects = np.repeat(np.arange(lo, hi, dtype=np.int64), record_sizes)[in_prefix]
+            pairs.append(tokens[in_prefix] * sizes.size + objects)
+        # One sort of the (token, object) pairs: postings keyed by token,
+        # each list ascending by id.
+        keys = np.concatenate(pairs)
+        del pairs
+        keys.sort()
+        tokens, self._post_objs = np.divmod(keys, sizes.size)
+        del keys
+        heads = np.flatnonzero(np.diff(tokens, prepend=-1))
+        self._post_keys = tokens[heads]
+        self._post_offsets = np.append(heads, tokens.size)
+        self._always = np.flatnonzero(always)
+        self._prefix_lengths = prefix_lengths
+        last_prefix = np.full(sizes.size, -1, dtype=np.int64)
+        has_prefix = prefix_lengths > 0
+        last_prefix[has_prefix] = self._tokens[
+            offsets[:-1][has_prefix] + prefix_lengths[has_prefix] - 1
+        ]
+        self._last_prefix = last_prefix
 
     def _query_plan(self, encoded_query: list[int]):
         """The query prefix length, threshold allocation and fallback flag."""

@@ -1,4 +1,4 @@
-"""Global token ordering and token classes.
+"""Global token ordering, token classes and the raw-record arrays.
 
 Prefix-filter methods sort the tokens of every record by a *global order*,
 conventionally increasing document frequency, so prefixes consist of the
@@ -13,12 +13,108 @@ ranks.  Classes are assigned round-robin along the global order
 over the classes; the pkwise paper leaves the class construction free and this
 deterministic choice keeps prefixes of the different classes comparably
 selective.
+
+A token is an integer that fits in 64 signed bits: the collection is held as
+flat integer arrays (:class:`TokenRecords`), and the order is learned from
+them with a few sorts instead of a per-record loop.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Sequence
+from collections.abc import Sequence
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_NOT_INTEGER = "sets tokens must be integers, got {}"
+_OUT_OF_RANGE = f"sets tokens must lie in [{_INT64_MIN}, {_INT64_MAX}]"
+#: Token ranges up to twice the token count plus this take the table path
+#: of :func:`_dense_ids`; it covers every ``int16`` range.
+_TABLE_SLACK = 1 << 16
+
+
+def _check_kinds(kinds: Iterable[type]) -> None:
+    """Refuse every token type but ``int`` and numpy integers (bools too)."""
+    for kind in kinds:
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            raise ValueError(_NOT_INTEGER.format(kind.__name__))
+
+
+def check_tokens(values: Iterable) -> list[int]:
+    """One record's tokens as plain ints; ``ValueError`` unless every token
+    is an integer within ``int64``."""
+    try:
+        tokens = list(values)
+    except TypeError:
+        raise ValueError("a sets record must be an iterable of integer tokens") from None
+    kinds = set(map(type, tokens))
+    if not kinds <= {int}:  # queries run this: plain ints take no further pass
+        _check_kinds(kinds)
+        tokens = list(map(int, tokens))
+    if tokens and (min(tokens) < _INT64_MIN or max(tokens) > _INT64_MAX):
+        raise ValueError(_OUT_OF_RANGE)
+    return tokens
+
+
+class TokenRecords(Sequence):
+    """Raw token records in CSR form: record ``i`` is
+    ``tokens[offsets[i]:offsets[i + 1]]``, as supplied (order and duplicates
+    kept).  Indexing materialises one record as a list of ints; a contiguous
+    slice is another :class:`TokenRecords`.
+
+    :meth:`of` stores the tokens in the narrowest of ``int16`` / ``int32`` /
+    ``int64`` that holds them all: the raw records are only read back one at
+    a time or saved, so a narrow copy is pure memory saved.
+    """
+
+    def __init__(self, tokens: np.ndarray, offsets: np.ndarray):
+        self.tokens = tokens
+        self.offsets = offsets
+
+    @classmethod
+    def of(cls, records: Sequence[Sequence[int]]) -> "TokenRecords":
+        """Flatten ``records`` once, refusing any token :func:`check_tokens` would."""
+        if isinstance(records, TokenRecords):
+            return records
+        try:
+            sizes = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+        except TypeError:
+            raise ValueError("a sets record must be a sequence of integer tokens") from None
+        _check_kinds(set(map(type, chain.from_iterable(records))))
+        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        try:
+            tokens = np.fromiter(
+                chain.from_iterable(records), dtype=np.int64, count=int(offsets[-1])
+            )
+        except OverflowError:
+            raise ValueError(_OUT_OF_RANGE) from None
+        if tokens.size:
+            low, high = tokens.min(), tokens.max()
+            for dtype in (np.int16, np.int32):
+                if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+                    tokens = tokens.astype(dtype)
+                    break
+        return cls(tokens, offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("TokenRecords slices must be contiguous")
+            stop = max(start, stop)
+            base, end = self.offsets[start], self.offsets[stop]
+            return TokenRecords(self.tokens[base:end], self.offsets[start : stop + 1] - base)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("record index out of range")
+        return self.tokens[self.offsets[index] : self.offsets[index + 1]].tolist()
 
 
 class TokenOrder:
@@ -30,21 +126,50 @@ class TokenOrder:
             disables class assignment (used by the non-pkwise baselines).
     """
 
-    def __init__(self, records: Iterable[Sequence[int]], num_classes: int = 0):
+    def __init__(self, records: Sequence[Sequence[int]], num_classes: int = 0):
+        universe, _records, token_ids = _distinct_pairs(TokenRecords.of(records))
+        self._fit(universe, token_ids, num_classes)
+
+    @classmethod
+    def fit_encode(
+        cls, raw: TokenRecords, num_classes: int
+    ) -> tuple["TokenOrder", np.ndarray, np.ndarray]:
+        """The order learned from ``raw`` plus ``raw`` encoded in it.
+
+        The encoding is CSR ``(tokens, offsets)``: every record's distinct
+        token ranks, ascending -- what :meth:`encode` returns per record,
+        from one sort of ``record * U + rank`` over the whole collection.
+        """
+        order = cls.__new__(cls)
+        universe, keys, token_ids = _distinct_pairs(raw)
+        rank_of = order._fit(universe, token_ids, num_classes)
+        width = max(universe.size, 1)
+        keys *= width  # record -> record * U + rank, in place
+        keys += rank_of[token_ids]
+        del token_ids
+        keys.sort()
+        offsets = np.searchsorted(keys, np.arange(len(raw) + 1, dtype=np.int64) * width)
+        np.remainder(keys, width, out=keys)
+        return order, keys, offsets
+
+    def _fit(self, universe: np.ndarray, token_ids: np.ndarray, num_classes: int) -> np.ndarray:
+        """Rank the universe by (document frequency, token); returns the
+        rank of every universe slot."""
         if num_classes < 0:
             raise ValueError("num_classes must be non-negative")
-        frequency: Counter = Counter()
-        for record in records:
-            frequency.update(set(record))
-        # Rarest first; ties broken by token id for determinism.
-        ordered = sorted(frequency, key=lambda token: (frequency[token], token))
-        self._rank = {token: rank for rank, token in enumerate(ordered)}
-        self._tokens = ordered
+        frequency = np.bincount(token_ids, minlength=universe.size)
+        # Rarest first; ties broken by token id (the universe is ascending,
+        # so a stable sort on frequency alone does that).
+        by_rank = np.argsort(frequency, kind="stable")
+        rank_of = np.empty(universe.size, dtype=np.int64)
+        rank_of[by_rank] = np.arange(universe.size, dtype=np.int64)
+        self._rank = dict(zip(universe[by_rank].tolist(), range(universe.size)))
         self._num_classes = num_classes
+        return rank_of
 
     @property
     def universe_size(self) -> int:
-        return len(self._tokens)
+        return len(self._rank)
 
     @property
     def num_classes(self) -> int:
@@ -60,7 +185,7 @@ class TokenOrder:
         """
         rank = self._rank.get(token)
         if rank is None:
-            return len(self._tokens) + hash(token) % (1 << 30)
+            return len(self._rank) + hash(token) % (1 << 30)
         return rank
 
     def encode(self, record: Sequence[int]) -> list[int]:
@@ -69,10 +194,12 @@ class TokenOrder:
         Distinct tokens get distinct ranks: an unseen token whose hash rank
         is already taken by another unseen token of the record moves up to
         the next free rank (in ``(rank, token)`` order), so the size of the
-        encoded record is its number of distinct tokens.
+        encoded record is its number of distinct tokens.  Refuses the tokens
+        :func:`check_tokens` refuses.
         """
+        record = check_tokens(record)
         ranks = sorted({self.rank(token) for token in record})
-        if not ranks or ranks[-1] < len(self._tokens):
+        if not ranks or ranks[-1] < len(self._rank):
             return ranks  # known tokens only: ranks are distinct already
         ranks = []
         for rank, _token in sorted((self.rank(token), token) for token in set(record)):
@@ -88,3 +215,35 @@ class TokenOrder:
     def classes_of(self, ranks: Sequence[int]) -> list[int]:
         """Classes of a sequence of ranks."""
         return [self.token_class(rank) for rank in ranks]
+
+
+def _distinct_pairs(raw: TokenRecords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(universe, records, token_ids)``: the distinct tokens ascending, and
+    every distinct (record, token) pair as the record and the token's slot
+    in ``universe``, sorted by record, then token."""
+    universe, inverse = _dense_ids(raw.tokens)
+    width = max(universe.size, 1)
+    keys = np.repeat(np.arange(len(raw), dtype=np.int64), np.diff(raw.offsets))
+    keys *= width
+    keys += inverse
+    del inverse
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # a record's repeated tokens count once
+    records, token_ids = np.divmod(keys, width)
+    return universe, records, token_ids
+
+
+def _dense_ids(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(tokens, return_inverse=True)``, through a presence table
+    over ``[min, max]`` when that range is not much wider than the tokens
+    (the usual case, and the only one for ``int16`` tokens): no sort."""
+    if tokens.size:
+        low = int(tokens.min())
+        span = int(tokens.max()) - low + 1
+        if span <= 2 * tokens.size + _TABLE_SLACK:
+            shifted = np.subtract(tokens, low, dtype=np.int64)
+            present = np.zeros(span, dtype=bool)
+            present[shifted] = True
+            slots = np.cumsum(present) - 1
+            return np.flatnonzero(present) + low, slots[shifted]
+    return np.unique(tokens, return_inverse=True)

@@ -7,10 +7,14 @@ Tiny synthetic indexes under ``tmp_path``; the serving verbs (``serve``,
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+
 import pytest
 
 from repro.common.obs import MetricsRegistry
-from repro.engine import Query, get_backend, open_engine
+from repro.engine import Query, SearchEngine, get_backend, open_engine
 from repro.engine.cli import main
 
 
@@ -33,6 +37,35 @@ def test_build_index_then_query_threshold_and_topk(index, capsys):
     out = capsys.readouterr().out
     assert "[sets] top-2 algorithm=ring: 2 result(s)" in out
     assert out.count("score=") == 2
+
+
+def test_sets_container_round_trips_and_an_older_container_is_refused(index, tmp_path, capsys):
+    """``build-index`` writes a v4 container whose sets payload is
+    ``data.npz``; ``query`` serves it as built.  A container of an older
+    version is refused by name, telling the user to rebuild it."""
+    assert "data.npz" in os.listdir(index) and "data.json" not in os.listdir(index)
+    backend = get_backend("sets")
+    dataset, queries = backend.make_workload(120, 3, 5)  # the fixture's build
+    engine = SearchEngine()
+    engine.add_dataset("sets", dataset)
+    expected = engine.search(Query(backend="sets", payload=queries[2], tau=0.5)).ids
+    assert run("query --tau 0.5 --query 2 --index", index) == 0
+    assert f"ids: {expected[:20]}" in capsys.readouterr().out
+
+    old = str(tmp_path / "old")
+    shutil.copytree(index, old)
+    manifest_path = os.path.join(old, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert manifest["format_version"] == 4 and manifest["wal_seq"] == 0
+    manifest["format_version"] = 3
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    for command in ("query --index", "compact --index"):
+        with pytest.raises(SystemExit) as info:
+            run(command, old)
+        assert "unsupported container format 3" in str(info.value.code)
+        assert "build-index" in str(info.value.code)
 
 
 def test_query_number_out_of_range_exits_2(index, capsys):

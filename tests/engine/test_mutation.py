@@ -8,6 +8,8 @@ rebuilt from scratch over the surviving records -- per domain, unsharded and
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from repro.datasets.molecules import aids_like
 from repro.engine import Query, SearchEngine
-from repro.engine.client import EngineClient
+from repro.engine.client import EngineClient, RequestError
 from repro.engine.mutation import DeltaStore
 from repro.engine.server import ServerThread
 from repro.engine.sharding import ShardedEngine, build_shards, load_shards_manifest
@@ -221,7 +223,7 @@ def test_plain_container_roundtrips_live_delta(engine, query_payloads, tmp_path)
     upsert(engine, "sets", [1, 2, 3, 4])
     delete(engine, "sets", 0)
     manifest = engine.save_index("sets", directory)
-    assert manifest["format_version"] == 2
+    assert manifest["format_version"] == 4
     assert manifest["mutations"]["delta_records"] == 1
     restored = SearchEngine(cache_size=0)
     restored.load_index(directory)
@@ -233,11 +235,12 @@ def test_plain_container_roundtrips_live_delta(engine, query_payloads, tmp_path)
     assert upsert(restored, "sets", [9, 9, 1]) == engine.delta("sets").next_id
 
 
-def test_unmutated_container_stays_format_v1(engine, tmp_path):
-    directory = str(tmp_path / "v1-idx")
+def test_unmutated_container_writes_v4_without_overlay(engine, tmp_path):
+    directory = str(tmp_path / "idx")
     manifest = engine.save_index("strings", directory)
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 4 and manifest["wal_seq"] == 0
     assert "mutations" not in manifest
+    assert not os.path.exists(os.path.join(directory, "mutations.json"))
 
 
 def test_sharded_flush_reloads_mutations(datasets, query_payloads, tmp_path):
@@ -290,6 +293,48 @@ def test_upsert_rejects_invalid_records(engine):
         upsert(engine, "graphs", "not a graph")
     with pytest.raises(ValueError, match="non-negative"):
         upsert(engine, "strings", "fine", -3)
+
+
+@pytest.mark.parametrize("topology", ["plain", "sharded", "served"])
+def test_sets_tokens_outside_int64_are_refused(topology, datasets, query_payloads, tmp_path):
+    """A sets token is an integer that fits in int64.  One that does not is
+    refused when it arrives -- a ValueError in process, a 400 over HTTP --
+    instead of being acknowledged and then failing every later query with
+    an OverflowError (a 500 for the whole coalesced batch)."""
+    payload = query_payloads["sets"][0]
+    with contextlib.ExitStack() as stack:
+        if topology == "sharded":
+            directory = str(tmp_path / "shards")
+            build_shards("sets", datasets["sets"], directory, 2)
+            engine = stack.enter_context(ShardedEngine(directory, replicas=1))
+        else:
+            engine = stack.enter_context(SearchEngine(cache_size=0))
+            engine.add_dataset("sets", datasets["sets"])
+        expected = engine.search(Query(backend="sets", payload=payload, tau=0.6)).ids
+        target, refused = engine, ValueError
+        bad_records = [[1, 2, 2**64], [1, -(2**63) - 1], [1, 2.5], [1, True], [1, "2"]]
+        if topology == "served":
+            handle = stack.enter_context(ServerThread(engine))
+            target, refused = stack.enter_context(EngineClient(handle.url)), RequestError
+            # The client encoder passes ints through as they are, but sends
+            # 2.5, True and "2" as 2, 1 and 2.
+            bad_records = bad_records[:2]
+
+        def search(tokens):
+            if topology == "served":
+                return target.search("sets", tokens, tau=0.6).ids
+            return engine.search(Query(backend="sets", payload=tokens, tau=0.6)).ids
+
+        for record in bad_records:
+            with pytest.raises(refused) as refusal:
+                upsert(target, "sets", record)
+            with pytest.raises(refused) as query_refusal:
+                search(record)
+            if topology == "served":
+                assert refusal.value.status == query_refusal.value.status == 400
+            assert search(payload) == expected
+        assert engine.mutation_info("sets")["mutated"] is False
+        assert search([2**63 - 1, -(2**63)]) == []
 
 
 def test_delete_of_unknown_id_is_false(engine):

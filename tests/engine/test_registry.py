@@ -12,6 +12,7 @@ from repro.engine import (
     get_backend,
     register_backend,
 )
+from repro.sets.similarity import jaccard, overlap
 
 
 def test_all_four_domains_registered():
@@ -104,6 +105,20 @@ def test_stored_and_raw_records_score_alike(name, engine, query_payloads, taus):
             if tau is not None:
                 matches = backend.scan_records(store, payload, records, tau)
                 assert matches == [backend.score_matches(score, tau) for score in scores]
+            if name == "sets":
+                # Both set kernels against plain set arithmetic on raw tokens.
+                exact = [
+                    -float(overlap(record, payload)) if tau == 2 else -jaccard(record, payload)
+                    for record in records
+                ]
+                assert [score.hex() for score in scores] == [score.hex() for score in exact]
+        if name == "sets":
+            # The ladder's largest record size comes from the stored columns.
+            every = backend.store_records(store)
+            largest = max(backend.record_size(store, record) for record in every)
+            assert list(backend.tau_ladder(store, payload, None)) == list(
+                backend.tau_ladder(store, payload, None, max_size=largest)
+            )
     assert backend.distances(store, query_payloads[name][0], [], taus[name]) == []
     assert backend.record_distances(store, query_payloads[name][0], [], taus[name]) == []
 
