@@ -196,6 +196,10 @@ class Backend(abc.ABC):
         """The :meth:`tau_ladder` size measure of one raw record."""
         return 1
 
+    def store_sizes(self, store: Any) -> list[int]:
+        """:meth:`record_size` of every main record, indexed by main position."""
+        return [self.record_size(store, record) for record in self.store_records(store)]
+
     @abc.abstractmethod
     def record_distances(
         self, store: Any, payload: Any, records: Sequence[Any], tau: float | int | None

@@ -381,6 +381,9 @@ class SetBackend(Backend):
     def record_size(self, store: SetDataset, record: Any) -> int:
         return len(set(record))
 
+    def store_sizes(self, store: SetDataset) -> list[int]:
+        return store.columns().sizes.tolist()
+
     def record_distances(
         self,
         store: SetDataset,

@@ -67,8 +67,8 @@ def _build_index(args: argparse.Namespace) -> int:
 
 
 def _open(directory: str, **options):
-    """``open_engine``; a directory it refuses (a container of an older
-    format, ``--replicas`` on a plain container) exits with the reason."""
+    """``open_engine``; a directory it refuses (a container or a shard of an
+    older format, ``--replicas`` on a plain container) exits with the reason."""
     try:
         return open_engine(directory, **options)
     except ValueError as exc:

@@ -1050,11 +1050,8 @@ class SearchEngine:
             # population IS the main store, so skip the O(live) size scan
             # and let the backend compute its own maximum as usual.
             return list(backend.tau_ladder(store, payload, start))
-        records = backend.store_records(store)
-        sizes = [
-            backend.record_size(store, records[position])
-            for position, _obj_id in delta.live_main()
-        ]
+        main_sizes = backend.store_sizes(store)
+        sizes = [main_sizes[position] for position, _obj_id in delta.live_main()]
         sizes.extend(backend.record_size(store, record) for record in delta.records.values())
         return list(
             backend.tau_ladder(store, payload, start, max_size=max(sizes, default=1))

@@ -145,8 +145,10 @@ def save_container(
     return manifest
 
 
-def load_container(directory: str) -> Container:
-    """Load a container written by :func:`save_container`."""
+def read_manifest(directory: str) -> dict:
+    """A container's manifest; ``ValueError`` for a format this build does
+    not read.  A sharded engine checks every shard with it before it starts
+    a worker, so an old shard is refused in the parent process."""
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{directory!r} is not an index container (no manifest)")
@@ -156,8 +158,15 @@ def load_container(directory: str) -> Container:
     if version not in SUPPORTED_FORMAT_VERSIONS:
         raise ValueError(
             f"unsupported container format {version!r} in {directory!r} (this build reads "
-            f"version {FORMAT_VERSION}); rebuild the index with `build-index`"
+            f"version {FORMAT_VERSION}); rebuild the index with `build-index` "
+            f"(`build-shards` for a sharded index)"
         )
+    return manifest
+
+
+def load_container(directory: str) -> Container:
+    """Load a container written by :func:`save_container`."""
+    manifest = read_manifest(directory)
     backend = get_backend(manifest["backend"])
     store = backend.load_store(directory)
     queries = backend.load_queries(directory)

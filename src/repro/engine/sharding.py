@@ -58,7 +58,7 @@ from repro.common.stats import Timer
 from repro.engine.api import Query, Response
 from repro.engine.backend import get_backend
 from repro.engine.mutation import check_ops
-from repro.engine.persistence import atomic_write_json, save_container
+from repro.engine.persistence import atomic_write_json, read_manifest, save_container
 from repro.engine.replication import (
     LIVE,
     ReplicaSet,
@@ -188,6 +188,8 @@ def load_shards_manifest(directory: str) -> dict:
     if version not in SUPPORTED_SHARDS_FORMAT_VERSIONS:
         supported = ", ".join(str(v) for v in sorted(SUPPORTED_SHARDS_FORMAT_VERSIONS))
         raise ValueError(f"unsupported shards format {version!r} (supported: {supported})")
+    for shard in manifest["shards"]:
+        read_manifest(os.path.join(directory, shard["path"]))
     return manifest
 
 

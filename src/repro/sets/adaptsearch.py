@@ -24,9 +24,9 @@ class AdaptSearchSearcher:
     def __init__(self, dataset: SetDataset, predicate):
         self._dataset = dataset
         self._predicate = predicate
+        self._records = list(dataset.columns().iter_lists())
         self._postings: dict[int, list[int]] = defaultdict(list)
-        for obj_id in range(len(dataset)):
-            record = dataset.record(obj_id)
+        for obj_id, record in enumerate(self._records):
             if not record:
                 continue
             required = predicate.index_required_overlap(len(record))
@@ -56,7 +56,7 @@ class AdaptSearchSearcher:
             for obj_id in self._postings.get(token, ()):  # pragma: no branch
                 if obj_id in seen:
                     continue
-                size = self._dataset.size(obj_id)
+                size = len(self._records[obj_id])
                 if low <= size <= high:
                     seen.add(obj_id)
                     ordered.append(obj_id)
@@ -69,7 +69,7 @@ class AdaptSearchSearcher:
         candidate_time = timer.restart()
         results = []
         for obj_id in candidates:
-            record = self._dataset.record(obj_id)
+            record = self._records[obj_id]
             required = self._predicate.pair_required_overlap(
                 len(record), len(encoded_query)
             )

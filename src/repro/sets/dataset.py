@@ -11,11 +11,13 @@ materialised as a Python list only when asked for by id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.sets.tokens import TokenOrder, TokenRecords
+
+_LIST_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,17 @@ class SetColumns:
     tokens: np.ndarray
     offsets: np.ndarray
     sizes: np.ndarray
+
+    def iter_lists(self) -> Iterator[list[int]]:
+        """Every record's ranks as a list, in id order, for the baselines'
+        per-record Python loops; converts :data:`_LIST_CHUNK` records at a
+        time, so a full scan never holds the collection as Python ints."""
+        for lo in range(0, self.sizes.size, _LIST_CHUNK):
+            bounds = self.offsets[lo : lo + _LIST_CHUNK + 1]
+            flat = self.tokens[bounds[0] : bounds[-1]].tolist()
+            starts = (bounds - bounds[0]).tolist()
+            for start, stop in zip(starts, starts[1:]):
+                yield flat[start:stop]
 
 
 class SetDataset:
@@ -76,9 +89,6 @@ class SetDataset:
         """The encoded record with the given id (sorted distinct ranks)."""
         columns = self._columns
         return columns.tokens[columns.offsets[obj_id] : columns.offsets[obj_id + 1]].tolist()
-
-    def size(self, obj_id: int) -> int:
-        return int(self._columns.sizes[obj_id])
 
     def encode_query(self, query: Sequence[int]) -> list[int]:
         """Encode a query with the dataset's global order."""

@@ -24,8 +24,7 @@ class LinearSetSearcher:
         timer = Timer()
         encoded_query = self._dataset.encode_query(query)
         results = []
-        for obj_id in range(len(self._dataset)):
-            record = self._dataset.record(obj_id)
+        for obj_id, record in enumerate(self._dataset.columns().iter_lists()):
             required = self._predicate.pair_required_overlap(len(record), len(encoded_query))
             if merge_overlap(record, encoded_query) >= required:
                 results.append(obj_id)

@@ -40,9 +40,10 @@ class PartAllocSearcher:
         self._dataset = dataset
         self._predicate = predicate
         self._num_parts = num_parts
+        self._records = list(dataset.columns().iter_lists())
         self._postings: dict[int, list[int]] = defaultdict(list)
-        for obj_id in range(len(dataset)):
-            for token in dataset.record(obj_id):
+        for obj_id, record in enumerate(self._records):
+            for token in record:
                 self._postings[token].append(obj_id)
 
     @property
@@ -101,7 +102,7 @@ class PartAllocSearcher:
         for token in encoded_query:
             part = self._part_of(token)
             for obj_id in self._postings.get(token, ()):  # pragma: no branch
-                size = self._dataset.size(obj_id)
+                size = len(self._records[obj_id])
                 if size < low or size > high:
                     continue
                 counts = counters.get(obj_id)
@@ -124,7 +125,7 @@ class PartAllocSearcher:
         candidate_time = timer.restart()
         results = []
         for obj_id in candidates:
-            record = self._dataset.record(obj_id)
+            record = self._records[obj_id]
             required = self._predicate.pair_required_overlap(
                 len(record), len(encoded_query)
             )

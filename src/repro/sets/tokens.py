@@ -82,7 +82,12 @@ class TokenRecords(Sequence):
             sizes = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
         except TypeError:
             raise ValueError("a sets record must be a sequence of integer tokens") from None
-        _check_kinds(set(map(type, chain.from_iterable(records))))
+        kinds = set(map(type, chain.from_iterable(records)))
+        _check_kinds(kinds)
+        if any(issubclass(kind, np.unsignedinteger) for kind in kinds):
+            # Range-check unsigned scalars as Python ints, not through
+            # whatever cast fromiter applies to them.
+            records = [check_tokens(record) for record in records]
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         try:
@@ -194,10 +199,9 @@ class TokenOrder:
         Distinct tokens get distinct ranks: an unseen token whose hash rank
         is already taken by another unseen token of the record moves up to
         the next free rank (in ``(rank, token)`` order), so the size of the
-        encoded record is its number of distinct tokens.  Refuses the tokens
-        :func:`check_tokens` refuses.
+        encoded record is its number of distinct tokens.  The engine has
+        already run :func:`check_tokens` on every query (its cache key).
         """
-        record = check_tokens(record)
         ranks = sorted({self.rank(token) for token in record})
         if not ranks or ranks[-1] < len(self._rank):
             return ranks  # known tokens only: ranks are distinct already
@@ -235,8 +239,17 @@ def _distinct_pairs(raw: TokenRecords) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _dense_ids(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(tokens, return_inverse=True)``, through a presence table
-    over ``[min, max]`` when that range is not much wider than the tokens
-    (the usual case, and the only one for ``int16`` tokens): no sort."""
+    over ``[min, max]`` when that range is at most ``2 * size +
+    _TABLE_SLACK`` wide: no sort.
+
+    Token ids from a vocabulary are dense, and every ``int16`` collection
+    takes the table.  At 40 000 ``dblp_like`` records (548 k ``int16``
+    tokens, 2-vCPU Xeon) the table takes 1.5 ms and ``np.unique`` 34 ms;
+    with ``np.unique`` alone, the ``sets_inproc`` benchmark read 1.32x the
+    table's ``setup_s`` and 1.016x its ``peak_rss_mb`` (medians of 5
+    alternating pairs, 0 of 5 faster).  Wide or sparse token ranges (hashed
+    tokens) take ``np.unique``.
+    """
     if tokens.size:
         low = int(tokens.min())
         span = int(tokens.max()) - low + 1

@@ -42,7 +42,8 @@ def test_build_index_then_query_threshold_and_topk(index, capsys):
 def test_sets_container_round_trips_and_an_older_container_is_refused(index, tmp_path, capsys):
     """``build-index`` writes a v4 container whose sets payload is
     ``data.npz``; ``query`` serves it as built.  A container of an older
-    version is refused by name, telling the user to rebuild it."""
+    version is refused by name, telling the user to rebuild it -- also as one
+    shard of a sharded index, before any shard worker starts."""
     assert "data.npz" in os.listdir(index) and "data.json" not in os.listdir(index)
     backend = get_backend("sets")
     dataset, queries = backend.make_workload(120, 3, 5)  # the fixture's build
@@ -52,18 +53,29 @@ def test_sets_container_round_trips_and_an_older_container_is_refused(index, tmp
     assert run("query --tau 0.5 --query 2 --index", index) == 0
     assert f"ids: {expected[:20]}" in capsys.readouterr().out
 
+    def make_old(manifest_path):
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["format_version"] == 4 and manifest["wal_seq"] == 0
+        manifest["format_version"] = 3
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+
     old = str(tmp_path / "old")
     shutil.copytree(index, old)
-    manifest_path = os.path.join(old, "manifest.json")
-    with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    assert manifest["format_version"] == 4 and manifest["wal_seq"] == 0
-    manifest["format_version"] = 3
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle)
-    for command in ("query --index", "compact --index"):
+    make_old(os.path.join(old, "manifest.json"))
+    sharded = str(tmp_path / "old-shards")
+    assert run("build-shards --backend sets --shards 2 --size 60 --out", sharded) == 0
+    make_old(os.path.join(sharded, "shard-0001", "manifest.json"))
+    for command, directory in [
+        ("query --index", old),
+        ("compact --index", old),
+        ("compact --index", sharded),
+        ("upsert --record [1,2] --index", sharded),
+        ("serve --index", sharded),
+    ]:
         with pytest.raises(SystemExit) as info:
-            run(command, old)
+            run(command, directory)
         assert "unsupported container format 3" in str(info.value.code)
         assert "build-index" in str(info.value.code)
 

@@ -21,12 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets.tokens import dblp_like
 from repro.engine import get_backend
-from repro.sets import ring as ring_module
+from repro.sets import dataset as dataset_module, ring as ring_module
 from repro.sets.dataset import SetDataset
 from repro.sets.prefix import class_counts, pkwise_prefix_length
 from repro.sets.ring import RingSetSearcher
 from repro.sets.similarity import JaccardPredicate, OverlapPredicate
-from repro.sets.tokens import TokenRecords
+from repro.sets.tokens import TokenRecords, _dense_ids
 
 INDEX_ARRAYS = (
     "_post_keys",
@@ -87,7 +87,7 @@ def assert_int64_equal(actual: np.ndarray, expected) -> None:
 
 # Small tokens (duplicates within and across records, negatives), tokens that
 # need int32 or int64 storage and are too widely spread for the presence
-# table (the sort path), and the int64 extremes.
+# table (the np.unique path), and the int64 extremes.
 TOKENS = st.one_of(
     st.integers(-20, 40),
     st.integers(2**20, 2**20 + 6),
@@ -119,6 +119,8 @@ def test_columns_and_index_equal_the_scalar_reference(records, num_classes, pred
     assert_int64_equal(columns.sizes, [len(record) for record in encoded])
     assert [dataset.record(obj_id) for obj_id in range(len(dataset))] == encoded
     assert [dataset.encode_query(record) for record in records] == encoded
+    with mock.patch.object(dataset_module, "_LIST_CHUNK", chunk):
+        assert list(columns.iter_lists()) == encoded
 
     with mock.patch.object(ring_module, "_CHUNK", chunk):
         searcher = RingSetSearcher(dataset, predicate)
@@ -134,6 +136,16 @@ def test_columns_and_index_equal_the_scalar_reference(records, num_classes, pred
     assert loaded.num_classes == num_classes
     np.testing.assert_array_equal(loaded.columns().tokens, columns.tokens)
     np.testing.assert_array_equal(loaded.columns().offsets, columns.offsets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tokens=st.lists(TOKENS, max_size=40))
+def test_dense_ids_equal_np_unique_on_both_paths(tokens):
+    array = np.asarray(tokens, dtype=np.int64)
+    universe, inverse = _dense_ids(array)
+    expected_universe, expected_inverse = np.unique(array, return_inverse=True)
+    np.testing.assert_array_equal(universe, expected_universe)
+    np.testing.assert_array_equal(inverse, expected_inverse)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,6 +169,7 @@ def test_token_records_index_slice_and_iterate_like_lists(records, lo, hi):
         ([[1, True]], "integers, got bool"),
         ([[1, "2"]], "integers, got str"),
         ([[1], 7], "sequence of integer tokens"),
+        ([np.array([2**64 - 1], dtype=np.uint64)], "must lie in"),
     ],
 )
 def test_dataset_refuses_tokens_that_are_not_int64(records, match):
@@ -165,9 +178,13 @@ def test_dataset_refuses_tokens_that_are_not_int64(records, match):
 
 
 def test_numpy_integer_tokens_are_accepted():
-    records = [np.array([3, 1, 2], dtype=np.uint8), [np.int64(5), 1]]
+    records = [
+        np.array([3, 1, 2], dtype=np.uint8),
+        [np.int64(5), 1],
+        np.array([2**63 - 1], dtype=np.uint64),
+    ]
     dataset = SetDataset(records, num_classes=2)
-    assert list(dataset.raw_records) == [[3, 1, 2], [5, 1]]
+    assert list(dataset.raw_records) == [[3, 1, 2], [5, 1], [2**63 - 1]]
     assert dataset.encode_query(np.array([5, 1], dtype=np.int32)) == dataset.record(1)
 
 
