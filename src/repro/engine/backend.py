@@ -228,9 +228,10 @@ class Backend(abc.ABC):
 
         The engine's delta-store scan: like ``score_matches`` over
         :meth:`record_distances`, but backends may override with a cheaper
-        predicate-only kernel (e.g. the banded edit-distance check, which
-        never computes distances beyond ``tau``).  Must agree with
-        ``score_matches`` over :meth:`record_distances` on every record.
+        predicate-only kernel (e.g. strings' batch verifier, whose length
+        and q-gram count filter rules out most records before Myers decides
+        the rest).  Must agree with ``score_matches`` over
+        :meth:`record_distances` on every record.
         """
         return [
             self.score_matches(score, tau)

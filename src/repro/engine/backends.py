@@ -43,7 +43,7 @@ from repro.sets.ring import RingSetSearcher
 from repro.sets.similarity import JaccardPredicate, OverlapPredicate
 from repro.sets.tokens import TokenRecords, check_tokens
 from repro.strings.dataset import StringDataset
-from repro.strings.edit_distance import edit_distance, edit_distance_within
+from repro.strings.edit_distance import QueryMatcher
 from repro.strings.linear import LinearStringSearcher
 from repro.strings.pivotal import PivotalSearcher
 from repro.strings.ring import RingStringSearcher
@@ -497,7 +497,9 @@ class StringBackend(Backend):
         return 2
 
     def query_key(self, payload: Any) -> Hashable:
-        return str(payload)
+        # The payload is its own key; ``str(payload)`` would file ``b'abc'``
+        # under the string "b'abc'" and serve one's cached answer to the other.
+        return self.payload_from_wire(payload)
 
     def make_searcher(
         self,
@@ -520,8 +522,8 @@ class StringBackend(Backend):
     def distances(
         self, store: StringDataset, payload: Any, ids: Sequence[int], tau: float | int | None
     ) -> list[float]:
-        query = str(payload)
-        return [float(edit_distance(store.record(obj_id), query)) for obj_id in ids]
+        records = store.records
+        return self.record_distances(store, payload, [records[obj_id] for obj_id in ids], tau)
 
     def shard_store(self, store: StringDataset, lo: int, hi: int) -> StringDataset:
         return StringDataset(store.records[lo:hi], kappa=store.kappa)
@@ -542,20 +544,24 @@ class StringBackend(Backend):
     def record_size(self, store: StringDataset, record: Any) -> int:
         return len(record)
 
+    def store_sizes(self, store: StringDataset) -> list[int]:
+        return store.columns().lengths.tolist()
+
     def record_distances(
         self, store: StringDataset, payload: Any, records: Sequence[Any], tau: float | int | None
     ) -> list[float]:
-        query = str(payload)
-        return [float(edit_distance(record, query)) for record in records]
+        matcher = QueryMatcher(payload)
+        return [float(matcher.distance(record)) for record in records]
 
     def scan_records(
         self, store: StringDataset, payload: Any, records: Sequence[Any], tau: float | int
     ) -> list[bool]:
-        # The delta scan only needs the predicate, so the banded dynamic
-        # program (O(tau * n) with early exit) replaces full edit distances.
-        query = str(payload)
-        limit = int(tau)
-        return [edit_distance_within(record, query, limit) for record in records]
+        # The ring's batch verifier: the length and q-gram count filter rule
+        # out nearly every record in one pass, Myers decides the rest.
+        matches = [False] * len(records)
+        for index in QueryMatcher(payload).indexes_within(records, int(tau), store.kappa):
+            matches[index] = True
+        return matches
 
     def payload_from_wire(self, data: Any) -> str:
         if not isinstance(data, str):
@@ -570,8 +576,8 @@ class StringBackend(Backend):
         max_size: int | None = None,
     ) -> Iterable[int]:
         if max_size is None:
-            max_size = max((len(record) for record in store.records), default=1)
-        max_tau = max(max_size, len(str(payload)), 1)
+            max_size = int(store.columns().lengths.max())
+        max_tau = max(max_size, len(payload), 1)
         tau = int(start) if start is not None else 1
         tau = max(1, min(tau, max_tau))
         while tau < max_tau:

@@ -1,8 +1,10 @@
 """Edit distance computations.
 
-Verification uses the banded (Ukkonen) dynamic program: when only the
-predicate ``ed(x, q) <= tau`` matters, cells farther than ``tau`` from the
-diagonal cannot contribute and the computation is ``O(tau * min(|x|, |q|))``.
+:func:`edit_distance_within` is the banded (Ukkonen) dynamic program: when
+only the predicate ``ed(x, q) <= tau`` matters, cells farther than ``tau``
+from the diagonal cannot contribute and the computation is
+``O(tau * min(|x|, |q|))``.  It is the linear scan's independent oracle and
+the matcher's fallback for queries longer than one machine word.
 
 Both entry points first strip the common prefix and suffix of the two
 strings -- edit distance is invariant under removing shared affixes, and
@@ -11,12 +13,47 @@ long affixes -- and run the dynamic program over reused row buffers instead
 of allocating a fresh row per iteration.
 
 :class:`QueryMatcher` serves the batched case -- one query verified against
-many candidate texts -- with Myers' bit-parallel algorithm: the query's
+many candidate texts.  :meth:`QueryMatcher.indexes_within` first rules out
+texts in bulk, with the length filter and the q-gram count bound evaluated
+over the concatenated code points in one numpy pass, and then decides each
+survivor exactly with Myers' bit-parallel algorithm: the query's
 per-character bit masks are built once, after which each text costs
 ``O(len(text))`` word operations instead of a full dynamic program.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.common.scratch import sorted_member_mask
+
+#: Bits per code point in a q-gram key (Unicode ends at U+10FFFF).
+_CODE_BITS = np.uint64(21)
+
+
+def _code_points(texts: Sequence[str]) -> np.ndarray:
+    """The code points of the concatenated texts (lone surrogates included)."""
+    joined = "".join(texts).encode("utf-32-le", "surrogatepass")
+    return np.frombuffer(joined, dtype="<u4").astype(np.uint64)
+
+
+def _gram_keys(codes: np.ndarray, kappa: int) -> np.ndarray:
+    """Key of the ``kappa``-gram starting at each position ``0..len - kappa``.
+
+    The gram's code points are shifted into one ``uint64``, 21 bits each.
+    From ``kappa = 4`` on the shifts wrap, so the key is a hash: equal grams
+    always share a key, and a collision can only overcount shared grams.
+    """
+    count = codes.size - kappa + 1
+    if count <= 0:
+        return np.empty(0, dtype=np.uint64)
+    keys = codes[:count].copy()
+    for offset in range(1, kappa):
+        keys <<= _CODE_BITS
+        keys |= codes[offset : offset + count]
+    return keys
 
 
 def _trim_affixes(x: str, y: str) -> tuple[str, str]:
@@ -135,6 +172,37 @@ class QueryMatcher:
             return self._m <= tau
         score = self._scan(text, tau)
         return score is not None and score <= tau
+
+    def indexes_within(self, texts: Sequence[str], tau: int, kappa: int) -> list[int]:
+        """The indexes (ascending) of the texts with ``ed(query, text) <= tau``.
+
+        Two necessary conditions run over the whole batch at once: the
+        length filter ``| |x| - |q| | <= tau``, and the q-gram count bound --
+        ``ed(x, q) <= tau`` implies ``x`` and ``q`` share at least
+        ``max(|x|, |q|) - kappa + 1 - kappa * tau`` ``kappa``-grams, counted
+        here as the positions of ``x`` whose gram occurs in ``q`` (never fewer
+        than the multiset intersection).  :meth:`within` decides every
+        survivor exactly.
+        """
+        if tau < 0 or not texts:
+            return []
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        keep = np.abs(lengths - self._m) <= tau
+        need = np.maximum(lengths, self._m) - (kappa - 1 + kappa * tau)
+        if (need[keep] > 0).any():
+            keep &= self._shared_grams(texts, lengths, kappa) >= need
+        return [index for index in np.flatnonzero(keep).tolist() if self.within(texts[index], tau)]
+
+    def _shared_grams(self, texts: Sequence[str], lengths: np.ndarray, kappa: int) -> np.ndarray:
+        """Per text, how many of its ``kappa``-gram positions hold a gram (by
+        key) of the query; grams crossing a text boundary do not count."""
+        query_keys = np.unique(_gram_keys(_code_points([self._query]), kappa))
+        keys = _gram_keys(_code_points(texts), kappa)
+        positions = np.flatnonzero(sorted_member_mask(query_keys, keys))
+        ends = np.cumsum(lengths)
+        owners = np.searchsorted(ends, positions, side="right")
+        inside = positions + kappa <= ends[owners]
+        return np.bincount(owners[inside], minlength=lengths.size)
 
 
 def edit_distance_within(x: str, y: str, tau: int) -> bool:

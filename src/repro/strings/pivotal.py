@@ -7,7 +7,8 @@ side whose prefix ends earlier in the global order must have a pivotal gram
 exactly matching a gram of the other side's prefix at a compatible position
 (pivotal prefix filter, Cand-1); the sum of the per-pivotal-gram minimum edit
 distances to nearby substrings must not exceed ``tau`` (alignment filter,
-Cand-2); survivors are verified with the banded edit distance.
+Cand-2); survivors are verified by the same batch verifier as the Ring
+searcher (length and q-gram count filter, then Myers).
 
 The prefix depends on ``tau``, so a searcher is constructed per threshold --
 matching how the paper evaluates one threshold at a time.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.common.stats import SearchResult, Timer
 from repro.strings.dataset import StringDataset
-from repro.strings.edit_distance import edit_distance_within
+from repro.strings.edit_distance import QueryMatcher
 from repro.strings.qgrams import PositionalGram
 
 
@@ -226,11 +227,12 @@ class PivotalSearcher(PivotalIndexBase):
         timer = Timer()
         cand1, cand2 = self.candidates(query)
         candidate_time = timer.restart()
-        results = [
-            obj_id
-            for obj_id in cand2
-            if edit_distance_within(self._dataset.record(obj_id), query, self._tau)
-        ]
+        # The Ring searcher's batch verifier, so the two compare as filters.
+        records = self._dataset.records
+        hits = QueryMatcher(query).indexes_within(
+            [records[obj_id] for obj_id in cand2], self._tau, self._dataset.kappa
+        )
+        results = [cand2[index] for index in hits]
         verify_time = timer.elapsed()
         return SearchResult(
             results=results,

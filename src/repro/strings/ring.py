@@ -26,8 +26,11 @@ kernels:
 * the remaining candidates get their chain checked over the whole array at
   once: every box's content-bound lower bound is a windowed minimum over
   precomputed substring masks, gathered and reduced in bulk; and
-* survivors are verified with a per-query bit-parallel (Myers) matcher
-  whose query masks are built once for the whole candidate batch.
+* survivors are verified as one batch
+  (:meth:`~repro.strings.edit_distance.QueryMatcher.indexes_within`): a
+  length and q-gram count filter over the concatenated candidates rules
+  out almost all of them in one numpy pass, and a per-query bit-parallel
+  (Myers) matcher decides the rest exactly.
 
 Candidates and results are emitted ascending by id.
 """
@@ -383,13 +386,11 @@ class RingStringSearcher(PivotalIndexBase):
         candidate_time = timer.restart()
         with span("verify"):
             records = self._dataset.records
-            # One Myers matcher per query: the query bit masks are built once
-            # and every candidate costs O(len(record)) word operations.
-            matcher = QueryMatcher(query)
-            tau = self._tau
-            results = [
-                obj_id for obj_id in cands.tolist() if matcher.within(records[obj_id], tau)
-            ]
+            ids = cands.tolist()
+            hits = QueryMatcher(query).indexes_within(
+                [records[obj_id] for obj_id in ids], self._tau, self._dataset.kappa
+            )
+            results = [ids[index] for index in hits]
         verify_time = timer.elapsed()
         return SearchResult(
             results=results,

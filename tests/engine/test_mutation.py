@@ -337,6 +337,66 @@ def test_sets_tokens_outside_int64_are_refused(topology, datasets, query_payload
         assert search([2**63 - 1, -(2**63)]) == []
 
 
+@pytest.mark.parametrize("topology", ["plain", "sharded"])
+def test_a_strings_payload_that_is_not_a_string_is_refused(topology, tmp_path):
+    """A strings query payload is a ``str``; anything else is refused with
+    ValueError before it reaches the result cache, where ``b'abc'`` would
+    otherwise share a key with the string "b'abc'" and serve it the answer."""
+    dataset = StringDataset(["b'abc'", "abc"], kappa=2)
+    with contextlib.ExitStack() as stack:
+        if topology == "sharded":
+            directory = str(tmp_path / "shards")
+            build_shards("strings", dataset, directory, 2)
+            engine = stack.enter_context(ShardedEngine(directory, cache_size=4))
+        else:
+            engine = stack.enter_context(SearchEngine(cache_size=4))
+            engine.add_dataset("strings", dataset)
+        for payload in (b"abc", 123, None, ["a"]):
+            with pytest.raises(ValueError, match="a strings payload must be a string"):
+                engine.search(Query(backend="strings", payload=payload, tau=0))
+        answer = engine.search(Query(backend="strings", payload="b'abc'", tau=0))
+        assert answer.ids == [0] and not answer.cached
+
+
+def test_strings_delta_of_near_duplicates_matches_linear_rebuild(datasets, query_payloads):
+    """~300 near-duplicates of the queries in the delta: the delta scan's
+    length + q-gram count filter must keep every true match at tau 0-4."""
+    rng = random.Random(29)
+    alphabet = "abcdefghij"
+    engine = SearchEngine(cache_size=0)
+    engine.add_dataset("strings", datasets["strings"])
+    records = dict(enumerate(_initial_records("strings", datasets)))
+    ops = []
+    for index in range(300):
+        text = list(query_payloads["strings"][index % len(query_payloads["strings"])])
+        for _ in range(rng.randint(0, 4)):
+            position = rng.randrange(len(text) + 1)
+            kind = rng.choice("isd")
+            if kind == "i":
+                text.insert(position, rng.choice(alphabet))
+            elif position < len(text) and len(text) > 1:
+                if kind == "s":
+                    text[position] = rng.choice(alphabet)
+                else:
+                    del text[position]
+        ops.append({"op": "upsert", "record": "".join(text), "id": None})
+    ops += [{"op": "upsert", "record": ops[0]["record"], "id": 3}, {"op": "delete", "id": 5}]
+    for result, op in zip(engine.mutate("strings", ops)["results"], ops):
+        if op["op"] == "upsert":
+            records[result["id"]] = op["record"]
+        else:
+            del records[op["id"]]
+    assert engine.mutation_info("strings")["delta_records"] == 301
+    reference, live = _rebuild("strings", records)
+    for payload in query_payloads["strings"]:
+        for tau in range(5):
+            got = engine.search(Query(backend="strings", payload=payload, tau=tau))
+            expected = reference.search(
+                Query(backend="strings", payload=payload, tau=tau, algorithm="linear")
+            )
+            assert got.ids == sorted(live[dense] for dense in expected.ids), tau
+
+
 def test_delete_of_unknown_id_is_false(engine):
     assert delete(engine, "strings", 10**6) is False
     assert engine.mutation_info("strings")["mutated"] is False

@@ -94,7 +94,12 @@ def test_stored_and_raw_records_score_alike(name, engine, query_payloads, taus):
     ids = list(range(0, backend.store_size(store), 3))
     records = [backend.store_records(store)[i] for i in ids]
     thresholds = [taus[name], None] + ([2] if name == "sets" else [])  # overlap too
-    for payload in query_payloads[name][:2]:
+    payloads = query_payloads[name][:2]
+    if name == "strings":
+        # Past one Myers word (the banded-DP fallback), and an astral character.
+        payloads = payloads + [payloads[0] * 12, payloads[1][:4] + "\U0001d538" + payloads[1][4:]]
+        assert len(payloads[2]) > 64
+    for payload in payloads:
         for tau in thresholds:
             if name == "graphs" and tau is None:
                 continue  # uncapped exact GED
@@ -112,7 +117,7 @@ def test_stored_and_raw_records_score_alike(name, engine, query_payloads, taus):
                     for record in records
                 ]
                 assert [score.hex() for score in scores] == [score.hex() for score in exact]
-        if name == "sets":
+        if name in ("sets", "strings"):
             # The ladder's largest record size comes from the stored columns.
             largest = max(backend.store_sizes(store))
             assert list(backend.tau_ladder(store, payload, None)) == list(
