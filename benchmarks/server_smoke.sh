@@ -6,7 +6,8 @@
 # The whole lifecycle runs twice with the identical client code -- against
 # the plain container and against `build-shards --shards 2` of the same
 # data -- which is the served half of the engine contract: no client line
-# may depend on which engine answers.  The
+# may depend on which engine answers.  A third pass serves a strings
+# container (its `data.npz` code points) through the same loop.  The
 # server runs with a 1 ms slow-query threshold, so the smoke also asserts
 # that /metrics parses as Prometheus text with monotone counters and that
 # the slow requests sit under /debug/traces with their query summaries and
@@ -32,12 +33,16 @@ python -m repro.engine build-index --backend sets --out "$workdir/plain" \
     --size 4000 --queries 12 --seed 42
 python -m repro.engine build-shards --backend sets --out "$workdir/sharded" \
     --shards 2 --size 4000 --queries 12 --seed 42
+python -m repro.engine build-index --backend strings --out "$workdir/strings" \
+    --size 4000 --queries 12 --seed 42
 
-# One served lifecycle: serve_and_drive <index directory> <profile check>,
-# the check being "named" (plain) or "shard-worker" (sharded), see below.
+# One served lifecycle: serve_and_drive <index directory> <profile check>
+# <backend>, the check being "named" (plain) or "shard-worker" (sharded),
+# see below.
 serve_and_drive() {
 index="$1"
 profile_check="$2"
+backend="$3"
 echo "== serving $index"
 rm -f "$workdir/ready"
 
@@ -59,21 +64,21 @@ echo "server ready at $url"
 # Drive the served index with the container's stored queries over one
 # keep-alive connection: a failed request raises (non-zero exit), and a
 # repeated query must get the same ids on every round.
-python - "$url" "$index" <<'EOF'
+python - "$url" "$index" "$backend" <<'EOF'
 import sys
 import time
 
 from repro.engine import EngineClient, get_backend
 
-url, index = sys.argv[1:]
-payloads = get_backend("sets").load_queries(index)
+url, index, backend = sys.argv[1:]
+payloads = get_backend(backend).load_queries(index)
 assert payloads, "the container holds no stored queries"
 rounds = 12
 with EngineClient(url) as client:
-    tau = client.manifest()["backends"]["sets"]["default_tau"]
+    tau = client.manifest()["backends"][backend]["default_tau"]
     start = time.perf_counter()
     answers = [
-        [client.search("sets", payload, tau=tau).ids for payload in payloads]
+        [client.search(backend, payload, tau=tau).ids for payload in payloads]
         for _ in range(rounds)
     ]
     wall = time.perf_counter() - start
@@ -187,27 +192,32 @@ EOF
 
 # Mutate the live index over HTTP: a fresh record must be servable
 # immediately, and must vanish the moment it is deleted.
-python - "$url" <<'EOF'
+python - "$url" "$backend" <<'EOF'
 import sys
 
 from repro.engine.client import EngineClient
 
-url = sys.argv[1]
-doomed = [70001, 70002, 70003]  # tokens no synthetic record uses
-keeper = [80001, 80002, 80003]
+url, backend = sys.argv[1:]
+# Records no synthetic record comes near, and a threshold that finds a
+# record from itself: Jaccard 1.0 (exact match) for sets, one edit for
+# strings (the two records are six edits apart).
+doomed, keeper, tau = {
+    "sets": ([70001, 70002, 70003], [80001, 80002, 80003], 1.0),
+    "strings": ("qqxx doomed zzyy", "qqxx keeper zzyy", 1),
+}[backend]
 with EngineClient(url) as client:
-    doomed_id = client.mutate("sets", [{"op": "upsert", "record": doomed}])["results"][0]["id"]
-    keeper_id = client.mutate("sets", [{"op": "upsert", "record": keeper}])["results"][0]["id"]
-    hits = client.search("sets", doomed, tau=1.0)  # Jaccard 1.0: exact match
+    doomed_id = client.mutate(backend, [{"op": "upsert", "record": doomed}])["results"][0]["id"]
+    keeper_id = client.mutate(backend, [{"op": "upsert", "record": keeper}])["results"][0]["id"]
+    hits = client.search(backend, doomed, tau=tau)
     assert doomed_id in hits.ids, f"upserted id {doomed_id} not served: {hits.ids}"
     delete = [{"op": "delete", "id": doomed_id}]
-    assert client.mutate("sets", delete)["results"][0]["deleted"] is True
-    hits = client.search("sets", doomed, tau=1.0)
+    assert client.mutate(backend, delete)["results"][0]["deleted"] is True
+    hits = client.search(backend, doomed, tau=tau)
     assert doomed_id not in hits.ids, f"deleted id {doomed_id} still served: {hits.ids}"
-    assert client.mutate("sets", delete)["results"][0]["deleted"] is False  # idempotent
+    assert client.mutate(backend, delete)["results"][0]["deleted"] is False  # idempotent
     summary = client.compact()
     assert summary["compacted"] is True, summary
-    hits = client.search("sets", keeper, tau=1.0)
+    hits = client.search(backend, keeper, tau=tau)
     assert keeper_id in hits.ids, f"id {keeper_id} lost by compaction: {hits.ids}"
     print(f"mutation smoke: upsert/delete/compact OK (ids {doomed_id}/{keeper_id})")
 EOF
@@ -215,7 +225,7 @@ EOF
 # The 1 ms threshold traces every request, and the first served query built
 # its searcher, well over it: the slow ring under /debug/traces must hold
 # slow requests, each with its query summary and span timeline.
-python - "$url" <<'EOF'
+python - "$url" "$backend" <<'EOF'
 import json
 import sys
 import urllib.request
@@ -229,7 +239,7 @@ for doc in slow:
     names = [span["name"] for span in doc["spans"]]
     assert names == ["coalesce_wait", "batch_exec"], names
     summary = doc["query"]
-    assert summary["backend"] == "sets" and summary["route"].startswith("/search"), doc
+    assert summary["backend"] == sys.argv[2] and summary["route"].startswith("/search"), doc
     assert summary["num_candidates"] >= summary["num_results"] >= 0, doc
     assert summary["tau"] is not None and summary["batch_size"] >= 1, doc
 print(
@@ -249,8 +259,9 @@ fi
 echo "server shut down cleanly"
 }
 
-serve_and_drive "$workdir/plain" named
-serve_and_drive "$workdir/sharded" shard-worker
+serve_and_drive "$workdir/plain" named sets
+serve_and_drive "$workdir/sharded" shard-worker sets
+serve_and_drive "$workdir/strings" named strings
 
 # A clean shutdown must also be a *complete* one: run the full server
 # lifecycle in-process (a profiling window included, the same thread

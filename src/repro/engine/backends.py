@@ -586,11 +586,23 @@ class StringBackend(Backend):
         yield max_tau
 
     def save_store(self, store: StringDataset, directory: str) -> None:
-        _write_json(directory, "data.json", {"records": store.records, "kappa": store.kappa})
+        columns = store.columns()
+        codes = columns.codes
+        # The narrowest unsigned type that holds every code point (one byte
+        # per character for Latin-1 text); the loader widens it back.
+        dtype = np.min_scalar_type(int(codes.max())) if codes.size else np.uint8
+        arrays = {
+            "codes": codes.astype(dtype),
+            "offsets": columns.offsets,
+            "kappa": np.asarray([store.kappa], dtype=np.int64),
+        }
+        _write_npz(directory, "data.npz", arrays)
 
     def load_store(self, directory: str) -> StringDataset:
-        data = _read_json(directory, "data.json")
-        return StringDataset(data["records"], kappa=int(data["kappa"]))
+        with np.load(os.path.join(directory, "data.npz")) as data:
+            return StringDataset.from_code_points(
+                data["codes"], data["offsets"], kappa=int(data["kappa"][0])
+            )
 
     def save_queries(self, queries: Sequence[Any], directory: str) -> None:
         _write_json(directory, "queries.json", {"queries": list(queries)})

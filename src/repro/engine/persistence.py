@@ -5,22 +5,24 @@ A container is a directory holding
 * ``manifest.json`` -- format version, backend name, store descriptor and
   ``wal_seq``,
 * a backend-owned payload (``data.npz`` for Hamming -- vectors plus the
-  serialised partition index -- and for sets -- the raw records as CSR
-  token and offset arrays plus ``num_classes``; ``data.json`` for strings
-  and graphs),
+  serialised partition index --, for sets -- the raw records as CSR
+  token and offset arrays plus ``num_classes`` -- and for strings -- the
+  records' concatenated code points, their offsets and ``kappa``;
+  ``data.json`` for graphs),
 * an optional persisted query workload (``queries.npz`` / ``queries.json``),
   and
 * ``mutations.json`` when the index is mutated -- the delta/tombstone
   overlay (:mod:`repro.engine.mutation`), so upserts and deletes survive
   save/load without forcing a compaction.
 
-Format versioning: there is one format, version 4, with one writer and one
+Format versioning: there is one format, version 5, with one writer and one
 reader.  ``wal_seq`` is the write-ahead-log sequence number the container
 checkpoints (every WAL batch with ``seq <= wal_seq`` is already folded into
 the stored state, so replay after a crash skips them; 0 without a WAL).  A
-container of any other version -- including the versions 1-3 of earlier
-builds, whose sets payload was ``data.json`` -- is refused with a message
-to rebuild it with ``build-index``.
+container of any other version -- including the versions 1-4 of earlier
+builds, whose strings payload (and before version 4 the sets payload) was
+``data.json`` -- is refused with a message to rebuild it with
+``build-index``.
 
 Every file a container write touches goes through :func:`atomic_write`:
 write to a temp file, fsync, then ``os.replace`` over the target.  A crash
@@ -41,7 +43,7 @@ from typing import Any, BinaryIO, Callable, Sequence
 from repro.engine.backend import Backend, get_backend
 from repro.engine.mutation import DeltaStore, delta_from_json, delta_to_json
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 SUPPORTED_FORMAT_VERSIONS = frozenset({FORMAT_VERSION})
 MANIFEST_NAME = "manifest.json"
 MUTATIONS_NAME = "mutations.json"

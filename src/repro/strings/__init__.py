@@ -13,13 +13,15 @@ edit distances.
 
 Public API:
 
-* :class:`repro.strings.dataset.StringDataset`
+* :class:`repro.strings.dataset.StringDataset` -- the records as strings
+  and as code-point arrays, with every gram position's global rank.
 * :class:`repro.strings.pivotal.PivotalSearcher` -- the pigeonhole baseline
   (reports Cand-1 and Cand-2 like the paper's Figure 11); a separate
   algorithm, since its alignment filter is not the ring at ``l = 1``.
 * :class:`repro.strings.ring.RingStringSearcher` -- the pigeonring searcher,
   the engine's served ``ring`` (CSR postings, bulk chain checks,
-  bit-parallel verification).
+  bit-parallel verification).  It and Pivotal share one index, built from
+  the dataset's arrays (:class:`repro.strings.pivotal.PivotalIndexBase`).
 * :class:`repro.strings.linear.LinearStringSearcher` -- brute force.
 """
 

@@ -10,19 +10,31 @@ distances to nearby substrings must not exceed ``tau`` (alignment filter,
 Cand-2); survivors are verified by the same batch verifier as the Ring
 searcher (length and q-gram count filter, then Myers).
 
+The index is shared with the Ring searcher (:class:`PivotalIndexBase`): the
+prefix and pivotal-gram postings as CSR keyed by gram rank, and every
+record's pivotal gram positions and character masks as ``(n, tau + 1)``
+matrices.  It is built from the dataset's gram-rank column with a few
+sorts per chunk of records -- no per-record loop -- so the two searchers
+differ only in the filter that follows Cand-1.
+
 The prefix depends on ``tau``, so a searcher is constructed per threshold --
 matching how the paper evaluates one threshold at a time.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
+
+from repro.common.scratch import segment_sums
 from repro.common.stats import SearchResult, Timer
 from repro.strings.dataset import StringDataset
 from repro.strings.edit_distance import QueryMatcher
 from repro.strings.qgrams import PositionalGram
+
+#: Records per step of the index build; bounds its per-gram temporaries.
+_CHUNK = 4096
 
 
 def window_edit_distance(gram: str, text: str, position: int, tau: int) -> int:
@@ -63,18 +75,52 @@ class _QueryPlan:
     fallback: bool = False
 
 
-@dataclass
-class _Candidate:
-    """A Cand-1 entry: which side supplied the pivotal grams and which matched."""
+def _segment_slots(sizes: np.ndarray) -> np.ndarray:
+    """Every element's index within its segment, for consecutive segments
+    of ``sizes`` elements."""
+    heads = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum())) - np.repeat(heads, sizes)
 
-    side: str  # "data" -> data pivotal grams vs query text; "query" -> converse
-    matched_boxes: set[int] = field(default_factory=set)
+
+def _greedy_disjoint(positions: np.ndarray, bounds: np.ndarray, kappa: int) -> np.ndarray:
+    """Which grams the greedy position-disjoint selection chooses.
+
+    Record ``r``'s grams are ``positions[bounds[r]:bounds[r + 1]]``,
+    ascending; a gram is chosen when it starts at least ``kappa`` after its
+    record's last chosen gram.  One vectorised step per slot, so as many
+    steps as the longest record has grams, whatever the record count.
+    """
+    sizes = np.diff(bounds)
+    chosen = np.zeros(positions.size, dtype=bool)
+    last = np.full(sizes.size, -kappa, dtype=np.int64)
+    for slot in range(int(sizes.max(initial=0))):
+        rows = np.flatnonzero(sizes > slot)
+        at = bounds[rows] + slot
+        take = positions[at] - last[rows] >= kappa
+        chosen[at[take]] = True
+        last[rows[take]] = positions[at[take]]
+    return chosen
 
 
 class PivotalIndexBase:
     """The prefix/pivotal index and query plan shared by the Pivotal and Ring
-    searchers (Ring converts the dict indexes into CSR postings), plus
-    Pivotal's Cand-1 generation."""
+    searchers, plus Cand-1 generation over it.
+
+    Index arrays (all int64 but the ``uint64`` masks):
+
+    * ``_pre_keys`` / ``_pre_offsets`` / ``_pre_objs`` / ``_pre_positions``
+      -- prefix postings, CSR keyed by gram rank, each list ascending by
+      (object, position);
+    * ``_piv_keys`` / ``_piv_offsets`` / ``_piv_objs`` / ``_piv_positions``
+      / ``_piv_boxes`` -- pivotal-gram postings, likewise, with the gram's
+      box (its index among the record's pivotal grams, in position order);
+    * ``_last_rank`` -- each record's largest prefix rank (-1 without grams);
+    * ``_always`` -- records that cannot supply ``tau + 1`` pivotal grams,
+      verified whenever their length is compatible (they have no postings);
+    * ``_piv_pos_mat`` / ``_piv_mask_mat`` -- ``(n, tau + 1)``: each
+      record's pivotal gram positions and character masks (zero rows for
+      always-candidates, which are never matched).
+    """
 
     def __init__(self, dataset: StringDataset, tau: int):
         if tau < 0:
@@ -82,32 +128,92 @@ class PivotalIndexBase:
         self._dataset = dataset
         self._tau = tau
         self._m = tau + 1
-        extractor = dataset.extractor
-        self._prefix_index: dict[str, list[tuple[int, int]]] = defaultdict(list)
-        self._pivotal_index: dict[str, list[tuple[int, int, int]]] = defaultdict(list)
-        self._data_pivotal: list[list[PositionalGram] | None] = []
-        self._data_last_rank: list[int] = []
-        self._always_candidates: list[int] = []
-        for obj_id in range(len(dataset)):
-            record = dataset.record(obj_id)
-            prefix = extractor.prefix(record, tau)
-            if not prefix:
-                # The string is shorter than one gram; it can only be matched
-                # by verification.
-                self._data_pivotal.append(None)
-                self._data_last_rank.append(-1)
-                self._always_candidates.append(obj_id)
-                continue
-            pivotal = extractor.pivotal(prefix, tau)
-            self._data_pivotal.append(pivotal)
-            self._data_last_rank.append(extractor.last_prefix_rank(prefix))
-            if pivotal is None:
-                self._always_candidates.append(obj_id)
-                continue
-            for gram in prefix:
-                self._prefix_index[gram.gram].append((obj_id, gram.position))
-            for index, gram in enumerate(pivotal):
-                self._pivotal_index[gram.gram].append((obj_id, gram.position, index))
+        self._lengths = dataset.columns().lengths
+        self._build_index()
+
+    def _build_index(self) -> None:
+        """Prefixes, pivotal grams and both posting lists from the dataset's
+        gram-rank column, :data:`_CHUNK` records at a time.
+
+        Per chunk: one sort by (record, rank, position) keeps each record's
+        first ``kappa * tau + 1`` grams (its prefix, whose last gram has the
+        largest rank); the greedy position-disjoint selection then runs over
+        the prefixes in position order slot by slot -- at most
+        ``kappa * tau + 1`` vectorised steps (:func:`_greedy_disjoint`) --
+        and a second sort by (record, rank, position) keeps the ``tau + 1``
+        rarest chosen grams.  Selections return to position order by sorting
+        the kept indices.  One stable sort by rank over all chunks turns the
+        (record, position)-ordered entries into the CSR postings.
+        """
+        columns = self._dataset.columns()
+        kappa, m = self._dataset.kappa, self._m
+        width = kappa * self._tau + 1
+        num = self._lengths.size
+        counts = np.maximum(self._lengths - (kappa - 1), 0)
+        gram_offsets = np.zeros(num + 1, dtype=np.int64)
+        np.cumsum(counts, out=gram_offsets[1:])
+        last_rank = np.full(num, -1, dtype=np.int64)
+        always = counts == 0
+        self._piv_pos_mat = np.zeros((num, m), dtype=np.int64)
+        self._piv_mask_mat = np.zeros((num, m), dtype=np.uint64)
+        prefix_parts: list[tuple[np.ndarray, ...]] = []
+        pivotal_parts: list[tuple[np.ndarray, ...]] = []
+        for lo in range(0, num, _CHUNK):
+            hi = min(lo + _CHUNK, num)
+            sizes = counts[lo:hi]
+            ranks = columns.gram_ranks[gram_offsets[lo] : gram_offsets[hi]]
+            records = np.repeat(np.arange(hi - lo, dtype=np.int32), sizes)
+            slots = _segment_slots(sizes)
+            positions = slots.astype(np.int32)
+            # Positions ascend within a record and the sort is stable, so
+            # (record, rank) orders by (record, rank, position); records stay
+            # where they were, so ``slots`` also numbers the sorted grams.
+            by_rank = np.lexsort((ranks, records))
+            prefix_sizes = np.minimum(sizes, width)
+            prefix = by_rank[slots < width]
+            bounds = np.zeros(hi - lo + 1, dtype=np.int64)
+            np.cumsum(prefix_sizes, out=bounds[1:])
+            has_grams = prefix_sizes > 0
+            last_rank[lo:hi][has_grams] = ranks[prefix[bounds[1:][has_grams] - 1]]
+            prefix.sort()  # back to (record, position) order
+            pre_records, pre_positions = records[prefix], positions[prefix]
+            pre_ranks = ranks[prefix]
+
+            chosen = _greedy_disjoint(pre_positions, bounds, kappa)
+            num_chosen = segment_sums(chosen, bounds)
+            indexed = num_chosen >= m
+            always[lo:hi] |= ~indexed
+            keep = indexed[pre_records]
+            prefix_parts.append((pre_ranks[keep], pre_records[keep] + lo, pre_positions[keep]))
+
+            # The m rarest chosen grams of every indexed record, in position order.
+            chosen &= keep
+            c_records, c_ranks = pre_records[chosen], pre_ranks[chosen]
+            by_rank = np.lexsort((c_ranks, c_records))
+            rarest = np.sort(by_rank[_segment_slots(num_chosen[indexed]) < m])
+            objs = c_records[rarest] + lo
+            piv_positions = pre_positions[chosen][rarest]
+            boxes = np.tile(np.arange(m, dtype=np.int32), rarest.size // m)
+            pivotal_parts.append((c_ranks[rarest], objs, piv_positions, boxes))
+            self._piv_pos_mat[objs, boxes] = piv_positions
+            starts = columns.offsets[objs] + piv_positions
+            masks = np.zeros(starts.size, dtype=np.uint64)
+            for offset in range(kappa):  # character_mask of each gram
+                masks |= np.left_shift(
+                    np.uint64(1), (columns.codes[starts + offset] % 64).astype(np.uint64)
+                )
+            self._piv_mask_mat[objs, boxes] = masks
+
+        (
+            (self._pre_keys, self._pre_offsets),
+            (self._pre_objs, self._pre_positions),
+        ) = _postings(prefix_parts)
+        (
+            (self._piv_keys, self._piv_offsets),
+            (self._piv_objs, self._piv_positions, self._piv_boxes),
+        ) = _postings(pivotal_parts)
+        self._last_rank = last_rank
+        self._always = np.flatnonzero(always)
 
     @property
     def dataset(self) -> StringDataset:
@@ -134,86 +240,117 @@ class PivotalIndexBase:
             fallback=fallback,
         )
 
-    def first_step(self, query: str, plan: _QueryPlan):
-        """Cand-1 generation: pivotal prefix filter matches plus fallbacks.
+    def _lookup(self, keys: np.ndarray, offsets: np.ndarray, rank: int) -> slice | None:
+        slot = int(np.searchsorted(keys, rank))
+        if slot >= keys.size or keys[slot] != rank:
+            return None
+        return slice(int(offsets[slot]), int(offsets[slot + 1]))
 
-        Returns ``(matches, unconditional)`` where ``matches`` maps object id
-        to a :class:`_Candidate` and ``unconditional`` lists objects that must
-        be verified regardless (pivotal selection impossible on either side).
-        """
+    def _matches(self, query: str, plan: _QueryPlan) -> tuple[np.ndarray, np.ndarray]:
+        """Cand-1's exact pivotal-gram matches as ``(object, box)`` pairs
+        (an object once per matched box and case); ``plan`` must not be a
+        fallback.  Each matching posting slice is gathered once and
+        position-window, length and prefix-rank filtered vectorised."""
         tau = self._tau
-        query_length = len(query)
-        unconditional: list[int] = []
-        for obj_id in self._always_candidates:
-            if abs(len(self._dataset.record(obj_id)) - query_length) <= tau:
-                unconditional.append(obj_id)
-
-        matches: dict[int, _Candidate] = {}
-        if plan.fallback:
-            # The query is too short to supply pivotal grams: verify every
-            # length-compatible string (rare; only tiny queries).
-            for obj_id in range(len(self._dataset)):
-                if abs(len(self._dataset.record(obj_id)) - query_length) <= tau:
-                    unconditional.append(obj_id)
-            return matches, sorted(set(unconditional))
-
-        # Case 1: a data pivotal gram matches a query prefix gram and the data
-        # prefix ends no later than the query prefix.
+        length_q = len(query)
+        lengths = self._lengths
+        rank = self._dataset.extractor.rank
+        obj_parts: list[np.ndarray] = []
+        box_parts: list[np.ndarray] = []
+        # Case 1: a data pivotal gram matches a query prefix gram and the
+        # data prefix ends no later than the query prefix.
         for gram in plan.prefix:
-            for obj_id, position, pivotal_index in self._pivotal_index.get(gram.gram, ()):
-                if abs(position - gram.position) > tau:
-                    continue
-                if abs(len(self._dataset.record(obj_id)) - query_length) > tau:
-                    continue
-                if self._data_last_rank[obj_id] > plan.last_prefix_rank:
-                    continue
-                entry = matches.get(obj_id)
-                if entry is None:
-                    entry = _Candidate(side="data")
-                    matches[obj_id] = entry
-                entry.matched_boxes.add(pivotal_index)
+            rows = self._lookup(self._piv_keys, self._piv_offsets, rank(gram.gram))
+            if rows is None:
+                continue
+            objs = self._piv_objs[rows]
+            keep = (
+                (np.abs(self._piv_positions[rows] - gram.position) <= tau)
+                & (np.abs(lengths[objs] - length_q) <= tau)
+                & (self._last_rank[objs] <= plan.last_prefix_rank)
+            )
+            obj_parts.append(objs[keep])
+            box_parts.append(self._piv_boxes[rows][keep])
+        # Case 2: a query pivotal gram matches a data prefix gram and the
+        # data prefix ends later than the query prefix.
+        for box_index, gram in enumerate(plan.pivotal):
+            rows = self._lookup(self._pre_keys, self._pre_offsets, rank(gram.gram))
+            if rows is None:
+                continue
+            objs = self._pre_objs[rows]
+            keep = (
+                (np.abs(self._pre_positions[rows] - gram.position) <= tau)
+                & (np.abs(lengths[objs] - length_q) <= tau)
+                & (self._last_rank[objs] > plan.last_prefix_rank)
+            )
+            objs = objs[keep]
+            obj_parts.append(objs)
+            box_parts.append(np.full(objs.size, box_index, dtype=np.int64))
+        if not obj_parts:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.concatenate(obj_parts), np.concatenate(box_parts)
 
-        # Case 2: a query pivotal gram matches a data prefix gram and the data
-        # prefix ends later than the query prefix.
-        for pivotal_index, gram in enumerate(plan.pivotal):
-            for obj_id, position in self._prefix_index.get(gram.gram, ()):
-                if abs(position - gram.position) > tau:
-                    continue
-                if abs(len(self._dataset.record(obj_id)) - query_length) > tau:
-                    continue
-                if self._data_last_rank[obj_id] <= plan.last_prefix_rank:
-                    continue
-                entry = matches.get(obj_id)
-                if entry is None:
-                    entry = _Candidate(side="query")
-                    matches[obj_id] = entry
-                if entry.side == "query":
-                    entry.matched_boxes.add(pivotal_index)
-        return matches, sorted(set(unconditional))
+    def _always_within(self, query: str) -> np.ndarray:
+        """The always-candidates whose length is within ``tau`` of the query's."""
+        always = self._always
+        return always[np.abs(self._lengths[always] - len(query)) <= self._tau]
 
-    def candidate_boxes(
-        self, obj_id: int, candidate: _Candidate, query: str, plan: _QueryPlan
-    ) -> tuple[list[PositionalGram], str]:
-        """The pivotal grams forming the boxes and the text they align against."""
-        if candidate.side == "data":
-            pivotal = self._data_pivotal[obj_id]
-            assert pivotal is not None
-            return pivotal, query
-        assert plan.pivotal is not None
-        return plan.pivotal, self._dataset.record(obj_id)
+
+def _postings(
+    parts: list[tuple[np.ndarray, ...]],
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
+    """CSR ``(keys, offsets)`` and the int64 value columns from per-chunk
+    ``(rank, *values)`` entries in (record, position) order: one stable
+    sort by rank orders each list by (record, position)."""
+    ranks, *values = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(ranks, kind="stable")
+    ranks = ranks[order]
+    heads = np.flatnonzero(np.diff(ranks, prepend=-1))
+    keys = ranks[heads].astype(np.int64)
+    offsets = np.append(heads, ranks.size).astype(np.int64)
+    return (keys, offsets), tuple(column[order].astype(np.int64) for column in values)
 
 
 class PivotalSearcher(PivotalIndexBase):
     """Pigeonhole baseline: pivotal prefix filter + alignment filter + verify."""
 
+    def first_step(self, query: str, plan: _QueryPlan) -> tuple[list[int], list[int]]:
+        """Cand-1: ``(matched, unconditional)``, both ascending -- the ids
+        with an exact pivotal-gram match, and the ids verified regardless
+        (pivotal selection impossible on either side)."""
+        if plan.fallback:
+            # The query is too short to supply pivotal grams: verify every
+            # length-compatible string (rare; only tiny queries).
+            lengths = self._lengths
+            return [], np.flatnonzero(np.abs(lengths - len(query)) <= self._tau).tolist()
+        objs, _boxes = self._matches(query, plan)
+        return np.unique(objs).tolist(), self._always_within(query).tolist()
+
+    def candidate_boxes(
+        self, obj_id: int, query: str, plan: _QueryPlan
+    ) -> tuple[list[PositionalGram], str]:
+        """The pivotal grams forming the boxes and the text they align against.
+
+        The side whose prefix ends no later supplies them: the record's own
+        (read from the pivotal position matrix) against the query, or the
+        query's against the record.
+        """
+        record = self._dataset.record(obj_id)
+        if self._last_rank[obj_id] > plan.last_prefix_rank:
+            assert plan.pivotal is not None
+            return plan.pivotal, record
+        kappa = self._dataset.kappa
+        positions = self._piv_pos_mat[obj_id].tolist()
+        return [PositionalGram(record[pos : pos + kappa], pos) for pos in positions], query
+
     def candidates(self, query: str) -> tuple[list[int], list[int]]:
         """Return ``(cand1, cand2)`` -- after the prefix filter and after the alignment filter."""
         plan = self.query_plan(query)
-        matches, unconditional = self.first_step(query, plan)
-        cand1 = sorted(set(unconditional) | set(matches))
+        matched, unconditional = self.first_step(query, plan)
+        cand1 = sorted(unconditional + matched)
         cand2: list[int] = list(unconditional)
-        for obj_id, candidate in matches.items():
-            pivotal, text = self.candidate_boxes(obj_id, candidate, query, plan)
+        for obj_id in matched:
+            pivotal, text = self.candidate_boxes(obj_id, query, plan)
             total = 0
             for gram in pivotal:
                 total += window_edit_distance(gram.gram, text, gram.position, self._tau)
@@ -221,7 +358,7 @@ class PivotalSearcher(PivotalIndexBase):
                     break
             if total <= self._tau:
                 cand2.append(obj_id)
-        return cand1, sorted(set(cand2))
+        return cand1, sorted(cand2)
 
     def search(self, query: str) -> SearchResult:
         timer = Timer()

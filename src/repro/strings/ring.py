@@ -15,7 +15,9 @@ kernels:
 * the pivotal and prefix inverted indexes are CSR postings keyed by the
   extractor's global gram rank (rank equality is gram equality for any
   (query gram, data gram) pair: data grams all carry learned ranks and
-  unseen query grams rank beyond the learned universe);
+  unseen query grams rank beyond the learned universe), built from the
+  dataset's arrays by :class:`~repro.strings.pivotal.PivotalIndexBase`
+  and shared with the Pivotal baseline;
 * Cand-1 generation gathers each matching posting slice once and applies
   the position-window, length and prefix-rank filters vectorised;
 * the matched boxes form an ``(n, m)`` boolean matrix, a complete
@@ -37,8 +39,6 @@ Candidates and results are emitted ascending by id.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.common.obs import span
@@ -47,7 +47,7 @@ from repro.common.stats import SearchResult, Timer
 from repro.strings.dataset import StringDataset
 from repro.strings.edit_distance import QueryMatcher
 from repro.strings.pivotal import PivotalIndexBase, _QueryPlan
-from repro.strings.qgrams import character_mask
+from repro.strings.qgrams import character_mask, code_points
 
 #: Cap on the whole-corpus substring mask table (entries, 8 bytes each --
 #: 128 MB at the cap).  Above it each query builds a table over just the
@@ -60,20 +60,18 @@ _MAX_GATHER_ENTRIES = 1 << 22
 
 
 def _substring_mask_table(
-    texts: Sequence[str], window: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Character masks of every substring of length ``1..window`` of ``texts``.
+    codes: np.ndarray, base: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Character masks of every substring of length ``1..window`` of texts
+    held as code points (:func:`repro.strings.qgrams.code_points`).
 
-    Returns ``(flat, offsets, base)``: text ``t`` occupies positions
-    ``base[t]:base[t + 1]`` of the concatenation, and the masks of the
-    substrings starting at position ``i`` (shortest first, never crossing a
-    text boundary) sit in ``flat[offsets[i]:offsets[i + 1]]``.
+    Text ``t`` occupies ``codes[base[t]:base[t + 1]]``.  Returns ``(flat,
+    offsets)``: the masks of the substrings starting at position ``i`` of
+    the concatenation (shortest first, never crossing a text boundary) sit
+    in ``flat[offsets[i]:offsets[i + 1]]``.
     """
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    base = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=base[1:])
+    lengths = np.diff(base)
     total = int(base[-1])
-    codes = np.fromiter((ord(char) for text in texts for char in text), np.int64, total)
     bits = np.left_shift(np.uint64(1), (codes % 64).astype(np.uint64))
     counts = np.minimum(np.repeat(base[1:], lengths) - np.arange(total), window)
     offsets = np.zeros(total + 1, dtype=np.int64)
@@ -91,7 +89,7 @@ def _substring_mask_table(
         # counts[s] >= width implies s + width <= total, so every such start
         # indexes into ``current`` (length total - width + 1).
         flat[offsets[starts] + width - 1] = current[starts]
-    return flat, offsets, base
+    return flat, offsets
 
 
 class RingStringSearcher(PivotalIndexBase):
@@ -116,77 +114,23 @@ class RingStringSearcher(PivotalIndexBase):
         # its prefix of length l' may sum to at most floor(l' * tau / m).
         self._windows = (np.arange(m)[:, np.newaxis] + np.arange(self._chain_length)) % m
         self._bounds = np.arange(1, self._chain_length + 1) * tau // m
-        columns = dataset.columns()
-        self._lengths = columns.lengths
-        self._masks = columns.masks
-        self._build_columns()
+        self._masks = dataset.columns().masks
         self._scratch: PerThread = PerThread(Scratch)
         self._window = dataset.kappa + tau
         self._corpus_table_fits = int(self._lengths.sum()) * self._window <= _MAX_TABLE_ENTRIES
         # The record-corpus substring mask table only pays off once a query
         # actually reaches the chain check on the "query" side; built lazily.
-        self._corpus_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._corpus_table: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def chain_length(self) -> int:
         return self._chain_length
-
-    def _build_columns(self) -> None:
-        """Convert the dict indexes built by the Pivotal base into CSR."""
-        extractor = self._dataset.extractor
-
-        def to_csr(index: dict, width: int):
-            items = sorted(
-                (extractor.rank(gram), entries) for gram, entries in index.items()
-            )
-            keys = np.asarray([rank for rank, _ in items], dtype=np.int64)
-            offsets = np.zeros(len(items) + 1, dtype=np.int64)
-            np.cumsum([len(entries) for _, entries in items], out=offsets[1:])
-            flat = [
-                np.fromiter(
-                    (entry[field] for _, entries in items for entry in entries),
-                    dtype=np.int64,
-                    count=int(offsets[-1]),
-                )
-                for field in range(width)
-            ]
-            return keys, offsets, flat
-
-        keys, offsets, (objs, positions, boxes) = to_csr(self._pivotal_index, 3)
-        self._piv_keys, self._piv_offsets = keys, offsets
-        self._piv_objs, self._piv_positions, self._piv_boxes = objs, positions, boxes
-        keys, offsets, (objs, positions) = to_csr(self._prefix_index, 2)
-        self._pre_keys, self._pre_offsets = keys, offsets
-        self._pre_objs, self._pre_positions = objs, positions
-        # The dict indexes were only scaffolding for the CSR conversion.
-        del self._pivotal_index
-        del self._prefix_index
-        self._last_rank = np.asarray(self._data_last_rank, dtype=np.int64)
-        self._always = np.asarray(self._always_candidates, dtype=np.int64)
-        # Per-record pivotal gram positions and character masks, one row per
-        # record (rows of records without pivotal grams stay zero and are
-        # never read: such records are always-candidates, never matched).
-        num = len(self._dataset)
-        self._piv_pos_mat = np.zeros((num, self._m), dtype=np.int64)
-        self._piv_mask_mat = np.zeros((num, self._m), dtype=np.uint64)
-        for obj_id, pivotal in enumerate(self._data_pivotal):
-            if pivotal is None:
-                continue
-            for box, gram in enumerate(pivotal):
-                self._piv_pos_mat[obj_id, box] = gram.position
-                self._piv_mask_mat[obj_id, box] = character_mask(gram.gram)
 
     # -- candidate generation ----------------------------------------------
 
     def candidates(self, query: str) -> list[int]:
         cands, _generated = self._candidates(query)
         return cands.tolist()
-
-    def _lookup(self, keys: np.ndarray, offsets: np.ndarray, rank: int) -> slice | None:
-        slot = int(np.searchsorted(keys, rank))
-        if slot >= keys.size or keys[slot] != rank:
-            return None
-        return slice(int(offsets[slot]), int(offsets[slot + 1]))
 
     def _candidates(self, query: str) -> tuple[np.ndarray, int]:
         """Candidate ids (ascending) plus the pre-filter candidate count."""
@@ -200,53 +144,15 @@ class RingStringSearcher(PivotalIndexBase):
             cands = np.flatnonzero(np.abs(lengths - length_q) <= tau).astype(np.int64)
             return cands, int(cands.size)
 
-        always = self._always
-        if always.size:
-            always = always[np.abs(lengths[always] - length_q) <= tau]
-
-        extractor = self._dataset.extractor
-        obj_parts: list[np.ndarray] = []
-        box_parts: list[np.ndarray] = []
-        # Case 1: a data pivotal gram matches a query prefix gram and the
-        # data prefix ends no later than the query prefix.
-        if self._piv_keys.size:
-            for gram in plan.prefix:
-                rows = self._lookup(self._piv_keys, self._piv_offsets, extractor.rank(gram.gram))
-                if rows is None:
-                    continue
-                objs = self._piv_objs[rows]
-                keep = (
-                    (np.abs(self._piv_positions[rows] - gram.position) <= tau)
-                    & (np.abs(lengths[objs] - length_q) <= tau)
-                    & (self._last_rank[objs] <= plan.last_prefix_rank)
-                )
-                obj_parts.append(objs[keep])
-                box_parts.append(self._piv_boxes[rows][keep])
-        # Case 2: a query pivotal gram matches a data prefix gram and the
-        # data prefix ends later than the query prefix.
-        if self._pre_keys.size and plan.pivotal is not None:
-            for box_index, gram in enumerate(plan.pivotal):
-                rows = self._lookup(self._pre_keys, self._pre_offsets, extractor.rank(gram.gram))
-                if rows is None:
-                    continue
-                objs = self._pre_objs[rows]
-                keep = (
-                    (np.abs(self._pre_positions[rows] - gram.position) <= tau)
-                    & (np.abs(lengths[objs] - length_q) <= tau)
-                    & (self._last_rank[objs] > plan.last_prefix_rank)
-                )
-                objs = objs[keep]
-                obj_parts.append(objs)
-                box_parts.append(np.full(objs.size, box_index, dtype=np.int64))
-
-        obj_all = np.concatenate(obj_parts) if obj_parts else np.empty(0, dtype=np.int64)
+        always = self._always_within(query)
+        obj_all, box_all = self._matches(query, plan)
         if not obj_all.size:
-            return always.copy(), int(always.size)
+            return always, int(always.size)
 
         # The (candidate, box) matrix of exact pivotal-gram matches.
         matched, rows = np.unique(obj_all, return_inverse=True)
         exact = np.zeros((matched.size, self._m), dtype=bool)
-        exact[rows, np.concatenate(box_parts)] = True
+        exact[rows, box_all] = True
         generated = int(matched.size + always.size)
 
         # Complete whole-string content prefilter, evaluated in bulk.
@@ -338,7 +244,7 @@ class RingStringSearcher(PivotalIndexBase):
         rows = np.flatnonzero(side_data)
         if rows.size:
             ids_data = ids[rows]
-            q_flat, q_off, _ = _substring_mask_table([query], self._window)
+            q_flat, q_off = _substring_mask_table(*code_points([query]), self._window)
             values[rows] = self._window_min_bounds(
                 self._piv_mask_mat[ids_data].ravel(),
                 self._piv_pos_mat[ids_data].ravel(),
@@ -351,17 +257,17 @@ class RingStringSearcher(PivotalIndexBase):
         if rows.size:
             ids_query = ids[rows]
             if self._corpus_table_fits:
+                columns = self._dataset.columns()
                 if self._corpus_table is None:
                     self._corpus_table = _substring_mask_table(
-                        self._dataset.records, self._window
+                        columns.codes, columns.offsets, self._window
                     )
-                flat, offsets, base = self._corpus_table
-                base = base[ids_query]
+                flat, offsets = self._corpus_table
+                base = columns.offsets[ids_query]
             else:
                 records = self._dataset.records
-                flat, offsets, base = _substring_mask_table(
-                    [records[obj_id] for obj_id in ids_query.tolist()], self._window
-                )
+                codes, base = code_points([records[obj_id] for obj_id in ids_query.tolist()])
+                flat, offsets = _substring_mask_table(codes, base, self._window)
                 base = base[:-1]
             positions = np.asarray([gram.position for gram in plan.pivotal], dtype=np.int64)
             gram_masks = np.asarray(

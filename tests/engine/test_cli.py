@@ -11,6 +11,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.common.obs import MetricsRegistry
@@ -40,7 +41,7 @@ def test_build_index_then_query_threshold_and_topk(index, capsys):
 
 
 def test_sets_container_round_trips_and_an_older_container_is_refused(index, tmp_path, capsys):
-    """``build-index`` writes a v4 container whose sets payload is
+    """``build-index`` writes a v5 container whose sets payload is
     ``data.npz``; ``query`` serves it as built.  A container of an older
     version is refused by name, telling the user to rebuild it -- also as one
     shard of a sharded index, before any shard worker starts."""
@@ -56,7 +57,7 @@ def test_sets_container_round_trips_and_an_older_container_is_refused(index, tmp
     def make_old(manifest_path):
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-        assert manifest["format_version"] == 4 and manifest["wal_seq"] == 0
+        assert manifest["format_version"] == 5 and manifest["wal_seq"] == 0
         manifest["format_version"] = 3
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
@@ -78,6 +79,44 @@ def test_sets_container_round_trips_and_an_older_container_is_refused(index, tmp
             run(command, directory)
         assert "unsupported container format 3" in str(info.value.code)
         assert "build-index" in str(info.value.code)
+
+
+def test_strings_container_round_trips_and_a_v4_container_is_refused(tmp_path, capsys):
+    """A strings container stores ``data.npz`` -- the records' code points,
+    offsets and ``kappa`` -- and ``query`` serves it as built.  A v4 strings
+    container, whose payload was ``data.json``, is refused by name."""
+    directory = str(tmp_path / "strings")
+    assert run("build-index --backend strings --size 60 --queries 3 --seed 5 --out", directory) == 0
+    assert "data.npz" in os.listdir(directory) and "data.json" not in os.listdir(directory)
+    backend = get_backend("strings")
+    dataset, queries = backend.make_workload(60, 3, 5)  # the build above
+    loaded = backend.load_store(directory)
+    assert loaded.records == dataset.records and loaded.kappa == dataset.kappa
+    for name in ("codes", "offsets", "lengths", "masks", "gram_ranks"):
+        expected, actual = getattr(dataset.columns(), name), getattr(loaded.columns(), name)
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+    engine = SearchEngine()
+    engine.add_dataset("strings", dataset)
+    expected_ids = engine.search(Query(backend="strings", payload=queries[2], tau=2)).ids
+    assert run("query --tau 2 --query 2 --index", directory) == 0
+    assert f"ids: {expected_ids[:20]}" in capsys.readouterr().out
+
+    old = str(tmp_path / "old")
+    shutil.copytree(directory, old)
+    os.remove(os.path.join(old, "data.npz"))
+    with open(os.path.join(old, "data.json"), "w", encoding="utf-8") as handle:
+        json.dump({"records": dataset.records, "kappa": dataset.kappa}, handle)
+    manifest_path = os.path.join(old, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["format_version"] = 4
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    with pytest.raises(SystemExit) as info:
+        run("query --index", old)
+    assert "unsupported container format 4" in str(info.value.code)
+    assert "build-index" in str(info.value.code)
 
 
 def test_query_number_out_of_range_exits_2(index, capsys):

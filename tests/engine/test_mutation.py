@@ -223,7 +223,7 @@ def test_plain_container_roundtrips_live_delta(engine, query_payloads, tmp_path)
     upsert(engine, "sets", [1, 2, 3, 4])
     delete(engine, "sets", 0)
     manifest = engine.save_index("sets", directory)
-    assert manifest["format_version"] == 4
+    assert manifest["format_version"] == 5
     assert manifest["mutations"]["delta_records"] == 1
     restored = SearchEngine(cache_size=0)
     restored.load_index(directory)
@@ -235,10 +235,10 @@ def test_plain_container_roundtrips_live_delta(engine, query_payloads, tmp_path)
     assert upsert(restored, "sets", [9, 9, 1]) == engine.delta("sets").next_id
 
 
-def test_unmutated_container_writes_v4_without_overlay(engine, tmp_path):
+def test_unmutated_container_writes_no_overlay(engine, tmp_path):
     directory = str(tmp_path / "idx")
     manifest = engine.save_index("strings", directory)
-    assert manifest["format_version"] == 4 and manifest["wal_seq"] == 0
+    assert manifest["format_version"] == 5 and manifest["wal_seq"] == 0
     assert "mutations" not in manifest
     assert not os.path.exists(os.path.join(directory, "mutations.json"))
 

@@ -69,8 +69,8 @@ def test_unsupported_format_version_rejected(tmp_path, engine):
     engine.save_index("strings", directory)
     manifest_path = tmp_path / "strings" / "manifest.json"
     text = manifest_path.read_text()
-    assert '"format_version": 4' in text
-    manifest_path.write_text(text.replace('"format_version": 4', '"format_version": 99'))
+    assert '"format_version": 5' in text
+    manifest_path.write_text(text.replace('"format_version": 5', '"format_version": 99'))
     with pytest.raises(ValueError, match="unsupported container format 99.*build-index"):
         load_container(directory)
 

@@ -354,7 +354,7 @@ def test_checkpoint_truncates_wal_and_replay_resumes_after_it(
     engine.mutate("strings", [{"op": "upsert", "record": "durable"}])
     engine.mutate("strings", [{"op": "delete", "id": 0}])
     manifest = engine.save_index("strings", directory)  # checkpoint at seq 2
-    assert manifest["format_version"] == 4 and manifest["wal_seq"] == 2
+    assert manifest["format_version"] == 5 and manifest["wal_seq"] == 2
     assert wal_summary(wal_path)["num_batches"] == 0
     engine.mutate("strings", [{"op": "upsert", "record": "after checkpoint"}])
 
