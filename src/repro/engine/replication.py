@@ -1,4 +1,4 @@
-"""Per-shard replication: N single-worker replicas sharing one WAL lineage.
+"""Per-shard replication: N worker processes sharing one WAL lineage.
 
 :class:`repro.engine.sharding.ShardedEngine` historically ran exactly one
 worker process per shard, so a SIGKILL'd worker was a 503 until someone
@@ -31,22 +31,32 @@ turns each shard into a *replica set*:
   *drained* replica at a time while the siblings keep serving, then
   readmits it through WAL replay.  The write path never blocks beyond the
   readmission's atomic section.
+* **One pipe per worker** (:class:`_PipeWorker`): each replica is one
+  process, started once, behind one duplex pipe.  A call is one pickled
+  ``(fn, args)`` frame; the single-threaded worker answers in order, so a
+  reader thread resolves the callers' futures FIFO.  End of file on the
+  pipe is the one sign of a dead replica (:class:`_WorkerDied`); a worker
+  exception comes back as that exception and leaves the replica live.
 
 Lock order (a :mod:`repro.analysis` lock-discipline invariant): a thread
 may take ``ReplicaSet._write_lock`` -> ``ReplicaSet._lock`` ->
-``WriteAheadLog._lock``, never the reverse.
+``WriteAheadLog._lock``, never the reverse.  The transport's own locks
+(``_SPAWN_LOCK`` and each worker's ``_lock``) are leaves: nothing else is
+taken while they are held, and futures resolve outside them.
 
-Everything module-level and underscore-prefixed below the "Worker side"
-marker runs *inside* the worker processes (module-level so the functions
-pickle across the process boundary).
+The functions under the "Worker side" marker, and :func:`_worker_main`,
+run *inside* the worker processes (module-level so they pickle across
+the process boundary).
 """
 
 from __future__ import annotations
 
 import gc
+import pickle
+import signal
 import threading
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
+from concurrent.futures import Future
 from typing import Any, Callable, Sequence
 
 from repro.common import diag
@@ -69,7 +79,7 @@ class ShardWorkerError(RuntimeError):
 
     Carries the failing ``shard_id`` so callers -- the network serving layer
     maps this to a 503 -- can report which partition of the id space is down
-    rather than surfacing a bare :class:`BrokenProcessPool`.
+    rather than surfacing a bare pipe EOF.
     """
 
     def __init__(self, shard_id: int, message: str):
@@ -101,11 +111,12 @@ def _init_worker(
     from repro.engine.executor import SearchEngine
 
     # A forked worker inherits the parent's heap, unreachable objects
-    # included.  Collecting an inherited ProcessPoolExecutor here runs its
-    # finaliser, which takes a lock the parent's pool-manager thread may
-    # have held at the fork (a pool being torn down after a replica kill):
-    # the worker would hang inside the collector, mid-query.  Freezing
-    # keeps everything inherited out of this process's collections.
+    # included.  The parent still holds ThreadPoolExecutors (the mutate
+    # fan-out, the server's executor) and other objects whose finalisers
+    # take locks another parent thread may have held at the fork:
+    # collecting one here would hang the worker inside the collector,
+    # mid-query.  Freezing keeps everything inherited out of this process's
+    # collections.
     gc.freeze()
     engine = SearchEngine(cache_size=cache_size)
     container = engine.load_index(shard_dir)
@@ -115,11 +126,6 @@ def _init_worker(
     _WORKER["engine"] = engine
     _WORKER["offset"] = offset
     _WORKER["backend"] = backend_name
-
-
-def _worker_ready() -> int:
-    """Startup barrier: returns the shard offset once the shard is loaded."""
-    return _WORKER["offset"]
 
 
 def _worker_search(query: Query) -> dict:
@@ -222,23 +228,190 @@ def _worker_profile_wire() -> dict | None:
 
 
 # ---------------------------------------------------------------------------
+# Transport: one process and one duplex pipe per replica
+# ---------------------------------------------------------------------------
+
+_PICKLE = pickle.HIGHEST_PROTOCOL
+#: How long a stopping worker (and then its reader) gets before it is
+#: terminated; a worker answers its queued calls before the stop frame.
+_STOP_JOIN_S = 2.0
+
+# The parent end of every open worker pipe.  _SPAWN_LOCK guards the list
+# and covers each pipe's creation, the fork and the close of the child end
+# in the parent: a sibling forked meanwhile would inherit a live child end
+# and hide the worker's death (its EOF) from the parent forever.  Under
+# fork a new worker closes every parent end it inherited -- the list is
+# exact because it was taken under the lock -- so that a stop frame or a
+# parent exit reaches each worker as end of file.
+_SPAWN_LOCK = threading.Lock()
+_PARENT_ENDS: list[Any] = []
+
+
+class _WorkerDied(Exception):
+    """The worker's pipe reached end of file: the replica's process is gone."""
+
+
+def _worker_main(conn: Any, initargs: tuple) -> None:
+    """A worker's life: load the shard, then answer frames in order.
+
+    Every call frame gets exactly one reply frame -- the result, or the
+    exception it raised (a :class:`RuntimeError` carrying its ``repr`` when
+    the exception cannot cross the pipe) -- so the parent's FIFO matching
+    always holds.  An empty frame or end of file stops the worker.  A
+    failed load exits the process, which the parent sees as a death.
+    """
+    for end in _PARENT_ENDS:  # inherited under fork, this pipe's own included
+        end.close()
+    _PARENT_ENDS.clear()
+    # A forked worker also inherits the server's signal handling, whose
+    # wakeup fd is the parent's event loop: a SIGTERM meant for this worker
+    # would stop the server.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    _init_worker(*initargs)
+    while True:
+        try:
+            frame = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        if not frame:
+            return
+        try:
+            fn, args = pickle.loads(frame)
+            reply = (True, fn(*args))
+        except Exception as exc:  # an interrupt or exit ends the worker instead
+            reply = (False, exc)
+        try:
+            payload = pickle.dumps(reply, _PICKLE)
+            if not reply[0]:
+                pickle.loads(payload)  # some exceptions pickle but cannot rebuild
+        except Exception:
+            error = RuntimeError(f"worker reply cannot be pickled: {reply[1]!r}")
+            payload = pickle.dumps((False, error), _PICKLE)
+        try:
+            conn.send_bytes(payload)
+        except OSError:  # the parent is gone
+            return
+
+
+class _PipeWorker:
+    """One worker process and the parent's end of its duplex pipe.
+
+    :meth:`submit` pickles ``(fn, args)`` and sends it as one frame from the
+    calling thread; one reader thread per worker reads the reply frames and
+    resolves the pending futures in FIFO order.  End of file (or an
+    ``OSError``) on the pipe fails every pending and later call with
+    :class:`_WorkerDied`.  Only the reader ever closes the connection, and
+    only after end of file, so no thread closes a pipe another is reading.
+    """
+
+    def __init__(self, context: Any, initargs: tuple):
+        with _SPAWN_LOCK:
+            conn, child_end = context.Pipe()
+            _PARENT_ENDS.append(conn)
+            try:
+                self.process = context.Process(
+                    target=_worker_main,
+                    args=(child_end, initargs),
+                    name="shard-worker",
+                    daemon=True,
+                )
+                self.process.start()
+            except BaseException:
+                _PARENT_ENDS.remove(conn)
+                conn.close()
+                raise
+            finally:
+                child_end.close()
+        self._conn = conn
+        # _lock guards the pending FIFO and the dead flag, and serialises
+        # frames onto the pipe; it is a leaf (futures resolve outside it).
+        self._lock = threading.Lock()
+        self._pending: deque[Future] = deque()
+        self._dead = False
+        self._reader = threading.Thread(
+            target=self._read_replies, name="replica-reader", daemon=True
+        )
+        self._reader.start()
+
+    def submit(self, fn: Callable, *args: Any) -> Future:
+        frame = pickle.dumps((fn, args), _PICKLE)
+        future: Future = Future()
+        with self._lock:
+            if self._dead:
+                raise _WorkerDied(f"worker {self.process.pid} is gone (pipe EOF)")
+            self._pending.append(future)
+            try:
+                self._conn.send_bytes(frame)
+            except OSError:
+                pass  # the worker is gone: the reader's EOF fails the future
+        return future
+
+    def _read_replies(self) -> None:
+        try:
+            while True:
+                frame = self._conn.recv_bytes()
+                try:
+                    ok, value = pickle.loads(frame)
+                except Exception as exc:
+                    ok, value = False, RuntimeError(f"unreadable worker reply: {exc!r}")
+                with self._lock:
+                    future = self._pending.popleft()
+                if ok:
+                    future.set_result(value)
+                else:
+                    future.set_exception(value)
+        except (EOFError, OSError):
+            pass
+        finally:
+            with self._lock:
+                self._dead = True
+                pending, self._pending = self._pending, deque()
+            with _SPAWN_LOCK:
+                _PARENT_ENDS.remove(self._conn)
+                self._conn.close()
+            for future in pending:
+                future.set_exception(_WorkerDied(f"worker {self.process.pid} died (pipe EOF)"))
+
+    def close(self) -> None:
+        """Stop the worker with a stop frame (it answers its queued calls
+        first), terminate it if it does not exit in time, reap it, and wait
+        for the reader to see end of file."""
+        with self._lock:
+            if not self._dead:
+                try:
+                    self._conn.send_bytes(b"")
+                except OSError:
+                    pass
+        self.process.join(_STOP_JOIN_S)
+        if self.process.exitcode is None:
+            self.process.terminate()
+            self.process.join(_STOP_JOIN_S)
+        if self.process.exitcode is None:
+            self.process.kill()
+            self.process.join()
+        self._reader.join(_STOP_JOIN_S)
+
+
+# ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
 
 
 class Replica:
-    """One replica slot of a shard: a single-worker pool plus routing state.
+    """One replica slot of a shard: a pipe worker plus routing state.
 
     All mutable fields are guarded by the owning :class:`ReplicaSet`'s
     ``_lock``; the object itself holds no lock so it can live in
     ``__slots__``-sized numbers.
     """
 
-    __slots__ = ("index", "pool", "state", "applied_seq", "in_flight", "generation")
+    __slots__ = ("index", "worker", "state", "applied_seq", "in_flight", "generation")
 
     def __init__(self, index: int):
         self.index = index
-        self.pool: ProcessPoolExecutor | None = None
+        self.worker: _PipeWorker | None = None
         self.state = RESPAWNING
         self.applied_seq = 0
         self.in_flight = 0
@@ -246,25 +419,15 @@ class Replica:
 
     def pid(self) -> int | None:
         """The worker process id, or None before the process exists."""
-        try:
-            return next(iter(self.pool._processes))
-        except (StopIteration, AttributeError, TypeError):
-            return None
+        return self.worker.process.pid if self.worker is not None else None
 
     def process_alive(self) -> bool:
-        """Whether the pool's worker process is actually running.
+        """Whether the worker process is actually running.
 
-        A SIGKILL'd worker leaves the pool object intact but its process
-        dead; the pool only notices on the next task, so liveness checks
-        must ask the OS, not the executor.
+        A SIGKILL'd worker is only noticed by its reader once the pipe
+        reaches end of file, so liveness checks ask the OS.
         """
-        try:
-            processes = list(self.pool._processes.values())
-        except (AttributeError, TypeError):
-            return False
-        if not processes:
-            return False
-        return all(process.is_alive() for process in processes)
+        return self.worker is not None and self.worker.process.is_alive()
 
 
 class RoutedFuture:
@@ -278,27 +441,30 @@ class RoutedFuture:
     while any sibling lives.
     """
 
-    __slots__ = ("_rset", "_fn", "_args", "_min_seq", "_replica", "_future")
+    __slots__ = ("_rset", "_fn", "_args", "_min_seq", "_replica", "_worker", "_future")
 
     def __init__(self, rset: "ReplicaSet", fn: Callable, args: tuple, min_seq: int = 0):
         self._rset = rset
         self._fn = fn
         self._args = args
         self._min_seq = min_seq
-        self._replica: Replica | None = None
-        self._future: Future | None = None
         self._submit()
 
     def _submit(self) -> None:
         while True:
             replica = self._rset._pick(self._min_seq)
+            worker = replica.worker
             try:
-                future = replica.pool.submit(self._fn, *self._args)
-            except (BrokenProcessPool, RuntimeError):
+                future = worker.submit(self._fn, *self._args)
+            except _WorkerDied:
                 self._rset._release(replica)
-                self._rset._mark_dead(replica)
+                self._rset._mark_dead(replica, worker)
                 continue
+            except BaseException:
+                self._rset._release(replica)
+                raise
             self._replica = replica
+            self._worker = worker
             self._future = future
             future.add_done_callback(lambda _f, r=replica: self._rset._release(r))
             return
@@ -307,8 +473,8 @@ class RoutedFuture:
         while True:
             try:
                 return self._future.result(timeout)
-            except (BrokenProcessPool, CancelledError):
-                self._rset._mark_dead(self._replica)
+            except _WorkerDied:
+                self._rset._mark_dead(self._replica, self._worker)
                 self._rset._note_failover()
                 self._submit()
 
@@ -319,8 +485,8 @@ class ReplicaSet:
     Args:
         shard_id: the shard this set serves (only used in error messages
             and summaries).
-        spawn: zero-argument factory returning a fresh single-worker
-            ``ProcessPoolExecutor`` whose initializer loads the shard.
+        spawn: zero-argument factory starting a fresh :class:`_PipeWorker`
+            whose process loads the shard.
         num_replicas: replica count; ``> 1`` requires ``wal`` (siblings can
             only converge through a shared lineage).
         wal: the parent-owned :class:`WriteAheadLog`, or None for the
@@ -337,7 +503,7 @@ class ReplicaSet:
     def __init__(
         self,
         shard_id: int,
-        spawn: Callable[[], ProcessPoolExecutor],
+        spawn: Callable[[], _PipeWorker],
         num_replicas: int = 1,
         wal: WriteAheadLog | None = None,
         *,
@@ -366,34 +532,35 @@ class ReplicaSet:
         self._write_lock = threading.Lock()
         self._compacting = False
         self.replicas = [Replica(index) for index in range(num_replicas)]
-        self._ready: list[tuple[Replica, Future, Future]] = []
+        self._ready: list[tuple[Replica, Future]] = []
 
     # -- lifecycle ---------------------------------------------------------
 
     def spawn(self) -> None:
-        """Start every replica's pool and queue its readiness barrier.
+        """Start every replica's worker and queue its readiness barrier.
 
         Returns immediately; :meth:`await_ready` collects the barriers, so
         a multi-shard engine can overlap the (container-loading) startup of
-        all its workers.
+        all its workers.  A worker answers only once its shard is loaded
+        and replayed, so its first call is the barrier.
         """
         self._ready = []
         for replica in self.replicas:
-            replica.pool = self._spawn()
+            replica.worker = self._spawn()
             self._ready.append(
-                (
-                    replica,
-                    replica.pool.submit(_worker_ready),
-                    replica.pool.submit(_worker_call, "applied_seq", self._backend),
-                )
+                (replica, replica.worker.submit(_worker_call, "applied_seq", self._backend))
             )
 
     def await_ready(self) -> None:
         """Block until every replica has loaded its shard and replayed."""
         ready, self._ready = self._ready, []
-        for replica, barrier, applied in ready:
-            barrier.result()
-            seq = int(applied.result())
+        for replica, applied in ready:
+            try:
+                seq = int(applied.result())
+            except _WorkerDied as exc:
+                raise ShardWorkerError(
+                    self.shard_id, f"replica {replica.index} failed to start ({exc})"
+                ) from exc
             with self._lock:
                 replica.applied_seq = seq
                 replica.state = LIVE
@@ -408,12 +575,13 @@ class ReplicaSet:
             self._wal.resume_from(top)
 
     def close(self) -> None:
+        """Stop every worker (each answers its queued calls first) and reap it."""
         with self._lock:
-            pools = [r.pool for r in self.replicas if r.pool is not None]
+            workers = [r.worker for r in self.replicas if r.worker is not None]
             for replica in self.replicas:
                 replica.state = DEAD
-        for pool in pools:
-            pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.close()
 
     # -- routing -----------------------------------------------------------
 
@@ -443,9 +611,12 @@ class ReplicaSet:
             if replica.in_flight > 0:
                 replica.in_flight -= 1
 
-    def _mark_dead(self, replica: Replica) -> None:
+    def _mark_dead(self, replica: Replica, worker: _PipeWorker | None) -> None:
+        """Mark ``replica`` dead for the death of ``worker``; a no-op when
+        the replica is dead already, is being respawned, or has since got a
+        new worker."""
         with self._lock:
-            if replica.state == DEAD:
+            if replica.state in (DEAD, RESPAWNING) or replica.worker is not worker:
                 return
             replica.state = DEAD
         if self._on_death is not None:
@@ -462,15 +633,17 @@ class ReplicaSet:
 
     def broadcast(self, fn: Callable, *args: Any) -> list[Any]:
         """Run a task on every live replica, collecting the results; a
-        replica found dead is marked so and contributes nothing."""
+        replica found dead is marked so and contributes nothing.  An
+        exception the task raised inside a worker is re-raised: it is the
+        task's failure, not the replica's."""
         with self._lock:
-            targets = [r for r in self.replicas if r.state == LIVE]
+            targets = [(r, r.worker) for r in self.replicas if r.state == LIVE]
         results: list[Any] = []
-        for replica in targets:
+        for replica, worker in targets:
             try:
-                results.append(replica.pool.submit(fn, *args).result())
-            except (BrokenProcessPool, CancelledError, RuntimeError):
-                self._mark_dead(replica)
+                results.append(worker.submit(fn, *args).result())
+            except _WorkerDied:
+                self._mark_dead(replica, worker)
         return results
 
     # -- write path --------------------------------------------------------
@@ -512,25 +685,25 @@ class ReplicaSet:
         with self._write_lock:
             seq = self._wal.last_seq + 1 if self._wal is not None else None
             with self._lock:
-                targets = [r for r in self.replicas if r.state == LIVE]
+                targets = [(r, r.worker) for r in self.replicas if r.state == LIVE]
             if not targets:
                 raise ShardWorkerError(self.shard_id, "no live replica to accept writes")
-            submitted: list[tuple[Replica, Future]] = []
-            for replica in targets:
+            submitted: list[tuple[Replica, _PipeWorker | None, Future]] = []
+            for replica, worker in targets:
                 try:
                     submitted.append(
-                        (replica, replica.pool.submit(_worker_apply, local_ops, seq))
+                        (replica, worker, worker.submit(_worker_apply, local_ops, seq))
                     )
-                except (BrokenProcessPool, RuntimeError):
-                    self._mark_dead(replica)
+                except _WorkerDied:
+                    self._mark_dead(replica, worker)
             outcome: dict | None = None
             invalid: ValueError | None = None
-            applied: list[Replica] = []
-            for replica, future in submitted:
+            applied: list[tuple[Replica, _PipeWorker | None]] = []
+            for replica, worker, future in submitted:
                 try:
                     result = future.result()
-                except (BrokenProcessPool, CancelledError):
-                    self._mark_dead(replica)
+                except _WorkerDied:
+                    self._mark_dead(replica, worker)
                     continue
                 except ValueError as exc:
                     # The engine validates the whole batch before touching
@@ -538,15 +711,15 @@ class ReplicaSet:
                     invalid = exc
                     continue
                 outcome = result
-                applied.append(replica)
+                applied.append((replica, worker))
                 if seq is not None:
                     with self._lock:
                         replica.applied_seq = max(replica.applied_seq, seq)
             if invalid is not None:
                 # A replica that applied a batch its siblings rejected has
                 # diverged from the lineage; force it back through replay.
-                for replica in applied:
-                    self._mark_dead(replica)
+                for replica, worker in applied:
+                    self._mark_dead(replica, worker)
                 raise invalid
             if outcome is None:
                 raise ShardWorkerError(self.shard_id, "every replica died mid-write")
@@ -568,28 +741,29 @@ class ReplicaSet:
 
         The fresh worker reloads the shard container, replays the shared
         WAL past its checkpoint, and is readmitted (state ``live``) only
-        once its ``applied_seq`` has caught up with the lineage.
+        once its ``applied_seq`` has caught up with the lineage.  While
+        ``respawning`` the old worker is stopped and deaths reported for it
+        are ignored; the new one is ``catching-up`` from its first call.
         """
         with self._lock:
             replica.state = RESPAWNING
-        old = replica.pool
+            old = replica.worker
         if old is not None:
-            old.shutdown(wait=False, cancel_futures=True)
-        pool = self._spawn()
+            old.close()
+        worker = self._spawn()
         with self._lock:
-            replica.pool = pool
+            replica.worker = worker
             replica.generation += 1
+            replica.state = CATCHING_UP
         try:
-            pool.submit(_worker_ready).result()
-            seq = int(pool.submit(_worker_call, "applied_seq", self._backend).result())
-        except (BrokenProcessPool, RuntimeError) as exc:
-            self._mark_dead(replica)
+            seq = int(worker.submit(_worker_call, "applied_seq", self._backend).result())
+        except _WorkerDied as exc:
+            self._mark_dead(replica, worker)
             raise ShardWorkerError(
                 self.shard_id, f"replica {replica.index} failed to respawn ({exc})"
             ) from exc
         with self._lock:
             replica.applied_seq = seq
-            replica.state = CATCHING_UP
         return self._readmit(replica)
 
     def _readmit(self, replica: Replica, max_rounds: int = 64) -> Replica:
@@ -600,26 +774,25 @@ class ReplicaSet:
         round left over -- holds ``_write_lock``, so the replica rejoins
         with *exactly* the lineage state and no write can land in between.
         """
+        worker = replica.worker
         try:
             if self._wal is not None:
                 replay = (_worker_call, "replay_wal", self._backend, self._wal.path)
-                applied = int(
-                    replica.pool.submit(_worker_call, "applied_seq", self._backend).result()
-                )
+                applied = int(worker.submit(_worker_call, "applied_seq", self._backend).result())
                 rounds = 0
                 while applied < self._wal.last_seq and rounds < max_rounds:
-                    applied = int(replica.pool.submit(*replay).result()["applied_seq"])
+                    applied = int(worker.submit(*replay).result()["applied_seq"])
                     rounds += 1
                 with self._write_lock:
-                    result = replica.pool.submit(*replay).result()
+                    result = worker.submit(*replay).result()
                     with self._lock:
                         replica.applied_seq = int(result["applied_seq"])
                         replica.state = LIVE
             else:
                 with self._lock:
                     replica.state = LIVE
-        except (BrokenProcessPool, CancelledError, RuntimeError) as exc:
-            self._mark_dead(replica)
+        except _WorkerDied as exc:
+            self._mark_dead(replica, worker)
             raise ShardWorkerError(
                 self.shard_id,
                 f"replica {replica.index} died during readmission ({exc})",
@@ -629,8 +802,8 @@ class ReplicaSet:
     def heal(self) -> None:
         """Respawn every dead replica (the supervisor's per-tick sweep).
 
-        Also notices replicas whose process was killed but whose pool has
-        not yet observed the death (nothing was submitted since the kill).
+        Also notices replicas whose process was killed but whose reader has
+        not yet seen the pipe's end of file.
         """
         for replica in self.replicas:
             with self._lock:
@@ -685,12 +858,13 @@ class ReplicaSet:
         compacted = 0
         for replica in targets:
             drained = False
+            worker = replica.worker
             if rolling:
                 with self._lock:
                     if replica.state != LIVE:
                         continue
                     if any(r is not replica and r.state == LIVE for r in self.replicas):
-                        # The pool is single-worker, so queued reads drain
+                        # The worker answers in order, so queued reads drain
                         # ahead of the compaction task; new reads skip this
                         # replica.
                         replica.state = DRAINING
@@ -702,10 +876,14 @@ class ReplicaSet:
                     # replicas.  Degraded-mode latency beats unavailability.
             persist = persist_dir if summary is None else None
             try:
-                result = replica.pool.submit(_worker_compact_and_save, persist).result()
-            except (BrokenProcessPool, CancelledError, RuntimeError):
-                self._mark_dead(replica)
+                result = worker.submit(_worker_compact_and_save, persist).result()
+            except _WorkerDied:
+                self._mark_dead(replica, worker)
                 continue
+            except BaseException:
+                if drained:  # the old index still serves: rejoin, then report
+                    self._readmit(replica)
+                raise
             if result.get("checkpointed"):
                 checkpoint_seq = int(result["checkpoint_seq"])
             if summary is None:
@@ -736,7 +914,7 @@ class ReplicaSet:
     def status(self) -> list[dict]:
         """Per-replica state for ``/stats`` and ``shard_health()``.
 
-        A replica whose process was killed but not yet noticed by its pool
+        A replica whose process was killed but not yet noticed by its reader
         is reported ``dead`` (the supervisor will get to it); the internal
         state is left for the supervisor to transition.
         """

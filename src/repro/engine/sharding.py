@@ -9,8 +9,8 @@ the engine across processes the way partition-parallel data systems do:
   regular :mod:`repro.engine.persistence` container -- and writes a
   ``shards.json`` manifest tying them together.
 * :class:`ShardedEngine` runs one :class:`repro.engine.replication.
-  ReplicaSet` per shard -- ``replicas`` single-worker
-  ``ProcessPoolExecutor`` pools sharing the shard's WAL lineage.  Each
+  ReplicaSet` per shard -- ``replicas`` worker processes sharing the
+  shard's WAL lineage, each behind one persistent duplex pipe.  Each
   worker loads its shard container **once at startup** into a private
   :class:`SearchEngine` and reuses it for every query; queries fan out to
   all shards (one live replica each, with transparent failover) and the
@@ -48,7 +48,7 @@ import heapq
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from typing import Any, Iterator, Sequence
 
@@ -63,7 +63,7 @@ from repro.engine.replication import (
     LIVE,
     ReplicaSet,
     ShardWorkerError,
-    _init_worker,
+    _PipeWorker,
     _worker_call,
     _worker_profile_wire,
     _worker_search,
@@ -386,9 +386,7 @@ class ShardedEngine:
         self._num_replicas = replicas
         if wal_dir is not None:
             os.makedirs(wal_dir, exist_ok=True)
-        self._mp_context = (
-            multiprocessing.get_context(mp_context) if mp_context is not None else None
-        )
+        context = multiprocessing.get_context(mp_context)
         self._sets: list[ReplicaSet] = []
         self._supervisor: diag.Supervisor | None = None
         # Background compaction checkpoints into the WAL lineage, so it is
@@ -415,7 +413,7 @@ class ShardedEngine:
                 self._sets.append(
                     ReplicaSet(
                         shard_id,
-                        spawn=functools.partial(self._spawn_pool, initargs),
+                        spawn=functools.partial(_PipeWorker, context, initargs),
                         num_replicas=replicas,
                         wal=WriteAheadLog(wal_path) if wal_path is not None else None,
                         backend=self._backend_name,
@@ -444,14 +442,6 @@ class ShardedEngine:
         except BaseException:
             self.close()
             raise
-
-    def _spawn_pool(self, initargs: tuple) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=self._mp_context,
-            initializer=_init_worker,
-            initargs=initargs,
-        )
 
     def _observe_shard_error(self, shard_id: int) -> None:
         self._stats.observe_worker_error(shard_id)
@@ -1043,8 +1033,8 @@ class ShardedEngine:
         """Answer a batch pipelined across the shards; order is preserved.
 
         Queries are grouped into chunks and every chunk becomes one task per
-        shard, so (a) the per-task process-pool overhead is amortised over
-        the whole chunk, and (b) shard ``s`` can work on chunk ``c + 1``
+        shard, so (a) the per-frame pickling and pipe round trip is amortised
+        over the whole chunk, and (b) shard ``s`` can work on chunk ``c + 1``
         while the parent still waits on chunk ``c``'s slowest shard.  The
         default chunk size aims for a handful of chunks in flight; pass
         ``chunk_size=1`` to force per-query fan-out (lowest latency for the

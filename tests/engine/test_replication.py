@@ -1,12 +1,14 @@
 """Replicated shards: failover, self-healing, read-your-writes, rolling compaction.
 
 Every test runs against a real ``ShardedEngine`` with ``replicas > 1`` --
-one single-worker process pool per replica sharing the shard's WAL lineage
--- because the properties under test are all about what happens *between*
-processes: a SIGKILLed replica must be invisible to readers (transparent
-failover), the supervisor must respawn it and readmit it only once its
-``applied_seq`` caught up with the WAL, and a rolling compaction must keep
-the write path live while each replica drains in turn.
+one worker process per replica behind one pipe, sharing the shard's WAL
+lineage -- because the properties under test are all about what happens
+*between* processes: a SIGKILLed replica must be invisible to readers
+(transparent failover), the supervisor must respawn it and readmit it only
+once its ``applied_seq`` caught up with the WAL, and a rolling compaction
+must keep the write path live while each replica drains in turn.  The
+transport tests at the end pin the pipe itself: worker exceptions are not
+deaths, every worker is reaped, and no forked sibling hides a death.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import os
 import random
 import signal
+import socket
+import sys
 import threading
 import time
 
@@ -21,7 +25,14 @@ import pytest
 
 from repro.common import diag
 from repro.engine import Query, build_shards
-from repro.engine.replication import CATCHING_UP, DEAD, LIVE, REPLICA_STATES, RESPAWNING
+from repro.engine.replication import (
+    CATCHING_UP,
+    DEAD,
+    LIVE,
+    REPLICA_STATES,
+    RESPAWNING,
+    _worker_call,
+)
 from repro.engine.sharding import ShardedEngine, ShardWorkerError
 from repro.engine.wire import format_session, merge_session, parse_session
 from tests.engine.test_mutation import (
@@ -385,3 +396,211 @@ def test_supervisor_threads_profile_under_their_own_role():
 
 def test_replica_state_constants_are_closed():
     assert set(REPLICA_STATES) == {LIVE, DEAD, RESPAWNING, CATCHING_UP, "draining"}
+
+
+# ---------------------------------------------------------------------------
+# The pipe transport: task failures, reaping, fork hygiene, spawn
+# ---------------------------------------------------------------------------
+
+
+def _raise_runtime_error() -> None:
+    """Runs inside a worker: an ordinary task failure, not a replica death."""
+    raise RuntimeError("induced worker-side failure")
+
+
+class _NeedsTwoArgs(Exception):
+    """Pickles, but cannot be rebuilt from its pickled ``args``."""
+
+    def __init__(self, left: str, right: str):
+        super().__init__(left)
+        self.right = right
+
+
+def _raise_unpicklable() -> None:
+    raise ValueError(threading.Lock())
+
+
+def _raise_unrebuildable() -> None:
+    raise _NeedsTwoArgs("left", "right")
+
+
+def _query(query_payloads, taus) -> Query:
+    return Query(backend=DOMAIN, payload=query_payloads[DOMAIN][0], tau=taus[DOMAIN])
+
+
+def _assert_all_live_and_unharmed(engine: ShardedEngine) -> None:
+    for entry in engine.replica_status():
+        for replica in entry["replicas"]:
+            assert replica["state"] == LIVE
+            assert replica["generation"] == 0
+    for shard in engine.stats.snapshot()["per_shard"]:
+        assert shard["worker_errors"] == 0
+        assert shard["failovers"] == 0
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_worker_exception_in_broadcast_is_not_a_death(
+    tmp_path, datasets, query_payloads, taus, replicas
+):
+    with _replicated(tmp_path, datasets, replicas=replicas) as engine:
+        query = _query(query_payloads, taus)
+        healthy = engine.search(query).ids
+        for rset in engine._sets:
+            with pytest.raises(RuntimeError, match="induced worker-side failure"):
+                rset.broadcast(_raise_runtime_error)
+        _assert_all_live_and_unharmed(engine)
+        # With one replica there is no supervisor: a replica wrongly marked
+        # dead here would fail every later search for good.
+        assert engine.search(query).ids == healthy
+        _assert_all_live_and_unharmed(engine)
+
+
+@pytest.mark.parametrize("task", [_raise_unpicklable, _raise_unrebuildable])
+def test_unpicklable_worker_exception_comes_back_as_runtime_error(tmp_path, datasets, task):
+    with _replicated(tmp_path, datasets, replicas=1) as engine:
+        rset = engine._sets[0]
+        with pytest.raises(RuntimeError, match="cannot be pickled"):
+            rset.submit(task).result(timeout=10)
+        # Every call got its own reply frame: the next answer is its own.
+        assert rset.submit(_worker_call, "applied_seq", DOMAIN).result(timeout=10) == 0
+        _assert_all_live_and_unharmed(engine)
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_open_search_close_cycles_reap_every_worker(tmp_path, datasets, query_payloads, taus):
+    directory = str(tmp_path / "shards")
+    build_shards(DOMAIN, datasets[DOMAIN], directory, 2)
+    query = _query(query_payloads, taus)
+    expected = None
+    for _ in range(30):
+        engine = ShardedEngine(directory)
+        workers = [replica.worker for rset in engine._sets for replica in rset.replicas]
+        ids = engine.search(query).ids
+        expected = ids if expected is None else expected
+        assert ids == expected
+        engine.close()
+        for worker in workers:
+            # Reaped (an exit code is known), stopped by its stop frame
+            # rather than terminated, and its reader saw end of file.
+            assert worker.process.exitcode == 0
+            assert not worker._reader.is_alive()
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_respawn_racing_searches_is_invisible(tmp_path, datasets, query_payloads, taus):
+    with _replicated(tmp_path, datasets) as engine:
+        query = _query(query_payloads, taus)
+        healthy = engine.search(query).ids
+        stop = threading.Event()
+        failures: list[BaseException] = []
+        answered = [0] * 4
+
+        def reader(slot: int) -> None:
+            try:
+                while not stop.is_set():
+                    assert engine.search(query).ids == healthy
+                    answered[slot] += 1
+            except BaseException as exc:  # pragma: no cover - surfaced below
+                failures.append(exc)
+
+        # More readers than cores and a short switch interval, so frames
+        # land on the old workers around their stop frames.
+        threads = [
+            threading.Thread(target=reader, args=(slot,), name=f"racing-reader-{slot}")
+            for slot in range(len(answered))
+        ]
+        old = [replica.worker for replica in engine._sets[0].replicas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(3):
+                engine.respawn_shard(0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and failures == []
+        assert all(count > 0 for count in answered)
+        assert all(worker.process.exitcode == 0 for worker in old)
+        for replica in engine.replica_status()[0]["replicas"]:
+            assert replica["state"] == LIVE
+            assert replica["generation"] == 3
+
+
+def test_kill_of_first_forked_replica_fails_over_promptly(tmp_path, datasets, query_payloads, taus):
+    # Shard 0's first replica is forked before its three siblings; a sibling
+    # that inherited a live copy of its pipe's child end would keep the
+    # pipe open after the kill, and the read routed there would never end.
+    with _replicated(tmp_path, datasets) as engine:
+        engine._supervisor.stop()
+        query = _query(query_payloads, taus)
+        healthy = engine.search(query).ids
+        first = engine._sets[0].replicas[0]
+        os.kill(first.pid(), signal.SIGKILL)
+        answers: list[list[int]] = []
+
+        def read() -> None:
+            for _ in range(4):
+                answers.append(engine.search(query).ids)
+
+        thread = threading.Thread(target=read, name="failover-reader", daemon=True)
+        thread.start()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive(), "the killed replica's death was hidden"
+        assert answers == [healthy] * 4
+        assert first.state == DEAD
+
+
+def test_closing_a_replica_set_stops_its_workers_without_terminate(tmp_path, datasets):
+    with _replicated(tmp_path, datasets) as engine:
+        rset = engine._sets[0]
+        workers = [replica.worker for replica in rset.replicas]
+        rset.close()
+        for worker in workers:
+            assert worker.process.exitcode == 0  # -SIGTERM had it been terminated
+            assert not worker._reader.is_alive()
+        assert all(replica.state == DEAD for replica in rset.replicas)
+
+
+def test_spawn_start_method_serves_and_fails_over(tmp_path, datasets, query_payloads, taus):
+    directory = str(tmp_path / "shards")
+    build_shards(DOMAIN, datasets[DOMAIN], directory, 1)
+    query = _query(query_payloads, taus)
+    with ShardedEngine(directory) as forked:
+        healthy = forked.search(query).ids
+    with ShardedEngine(
+        directory, mp_context="spawn", wal_dir=str(tmp_path / "wal"), replicas=2
+    ) as engine:
+        engine._supervisor.stop()
+        assert engine.search(query).ids == healthy
+        os.kill(_replica_pid(engine, 0, 0), signal.SIGKILL)
+        assert engine.search(query).ids == healthy
+        assert engine.stats.snapshot()["per_shard"][0]["failovers"] >= 1
+
+
+def test_sigterm_to_a_worker_never_reaches_the_parents_signal_handling(tmp_path, datasets):
+    # A serving parent routes SIGTERM through asyncio's wakeup fd.  A forked
+    # worker that kept both would swallow its own SIGTERM and write it to
+    # the parent's event loop instead, stopping the server.
+    directory = str(tmp_path / "shards")
+    build_shards(DOMAIN, datasets[DOMAIN], directory, 1)
+    wakeup_read, wakeup_write = socket.socketpair()
+    wakeup_read.setblocking(False)
+    wakeup_write.setblocking(False)
+    previous_handler = signal.signal(signal.SIGTERM, lambda *_args: None)
+    previous_fd = signal.set_wakeup_fd(wakeup_write.fileno())
+    try:
+        with ShardedEngine(directory) as engine:
+            replica = engine._sets[0].replicas[0]
+            os.kill(replica.pid(), signal.SIGTERM)
+            assert _wait_until(lambda: not replica.process_alive(), timeout=5.0)
+        with pytest.raises(BlockingIOError):
+            wakeup_read.recv(16)
+    finally:
+        signal.set_wakeup_fd(previous_fd)
+        signal.signal(signal.SIGTERM, previous_handler)
+        wakeup_read.close()
+        wakeup_write.close()

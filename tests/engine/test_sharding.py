@@ -1,4 +1,4 @@
-"""Sharded serving: shard layout, exact merging, process-pool equality."""
+"""Sharded serving: shard layout, exact merging, worker-process equality."""
 
 from __future__ import annotations
 
@@ -149,7 +149,7 @@ def test_shard_dirnames_are_stable():
 
 
 # ---------------------------------------------------------------------------
-# Sharded serving equals unsharded serving (process pool, all four domains)
+# Sharded serving equals unsharded serving (worker processes, all four domains)
 # ---------------------------------------------------------------------------
 
 
