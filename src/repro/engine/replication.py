@@ -41,8 +41,8 @@ turns each shard into a *replica set*:
 Lock order (a :mod:`repro.analysis` lock-discipline invariant): a thread
 may take ``ReplicaSet._write_lock`` -> ``ReplicaSet._lock`` ->
 ``WriteAheadLog._lock``, never the reverse.  The transport's own locks
-(``_SPAWN_LOCK`` and each worker's ``_lock``) are leaves: nothing else is
-taken while they are held, and futures resolve outside them.
+(``_SPAWN_LOCK`` and each worker's ``_send_lock``) are leaves: nothing else
+is taken while they are held, and futures resolve outside them.
 
 The functions under the "Worker side" marker, and :func:`_worker_main`,
 run *inside* the worker processes (module-level so they pickle across
@@ -325,9 +325,14 @@ class _PipeWorker:
             finally:
                 child_end.close()
         self._conn = conn
-        # _lock guards the pending FIFO and the dead flag, and serialises
-        # frames onto the pipe; it is a leaf (futures resolve outside it).
-        self._lock = threading.Lock()
+        # _send_lock covers the dead check, the append to the pending FIFO
+        # and the frame's send, so the FIFO holds the calls in the order the
+        # worker reads them; it is a leaf (futures resolve outside it).  The
+        # reader never takes it while replies flow: it pops the FIFO's head
+        # unlocked (deque append and popleft are atomic, and a call is
+        # appended before its frame is sent).  So a send blocked on a full
+        # pipe never holds up the replies that let the worker read on.
+        self._send_lock = threading.Lock()
         self._pending: deque[Future] = deque()
         self._dead = False
         self._reader = threading.Thread(
@@ -338,7 +343,7 @@ class _PipeWorker:
     def submit(self, fn: Callable, *args: Any) -> Future:
         frame = pickle.dumps((fn, args), _PICKLE)
         future: Future = Future()
-        with self._lock:
+        with self._send_lock:
             if self._dead:
                 raise _WorkerDied(f"worker {self.process.pid} is gone (pipe EOF)")
             self._pending.append(future)
@@ -356,16 +361,21 @@ class _PipeWorker:
                     ok, value = pickle.loads(frame)
                 except Exception as exc:
                     ok, value = False, RuntimeError(f"unreadable worker reply: {exc!r}")
-                with self._lock:
-                    future = self._pending.popleft()
+                future = self._pending.popleft()
                 if ok:
                     future.set_result(value)
                 else:
                     future.set_exception(value)
-        except (EOFError, OSError):
+        except EOFError:
             pass
+        except OSError:
+            # The pipe failed with the worker perhaps still running: end it,
+            # so that a send blocked on the full pipe fails too.
+            self.process.kill()
         finally:
-            with self._lock:
+            # The worker's end is closed, so a send in progress fails fast;
+            # taking the lock waits for it and makes later submits see dead.
+            with self._send_lock:
                 self._dead = True
                 pending, self._pending = self._pending, deque()
             with _SPAWN_LOCK:
@@ -378,12 +388,16 @@ class _PipeWorker:
         """Stop the worker with a stop frame (it answers its queued calls
         first), terminate it if it does not exit in time, reap it, and wait
         for the reader to see end of file."""
-        with self._lock:
-            if not self._dead:
-                try:
+        # A send that cannot get the lock in time is stuck behind a full pipe
+        # to a worker that reads no more: go straight to terminate.
+        if self._send_lock.acquire(timeout=_STOP_JOIN_S):
+            try:
+                if not self._dead:
                     self._conn.send_bytes(b"")
-                except OSError:
-                    pass
+            except OSError:
+                pass
+            finally:
+                self._send_lock.release()
         self.process.join(_STOP_JOIN_S)
         if self.process.exitcode is None:
             self.process.terminate()
@@ -452,8 +466,7 @@ class RoutedFuture:
 
     def _submit(self) -> None:
         while True:
-            replica = self._rset._pick(self._min_seq)
-            worker = replica.worker
+            replica, worker = self._rset._pick(self._min_seq)
             try:
                 future = worker.submit(self._fn, *self._args)
             except _WorkerDied:
@@ -585,8 +598,9 @@ class ReplicaSet:
 
     # -- routing -----------------------------------------------------------
 
-    def _pick(self, min_seq: int = 0) -> Replica:
-        """The least-loaded live replica whose state covers ``min_seq``.
+    def _pick(self, min_seq: int = 0) -> tuple[Replica, _PipeWorker]:
+        """The least-loaded live replica whose state covers ``min_seq``,
+        with its worker as of the pick (a respawn may swap it right after).
 
         When no live replica has caught up with the caller's session token
         the most-caught-up one is used (best effort beats a refusal: the
@@ -604,7 +618,7 @@ class ReplicaSet:
             candidates = caught_up or [max(live, key=lambda r: r.applied_seq)]
             replica = min(candidates, key=lambda r: r.in_flight)
             replica.in_flight += 1
-            return replica
+            return replica, replica.worker
 
     def _release(self, replica: Replica) -> None:
         with self._lock:
@@ -757,10 +771,10 @@ class ReplicaSet:
             replica.state = CATCHING_UP
         try:
             seq = int(worker.submit(_worker_call, "applied_seq", self._backend).result())
-        except _WorkerDied as exc:
+        except Exception as exc:
             self._mark_dead(replica, worker)
             raise ShardWorkerError(
-                self.shard_id, f"replica {replica.index} failed to respawn ({exc})"
+                self.shard_id, f"replica {replica.index} failed to respawn ({exc!r})"
             ) from exc
         with self._lock:
             replica.applied_seq = seq
@@ -773,6 +787,11 @@ class ReplicaSet:
         only the final replay -- bounded by whatever the last unlocked
         round left over -- holds ``_write_lock``, so the replica rejoins
         with *exactly* the lineage state and no write can land in between.
+
+        A replica that cannot rejoin -- its worker died, or a replay raised
+        inside it and left its state unknown -- is marked dead, so the
+        supervisor's next sweep respawns it rather than leaving it out of
+        service in ``catching-up`` or ``draining``.
         """
         worker = replica.worker
         try:
@@ -791,11 +810,11 @@ class ReplicaSet:
             else:
                 with self._lock:
                     replica.state = LIVE
-        except _WorkerDied as exc:
+        except Exception as exc:
             self._mark_dead(replica, worker)
             raise ShardWorkerError(
                 self.shard_id,
-                f"replica {replica.index} died during readmission ({exc})",
+                f"replica {replica.index} failed readmission ({exc!r})",
             ) from exc
         return replica
 
@@ -882,7 +901,10 @@ class ReplicaSet:
                 continue
             except BaseException:
                 if drained:  # the old index still serves: rejoin, then report
-                    self._readmit(replica)
+                    try:
+                        self._readmit(replica)
+                    except ShardWorkerError:
+                        pass  # marked dead: the supervisor respawns it
                 raise
             if result.get("checkpointed"):
                 checkpoint_seq = int(result["checkpoint_seq"])

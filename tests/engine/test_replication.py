@@ -31,6 +31,7 @@ from repro.engine.replication import (
     LIVE,
     REPLICA_STATES,
     RESPAWNING,
+    _WORKER,
     _worker_call,
 )
 from repro.engine.sharding import ShardedEngine, ShardWorkerError
@@ -241,12 +242,12 @@ def test_routing_skips_replicas_behind_the_session_floor(tmp_path, datasets):
         behind.applied_seq = 0  # pretend this replica lags the write
         ahead.applied_seq = 5
         for _ in range(8):
-            picked = rset._pick(min_seq=5)
+            picked, worker = rset._pick(min_seq=5)
             rset._release(picked)
-            assert picked is ahead
+            assert picked is ahead and worker is ahead.worker
         # A floor nobody meets degrades to the most-caught-up live replica
         # (serving slightly stale beats refusing to serve).
-        picked = rset._pick(min_seq=10)
+        picked, _worker = rset._pick(min_seq=10)
         rset._release(picked)
         assert picked is ahead
 
@@ -424,6 +425,20 @@ def _raise_unrebuildable() -> None:
     raise _NeedsTwoArgs("left", "right")
 
 
+def _echo(payload: bytes) -> bytes:
+    """Runs inside a worker: a reply as large as its call."""
+    return payload
+
+
+def _break_replay() -> None:
+    """Runs inside a worker: every later WAL replay there raises."""
+
+    def replay_wal(*_args):
+        raise RuntimeError("induced replay failure")
+
+    _WORKER["engine"].replay_wal = replay_wal
+
+
 def _query(query_payloads, taus) -> Query:
     return Query(backend=DOMAIN, payload=query_payloads[DOMAIN][0], tau=taus[DOMAIN])
 
@@ -464,6 +479,52 @@ def test_unpicklable_worker_exception_comes_back_as_runtime_error(tmp_path, data
         # Every call got its own reply frame: the next answer is its own.
         assert rset.submit(_worker_call, "applied_seq", DOMAIN).result(timeout=10) == 0
         _assert_all_live_and_unharmed(engine)
+
+
+@pytest.mark.parametrize("callers", [1, 2])
+def test_pipelined_calls_larger_than_the_pipe_buffer_all_finish(tmp_path, datasets, callers):
+    # Frames and replies of 1 MB each are far past a socket buffer: a caller
+    # sending the next frame must never keep the reader from taking the
+    # reply the worker is blocked on, or all three wait for good.
+    with _replicated(tmp_path, datasets, replicas=1, shards=1) as engine:
+        worker = engine._sets[0].replicas[0].worker
+        payloads = [bytes([slot]) * (1 << 20) for slot in range(6)]
+        answers: dict[int, list[bytes]] = {}
+
+        def pipeline(caller: int) -> None:
+            futures = [worker.submit(_echo, payload) for payload in payloads]
+            answers[caller] = [future.result() for future in futures]
+
+        threads = [
+            threading.Thread(target=pipeline, args=(caller,), daemon=True)
+            for caller in range(callers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        hung = any(thread.is_alive() for thread in threads)
+        if hung:  # free the pipe so the engine can close and the test fail
+            os.kill(worker.process.pid, signal.SIGKILL)
+        assert not hung, "pipelined large calls deadlocked"
+        assert answers == {caller: payloads for caller in range(callers)}
+
+
+def test_replay_failure_during_readmission_is_healed(tmp_path, datasets):
+    # A replay raising inside the worker leaves the replica's state
+    # unknown; it must come back through a respawn, not stay drained.
+    with _replicated(tmp_path, datasets, shards=1) as engine:
+        engine.mutate(DOMAIN, [{"op": "upsert", "record": [9, 9]}], "wal")
+        first = engine._sets[0].replicas[0]
+        first.worker.submit(_break_replay).result(timeout=10)
+        engine.compact()  # drains the first replica, then readmits it
+
+        def healed() -> bool:
+            states = [r["state"] for r in engine.replica_status()[0]["replicas"]]
+            return states == [LIVE, LIVE]
+
+        assert _wait_until(healed), engine.replica_status()
+        assert first.generation == 1
 
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
