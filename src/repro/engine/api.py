@@ -115,8 +115,8 @@ class Response:
     Attributes:
         query: the query that produced this response.
         ids: ids of the matching data objects.  For top-k queries they are
-            ordered best-first; for thresholded queries they follow the
-            searcher's emission order.
+            ordered best-first; for thresholded queries they are ascending,
+            in both engines and whatever the searcher's emission order.
         scores: exact distances (or negated similarities for ``sets``) of the
             returned ids; populated for top-k queries, ``None`` otherwise.
         tau_effective: the threshold that produced the result -- the query's

@@ -151,8 +151,7 @@ class Backend(abc.ABC):
 
     #: Whether :meth:`tau_ladder` actually depends on ``max_size``.  When
     #: False (Hamming: the ladder depends only on the shared dimension) the
-    #: engine skips the O(live records) size scan before every top-k query
-    #: on a mutated store.
+    #: engine skips the live size scan before every top-k query.
     ladder_uses_max_size: bool = True
 
     def apply_mutations(self, store: Any, delta: Any) -> tuple[Any, Any]:
@@ -196,8 +195,9 @@ class Backend(abc.ABC):
         """The :meth:`tau_ladder` size measure of one raw record."""
         return 1
 
-    def store_sizes(self, store: Any) -> list[int]:
-        """:meth:`record_size` of every main record, indexed by main position."""
+    def store_sizes(self, store: Any) -> Sequence[int]:
+        """:meth:`record_size` of every main record, indexed by main position
+        (the backends with a size column return it as an array)."""
         return [self.record_size(store, record) for record in self.store_records(store)]
 
     @abc.abstractmethod

@@ -381,8 +381,8 @@ class SetBackend(Backend):
     def record_size(self, store: SetDataset, record: Any) -> int:
         return len(set(record))
 
-    def store_sizes(self, store: SetDataset) -> list[int]:
-        return store.columns().sizes.tolist()
+    def store_sizes(self, store: SetDataset) -> np.ndarray:
+        return store.columns().sizes
 
     def record_distances(
         self,
@@ -544,8 +544,8 @@ class StringBackend(Backend):
     def record_size(self, store: StringDataset, record: Any) -> int:
         return len(record)
 
-    def store_sizes(self, store: StringDataset) -> list[int]:
-        return store.columns().lengths.tolist()
+    def store_sizes(self, store: StringDataset) -> np.ndarray:
+        return store.columns().lengths
 
     def record_distances(
         self, store: StringDataset, payload: Any, records: Sequence[Any], tau: float | int | None
@@ -720,6 +720,10 @@ class GraphBackend(Backend):
     def record_size(self, store: GraphDataset, record: Graph) -> int:
         return record.num_vertices + record.num_edges
 
+    def store_sizes(self, store: GraphDataset) -> np.ndarray:
+        columns = store.columns()
+        return columns.num_vertices + columns.num_edges
+
     def record_distances(
         self, store: GraphDataset, payload: Graph, records: Sequence[Any], tau: float | int | None
     ) -> list[float]:
@@ -752,8 +756,7 @@ class GraphBackend(Backend):
         max_size: int | None = None,
     ) -> Iterable[int]:
         if max_size is None:
-            columns = store.columns()
-            max_size = int((columns.num_vertices + columns.num_edges).max())
+            max_size = int(self.store_sizes(store).max())
         cap = min(max_size + payload.num_vertices + payload.num_edges, self.escalation_cap)
         tau = int(start) if start is not None else 1
         tau = max(1, min(tau, cap))

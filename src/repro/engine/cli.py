@@ -75,49 +75,41 @@ def _open(directory: str, **options):
         raise SystemExit(str(exc)) from None
 
 
-def _load(engine: SearchEngine, directory: str):
-    try:
-        container = engine.load_index(directory)
-    except ValueError as exc:  # e.g. a container of an older format
-        raise SystemExit(str(exc)) from None
-    if not container.queries:
-        print(f"container {directory} holds no stored queries", file=sys.stderr)
-        raise SystemExit(2)
-    return container
-
-
 def _query(args: argparse.Namespace) -> int:
-    engine = SearchEngine()
-    container = _load(engine, args.index)
-    name = container.backend.name
-    if not 0 <= args.query < len(container.queries):
-        print(f"--query must be in [0, {len(container.queries) - 1}]", file=sys.stderr)
-        return 2
-    payload = container.queries[args.query]
-    tau = args.tau if args.tau is not None else (
-        None if args.k is not None else container.backend.default_tau(container.store)
-    )
-    query = Query(
-        backend=name,
-        payload=payload,
-        tau=tau,
-        k=args.k,
-        chain_length=args.chain_length,
-        algorithm=args.algorithm,
-    )
-    response = engine.search(query)
-    kind = f"top-{args.k}" if args.k is not None else f"tau={tau}"
-    print(
-        f"[{name}] {kind} algorithm={args.algorithm}: "
-        f"{response.num_results} result(s), {response.num_candidates} candidate(s), "
-        f"{response.engine_time * 1000.0:.2f} ms"
-    )
-    if response.scores is not None:
-        for obj_id, score in zip(response.ids, response.scores):
-            print(f"  id={obj_id}  score={score:g}")
-    else:
-        print(f"  ids: {response.ids[:20]}{' ...' if response.num_results > 20 else ''}")
-    return 0
+    with _open(args.index) as engine:
+        name, described = next(iter(engine.describe()["backends"].items()))
+        queries = get_backend(name).load_queries(args.index)
+        if not queries:
+            print(f"index {args.index} holds no stored queries", file=sys.stderr)
+            return 2
+        if not 0 <= args.query < len(queries):
+            print(f"--query must be in [0, {len(queries) - 1}]", file=sys.stderr)
+            return 2
+        payload = queries[args.query]
+        tau = args.tau if args.tau is not None else (
+            None if args.k is not None else described["default_tau"]
+        )
+        query = Query(
+            backend=name,
+            payload=payload,
+            tau=tau,
+            k=args.k,
+            chain_length=args.chain_length,
+            algorithm=args.algorithm,
+        )
+        response = engine.search(query)
+        kind = f"top-{args.k}" if args.k is not None else f"tau={tau}"
+        print(
+            f"[{name}] {kind} algorithm={args.algorithm}: "
+            f"{response.num_results} result(s), {response.num_candidates} candidate(s), "
+            f"{response.engine_time * 1000.0:.2f} ms"
+        )
+        if response.scores is not None:
+            for obj_id, score in zip(response.ids, response.scores):
+                print(f"  id={obj_id}  score={score:g}")
+        else:
+            print(f"  ids: {response.ids[:20]}{' ...' if response.num_results > 20 else ''}")
+        return 0
 
 
 def _build_shards(args: argparse.Namespace) -> int:
@@ -377,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.set_defaults(func=_build_index)
 
     query = commands.add_parser("query", help="answer one stored query")
-    query.add_argument("--index", required=True, help="container directory")
+    query.add_argument(
+        "--index", required=True, help="index container or sharded index directory"
+    )
     query.add_argument("--query", type=int, default=0, help="stored query number")
     query.add_argument("--tau", type=_parse_tau, default=None)
     query.add_argument("--k", type=int, default=None)

@@ -63,7 +63,6 @@ from repro.engine.wal import (
     DURABILITY_LEVELS,
     AutoCompactionPolicy,
     WriteAheadLog,
-    apply_op,
     op_from_wire,
     op_to_wire,
     replay_batches,
@@ -404,7 +403,7 @@ class SearchEngine:
         ).set(len(state.delta.records))
         r.gauge(
             "engine_delta_tombstones", "tombstoned main ids", backend=backend_name
-        ).set(len(state.delta.tombstones))
+        ).set(state.delta.num_tombstones)
 
     # -- persistence -------------------------------------------------------
 
@@ -516,20 +515,10 @@ class SearchEngine:
                 raise ValueError(
                     f"durability 'wal' requires a WAL attached to backend {backend_name!r}"
                 )
-            results: list[dict] = []
-            applied: list[dict] = []
             with self._lock:
-                delta = state.delta
-                for op in checked:
-                    if op["op"] == "upsert":
-                        delta, assigned = delta.with_upsert(op["record"], op["id"])
-                        applied.append({"op": "upsert", "record": op["record"], "id": assigned})
-                        results.append({"op": "upsert", "id": assigned})
-                    else:
-                        delta, deleted = delta.with_delete(op["id"])
-                        applied.append({"op": "delete", "id": op["id"]})
-                        results.append({"op": "delete", "id": op["id"], "deleted": deleted})
-                state.delta = delta
+                state.delta, results = state.delta.apply(checked)
+                # The ops as logged and replayed: every upsert with its id.
+                applied = [dict(op, id=result["id"]) for op, result in zip(checked, results)]
                 if state.pending_ops is not None:
                     # A rebuild is in flight against an older overlay
                     # snapshot; buffer the ops (with their assigned ids) so
@@ -548,7 +537,7 @@ class SearchEngine:
             r.counter(
                 "engine_mutation_batches_total", "mutation batches applied", backend=backend_name
             ).inc()
-            for op, result in zip(applied, results):
+            for op in applied:
                 r.counter(
                     "engine_mutation_ops_total",
                     "mutation ops applied",
@@ -621,8 +610,7 @@ class SearchEngine:
                     # The rebuild (and the ops buffered for it) belong to a
                     # store that is no longer the one served.
                     return _nothing_folded(backend_name, state.delta)
-                for op in pending:
-                    new_delta = apply_op(new_delta, op)
+                new_delta, _ = new_delta.apply(pending)
                 state.store = new_store
                 state.delta = new_delta
                 state.epoch += 1
@@ -709,22 +697,19 @@ class SearchEngine:
         backend = self.backend(backend_name)
         state = self._state(backend_name)
         applied, replayed = after_seq, 0
+        ops: list[dict] = []
+        for batch in replay_batches(path, after_seq=after_seq):
+            if batch.backend and batch.backend != backend_name:
+                raise ValueError(
+                    f"WAL {path!r} belongs to backend {batch.backend!r}, not {backend_name!r}"
+                )
+            ops.extend(op_from_wire(backend, doc) for doc in batch.ops)
+            applied = batch.seq
+            replayed += 1
         with self._lock:
-            delta = state.delta
-            for batch in replay_batches(path, after_seq=after_seq):
-                if batch.backend and batch.backend != backend_name:
-                    raise ValueError(
-                        f"WAL {path!r} belongs to backend {batch.backend!r}, "
-                        f"not {backend_name!r}"
-                    )
-                ops = [op_from_wire(backend, doc) for doc in batch.ops]
-                for op in ops:
-                    delta = apply_op(delta, op)
-                if state.pending_ops is not None:
-                    state.pending_ops.extend(ops)
-                applied = batch.seq
-                replayed += 1
-            state.delta = delta
+            state.delta, _ = state.delta.apply(ops)
+            if state.pending_ops is not None:
+                state.pending_ops.extend(ops)
             if replayed:
                 self._invalidate_results(backend_name, state)
                 self._observe_backend_state(backend_name, state)
@@ -966,38 +951,26 @@ class SearchEngine:
         searcher = self._searcher(query, backend, store, epoch)
         with span("searcher"):
             outcome = searcher(query.payload)
-        ids = list(outcome.results)
-        num_candidates = outcome.num_candidates
-        num_generated = outcome.extra.get("generated")
-        if delta.mutated:
-            # Map main positions to external ids, drop tombstoned objects,
-            # scan the whole delta through the backend's batched kernel, and
-            # return the union sorted by id -- the answer an index rebuilt
-            # from the live records would give.
+        # Drop dead positions, map the rest to external ids and merge in the
+        # delta scan: the answer an index rebuilt from the live records would
+        # give, ascending by id like the sharded engine's.
+        ids = delta.live_ids(outcome.results)
+        if delta.records:
             with span("delta_scan"):
-                ids = [
-                    delta.ids[position]
-                    for position in ids
-                    if delta.ids[position] not in delta.tombstones
-                ]
-                if delta.records:
-                    delta_ids = list(delta.records)
-                    matches = backend.scan_records(
-                        store, query.payload, [delta.records[i] for i in delta_ids], query.tau
-                    )
-                    ids.extend(obj_id for obj_id, hit in zip(delta_ids, matches) if hit)
-                num_candidates += len(delta.records)
-                if num_generated is not None:
-                    # Delta records enter the pipeline unfiltered, so they
-                    # count on both sides of the filter-vs-verify funnel.
-                    num_generated += len(delta.records)
+                matches = backend.scan_records(
+                    store, query.payload, list(delta.records.values()), query.tau
+                )
+                ids.extend(obj_id for obj_id, hit in zip(delta.records, matches) if hit)
                 ids.sort()
+        # Delta records enter the pipeline unfiltered, so they count on both
+        # sides of the filter-vs-verify funnel.
+        num_generated = outcome.extra.get("generated")
         return Response(
             query=query,
             ids=ids,
             tau_effective=query.tau,
-            num_candidates=num_candidates,
-            num_generated=num_generated,
+            num_candidates=outcome.num_candidates + len(delta.records),
+            num_generated=None if num_generated is None else num_generated + len(delta.records),
             candidate_time=outcome.candidate_time,
             verify_time=outcome.verify_time,
         )
@@ -1013,29 +986,20 @@ class SearchEngine:
         """
         backend = self.backend(backend_name)
         store, delta, _epoch = self._snapshot(backend_name)
-        if not delta.mutated:
-            return backend.distances(store, payload, list(ids), tau)
-        scores: list[float | None] = [None] * len(ids)
-        delta_slots: list[int] = []
-        delta_records: list[Any] = []
-        main_slots: list[int] = []
-        main_positions: list[int] = []
-        for slot, obj_id in enumerate(ids):
-            if obj_id in delta.records:
-                delta_slots.append(slot)
-                delta_records.append(delta.records[obj_id])
-            else:
-                main_slots.append(slot)
-                main_positions.append(delta.positions[obj_id])
-        for slot, score in zip(
-            delta_slots, backend.record_distances(store, payload, delta_records, tau)
-        ):
-            scores[slot] = score
-        for slot, score in zip(
-            main_slots, backend.distances(store, payload, main_positions, tau)
-        ):
-            scores[slot] = score
-        return scores
+        in_delta = [obj_id in delta.records for obj_id in ids]
+        main = [obj_id for obj_id, held in zip(ids, in_delta) if not held]
+        main_scores = iter(
+            backend.distances(store, payload, delta.positions(main).tolist(), tau)
+        )
+        delta_scores = iter(
+            backend.record_distances(
+                store,
+                payload,
+                [delta.records[obj_id] for obj_id, held in zip(ids, in_delta) if held],
+                tau,
+            )
+        )
+        return [next(delta_scores) if held else next(main_scores) for held in in_delta]
 
     def escalation_ladder(
         self, backend_name: str, payload: Any, start: float | int | None
@@ -1043,19 +1007,13 @@ class SearchEngine:
         """The top-k threshold ladder over the *live* record population."""
         backend = self.backend(backend_name)
         store, delta, _epoch = self._snapshot(backend_name)
-        if not delta.mutated or not backend.ladder_uses_max_size:
-            return list(backend.tau_ladder(store, payload, start))
-        if not delta.records and not delta.tombstones:
-            # Post-compaction (or all mutations cancelled out): the live
-            # population IS the main store, so skip the O(live) size scan
-            # and let the backend compute its own maximum as usual.
-            return list(backend.tau_ladder(store, payload, start))
-        main_sizes = backend.store_sizes(store)
-        sizes = [main_sizes[position] for position, _obj_id in delta.live_main()]
-        sizes.extend(backend.record_size(store, record) for record in delta.records.values())
-        return list(
-            backend.tau_ladder(store, payload, start, max_size=max(sizes, default=1))
-        )
+        max_size = None
+        if backend.ladder_uses_max_size:
+            max_size = delta.live_max_size(
+                backend.store_sizes(store),
+                [backend.record_size(store, record) for record in delta.records.values()],
+            )
+        return list(backend.tau_ladder(store, payload, start, max_size=max_size))
 
     def metrics_wire(self) -> dict:
         """The engine's metrics registry as a JSON-safe wire dump.

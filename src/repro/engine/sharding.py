@@ -47,6 +47,7 @@ import functools
 import heapq
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
@@ -57,7 +58,7 @@ from repro.common.obs import MetricsRegistry
 from repro.common.stats import Timer
 from repro.engine.api import Query, Response
 from repro.engine.backend import get_backend
-from repro.engine.mutation import check_ops
+from repro.engine.mutation import assign_id, check_ops
 from repro.engine.persistence import atomic_write_json, read_manifest, save_container
 from repro.engine.replication import (
     LIVE,
@@ -77,7 +78,6 @@ from repro.engine.wire import parse_session
 __all__ = [
     "SHARDS_MANIFEST_NAME",
     "SHARDS_FORMAT_VERSION",
-    "SUPPORTED_SHARDS_FORMAT_VERSIONS",
     "ShardWorkerError",
     "ShardedStats",
     "ShardedEngine",
@@ -90,12 +90,11 @@ __all__ = [
 ]
 
 SHARDS_MANIFEST_NAME = "shards.json"
-#: Version 1 is the original frozen layout; version 2 adds mutation fields
-#: (``next_id``, per-shard live counters) written by :meth:`ShardedEngine.
-#: flush`.  Fresh builds still write version 1 -- a sharded index is saved
-#: at the lowest version that can represent it -- and readers accept both.
+#: The one ``shards.json`` version, written by :func:`build_shards` and
+#: :meth:`ShardedEngine.flush` alike: it carries the id-space high-water mark
+#: ``next_id`` and every shard's ``num_live``.  Version 1, which lacked them,
+#: is refused with the advice to rebuild.
 SHARDS_FORMAT_VERSION = 2
-SUPPORTED_SHARDS_FORMAT_VERSIONS = frozenset({1, 2})
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +158,14 @@ def build_shards(
                 "hi": hi,
                 "path": path,
                 "descriptor": container_manifest["descriptor"],
+                "num_live": hi - lo,
             }
         )
     manifest = {
-        "format_version": 1,
+        "format_version": SHARDS_FORMAT_VERSION,
         "backend": backend.name,
         "num_objects": num_objects,
+        "next_id": num_objects,
         "num_shards": len(shards),
         # Recorded at build time (JSON keeps the int/float distinction, which
         # is semantic for the sets backend) so serving needs no full store.
@@ -185,9 +186,11 @@ def load_shards_manifest(directory: str) -> dict:
     with open(path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     version = manifest.get("format_version")
-    if version not in SUPPORTED_SHARDS_FORMAT_VERSIONS:
-        supported = ", ".join(str(v) for v in sorted(SUPPORTED_SHARDS_FORMAT_VERSIONS))
-        raise ValueError(f"unsupported shards format {version!r} (supported: {supported})")
+    if version != SHARDS_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported shards format {version!r} in {directory!r} (this build reads "
+            f"version {SHARDS_FORMAT_VERSION}); rebuild the index with `build-shards`"
+        )
     for shard in manifest["shards"]:
         read_manifest(os.path.join(directory, shard["path"]))
     return manifest
@@ -377,7 +380,10 @@ class ShardedEngine:
         self._manifest = load_shards_manifest(directory)
         self._directory = directory
         self._backend_name: str = self._manifest["backend"]
-        self._next_id = int(self._manifest.get("next_id", self._manifest["num_objects"]))
+        self._next_id = int(self._manifest["next_id"])
+        # Held from id assignment until the shards acknowledge, so a batch
+        # advances ``_next_id`` only past ids a shard accepted.
+        self._mutate_lock = threading.Lock()
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
         if replicas > 1 and wal_dir is None:
@@ -452,9 +458,10 @@ class ShardedEngine:
 
     def _refresh_next_id(self) -> None:
         """Raise the global id high-water mark to cover every shard's overlay."""
-        for shard_id, shard in enumerate(self._manifest["shards"]):
-            info = self._shard_call(shard_id, "mutation_info")
-            self._next_id = max(self._next_id, int(info["next_id"]) + shard["lo"])
+        with self._mutate_lock:
+            for shard_id, shard in enumerate(self._manifest["shards"]):
+                info = self._shard_call(shard_id, "mutation_info")
+                self._next_id = max(self._next_id, int(info["next_id"]) + shard["lo"])
 
     def respawn_shard(self, shard_id: int) -> None:
         """Replace every worker process of one shard with fresh ones.
@@ -644,11 +651,27 @@ class ShardedEngine:
                 return shard
         return shards[-1]
 
+    def _route(self, ops: list[dict]) -> dict[int, list[tuple[int, int, dict]]]:
+        """Assign every append its global id and group the ops per owning
+        shard as ``(batch position, shard lo, op in local ids)``, keeping
+        batch order; ``_next_id`` itself is not advanced here."""
+        routed: dict[int, list[tuple[int, int, dict]]] = {}
+        next_id = self._next_id
+        for position, op in enumerate(ops):
+            obj_id = op["id"]
+            if op["op"] == "upsert":
+                obj_id = assign_id(obj_id, next_id)
+                next_id = max(next_id, obj_id + 1)
+            shard = self._shard_for_id(obj_id)
+            local = dict(op, id=obj_id - shard["lo"])
+            routed.setdefault(shard["shard_id"], []).append((position, shard["lo"], local))
+        return routed
+
     def _apply_to_shard(
-        self, shard_id: int, local_ops: list[dict], durability: str | None
+        self, shard_id: int, entries: list[tuple[int, int, dict]], durability: str | None
     ) -> dict:
         try:
-            return self._sets[shard_id].apply(local_ops, durability)
+            return self._sets[shard_id].apply([local for _, _, local in entries], durability)
         except ShardWorkerError:
             self._observe_shard_error(shard_id)
             raise
@@ -663,10 +686,11 @@ class ShardedEngine:
 
         The parent assigns every upsert its global id up front (so routing
         is deterministic and each shard's WAL records explicit, replayable
-        ids), groups the ops per shard preserving batch order, and applies
-        one sub-batch per touched shard -- to *every* live replica of that
-        shard, then the shard's WAL (see :meth:`repro.engine.replication.
-        ReplicaSet.apply`).  Results come back in the original batch order
+        ids) but advances its high-water mark only past the ids a shard
+        acknowledged, groups the ops per shard preserving batch order, and
+        applies one sub-batch per touched shard -- to *every* live replica
+        of that shard, then the shard's WAL (see :meth:`repro.engine.
+        replication.ReplicaSet.apply`).  Results come back in the original batch order
         with global ids; ``wal_seq`` maps each touched shard to the
         sequence number its sub-batch was acknowledged at.  A sub-batch is
         atomic per shard (one WAL record), but a failure on one shard does
@@ -679,59 +703,45 @@ class ShardedEngine:
         # are validated by each worker engine against its own store (before
         # the worker applies anything).
         ops = check_ops(ops)
-        # Assign global ids and route, preserving batch order per shard.
-        routed: dict[int, list[tuple[int, int, dict]]] = {}
-        for position, op in enumerate(ops):
-            if op["op"] == "upsert":
-                obj_id = op["id"]
-                if obj_id is None:
-                    obj_id = self._next_id
-                self._next_id = max(self._next_id, obj_id + 1)
-                shard = self._shard_for_id(obj_id)
-                local: dict[str, Any] = {
-                    "op": "upsert",
-                    "record": op["record"],
-                    "id": obj_id - shard["lo"],
-                }
-            else:
-                obj_id = op["id"]
-                shard = self._shard_for_id(obj_id)
-                local = {"op": "delete", "id": obj_id - shard["lo"]}
-            routed.setdefault(shard["shard_id"], []).append((position, shard["lo"], local))
-        outcomes: dict[int, dict] = {}
-        if len(routed) == 1:
-            shard_id, entries = next(iter(routed.items()))
-            outcomes[shard_id] = self._apply_to_shard(
-                shard_id, [local for _position, _lo, local in entries], durability
-            )
-        else:
-            # Each shard's apply blocks on its replica fan-out and WAL
-            # append; overlap the touched shards so a multi-shard batch
-            # pays the slowest shard, not the sum.
-            with ThreadPoolExecutor(max_workers=len(routed)) as fan:
-                futures = {
-                    shard_id: fan.submit(
-                        self._apply_to_shard,
-                        shard_id,
-                        [local for _position, _lo, local in entries],
-                        durability,
-                    )
+        with self._mutate_lock:
+            routed = self._route(ops)
+            if len(routed) == 1:
+                calls = {
+                    shard_id: functools.partial(self._apply_to_shard, shard_id, entries, durability)
                     for shard_id, entries in routed.items()
                 }
-                for shard_id, future in futures.items():
-                    outcomes[shard_id] = future.result()
-        results: list[dict | None] = [None] * len(ops)
-        wal_seqs: dict[str, int] = {}
-        level = durability
-        for shard_id, entries in routed.items():
-            outcome = outcomes[shard_id]
-            level = outcome["durability"]
-            wal_seqs[str(shard_id)] = outcome["wal_seq"]
-            for (position, lo, _local), result in zip(entries, outcome["results"]):
-                doc = dict(result)
-                if "id" in doc:
-                    doc["id"] = int(doc["id"]) + lo
-                results[position] = doc
+            else:
+                # Each shard's apply blocks on its replica fan-out and WAL
+                # append; overlap the touched shards so a multi-shard batch
+                # pays the slowest shard, not the sum.
+                with ThreadPoolExecutor(max_workers=len(routed)) as fan:
+                    calls = {
+                        shard_id: fan.submit(
+                            self._apply_to_shard, shard_id, entries, durability
+                        ).result
+                        for shard_id, entries in routed.items()
+                    }
+            results: list[dict | None] = [None] * len(ops)
+            wal_seqs: dict[str, int] = {}
+            level = durability
+            failures: list[Exception] = []
+            for shard_id, call in calls.items():
+                try:
+                    outcome = call()
+                except Exception as exc:  # raised once the other shards' acks count
+                    failures.append(exc)
+                    continue
+                level = outcome["durability"]
+                wal_seqs[str(shard_id)] = outcome["wal_seq"]
+                for (position, lo, _local), result in zip(routed[shard_id], outcome["results"]):
+                    doc = dict(result, id=int(result["id"]) + lo)
+                    if doc["op"] == "upsert":
+                        # Only acknowledged ids are spent: a refused record
+                        # must not burn one.
+                        self._next_id = max(self._next_id, doc["id"] + 1)
+                    results[position] = doc
+            if failures:
+                raise failures[0]
         return {
             "backend": self._backend_name,
             "results": results,
@@ -888,7 +898,6 @@ class ShardedEngine:
         """
         self._require_open()
         shards = self._manifest["shards"]
-        infos = []
         for shard_id, shard in enumerate(shards):
             directory = os.path.join(self._directory, shard["path"])
             container_manifest = self._shard_call(
@@ -900,13 +909,9 @@ class ShardedEngine:
                 checkpoint = int(container_manifest.get("wal_seq", 0) or 0)
                 if checkpoint:
                     wal.truncate_upto(checkpoint)
-            info = self._shard_call(shard_id, "mutation_info")
-            shard["num_live"] = info["num_live"]
-            infos.append(info)
+            shard["num_live"] = self._shard_call(shard_id, "mutation_info")["num_live"]
         shards[-1]["hi"] = max(shards[-1]["hi"], self._next_id)
-        mutated = any(info["mutated"] for info in infos)
-        self._manifest["format_version"] = SHARDS_FORMAT_VERSION if mutated else 1
-        self._manifest["num_objects"] = sum(info["num_live"] for info in infos)
+        self._manifest["num_objects"] = sum(shard["num_live"] for shard in shards)
         self._manifest["next_id"] = self._next_id
         path = os.path.join(self._directory, SHARDS_MANIFEST_NAME)
         atomic_write_json(path, self._manifest, indent=2)

@@ -54,7 +54,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.engine.mutation import DeltaStore
 from repro.engine.persistence import fsync_directory
 
 WAL_MAGIC = b"PRWAL001"
@@ -325,17 +324,6 @@ def op_from_wire(backend: Any, doc: dict) -> dict:
     if kind == "delete":
         return {"op": "delete", "id": int(doc["id"])}
     raise ValueError(f"unknown mutation op {kind!r}")
-
-
-def apply_op(delta: DeltaStore, op: dict) -> DeltaStore:
-    """Apply one engine-form op (explicit id) to an overlay; pure replay."""
-    if op["op"] == "upsert":
-        delta, _ = delta.with_upsert(op["record"], op["id"])
-        return delta
-    if op["op"] == "delete":
-        delta, _ = delta.with_delete(op["id"])
-        return delta
-    raise ValueError(f"unknown mutation op {op.get('op')!r}")
 
 
 # ---------------------------------------------------------------------------

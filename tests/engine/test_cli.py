@@ -81,6 +81,51 @@ def test_sets_container_round_trips_and_an_older_container_is_refused(index, tmp
         assert "build-index" in str(info.value.code)
 
 
+def test_cli_drives_a_sharded_index_and_refuses_a_version_1_manifest(
+    tmp_path, capsys, monkeypatch
+):
+    """``build-shards`` -> ``upsert`` -> ``compact`` -> ``query`` on one
+    sharded index; a ``shards.json`` of version 1 (no ``next_id``, no
+    per-shard ``num_live``) is refused by name, telling the user to rebuild
+    with ``build-shards``, before any shard worker starts."""
+    directory = str(tmp_path / "shards")
+    path = os.path.join(directory, "shards.json")
+    assert run("build-shards --backend sets --shards 2 --size 60 --queries 3 --out", directory) == 0
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert manifest["format_version"] == 2 and manifest["next_id"] == 60
+    assert [shard["num_live"] for shard in manifest["shards"]] == [30, 30]
+    payload = get_backend("sets").load_queries(directory)[1]
+    assert run("upsert --index", directory, "--record", json.dumps(payload)) == 0
+    assert "upserted id 60" in capsys.readouterr().out
+    assert run("compact --index", directory) == 0
+    assert "shard 1 compacted: folded 1 delta record(s)" in capsys.readouterr().out
+    assert run("query --tau 1.0 --query 1 --index", directory) == 0
+    out = capsys.readouterr().out
+    assert "[sets] tau=1.0 algorithm=ring:" in out and "60]" in out
+    assert run("query --k 2 --query 1 --index", directory) == 0
+    assert "id=60  score=-1" in capsys.readouterr().out
+
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["format_version"] = 1
+    del manifest["next_id"]
+    for shard in manifest["shards"]:
+        del shard["num_live"]
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+    def no_worker(self):
+        raise AssertionError("a shard worker started for a refused index")
+
+    monkeypatch.setattr("repro.engine.replication.ReplicaSet.spawn", no_worker)
+    for command in ("query", "upsert --record [1,2]", "compact", "serve"):
+        with pytest.raises(SystemExit) as info:
+            run(f"{command} --index", directory)
+        assert "unsupported shards format 1" in str(info.value.code)
+        assert "build-shards" in str(info.value.code)
+
+
 def test_strings_container_round_trips_and_a_v4_container_is_refused(tmp_path, capsys):
     """A strings container stores ``data.npz`` -- the records' code points,
     offsets and ``kappa`` -- and ``query`` serves it as built.  A v4 strings

@@ -9,6 +9,7 @@ nothing above an engine has to ask which one it holds.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import shutil
 import time
@@ -28,10 +29,14 @@ from repro.engine import (
     open_engine,
     register_backend,
 )
+from repro.engine.mutation import MAX_ID
+from repro.strings import StringDataset
 
 from .conftest import upsert
 
 TOPOLOGIES = ("plain", "sharded")
+#: Where a write can enter: either engine in process, or over HTTP.
+WRITERS = ("plain", "sharded", "served")
 #: Keys only the sharded engine's answers carry.
 SHARDED_EXTRAS = {"shards", "per_shard"}
 
@@ -248,6 +253,108 @@ def test_mutate_rejects_ids_that_are_not_non_negative_ints(topology, bad_id, kin
         assert engine.mutation_info() == before
     finally:
         engine.close()
+
+
+@contextlib.contextmanager
+def _writer(topology: str, directory: str):
+    """``(engine, target, refused)``: the engine opened over ``directory``,
+    what to send writes to, and the error a refused write raises there.
+    ``served`` is the sharded engine behind ``ServerThread`` + ``EngineClient``."""
+    with contextlib.ExitStack() as stack:
+        engine = open_engine(directory)
+        stack.callback(engine.close)
+        if topology != "served":
+            yield engine, engine, ValueError
+            return
+        handle = stack.enter_context(ServerThread(engine))
+        yield engine, stack.enter_context(EngineClient(handle.url)), RequestError
+
+
+def _build(topology: str, backend: str, dataset, directory: str) -> str:
+    if topology == "plain":
+        with SearchEngine() as builder:
+            builder.add_dataset(backend, dataset)
+            builder.save_index(backend, directory)
+    else:
+        build_shards(backend, dataset, directory, 2)
+    return directory
+
+
+@pytest.mark.parametrize("topology", WRITERS)
+def test_a_refused_upsert_spends_no_id(topology, tmp_path):
+    """A batch whose record the store refuses assigns nothing: the next
+    append still gets the next id, in every topology (over HTTP ``42`` is
+    refused at decode and ``""`` by the store)."""
+    dataset = StringDataset(["ant", "bee", "cat", "dog"], kappa=2)
+    directory = _build(topology, "strings", dataset, str(tmp_path / topology))
+    with _writer(topology, directory) as (engine, target, refused):
+        for record in (42, ""):
+            with pytest.raises(refused, match="string"):
+                upsert(target, "strings", record)
+        assert engine.mutation_info()["next_id"] == 4
+        assert upsert(target, "strings", "eel") == 4
+
+
+@pytest.mark.parametrize("topology", WRITERS)
+def test_ids_are_int64_and_refused_past_it(topology, fresh, query_payloads):
+    """An explicit id past ``2**63 - 1`` and an append once the id space is
+    spent are refused before any state or WAL change (400 over HTTP); the
+    largest id itself is served and compacted."""
+    with _writer(topology, fresh("plain" if topology == "plain" else "sharded")) as opened:
+        engine, target, refused = opened
+        before = engine.mutation_info()
+        too_big = [
+            [{"op": "upsert", "record": [1, 2], "id": MAX_ID + 1}],
+            [{"op": "delete", "id": 2**70}],
+        ]
+        for ops in too_big:
+            with pytest.raises(refused, match="int64") as refusal:
+                _raw_mutate(target, ops)
+            if topology == "served":
+                assert refusal.value.status == 400
+        assert engine.mutation_info() == before
+        assert upsert(target, "sets", [901, 902], MAX_ID) == MAX_ID
+        spent = engine.mutation_info()
+        assert spent["next_id"] == MAX_ID + 1
+        with pytest.raises(refused, match="no fresh object id") as refusal:
+            _raw_mutate(target, [{"op": "upsert", "record": [7]}, {"op": "delete", "id": 0}])
+        if topology == "served":
+            assert refusal.value.status == 400
+        assert engine.mutation_info() == spent
+        hit = engine.search(Query(backend="sets", payload=[901, 902], tau=1.0)).ids
+        assert hit == [MAX_ID]
+        assert engine.compact()["compacted"] is True
+        assert engine.search(Query(backend="sets", payload=[901, 902], tau=1.0)).ids == hit
+
+
+def _raw_mutate(target, ops: list[dict]) -> dict:
+    """``ops`` as sent, past the client's own encoder checks when served."""
+    if isinstance(target, EngineClient):
+        return target._request("POST", "/mutate", {"backend": "sets", "ops": ops})
+    return target.mutate("sets", ops)
+
+
+# ---------------------------------------------------------------------------
+# Threshold ids: ascending and equal in both engines
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("algorithm", get_backend("sets").algorithms)
+def test_threshold_ids_are_ascending_and_equal_in_both_engines(algorithm, opened, query_payloads):
+    payloads = query_payloads["sets"]
+    ops = [
+        {"op": "upsert", "record": list(payloads[0])},
+        {"op": "upsert", "record": list(payloads[1]), "id": 3},
+        *({"op": "delete", "id": obj_id} for obj_id in (0, 5, 77, 140)),
+    ]
+    for mutated in (False, True):
+        if mutated:
+            for engine in opened.values():
+                engine.mutate("sets", ops)
+        for payload in payloads:
+            query = Query(backend="sets", payload=payload, tau=0.5, algorithm=algorithm)
+            plain, sharded = (opened[t].search(query).ids for t in TOPOLOGIES)
+            assert plain == sharded == sorted(plain), (algorithm, mutated)
 
 
 # ---------------------------------------------------------------------------

@@ -264,17 +264,21 @@ def test_sharded_flush_reloads_mutations(datasets, query_payloads, tmp_path):
 
 
 def test_delta_store_upsert_delete_lifecycle():
+    def one(delta, op):
+        delta, [result] = delta.apply([op])
+        return delta, result.get("deleted", result["id"])
+
     delta = DeltaStore.fresh(3)
     assert delta.is_identity and delta.num_live == 3
-    delta, assigned = delta.with_upsert("new")
+    delta, assigned = one(delta, {"op": "upsert", "record": "new", "id": None})
     assert assigned == 3 and delta.num_live == 4 and delta.mutated
-    delta, assigned = delta.with_upsert("overwrite", 1)
+    delta, assigned = one(delta, {"op": "upsert", "record": "overwrite", "id": 1})
     assert assigned == 1
-    assert 1 in delta.tombstones and delta.records[1] == "overwrite"
+    assert delta.dead[1] and delta.records[1] == "overwrite"
     assert delta.num_live == 4  # overwrite does not change the population
-    delta, deleted = delta.with_delete(3)
+    delta, deleted = one(delta, {"op": "delete", "id": 3})
     assert deleted and delta.num_live == 3
-    same, deleted = delta.with_delete(3)
+    same, deleted = one(delta, {"op": "delete", "id": 3})
     assert not deleted and same is delta  # double delete: no-op, same overlay
     ids, rows = delta.live_records(["a", "b", "c"])
     assert ids == [0, 1, 2] and rows == ["a", "overwrite", "c"]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -328,3 +330,28 @@ def test_close_after_worker_death_is_clean(tmp_path, datasets):
     _kill_shard_worker(engine, 0)
     engine.close()
     engine.close()
+
+
+def test_concurrent_appends_get_distinct_ids(tmp_path, datasets):
+    """The parent holds an append's id from assignment until its shard
+    acknowledges it; concurrent batches must still never share an id."""
+    directory = str(tmp_path / "s")
+    build_shards("sets", datasets["sets"], directory, 2)
+    threads, per_thread = 6, 8
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ShardedEngine(directory) as engine, ThreadPoolExecutor(threads) as pool:
+            # Each batch also deletes an id on the other shard, so some
+            # batches fan out to both shards.
+            batches = [
+                [{"op": "upsert", "record": [1000 + n, 2000 + i]}, {"op": "delete", "id": n}]
+                for n in range(threads)
+                for i in range(per_thread)
+            ]
+            futures = [pool.submit(engine.mutate, "sets", ops) for ops in batches]
+            ids = [future.result(timeout=60)["results"][0]["id"] for future in futures]
+            assert sorted(ids) == list(range(150, 150 + len(batches)))
+            assert engine.mutation_info()["next_id"] == 150 + len(batches)
+    finally:
+        sys.setswitchinterval(switch)
