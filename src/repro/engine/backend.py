@@ -21,6 +21,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from repro.common.stats import SearchResult
 
 
@@ -195,10 +197,9 @@ class Backend(abc.ABC):
         """The :meth:`tau_ladder` size measure of one raw record."""
         return 1
 
-    def store_sizes(self, store: Any) -> Sequence[int]:
-        """:meth:`record_size` of every main record, indexed by main position
-        (the backends with a size column return it as an array)."""
-        return [self.record_size(store, record) for record in self.store_records(store)]
+    def store_sizes(self, store: Any) -> np.ndarray:
+        """:meth:`record_size` of every main record, indexed by main position."""
+        return np.array([self.record_size(store, record) for record in self.store_records(store)])
 
     @abc.abstractmethod
     def record_distances(

@@ -369,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.set_defaults(func=_build_index)
 
     query = commands.add_parser("query", help="answer one stored query")
-    query.add_argument(
-        "--index", required=True, help="index container or sharded index directory"
-    )
+    query.add_argument("--index", required=True, help="index container or sharded index directory")
     query.add_argument("--query", type=int, default=0, help="stored query number")
     query.add_argument("--tau", type=_parse_tau, default=None)
     query.add_argument("--k", type=int, default=None)

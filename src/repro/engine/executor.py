@@ -988,17 +988,9 @@ class SearchEngine:
         store, delta, _epoch = self._snapshot(backend_name)
         in_delta = [obj_id in delta.records for obj_id in ids]
         main = [obj_id for obj_id, held in zip(ids, in_delta) if not held]
-        main_scores = iter(
-            backend.distances(store, payload, delta.positions(main).tolist(), tau)
-        )
-        delta_scores = iter(
-            backend.record_distances(
-                store,
-                payload,
-                [delta.records[obj_id] for obj_id, held in zip(ids, in_delta) if held],
-                tau,
-            )
-        )
+        delta_records = [delta.records[obj_id] for obj_id, held in zip(ids, in_delta) if held]
+        main_scores = iter(backend.distances(store, payload, delta.positions(main).tolist(), tau))
+        delta_scores = iter(backend.record_distances(store, payload, delta_records, tau))
         return [next(delta_scores) if held else next(main_scores) for held in in_delta]
 
     def escalation_ladder(
@@ -1007,7 +999,7 @@ class SearchEngine:
         """The top-k threshold ladder over the *live* record population."""
         backend = self.backend(backend_name)
         store, delta, _epoch = self._snapshot(backend_name)
-        max_size = None
+        max_size: int | None = None
         if backend.ladder_uses_max_size:
             max_size = delta.live_max_size(
                 backend.store_sizes(store),

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -87,7 +88,7 @@ class DeltaStore:
     def num_main(self) -> int:
         return len(self.dead)
 
-    @property
+    @cached_property
     def num_tombstones(self) -> int:
         return int(np.count_nonzero(self.dead))
 
@@ -99,7 +100,7 @@ class DeltaStore:
         deleted again) -- that affects future id assignment, not the stored
         records.
         """
-        return self.ids is None and not self.records and not self.dead.any()
+        return self.ids is None and not self.records and not self.num_tombstones
 
     @property
     def mutated(self) -> bool:
@@ -131,21 +132,26 @@ class DeltaStore:
 
     def positions(self, ids: Sequence[int]) -> np.ndarray:
         """The main position of each external id; -1 where it names no main object."""
-        ids = np.asarray(ids, dtype=np.int64)
+        wanted = np.asarray(ids, dtype=np.int64)
         if self.ids is None:
-            return np.where(ids < self.num_main, ids, -1)
-        at = np.minimum(np.searchsorted(self.ids, ids), self.num_main - 1)
-        return np.where(self.ids[at] == ids, at, -1)
+            return np.where(wanted < self.num_main, wanted, -1)
+        at = np.minimum(np.searchsorted(self.ids, wanted), self.num_main - 1)
+        return np.where(self.ids[at] == wanted, at, -1)
 
     def live_ids(self, positions: Sequence[int]) -> list[int]:
         """External ids of the live main objects among ``positions``, ascending."""
-        positions = np.sort(np.asarray(positions, dtype=np.int64))
-        return self._external(positions[~self.dead[positions]]).tolist()
+        ordered = sorted(positions)
+        if self.ids is None and not self.num_tombstones:
+            # Nothing to drop or map: skip the list-to-array round trip, which
+            # costs more than the search itself on a large answer.
+            return ordered
+        at = np.asarray(ordered, dtype=np.int64)
+        return self._external(at[~self.dead[at]]).tolist()
 
     def live_max_size(self, main_sizes: Sequence[int], delta_sizes: Sequence[int]) -> int:
         """The largest size among live objects (1 when there are none)."""
         main = np.asarray(main_sizes)
-        if self.dead.any():  # a masked reduction costs ~8x a plain one
+        if self.num_tombstones:  # a masked reduction costs ~8x a plain one
             main = main[~self.dead]
         return max([int(main.max(initial=1)), *delta_sizes])
 

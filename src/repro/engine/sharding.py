@@ -51,7 +51,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.common import diag
 from repro.common.obs import MetricsRegistry
@@ -705,9 +705,11 @@ class ShardedEngine:
         ops = check_ops(ops)
         with self._mutate_lock:
             routed = self._route(ops)
+            apply = functools.partial(self._apply_to_shard, durability=durability)
+            calls: dict[int, Callable[[], dict]]
             if len(routed) == 1:
                 calls = {
-                    shard_id: functools.partial(self._apply_to_shard, shard_id, entries, durability)
+                    shard_id: functools.partial(apply, shard_id, entries)
                     for shard_id, entries in routed.items()
                 }
             else:
@@ -716,9 +718,7 @@ class ShardedEngine:
                 # pays the slowest shard, not the sum.
                 with ThreadPoolExecutor(max_workers=len(routed)) as fan:
                     calls = {
-                        shard_id: fan.submit(
-                            self._apply_to_shard, shard_id, entries, durability
-                        ).result
+                        shard_id: fan.submit(apply, shard_id, entries).result
                         for shard_id, entries in routed.items()
                     }
             results: list[dict | None] = [None] * len(ops)

@@ -24,11 +24,11 @@ SUMMARY_KEYS = {"num_main", "num_tombstones", "delta_records", "num_live", "next
 
 records = st.text(alphabet="abc", min_size=1, max_size=4)
 # Explicit ids in 0..12 over a main store of at most 6 records reach live,
-# dead and never-assigned ids alike.
+# dead and never-assigned ids alike; an upsert without an id appends.
+ids = st.integers(0, 12)
 ops = st.one_of(
-    st.tuples(st.just("append"), records, st.just(0)),
-    st.tuples(st.just("upsert"), records, st.integers(0, 12)),
-    st.tuples(st.just("delete"), st.just(""), st.integers(0, 12)),
+    st.fixed_dictionaries({"op": st.just("upsert"), "record": records, "id": st.none() | ids}),
+    st.fixed_dictionaries({"op": st.just("delete"), "id": ids}),
 )
 steps = st.one_of(
     st.tuples(st.just("batch"), st.lists(ops, min_size=1, max_size=5)),
@@ -47,16 +47,16 @@ class Model:
         self.in_main = set(self.live)  # live ids still served by their main copy
         self.next_id = len(main)
 
-    def apply(self, batch) -> list[dict]:
+    def apply(self, ops: list[dict]) -> list[dict]:
         results = []
-        for kind, record, offset in batch:
-            obj_id = self.next_id if kind == "append" else offset
+        for op in ops:
+            obj_id = self.next_id if op["id"] is None else op["id"]
             self.in_main.discard(obj_id)
-            if kind == "delete":
+            if op["op"] == "delete":
                 deleted = self.live.pop(obj_id, None) is not None
                 results.append({"op": "delete", "id": obj_id, "deleted": deleted})
                 continue
-            self.live[obj_id] = record
+            self.live[obj_id] = op["record"]
             self.next_id = max(self.next_id, obj_id + 1)
             results.append({"op": "upsert", "id": obj_id})
         return results
@@ -65,15 +65,6 @@ class Model:
         self.main_ids = sorted(self.live)
         self.main = [self.live[obj_id] for obj_id in self.main_ids]
         self.in_main = set(self.live)
-
-
-def as_ops(batch) -> list[dict]:
-    return [
-        {"op": "delete", "id": offset}
-        if kind == "delete"
-        else {"op": "upsert", "record": record, "id": None if kind == "append" else offset}
-        for kind, record, offset in batch
-    ]
 
 
 def roundtrip(delta: DeltaStore) -> DeltaStore:
@@ -107,7 +98,7 @@ def test_overlay_matches_a_dict_model(main, script):
     assert_agrees(delta, model)
     for step in script:
         if step[0] == "batch":
-            delta, results = delta.apply(as_ops(step[1]))
+            delta, results = delta.apply(step[1])
             assert results == model.apply(step[1])
         elif step[0] == "compact":
             live_ids, rows = delta.live_records(model.main)
