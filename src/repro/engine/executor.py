@@ -986,12 +986,14 @@ class SearchEngine:
         """
         backend = self.backend(backend_name)
         store, delta, _epoch = self._snapshot(backend_name)
-        in_delta = [obj_id in delta.records for obj_id in ids]
-        main = [obj_id for obj_id, held in zip(ids, in_delta) if not held]
-        delta_records = [delta.records[obj_id] for obj_id, held in zip(ids, in_delta) if held]
-        main_scores = iter(backend.distances(store, payload, delta.positions(main).tolist(), tau))
-        delta_scores = iter(backend.record_distances(store, payload, delta_records, tau))
-        return [next(delta_scores) if held else next(main_scores) for held in in_delta]
+        wanted = np.asarray(ids, dtype=np.int64)
+        fresh = np.isin(wanted, np.fromiter(delta.records, np.int64, len(delta.records)))
+        scores = np.empty(len(wanted))
+        main = delta.positions_of(wanted[~fresh]).tolist()
+        scores[~fresh] = backend.distances(store, payload, main, tau)
+        records = [delta.records[obj_id] for obj_id in wanted[fresh].tolist()]
+        scores[fresh] = backend.record_distances(store, payload, records, tau)
+        return scores.tolist()
 
     def escalation_ladder(
         self, backend_name: str, payload: Any, start: float | int | None

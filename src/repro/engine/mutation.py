@@ -130,7 +130,7 @@ class DeltaStore:
     def _external(self, positions: np.ndarray) -> np.ndarray:
         return positions if self.ids is None else self.ids[positions]
 
-    def positions(self, ids: Sequence[int]) -> np.ndarray:
+    def positions_of(self, ids: Sequence[int]) -> np.ndarray:
         """The main position of each external id; -1 where it names no main object."""
         wanted = np.asarray(ids, dtype=np.int64)
         if self.ids is None:
@@ -189,7 +189,7 @@ class DeltaStore:
         records = dict(self.records)
         next_id = self.next_id
         changed = False
-        where = iter(self.positions([op["id"] for op in ops if op["id"] is not None]).tolist())
+        where = iter(self.positions_of([op["id"] for op in ops if op["id"] is not None]).tolist())
         results: list[dict] = []
         for op in ops:
             obj_id = op["id"]
@@ -315,7 +315,7 @@ def delta_from_json(backend: Any, data: dict) -> DeltaStore:
     """Rebuild an overlay written by :func:`delta_to_json`."""
     num_main = int(data["num_main"])
     ids = None if data["ids"] is None else _identity_or(data["ids"])
-    positions = DeltaStore(np.zeros(num_main, dtype=bool), ids).positions(data["tombstones"])
+    positions = DeltaStore(np.zeros(num_main, dtype=bool), ids).positions_of(data["tombstones"])
     dead = np.zeros(num_main, dtype=bool)
     dead[positions[positions >= 0]] = True
     return DeltaStore(
