@@ -986,14 +986,13 @@ class SearchEngine:
         """
         backend = self.backend(backend_name)
         store, delta, _epoch = self._snapshot(backend_name)
-        wanted = np.asarray(ids, dtype=np.int64)
-        fresh = np.isin(wanted, np.fromiter(delta.records, np.int64, len(delta.records)))
-        scores = np.empty(len(wanted))
-        main = delta.positions_of(wanted[~fresh]).tolist()
-        scores[~fresh] = backend.distances(store, payload, main, tau)
-        records = [delta.records[obj_id] for obj_id in wanted[fresh].tolist()]
-        scores[fresh] = backend.record_distances(store, payload, records, tau)
-        return scores.tolist()
+        positions, slots = delta.split(ids)
+        scores = backend.distances(store, payload, positions, tau)
+        records = [delta.records[ids[slot]] for slot in slots]
+        # Slots ascend, so each delta score lands where its id stands.
+        for slot, score in zip(slots, backend.record_distances(store, payload, records, tau)):
+            scores.insert(slot, score)
+        return scores
 
     def escalation_ladder(
         self, backend_name: str, payload: Any, start: float | int | None

@@ -148,6 +148,16 @@ class DeltaStore:
         at = np.asarray(ordered, dtype=np.int64)
         return self._external(at[~self.dead[at]]).tolist()
 
+    def split(self, ids: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Where live ``ids`` are served from: ``(main positions of the ones in
+        the main store, ascending slots in ids of the ones in the delta)``."""
+        records = self.records
+        slots = [slot for slot, obj_id in enumerate(ids) if obj_id in records] if records else []
+        main = [obj_id for obj_id in ids if obj_id not in records] if slots else ids
+        if self.ids is None:
+            return list(main), slots
+        return np.searchsorted(self.ids, main).tolist(), slots
+
     def live_max_size(self, main_sizes: Sequence[int], delta_sizes: Sequence[int]) -> int:
         """The largest size among live objects (1 when there are none)."""
         main = np.asarray(main_sizes)

@@ -89,6 +89,10 @@ def assert_agrees(delta: DeltaStore, model: Model) -> None:
         or model.next_id > len(model.main)
     )
     assert delta.live_ids(range(len(model.main))) == sorted(model.in_main)
+    live = sorted(model.live)
+    positions, slots = delta.split(live)
+    assert [live[slot] for slot in slots] == sorted(set(model.live) - model.in_main)
+    assert [model.main_ids[position] for position in positions] == sorted(model.in_main)
 
 
 @settings(max_examples=150, deadline=None)
