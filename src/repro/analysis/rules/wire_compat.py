@@ -9,12 +9,16 @@ Two protected surfaces:
   to_wire`` paired with ``MetricsRegistry.merge_wire``.
 
 For an encoder the rule collects every string key it emits (dict literals
-and ``body["k"] = ...`` stores); for a decoder, every key it reads
-(``body["k"]``, ``body.get("k")``, ``"k" in body``), *transitively* through
-same-module helper functions (``decode_query`` delegates ``schema_version``
-checking to ``_check_schema_version``).  An emitted key with no reader on
-the decode side is an error -- a field nobody can ever consume is either
-dead weight or a typo'd rename that silently drops data.
+and ``body["k"] = ...`` stores), *transitively* through the functions it
+calls by name; for a decoder, every key it reads (``body["k"]``,
+``body.get("k")``, ``"k" in body``), transitively through same-module
+helpers (``decode_query`` delegates ``schema_version`` checking to
+``_check_schema_version``).  Both follow functions imported from other
+``repro`` modules too: the mutation ops of ``encode_mutate`` /
+``decode_mutate`` are written and read by the WAL's op codec.  An emitted
+key with no reader on the decode side is an error -- a field nobody can
+ever consume is either dead weight or a typo'd rename that silently drops
+data.
 
 The second check compares the extracted field sets against checked-in
 snapshots (``src/repro/analysis/schemas/*.json``).  A drifted field set
@@ -29,6 +33,7 @@ import ast
 import json
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis.framework import AnalysisContext, Finding, rule
 
@@ -136,10 +141,55 @@ def _module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
     return functions
 
 
-def emitted_keys(func: ast.FunctionDef) -> set[str]:
+def _scope(ctx: AnalysisContext, relpath: str) -> dict[str, tuple[str, ast.FunctionDef]]:
+    """Functions callable by name in a module: its own, plus those it imports
+    from other ``repro`` modules, each with the file that defines it."""
+    tree = ctx.tree(relpath)
+    scope = {name: (relpath, func) for name, func in _module_functions(tree).items()}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro."):
+            source = "src/" + str(node.module).replace(".", "/") + ".py"
+            if not ctx.exists(source):
+                continue
+            defined = _module_functions(ctx.tree(source))
+            for alias in node.names:
+                if alias.name in defined:
+                    scope[alias.asname or alias.name] = (source, defined[alias.name])
+    return scope
+
+
+def _reachable(
+    ctx: AnalysisContext, relpath: str, func: ast.FunctionDef, callees: Callable
+) -> list[ast.FunctionDef]:
+    """``func`` plus every function reached through ``callees(function)``
+    names, each resolved in the scope of the module defining the caller."""
+    seen: set[tuple[str, str]] = set()
+    reached: list[ast.FunctionDef] = []
+    frontier = [(relpath, func)]
+    while frontier:
+        path, current = frontier.pop()
+        if (path, current.name) in seen:
+            continue
+        seen.add((path, current.name))
+        reached.append(current)
+        scope = _scope(ctx, path)
+        frontier.extend(scope[name] for name in callees(current) if name in scope)
+    return reached
+
+
+def _name_calls(func: ast.FunctionDef) -> set[str]:
+    """Names of the plain (non-method) functions ``func`` calls."""
+    return {
+        node.func.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def emitted_keys(ctx: AnalysisContext, relpath: str, func: ast.FunctionDef) -> set[str]:
     """String keys the encoder emits: dict-literal keys + subscript stores."""
     keys: set[str] = set()
-    for node in ast.walk(func):
+    for node in (n for f in _reachable(ctx, relpath, func, _name_calls) for n in ast.walk(f)):
         if isinstance(node, ast.Dict):
             for key in node.keys:
                 if isinstance(key, ast.Constant) and isinstance(key.value, str):
@@ -180,23 +230,11 @@ def _direct_read_keys(func: ast.FunctionDef) -> tuple[set[str], set[str]]:
     return keys, calls
 
 
-def consumed_keys(tree: ast.Module, func: ast.FunctionDef) -> set[str]:
-    """Keys read by the decoder or any same-module helper it reaches."""
-    functions = _module_functions(tree)
-    seen: set[str] = set()
+def consumed_keys(ctx: AnalysisContext, relpath: str, func: ast.FunctionDef) -> set[str]:
+    """Keys read by the decoder or any helper it reaches."""
     keys: set[str] = set()
-    frontier = [func]
-    while frontier:
-        current = frontier.pop()
-        if current.name in seen:
-            continue
-        seen.add(current.name)
-        direct, calls = _direct_read_keys(current)
-        keys |= direct
-        for name in calls:
-            helper = functions.get(name)
-            if helper is not None and helper.name not in seen:
-                frontier.append(helper)
+    for reached in _reachable(ctx, relpath, func, lambda f: _direct_read_keys(f)[1]):
+        keys |= _direct_read_keys(reached)[0]
     return keys
 
 
@@ -235,8 +273,8 @@ def _surface_state(ctx: AnalysisContext, surface: SurfaceSpec) -> tuple[dict, li
                 )
             )
             continue
-        emitted = emitted_keys(encoder)
-        consumed = consumed_keys(ctx.tree(pair.decode_file), decoder)
+        emitted = emitted_keys(ctx, pair.encode_file, encoder)
+        consumed = consumed_keys(ctx, pair.decode_file, decoder)
         state["pairs"][pair.name] = {
             "emitted": sorted(emitted),
             "consumed": sorted(consumed),

@@ -460,8 +460,10 @@ class SloMonitor:
 class Supervisor:
     """A background self-healing loop: call ``tick`` every ``interval_s``.
 
-    The replicated sharded engine runs one of these to respawn dead
-    replicas and drive auto-compaction.  A tick that raises is recorded
+    The replicated sharded engine (``replicas > 1``) runs one of these to
+    respawn dead replicas, and for nothing else: background compaction is
+    decided on the write path, so a rebuild never holds off a respawn.
+    A tick that raises is recorded
     (count + last message) and the loop keeps going -- a transient failure
     in one sweep must not kill the healer; persistent failures surface
     through :meth:`status` on ``/healthz``-style probes.

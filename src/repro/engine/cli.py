@@ -42,6 +42,7 @@ from repro.engine.api import Query
 from repro.engine.backend import available_backends, get_backend
 from repro.engine.executor import SearchEngine
 from repro.engine.sharding import build_shards
+from repro.engine.wal import DURABILITY_LEVELS
 
 
 def _parse_tau(text: str) -> float | int:
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     http_serve.add_argument(
         "--durability",
-        choices=["memory", "wal"],
+        choices=DURABILITY_LEVELS,
         default=None,
         help="ack level for mutations that do not name one "
         "(default: 'wal' when a WAL is attached)",

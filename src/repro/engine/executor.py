@@ -41,6 +41,7 @@ swap, so no acknowledged write is ever lost to a racing compaction.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -60,12 +61,14 @@ from repro.engine.mutation import DeltaStore, check_ops
 from repro.engine.persistence import Container, load_container, save_container
 from repro.engine.topk import run_topk
 from repro.engine.wal import (
-    DURABILITY_LEVELS,
     AutoCompactionPolicy,
+    BackgroundCompactor,
     WriteAheadLog,
     op_from_wire,
     op_to_wire,
     replay_batches,
+    resolve_durability,
+    write_path_info,
 )
 
 #: Most searchers (one built index per backend, store epoch, algorithm, tau
@@ -245,10 +248,7 @@ class _BackendState:
     # Ops that land during a compaction rebuild, replayed onto the compacted
     # overlay at the swap; None when no rebuild is in flight.
     pending_ops: list[dict] | None = None
-    auto_policy: AutoCompactionPolicy | None = None
-    compaction_thread: threading.Thread | None = None
-    compaction_count: int = 0
-    compaction_error: str | None = None
+    compactor: BackgroundCompactor | None = None
 
 
 def _nothing_folded(backend_name: str, delta: DeltaStore) -> dict:
@@ -420,25 +420,31 @@ class SearchEngine:
         bounded.  The writer lock is held across the save so the (store,
         overlay, seq) triple on disk is always consistent.
         """
-        state = self._state(backend_name)
         with self._writer_lock(backend_name):
-            with self._lock:
-                store = state.store
-                delta = state.delta
-                wal = state.wal
-                if wal is not None:
-                    seq = wal.last_seq
-                else:
-                    seq = state.checkpoint_seq
-            manifest = save_container(
-                self.backend(backend_name), store, directory, queries, delta=delta, wal_seq=seq
-            )
-            with self._lock:
-                state.container_dir = directory
-                if wal is not None:
-                    state.checkpoint_seq = seq
-            if wal is not None:
-                wal.truncate_upto(seq)
+            return self._checkpoint(backend_name, directory, queries)
+
+    def _checkpoint(
+        self, backend_name: str, directory: str, queries: Sequence[Any] | None = None
+    ) -> dict:
+        """Save the served state at the WAL's seq S, record S, truncate the WAL to S.
+
+        The one checkpoint, shared by :meth:`save_index` and the compaction
+        swap.  The caller holds the writer lock, so the saved (store,
+        overlay, seq) triple cannot be raced by another writer and the
+        truncation drops exactly the batches the save folded in.
+        """
+        state = self._state(backend_name)
+        with self._lock:
+            store, delta, wal = state.store, state.delta, state.wal
+            seq = wal.last_seq if wal is not None else state.checkpoint_seq
+        manifest = save_container(
+            self.backend(backend_name), store, directory, queries, delta=delta, wal_seq=seq
+        )
+        with self._lock:
+            state.container_dir = directory
+            state.checkpoint_seq = seq
+        if wal is not None:
+            wal.truncate_upto(seq)
         return manifest
 
     def load_index(self, directory: str) -> Container:
@@ -507,14 +513,7 @@ class SearchEngine:
                 op["record"] = backend.check_record(state.store, op["record"])
         with self._writer_lock(backend_name):
             wal = state.wal
-            level = durability if durability is not None else ("wal" if wal else "memory")
-            if level not in DURABILITY_LEVELS:
-                accepted = ", ".join(DURABILITY_LEVELS)
-                raise ValueError(f"unknown durability {level!r} (accepted: {accepted})")
-            if level == "wal" and wal is None:
-                raise ValueError(
-                    f"durability 'wal' requires a WAL attached to backend {backend_name!r}"
-                )
+            level = resolve_durability(durability, wal is not None, backend_name)
             with self._lock:
                 state.delta, results = state.delta.apply(checked)
                 # The ops as logged and replayed: every upsert with its id.
@@ -564,7 +563,10 @@ class SearchEngine:
                         "synced WAL append latency (write + flush + fsync)",
                         backend=backend_name,
                     ).observe(append_s)
-        self._maybe_auto_compact(backend_name, state)
+        if state.compactor is not None and state.pending_ops is None:
+            # Weighed outside the locks: the compactor's lock is a leaf.
+            avg_generated = self._stats.avg_generated(backend_name)
+            state.compactor.after_write(len(state.delta.records), avg_generated)
         return {"backend": backend_name, "results": results, "durability": level, "wal_seq": seq}
 
     def compact(self, backend_name: str | None = None) -> dict:
@@ -611,27 +613,14 @@ class SearchEngine:
                     # store that is no longer the one served.
                     return _nothing_folded(backend_name, state.delta)
                 new_delta, _ = new_delta.apply(pending)
-                state.store = new_store
-                state.delta = new_delta
+                state.store, state.delta = new_store, new_delta
                 state.epoch += 1
                 self._evict_backend_state(backend_name)
                 self._observe_backend_state(backend_name, state)
-                wal = state.wal
                 directory = state.container_dir
-                if wal is not None:
-                    seq = wal.last_seq
-                else:
-                    seq = state.checkpoint_seq
-            checkpointed = False
-            if wal is not None and directory is not None:
-                # The writer lock is still held: the saved (store, overlay,
-                # seq) triple cannot be raced by another writer, and the
-                # truncation drops exactly the batches the save folded in.
-                save_container(backend, new_store, directory, delta=new_delta, wal_seq=seq)
-                with self._lock:
-                    state.checkpoint_seq = seq
-                wal.truncate_upto(seq)
-                checkpointed = True
+                checkpointed = state.wal is not None and directory is not None
+            if checkpointed:
+                self._checkpoint(backend_name, directory)
         r = self._stats.registry
         r.counter(
             "engine_compactions_total", "compaction runs completed", backend=backend_name
@@ -771,14 +760,18 @@ class SearchEngine:
     def close(self) -> None:
         """Release held OS resources: detach (and close) every attached WAL.
 
+        A background compaction in flight finishes (and checkpoints) first.
         The engine stays queryable afterwards -- mutations just stop being
         logged -- so ``close()`` is safe to call from teardown paths that
         may still answer in-flight reads.  Idempotent.
         """
         with self._lock:
-            names = [name for name, state in self._backends.items() if state.wal is not None]
-        for name in names:
-            self.detach_wal(name)
+            states = list(self._backends.items())
+        for name, state in states:
+            if state.compactor is not None:
+                state.compactor.wait()
+            if state.wal is not None:
+                self.detach_wal(name)
 
     def __enter__(self) -> "SearchEngine":
         return self
@@ -800,87 +793,34 @@ class SearchEngine:
         """
         state = self._state(backend_name)
         policy = policy if policy is not None else AutoCompactionPolicy()
+        compactor = BackgroundCompactor(
+            policy, functools.partial(self.compact, backend_name), f"auto-compact-{backend_name}"
+        )
         with self._lock:
-            state.auto_policy = policy
+            state.compactor = compactor
         return policy
-
-    def _maybe_auto_compact(self, backend_name: str, state: _BackendState) -> None:
-        """Fire the auto-compaction policy after a mutation batch, at most once."""
-        policy = state.auto_policy
-        if policy is None:
-            return
-        with self._lock:
-            if state.pending_ops is not None:
-                return
-            thread = state.compaction_thread
-            if thread is not None and thread.is_alive():
-                return
-            if not policy.should_compact(
-                len(state.delta.records), self._stats.avg_generated(backend_name)
-            ):
-                return
-            thread = threading.Thread(
-                target=self._auto_compact,
-                args=(backend_name, state),
-                name=f"auto-compact-{backend_name}",
-                daemon=True,
-            )
-            state.compaction_thread = thread
-        thread.start()
-
-    def _auto_compact(self, backend_name: str, state: _BackendState) -> None:
-        try:
-            self.compact(backend_name)
-        except Exception as exc:  # surfaced via durability_info, never raised
-            with self._lock:
-                state.compaction_error = repr(exc)
-            return
-        with self._lock:
-            state.compaction_count += 1
-            state.compaction_error = None
-        self._stats.registry.counter(
-            "engine_auto_compactions_total",
-            "background compactions completed",
-            backend=backend_name,
-        ).inc()
 
     def wait_for_compaction(
         self, backend_name: str | None = None, timeout: float | None = None
     ) -> bool:
         """Block until any in-flight background compaction finishes."""
         backend_name = self._resolve_backend(backend_name)
-        with self._lock:
-            thread = self._state(backend_name).compaction_thread
-        if thread is None:
-            return True
-        thread.join(timeout)
-        return not thread.is_alive()
+        compactor = self._state(backend_name).compactor
+        return compactor is None or compactor.wait(timeout)
 
     def durability_info(self, backend_name: str | None = None) -> dict:
         """WAL, checkpoint and auto-compaction state of one backend."""
         backend_name = self._resolve_backend(backend_name)
         state = self._state(backend_name)
         with self._lock:
-            wal = state.wal
-            policy = state.auto_policy
+            wal, compactor, compacting = state.wal, state.compactor, state.pending_ops is not None
             info = {
                 "backend": backend_name,
-                "default_durability": "wal" if wal is not None else "memory",
                 "checkpoint_seq": state.checkpoint_seq,
                 "checkpoint_dir": state.container_dir,
                 "delta": state.delta.summary(),
-                "auto_compaction": {"enabled": False},
             }
-            if policy is not None:
-                info["auto_compaction"] = {
-                    "enabled": True,
-                    **policy.summary(),
-                    "in_flight": state.pending_ops is not None,
-                    "compactions": state.compaction_count,
-                    "last_error": state.compaction_error,
-                }
-        info["wal"] = {"attached": False} if wal is None else {"attached": True, **wal.describe()}
-        return info
+        return {**info, **write_path_info(backend_name, wal, compactor, compacting)}
 
     # -- execution ---------------------------------------------------------
 

@@ -62,7 +62,7 @@ from typing import Any, Callable, Sequence
 from repro.common import diag
 from repro.engine.api import Query
 from repro.engine.backend import get_backend
-from repro.engine.wal import DURABILITY_LEVELS, WriteAheadLog, op_to_wire
+from repro.engine.wal import WriteAheadLog, op_to_wire
 
 #: Replica lifecycle states, in the order a healthy respawn walks them.
 LIVE = "live"
@@ -128,11 +128,16 @@ def _init_worker(
     _WORKER["backend"] = backend_name
 
 
-def _worker_search(query: Query) -> dict:
-    """Answer one query against the worker's shard; ids come back global."""
+def _worker_search_many(queries: Sequence[Query]) -> list[dict]:
+    """Answer a chunk of queries in one task, amortising the IPC cost; ids
+    come back global."""
     engine = _WORKER["engine"]
     offset = _WORKER["offset"]
-    response = engine.search(query)
+    return [_part(engine.search(query), offset) for query in queries]
+
+
+def _part(response: Any, offset: int) -> dict:
+    """One shard's answer to one query, as the parent merges it."""
     return {
         "ids": [int(obj_id) + offset for obj_id in response.ids],
         "scores": (
@@ -153,11 +158,6 @@ def _worker_search(query: Query) -> dict:
     }
 
 
-def _worker_search_many(queries: Sequence[Query]) -> list[dict]:
-    """Answer a chunk of queries in one task, amortising the IPC cost."""
-    return [_worker_search(query) for query in queries]
-
-
 def _worker_call(method: str, *args: Any) -> Any:
     """Run one method of the worker's engine: the generic IPC entry point
     for everything that only forwards (info, replay, flush, metrics)."""
@@ -170,12 +170,16 @@ def _worker_apply(ops: Sequence[dict], seq: int | None) -> dict:
     The worker holds no WAL (the parent owns the lineage), so the engine
     applies at memory durability; the parent provides durability by
     appending the batch to the shared log after at least one replica
-    succeeded.
+    succeeded.  The ack carries the shard's two auto-compaction inputs:
+    its delta size and its funnel's ``avg_generated``.
     """
     engine = _WORKER["engine"]
-    outcome = engine.mutate(_WORKER["backend"], list(ops), None)
+    backend = _WORKER["backend"]
+    outcome = engine.mutate(backend, list(ops), None)
     if seq is not None:
-        engine.advance_applied_seq(_WORKER["backend"], seq)
+        engine.advance_applied_seq(backend, seq)
+    outcome["delta_records"] = len(engine.delta(backend).records)
+    outcome["avg_generated"] = engine.stats.avg_generated(backend)
     return outcome
 
 
@@ -662,8 +666,8 @@ class ReplicaSet:
 
     # -- write path --------------------------------------------------------
 
-    def apply(self, local_ops: Sequence[dict], durability: str | None = None) -> dict:
-        """Apply one sub-batch to every live replica, then log it.
+    def apply(self, local_ops: Sequence[dict], level: str) -> dict:
+        """Apply one sub-batch to every live replica, then log it at ``level``.
 
         Apply-then-log: the batch is fanned out to the live replicas first
         and appended to the shared WAL only after at least one applied it,
@@ -672,30 +676,16 @@ class ReplicaSet:
         re-converge it through the log); the write succeeds while any
         replica lives.  Deterministic validation failures (the engine
         rejects the batch before touching state) are re-raised unlogged.
+        ``level`` is already resolved by :func:`repro.engine.wal.
+        resolve_durability`; the ack carries the applying replica's delta
+        size and ``avg_generated`` (the auto-compaction inputs).
         """
-        level = (
-            durability
-            if durability is not None
-            else ("wal" if self._wal is not None else "memory")
-        )
-        if level not in DURABILITY_LEVELS:
-            expected = ", ".join(DURABILITY_LEVELS)
-            raise ValueError(f"unknown durability level {level!r} (expected {expected})")
-        if level == "wal" and self._wal is None:
-            raise ValueError(
-                "durability level 'wal' requires a write-ahead log (pass wal_dir)"
-            )
         local_ops = list(local_ops)
         wire_ops: list[dict] | None = None
         if self._wal is not None:
             # Encode before fan-out: an unencodable record must fail the
             # batch before any replica applies it.
-            try:
-                wire_ops = [op_to_wire(self._backend_obj, op) for op in local_ops]
-            except ValueError:
-                raise
-            except Exception as exc:
-                raise ValueError(f"unencodable mutation record: {exc}") from exc
+            wire_ops = [op_to_wire(self._backend_obj, op) for op in local_ops]
         with self._write_lock:
             seq = self._wal.last_seq + 1 if self._wal is not None else None
             with self._lock:
@@ -746,7 +736,8 @@ class ReplicaSet:
                         f"WAL lineage corrupted: assigned seq {seq} but the "
                         f"log appended at {appended}"
                     )
-        return {"results": outcome["results"], "durability": level, "wal_seq": seq}
+        # The worker's own ack (memory level, no seq), restated for the lineage.
+        return {**outcome, "durability": level, "wal_seq": seq}
 
     # -- respawn / readmission ---------------------------------------------
 

@@ -50,6 +50,7 @@ from typing import Any
 from repro.common import diag
 from repro.common.obs import BATCH_SIZE_BUCKETS, MetricsRegistry, new_trace_id
 from repro.engine.api import Engine, Query
+from repro.engine.wal import check_durability
 from repro.engine.wire import (
     WIRE_SCHEMA_VERSION,
     WireFormatError,
@@ -151,8 +152,7 @@ class ServerConfig:
     durability: str | None = None
 
     def __post_init__(self) -> None:
-        if self.durability is not None and self.durability not in ("memory", "wal"):
-            raise ValueError("durability must be 'memory', 'wal' or None")
+        check_durability(self.durability)
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
         if self.max_pending < 1:

@@ -67,12 +67,17 @@ from repro.engine.replication import (
     _PipeWorker,
     _worker_call,
     _worker_profile_wire,
-    _worker_search,
     _worker_search_many,
     _worker_start_profiler,
     _worker_stop_profiler,
 )
-from repro.engine.wal import AutoCompactionPolicy, WriteAheadLog
+from repro.engine.wal import (
+    AutoCompactionPolicy,
+    BackgroundCompactor,
+    WriteAheadLog,
+    resolve_durability,
+    write_path_info,
+)
 from repro.engine.wire import parse_session
 
 __all__ = [
@@ -234,12 +239,12 @@ class ShardedStats:
     """Aggregate fan-out/merge statistics of one :class:`ShardedEngine`.
 
     ``merge_time`` is the pure result-combination overhead.  ``fanout_time``
-    is wall time attributed to queries: for :meth:`ShardedEngine.search` it
-    is the per-query submit-to-merged span (so ``fanout_time - max
-    per-shard worker time`` approximates the IPC cost); for
-    :meth:`ShardedEngine.search_batch` each chunk's incremental wall time is
-    amortised over the chunk's queries, so the total equals the batch wall
-    time and ``avg_fanout_time_ms`` is the inverse of batch throughput.
+    is wall time attributed to queries: each chunk's incremental wall time
+    is amortised over the chunk's queries, so the total equals the batch
+    wall time and ``avg_fanout_time_ms`` is the inverse of batch
+    throughput.  A single :meth:`ShardedEngine.search` is a chunk of one,
+    charged its submit-to-merged span (so ``fanout_time - max per-shard
+    worker time`` approximates the IPC cost).
 
     Every number lives in a :class:`repro.common.obs.MetricsRegistry` (the
     parent's half of ``/metrics``; the workers' registries are merged in by
@@ -352,9 +357,9 @@ class ShardedEngine:
             ``<wal_dir>/<shard dir>.wal``; workers replay it at startup and
             the parent appends acknowledged batches (apply-then-log), making
             acknowledged mutations crash-durable per shard.
-        auto_compact: let the supervisor thread fold each shard's delta
-            store into a rebuilt index when the compaction policy says so
-            (only meaningful together with ``wal_dir``).
+        auto_compact: after every write batch, fold a shard's delta store
+            into a rebuilt index in the background when the compaction
+            policy says so (only meaningful together with ``wal_dir``).
         replicas: worker processes per shard.  With ``replicas > 1``
             (requires ``wal_dir``) each shard becomes a self-healing
             :class:`~repro.engine.replication.ReplicaSet`: reads fail over
@@ -395,14 +400,17 @@ class ShardedEngine:
         context = multiprocessing.get_context(mp_context)
         self._sets: list[ReplicaSet] = []
         self._supervisor: diag.Supervisor | None = None
-        # Background compaction checkpoints into the WAL lineage, so it is
-        # armed only when there is one.
-        self._auto_policy = AutoCompactionPolicy() if auto_compact and wal_dir is not None else None
-        # Per shard: background compactions completed, and the last one's
-        # failure (None once one succeeds) -- see durability_info().
-        self._compaction_counts = [0] * len(self._manifest["shards"])
-        self._compaction_errors: list[str | None] = [None] * len(self._manifest["shards"])
-        self._tick_count = 0
+        # One background compactor per shard.  Compaction checkpoints into
+        # the WAL lineage, so it is armed only when there is one.
+        armed = auto_compact and wal_dir is not None
+        self._compactors = [
+            BackgroundCompactor(
+                AutoCompactionPolicy(),
+                functools.partial(self._compact_shard, shard_id),
+                f"auto-compact-shard-{shard_id}",
+            )
+            for shard_id in range(len(self._manifest["shards"]) if armed else 0)
+        ]
         self._stats = ShardedStats()
         self._health = diag.HealthScoreboard(len(self._manifest["shards"]))
         try:
@@ -440,7 +448,7 @@ class ShardedEngine:
                 # mark past what the (possibly stale, crash-survived) shards
                 # manifest recorded.
                 self._refresh_next_id()
-            if replicas > 1 or self._auto_policy is not None:
+            if replicas > 1:
                 self._supervisor = diag.Supervisor(
                     self._supervise_tick, interval_s=0.2, name="replica-supervisor"
                 )
@@ -479,33 +487,19 @@ class ShardedEngine:
             self._refresh_next_id()
 
     def _supervise_tick(self) -> None:
-        """One supervisor sweep: heal dead replicas, drive auto-compaction."""
-        self._tick_count += 1
-        if self._num_replicas > 1:
-            for rset in self._sets:
-                rset.heal()
-        if self._auto_policy is not None and self._tick_count % 10 == 0:
-            for shard_id, rset in enumerate(self._sets):
-                if rset.compacting:
-                    continue
-                try:
-                    info = rset.submit(_worker_call, "mutation_info").result()
-                except ShardWorkerError:
-                    continue
-                if not self._auto_policy.should_compact(int(info["delta_records"]), 0.0):
-                    continue
-                try:
-                    self._compact_shard(shard_id)
-                except Exception as exc:  # surfaced via durability_info, never raised
-                    self._compaction_errors[shard_id] = repr(exc)
-                else:
-                    self._compaction_counts[shard_id] += 1
-                    self._compaction_errors[shard_id] = None
+        """One supervisor sweep: heal dead replicas (it does nothing else)."""
+        for rset in self._sets:
+            rset.heal()
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker processes down; the engine is unusable afterwards."""
+        """Shut the worker processes down; the engine is unusable afterwards.
+
+        A background compaction in flight finishes (and checkpoints) first.
+        """
+        for compactor in self._compactors:
+            compactor.wait()
         supervisor, self._supervisor = self._supervisor, None
         if supervisor is not None:
             supervisor.stop()
@@ -668,10 +662,10 @@ class ShardedEngine:
         return routed
 
     def _apply_to_shard(
-        self, shard_id: int, entries: list[tuple[int, int, dict]], durability: str | None
+        self, shard_id: int, entries: list[tuple[int, int, dict]], level: str
     ) -> dict:
         try:
-            return self._sets[shard_id].apply([local for _, _, local in entries], durability)
+            return self._sets[shard_id].apply([local for _, _, local in entries], level)
         except ShardWorkerError:
             self._observe_shard_error(shard_id)
             raise
@@ -694,7 +688,10 @@ class ShardedEngine:
         with global ids; ``wal_seq`` maps each touched shard to the
         sequence number its sub-batch was acknowledged at.  A sub-batch is
         atomic per shard (one WAL record), but a failure on one shard does
-        not roll back sub-batches already applied on others.
+        not roll back sub-batches already applied on others.  After each
+        shard's ack its compactor (with ``auto_compact``) weighs the shard's
+        delta size and ``avg_generated``, as :class:`repro.engine.executor.
+        SearchEngine` does after every batch.
         """
         self._require_open()
         self._check_backend(backend_name)
@@ -703,9 +700,10 @@ class ShardedEngine:
         # are validated by each worker engine against its own store (before
         # the worker applies anything).
         ops = check_ops(ops)
+        level = resolve_durability(durability, self._wal_dir is not None, self._backend_name)
         with self._mutate_lock:
             routed = self._route(ops)
-            apply = functools.partial(self._apply_to_shard, durability=durability)
+            apply = functools.partial(self._apply_to_shard, level=level)
             calls: dict[int, Callable[[], dict]]
             if len(routed) == 1:
                 calls = {
@@ -723,7 +721,6 @@ class ShardedEngine:
                     }
             results: list[dict | None] = [None] * len(ops)
             wal_seqs: dict[str, int] = {}
-            level = durability
             failures: list[Exception] = []
             for shard_id, call in calls.items():
                 try:
@@ -731,8 +728,11 @@ class ShardedEngine:
                 except Exception as exc:  # raised once the other shards' acks count
                     failures.append(exc)
                     continue
-                level = outcome["durability"]
                 wal_seqs[str(shard_id)] = outcome["wal_seq"]
+                if self._compactors and not self._sets[shard_id].compacting:
+                    self._compactors[shard_id].after_write(
+                        outcome["delta_records"], outcome["avg_generated"]
+                    )
                 for (position, lo, _local), result in zip(routed[shard_id], outcome["results"]):
                     doc = dict(result, id=int(result["id"]) + lo)
                     if doc["op"] == "upsert":
@@ -827,38 +827,24 @@ class ShardedEngine:
         """
         self._require_open()
         self._check_backend(backend_name)
-        policy = self._auto_policy
         per_shard = []
         for shard_id, rset in enumerate(self._sets):
             info = dict(self._shard_call(shard_id, "durability_info"), shard_id=shard_id)
-            wal = rset.wal
-            info["default_durability"] = "wal" if wal is not None else "memory"
-            info["wal"] = (
-                {"attached": True, **wal.describe()} if wal is not None else {"attached": False}
-            )
-            if policy is not None:
-                info["auto_compaction"] = {
-                    "enabled": True,
-                    **policy.summary(),
-                    "in_flight": rset.compacting,
-                    "compactions": self._compaction_counts[shard_id],
-                    "last_error": self._compaction_errors[shard_id],
-                }
+            compactor = self._compactors[shard_id] if self._compactors else None
+            info.update(write_path_info(self._backend_name, rset.wal, compactor, rset.compacting))
             per_shard.append(info)
-        auto: dict[str, Any] = {"enabled": False}
-        if policy is not None:
+        blocks = [info["auto_compaction"] for info in per_shard]
+        auto = blocks[0]
+        if self._compactors:
             errors = [
-                f"shard {info['shard_id']}: {info['auto_compaction']['last_error']}"
-                for info in per_shard
-                if info["auto_compaction"]["last_error"] is not None
+                f"shard {i}: {b['last_error']}" for i, b in enumerate(blocks) if b["last_error"]
             ]
-            auto = {
-                "enabled": True,
-                **policy.summary(),
-                "in_flight": any(info["auto_compaction"]["in_flight"] for info in per_shard),
-                "compactions": sum(self._compaction_counts),
-                "last_error": "; ".join(errors) or None,
-            }
+            auto = dict(
+                auto,
+                in_flight=any(block["in_flight"] for block in blocks),
+                compactions=sum(block["compactions"] for block in blocks),
+                last_error="; ".join(errors) or None,
+            )
         return {
             "backend": self._backend_name,
             "default_durability": per_shard[0]["default_durability"],
@@ -875,16 +861,14 @@ class ShardedEngine:
     def wait_for_compaction(
         self, backend_name: str | None = None, timeout: float | None = None
     ) -> bool:
-        """Block until no shard has a compaction in flight (compactions run
-        synchronously inside ``ReplicaSet.compact``, so the flag is exact)."""
+        """Block until every shard's in-flight background compaction finishes."""
         self._require_open()
         self._check_backend(backend_name)
         deadline = time.monotonic() + timeout if timeout is not None else None
-        while any(rset.compacting for rset in self._sets):
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.01)
-        return True
+        return all(
+            compactor.wait(None if deadline is None else max(0.0, deadline - time.monotonic()))
+            for compactor in self._compactors
+        )
 
     def flush(self) -> None:
         """Persist every shard (store + overlay) and the shards manifest.
@@ -935,16 +919,6 @@ class ShardedEngine:
         except ShardWorkerError:
             self._observe_shard_error(shard_id)
             raise
-
-    def _submit(self, query: Query) -> list[Any]:
-        self._check_backend(query.backend)
-        floors = parse_session(query.session)
-        return [
-            self._submit_to_shard(
-                shard_id, _worker_search, query, min_seq=floors.get(shard_id, 0)
-            )
-            for shard_id in range(len(self._sets))
-        ]
 
     def _merge(self, query: Query, parts: list[dict], elapsed: float) -> Response:
         """Combine per-shard answers; ``elapsed`` is the wall time to charge
@@ -1024,31 +998,20 @@ class ShardedEngine:
 
     def search(self, query: Query) -> Response:
         """Fan one query out to every shard and merge the partial answers."""
-        self._require_open()
-        timer = Timer()
-        futures = self._submit(query)
-        parts = [
-            self._shard_result(shard_id, future) for shard_id, future in enumerate(futures)
-        ]
-        return self._merge(query, parts, timer.elapsed())
+        return self.search_batch([query])[0]
 
-    def search_batch(
-        self, queries: Sequence[Query], chunk_size: int | None = None
-    ) -> list[Response]:
+    def search_batch(self, queries: Sequence[Query]) -> list[Response]:
         """Answer a batch pipelined across the shards; order is preserved.
 
         Queries are grouped into chunks and every chunk becomes one task per
         shard, so (a) the per-frame pickling and pipe round trip is amortised
         over the whole chunk, and (b) shard ``s`` can work on chunk ``c + 1``
         while the parent still waits on chunk ``c``'s slowest shard.  The
-        default chunk size aims for a handful of chunks in flight; pass
-        ``chunk_size=1`` to force per-query fan-out (lowest latency for the
-        head of the batch, highest overhead).
+        chunk size aims for about four chunks in flight, capped at 32
+        queries; a single query is one chunk of one.
         """
         self._require_open()
         queries = list(queries)
-        if not queries:
-            return []
         floors: dict[int, int] = {}
         for query in queries:
             self._check_backend(query.backend)
@@ -1057,10 +1020,9 @@ class ShardedEngine:
             # on replicas that satisfy all of its queries.
             for shard_id, seq in parse_session(query.session).items():
                 floors[shard_id] = max(floors.get(shard_id, 0), seq)
-        if chunk_size is None:
-            # Enough chunks to pipeline (about four per shard cycle), capped
-            # so huge batches still amortise the IPC cost.
-            chunk_size = max(1, min(32, len(queries) // 4))
+        # Enough chunks to pipeline (about four per shard cycle), capped so
+        # huge batches still amortise the IPC cost.
+        chunk_size = max(1, min(32, len(queries) // 4))
         chunks = [
             queries[start : start + chunk_size]
             for start in range(0, len(queries), chunk_size)

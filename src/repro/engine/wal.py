@@ -39,9 +39,22 @@ truncations (the checkpointed seq is recorded in the container manifest and
 restored at attach time), so "which batches does this container already
 contain" is always a single integer comparison.
 
-The module also hosts :class:`AutoCompactionPolicy` -- the delta-size /
-scan-cost crossover rule that decides when the engine folds the overlay back
-into a rebuilt main store off the write path.
+Besides the log itself, this module is the one owner of the write-path
+rules that both topologies (:class:`repro.engine.executor.SearchEngine` and
+the sharded parent of :mod:`repro.engine.sharding` /
+:mod:`repro.engine.replication`) and the HTTP layer call instead of
+restating:
+
+* the **durability rule** -- :func:`resolve_durability` (the default level,
+  and the two refusals) and :func:`check_durability` (the level names,
+  :data:`DURABILITY_LEVELS`);
+* the **op codec** -- :func:`op_to_wire` / :func:`op_from_wire`, the one
+  JSON form of a mutation op in the WAL, in replay and in ``/mutate``;
+* **background compaction** -- :class:`AutoCompactionPolicy`, the
+  delta-size / scan-cost crossover rule, and :class:`BackgroundCompactor`,
+  which weighs it right after every write batch and runs at most one fold
+  per backend or shard on a daemon thread; and
+* :func:`write_path_info`, the write-path half of ``durability_info()``.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.engine.persistence import fsync_directory
 
@@ -63,6 +76,27 @@ _RECORD_HEADER = struct.Struct("<II")
 #: before the batch is acknowledged; ``"memory"`` appends without syncing
 #: (the next synced batch or checkpoint makes it durable).
 DURABILITY_LEVELS = ("memory", "wal")
+
+
+def check_durability(level: str | None) -> None:
+    """Refuse a level that is neither ``None`` (the default) nor a known one."""
+    if level is not None and level not in DURABILITY_LEVELS:
+        raise ValueError(f"unknown durability {level!r} (accepted: {', '.join(DURABILITY_LEVELS)})")
+
+
+def resolve_durability(level: str | None, logged: bool, backend_name: str) -> str:
+    """The level a mutation batch is acknowledged at: the one durability rule.
+
+    ``None`` means ``"wal"`` when a log is attached (``logged``), else
+    ``"memory"``; an unknown level, and ``"wal"`` without a log, are
+    ``ValueError``.  Both engines call this before any state changes.
+    """
+    check_durability(level)
+    if level is None:
+        return "wal" if logged else "memory"
+    if level == "wal" and not logged:
+        raise ValueError(f"durability 'wal' requires a WAL attached to backend {backend_name!r}")
+    return level
 
 
 class WalCorruptionError(ValueError):
@@ -307,23 +341,48 @@ class WriteAheadLog:
 
 
 def op_to_wire(backend: Any, op: dict) -> dict:
-    """Engine-form op (decoded record, explicit id) -> WAL/wire form."""
-    if op["op"] == "upsert":
-        return {"op": "upsert", "id": int(op["id"]), "record": backend.record_to_wire(op["record"])}
-    if op["op"] == "delete":
+    """Engine-form op (decoded record) -> WAL/wire form.
+
+    The one encoder of the WAL and of ``/mutate`` bodies.  An upsert
+    without an id (an append the engine has not numbered yet) omits
+    ``id``; a record the backend cannot encode is a ``ValueError``.
+    """
+    kind = op["op"]
+    if kind == "delete":
         return {"op": "delete", "id": int(op["id"])}
-    raise ValueError(f"unknown mutation op {op.get('op')!r}")
+    if kind != "upsert":
+        raise ValueError(f"unknown mutation op {kind!r}")
+    try:
+        record = backend.record_to_wire(op["record"])
+    except Exception as exc:
+        raise ValueError(f"unencodable {backend.name!r} record: {exc}") from exc
+    doc: dict[str, Any] = {"op": "upsert"}
+    if op.get("id") is not None:
+        doc["id"] = int(op["id"])
+    doc["record"] = record
+    return doc
 
 
 def op_from_wire(backend: Any, doc: dict) -> dict:
-    """WAL/wire-form op -> engine form with the record decoded."""
+    """WAL/wire-form op -> engine form with the record decoded.
+
+    The one decoder of WAL replay and of ``/mutate`` bodies.  Ids pass
+    through as sent (``None`` when absent) for
+    :func:`repro.engine.mutation.check_ops` to judge; an unknown op, a
+    missing record or one the backend cannot decode is a ``ValueError``.
+    """
     kind = doc.get("op")
-    if kind == "upsert":
-        record = backend.record_from_wire(doc["record"])
-        return {"op": "upsert", "id": int(doc["id"]), "record": record}
     if kind == "delete":
-        return {"op": "delete", "id": int(doc["id"])}
-    raise ValueError(f"unknown mutation op {kind!r}")
+        return {"op": "delete", "id": doc.get("id")}
+    if kind != "upsert":
+        raise ValueError(f"unknown mutation op {kind!r}")
+    if "record" not in doc:
+        raise ValueError("upsert ops require a record")
+    try:
+        record = backend.record_from_wire(doc["record"])
+    except Exception as exc:
+        raise ValueError(f"undecodable {backend.name!r} record: {exc}") from exc
+    return {"op": "upsert", "id": doc.get("id"), "record": record}
 
 
 # ---------------------------------------------------------------------------
@@ -376,3 +435,82 @@ class AutoCompactionPolicy:
             "cost_ratio": self.cost_ratio,
             "max_delta_records": self.max_delta_records,
         }
+
+
+class BackgroundCompactor:
+    """Auto-compaction of one backend or shard: the policy and its thread.
+
+    Both engines call :meth:`after_write` right after a write batch with
+    the overlay's delta size and the funnel's ``avg_generated`` of that
+    backend or shard; when the policy fires and no compaction of this
+    compactor is in flight, ``compact`` runs on one daemon thread.  A
+    failure is kept (never raised) and shows in :meth:`summary`, the
+    ``auto_compaction`` block of ``durability_info()``.  The internal lock
+    is a leaf: no engine, replica-set or WAL lock is taken while it is
+    held (the thread is started under it, so :meth:`wait` never sees one
+    that has not started).
+    """
+
+    def __init__(self, policy: AutoCompactionPolicy, compact: Callable[[], Any], name: str):
+        self.policy = policy
+        self._compact = compact
+        self._name = name
+        self._lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+        self._compactions = 0
+        self._last_error: str | None = None
+
+    def after_write(self, delta_records: int, avg_generated: float) -> None:
+        """Start a background compaction when the policy says so."""
+        with self._lock:
+            idle = self._thread is None or not self._thread.is_alive()
+            if idle and self.policy.should_compact(delta_records, avg_generated):
+                self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
+                self._thread.start()
+
+    def _run(self) -> None:
+        error = None
+        try:
+            self._compact()
+        except Exception as exc:  # surfaced through summary(), never raised
+            error = repr(exc)
+        with self._lock:
+            if error is None:
+                self._compactions += 1
+            self._last_error = error
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until the in-flight background compaction (if any) is done."""
+        with self._lock:
+            thread = self._thread
+        if thread is not None:
+            thread.join(timeout)
+        return thread is None or not thread.is_alive()
+
+    def summary(self, in_flight: bool) -> dict:
+        """The ``auto_compaction`` block; ``in_flight`` counts any compaction."""
+        with self._lock:
+            return {
+                "enabled": True,
+                **self.policy.summary(),
+                "in_flight": in_flight,
+                "compactions": self._compactions,
+                "last_error": self._last_error,
+            }
+
+
+def write_path_info(
+    backend_name: str,
+    wal: WriteAheadLog | None,
+    compactor: BackgroundCompactor | None,
+    compacting: bool,
+) -> dict:
+    """The write-path half of one backend's or shard's ``durability_info()``:
+    its default level, its log and its background compaction."""
+    return {
+        "default_durability": resolve_durability(None, wal is not None, backend_name),
+        "auto_compaction": (
+            {"enabled": False} if compactor is None else compactor.summary(compacting)
+        ),
+        "wal": {"attached": False} if wal is None else {"attached": True, **wal.describe()},
+    }

@@ -27,12 +27,16 @@ Mutations use the same conventions.  The batched ``POST /mutate`` carries::
     {
       "schema_version": 2,
       "backend": "sets",
-      "ops": [{"op": "upsert", "record": [...], "id": 7},
+      "ops": [{"op": "upsert", "id": 7, "record": [...]},
               {"op": "delete", "id": 3}],
       "durability": "wal"               # optional: "memory" | "wal"
     }
 
-(see :func:`encode_mutate` / :func:`decode_mutate`); the response reports
+(see :func:`encode_mutate` / :func:`decode_mutate`, which add only the
+envelope: each op crosses through the WAL's own codec,
+:func:`repro.engine.wal.op_to_wire` / :func:`~repro.engine.wal.op_from_wire`,
+its ids through :func:`repro.engine.mutation.check_ops`, and the level
+through :func:`repro.engine.wal.check_durability`); the response reports
 per-op results plus the durability level and WAL sequence number the batch
 was acknowledged at.  ``POST /compact`` carries an optional ``{backend}``
 (see :func:`decode_compact`).
@@ -61,15 +65,13 @@ from typing import Any
 from repro.engine.api import Query, Response
 from repro.engine.backend import available_backends, get_backend
 from repro.engine.mutation import check_ops
+from repro.engine.wal import check_durability, op_from_wire, op_to_wire
 
 #: Version of the request/response JSON schema (bump on incompatible changes).
 WIRE_SCHEMA_VERSION = 4
 
 #: Versions this server still decodes (each is a subset of the next).
 SUPPORTED_WIRE_SCHEMA_VERSIONS = frozenset({1, 2, 3, 4})
-
-#: Durability levels a mutation request may ask for.
-WIRE_DURABILITY_LEVELS = ("memory", "wal")
 
 
 class WireFormatError(ValueError):
@@ -226,17 +228,6 @@ def _decode_backend(body: Any, required: bool = True) -> Any:
     return backend
 
 
-def _decode_object_id(body: dict, required: bool) -> int | None:
-    obj_id = body.get("id")
-    if obj_id is None:
-        if required:
-            raise WireFormatError("the request is missing 'id'")
-        return None
-    if isinstance(obj_id, bool) or not isinstance(obj_id, int) or obj_id < 0:
-        raise WireFormatError(f"'id' must be a non-negative integer, got {obj_id!r}")
-    return obj_id
-
-
 def encode_mutate(
     backend_name: str,
     ops: list[dict],
@@ -245,24 +236,16 @@ def encode_mutate(
     """The wire form of one mutation batch (client side).
 
     Each op is ``{"op": "upsert", "record": <raw record>, "id": optional}``
-    or ``{"op": "delete", "id": int}`` (validated by the engines' own
-    :func:`repro.engine.mutation.check_ops`); records are converted through
-    the backend's wire codec here so callers pass domain-native objects.
+    or ``{"op": "delete", "id": int}``, validated by the engines' own
+    :func:`repro.engine.mutation.check_ops` and encoded by the WAL's
+    :func:`repro.engine.wal.op_to_wire`, so callers pass domain-native
+    records.  This function adds only the envelope.
     """
     backend = get_backend(backend_name)
-    wire_ops = []
-    for op in check_ops(ops):
-        if op["op"] == "upsert":
-            doc: dict[str, Any] = {"op": "upsert", "record": backend.record_to_wire(op["record"])}
-            if op["id"] is not None:
-                doc["id"] = op["id"]
-            wire_ops.append(doc)
-        else:
-            wire_ops.append({"op": "delete", "id": op["id"]})
     body: dict[str, Any] = {
         "schema_version": WIRE_SCHEMA_VERSION,
         "backend": backend_name,
-        "ops": wire_ops,
+        "ops": [op_to_wire(backend, op) for op in check_ops(ops)],
     }
     if durability is not None:
         body["durability"] = durability
@@ -272,9 +255,10 @@ def encode_mutate(
 def decode_mutate(body: Any) -> tuple[str, list[dict], str | None]:
     """Decode a ``/mutate`` body into ``(backend, ops, durability)``.
 
-    Ops come back in the engine's form (records decoded, explicit ids as
-    ints); every malformed op raises :class:`WireFormatError` naming its
-    position in the batch.
+    Ops come back in the engine's form (records decoded by
+    :func:`repro.engine.wal.op_from_wire`, ids checked by
+    :func:`repro.engine.mutation.check_ops`); every malformed op raises
+    :class:`WireFormatError` naming its position in the batch.
     """
     backend = _decode_backend(body)
     ops = body.get("ops")
@@ -282,32 +266,17 @@ def decode_mutate(body: Any) -> tuple[str, list[dict], str | None]:
         raise WireFormatError("'ops' must be a non-empty list of mutation ops")
     decoded: list[dict] = []
     for position, doc in enumerate(ops):
-        if not isinstance(doc, dict):
-            raise WireFormatError(f"ops[{position}] must be a JSON object")
-        kind = doc.get("op")
-        if kind == "upsert":
-            if "record" not in doc:
-                raise WireFormatError(f"ops[{position}] is missing 'record'")
-            try:
-                record = backend.record_from_wire(doc["record"])
-            except WireFormatError:
-                raise
-            except Exception as exc:
-                raise WireFormatError(
-                    f"ops[{position}]: undecodable {backend.name!r} record: {exc}"
-                ) from exc
-            obj_id = _decode_object_id(doc, required=False)
-            decoded.append({"op": "upsert", "record": record, "id": obj_id})
-        elif kind == "delete":
-            decoded.append({"op": "delete", "id": _decode_object_id(doc, required=True)})
-        else:
-            raise WireFormatError(f"ops[{position}]: unknown mutation op {kind!r}")
+        try:
+            if not isinstance(doc, dict):
+                raise ValueError("must be a JSON object")
+            decoded.extend(check_ops([op_from_wire(backend, doc)]))
+        except ValueError as exc:
+            raise WireFormatError(f"ops[{position}]: {exc}") from exc
     durability = body.get("durability")
-    if durability is not None and durability not in WIRE_DURABILITY_LEVELS:
-        accepted = ", ".join(WIRE_DURABILITY_LEVELS)
-        raise WireFormatError(
-            f"unknown durability {durability!r} (accepted: {accepted})"
-        )
+    try:
+        check_durability(durability)
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from None
     return backend.name, decoded, durability
 
 

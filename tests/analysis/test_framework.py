@@ -136,6 +136,8 @@ def test_size_report_counts_code_not_prose(make_tree):
     }
     # Packages absent from the tree report nothing; others are never read.
     assert sizes["src/repro/hamming"] == sizes["src/repro/graphs"] == {"modules": {}, "total": 0}
+    # The size target's figure: engine and common together.
+    assert sizes["src/repro/engine + src/repro/common"] == {"modules": {}, "total": 7}
     assert set(sizes) == {
         "src/repro/engine",
         "src/repro/common",
@@ -143,6 +145,7 @@ def test_size_report_counts_code_not_prose(make_tree):
         "src/repro/strings",
         "src/repro/hamming",
         "src/repro/graphs",
+        "src/repro/engine + src/repro/common",
     }
 
 

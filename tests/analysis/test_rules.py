@@ -231,6 +231,43 @@ def test_wire_compat_transitive_helper_reads_count(make_tree):
     assert not any("schema_version" in f.message for f in report.findings)
 
 
+_OP_CODEC = """
+def op_to_wire(op):
+    return {"op": op, "ttl": 0}
+
+
+def op_from_wire(doc):
+    return _kind(doc)
+
+
+def _kind(doc):
+    return doc["op"]
+"""
+
+
+def test_wire_compat_follows_an_imported_op_codec(make_tree):
+    # The mutate ops are written and read by functions of another module:
+    # their keys count for the pair, and a key that module never reads trips.
+    wire = _WIRE_OK.replace(
+        "WIRE_SCHEMA_VERSION = 1",
+        "from repro.engine.wal import op_from_wire, op_to_wire\n\nWIRE_SCHEMA_VERSION = 1",
+    ).replace(
+        'return {"ops": ops}', 'return {"ops": [op_to_wire(op) for op in ops]}'
+    ).replace('return body["ops"]', 'return [op_from_wire(doc) for doc in body["ops"]]')
+    root = make_tree(
+        {
+            "src/repro/engine/wire.py": wire,
+            "src/repro/engine/client.py": _CLIENT,
+            "src/repro/engine/wal.py": _OP_CODEC,
+        }
+    )
+    update_schemas(AnalysisContext(root))
+    report = _run(root, "wire-compat")
+    assert [f.message for f in report.errors] == [
+        "mutate:ttl: emitted by encode_mutate but never read by decode_mutate"
+    ]
+
+
 def test_wire_compat_requires_snapshot(make_tree):
     root = _wire_tree(make_tree, _WIRE_OK)
     report = _run(root, "wire-compat")

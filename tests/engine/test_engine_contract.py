@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.datasets.tokens import zipfian_set_workload
 from repro.engine import (
     Engine,
     EngineClient,
@@ -30,6 +31,7 @@ from repro.engine import (
     register_backend,
 )
 from repro.engine.mutation import MAX_ID
+from repro.sets import SetDataset
 from repro.strings import StringDataset
 
 from .conftest import upsert
@@ -101,7 +103,7 @@ def test_engine_classes_bind_the_protocol_signatures(cls):
         # Called with everything the protocol names, by name ...
         signature.bind(None, **{p.name: None for p in parameters})
         # ... and with only what the protocol requires (an engine may take
-        # extra keywords, such as chunk_size, but never demand them).
+        # extra keywords, but never demand them).
         signature.bind(None, **{p.name: None for p in parameters if p.default is p.empty})
 
 
@@ -256,12 +258,13 @@ def test_mutate_rejects_ids_that_are_not_non_negative_ints(topology, bad_id, kin
 
 
 @contextlib.contextmanager
-def _writer(topology: str, directory: str):
-    """``(engine, target, refused)``: the engine opened over ``directory``,
-    what to send writes to, and the error a refused write raises there.
-    ``served`` is the sharded engine behind ``ServerThread`` + ``EngineClient``."""
+def _writer(topology: str, directory: str, **options):
+    """``(engine, target, refused)``: the engine opened over ``directory``
+    (``options`` go to :func:`open_engine`), what to send writes to, and
+    the error a refused write raises there.  ``served`` is the sharded
+    engine behind ``ServerThread`` + ``EngineClient``."""
     with contextlib.ExitStack() as stack:
-        engine = open_engine(directory)
+        engine = open_engine(directory, **options)
         stack.callback(engine.close)
         if topology != "served":
             yield engine, engine, ValueError
@@ -332,6 +335,109 @@ def _raw_mutate(target, ops: list[dict]) -> dict:
     if isinstance(target, EngineClient):
         return target._request("POST", "/mutate", {"backend": "sets", "ops": ops})
     return target.mutate("sets", ops)
+
+
+def _index_of(topology: str) -> str:
+    """The built layout a writer topology opens (served is sharded)."""
+    return "plain" if topology == "plain" else "sharded"
+
+
+def _wal_last_seqs(engine) -> list[int]:
+    """The last appended seq of every WAL the engine owns (one per shard)."""
+    info = engine.durability_info()
+    return [entry["wal"]["last_seq"] for entry in info.get("per_shard", [info])]
+
+
+# ---------------------------------------------------------------------------
+# One durability rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("topology", WRITERS)
+def test_one_durability_refusal_on_every_topology(topology, fresh, tmp_path):
+    """An unknown level, and ``"wal"`` without a log, are refused with one
+    message each, before anything is applied or logged (400 over HTTP)."""
+    ops = [{"op": "upsert", "record": [901, 902]}, {"op": "delete", "id": 3}]
+    unknown = r"unknown durability 'fsync' \(accepted: memory, wal\)$"
+    refusals = [
+        ({"wal_dir": str(tmp_path / "wal")}, "fsync", unknown),
+        ({}, "wal", "durability 'wal' requires a WAL attached to backend 'sets'$"),
+    ]
+    directory = fresh(_index_of(topology))
+    for options, level, message in refusals:
+        with _writer(topology, directory, **options) as opened:
+            engine, target, refused = opened
+
+            def state():
+                return engine.mutation_info(), options and _wal_last_seqs(engine)
+
+            before = state()
+            with pytest.raises(refused, match=message) as refusal:
+                target.mutate("sets", ops, level)
+            if topology == "served":
+                assert refusal.value.status == 400
+            assert state() == before
+
+
+# ---------------------------------------------------------------------------
+# One background-compaction trigger
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("topology", WRITERS)
+def test_wait_for_compaction_means_the_same_on_every_topology(topology, fresh, tmp_path):
+    """A batch past the policy's floor is folded by the time
+    ``wait_for_compaction()`` returns; closing mid-compaction is clean."""
+    directory, wal_dir = fresh(_index_of(topology)), str(tmp_path / "wal")
+    appends = [{"op": "upsert", "record": [1000 + i, 2000 + i]} for i in range(300)]
+    with _writer(topology, directory, wal_dir=wal_dir, auto_compact=True) as opened:
+        engine, target, _refused = opened
+        target.mutate("sets", appends)
+        assert engine.wait_for_compaction(timeout=60.0) is True
+        info = engine.durability_info()
+        assert info["auto_compaction"]["compactions"] == 1
+        assert info["auto_compaction"]["last_error"] is None
+        assert info["delta"]["delta_records"] == 0
+        # A second fold is in flight when the engine closes.
+        target.mutate("sets", appends)
+    with open_engine(directory, wal_dir=wal_dir) as reopened:
+        assert reopened.mutation_info()["num_live"] == 150 + 600
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """2 400 sets records as a plain container and as 2 shards: a linear
+    read generates at least 1 000 candidates on every shard."""
+    workload = zipfian_set_workload(2400, 5, seed=16)
+    root = tmp_path_factory.mktemp("wide")
+    directories = {name: str(root / name) for name in TOPOLOGIES}
+    _build("plain", "sets", SetDataset(workload.records), directories["plain"])
+    _build("sharded", "sets", SetDataset(workload.records), directories["sharded"])
+    return directories, list(workload.queries)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_the_compaction_policy_honours_the_cost_crossover(topology, wide, tmp_path):
+    """300 delta records cost less than half of a 1 000-candidate funnel,
+    so after linear reads neither topology folds them."""
+    directories, payloads = wide
+    directory = str(tmp_path / topology)
+    shutil.copytree(directories[topology], directory)
+    engine = open_engine(directory, wal_dir=str(tmp_path / "wal"), auto_compact=True)
+    with engine:
+        for payload in payloads:
+            query = Query(backend="sets", payload=payload, tau=0.5, algorithm="linear")
+            assert engine.search(query).num_candidates >= 2 * 1000  # 1 000 per shard
+        appends = [{"op": "upsert", "record": [1000 + i, 2000 + i]} for i in range(300)]
+        engine.mutate("sets", appends)
+        assert engine.wait_for_compaction(timeout=60.0) is True
+        if topology == "sharded":
+            # A fold decided off the write path, by a periodic sweep, would
+            # land within this window.
+            time.sleep(2.5)
+        info = engine.durability_info()
+        assert info["auto_compaction"]["compactions"] == 0
+        assert info["delta"]["delta_records"] == 300
 
 
 # ---------------------------------------------------------------------------

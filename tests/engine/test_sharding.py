@@ -226,7 +226,8 @@ def test_search_batch_preserves_order_and_results(engine, sharded_engines, query
         Query(backend="sets", payload=payload, tau=taus["sets"])
         for payload in query_payloads["sets"]
     ] * 3
-    batch = sharded_engines["sets"].search_batch(queries, chunk_size=2)
+    # 24 queries: several chunks in flight at once.
+    batch = sharded_engines["sets"].search_batch(queries)
     assert len(batch) == len(queries)
     for query, response in zip(queries, batch):
         assert response.query is query
@@ -302,7 +303,7 @@ def test_killed_worker_mid_batch_fails_structured(tmp_path, datasets, taus):
         assert len(engine.search_batch(queries)) == 4
         _kill_shard_worker(engine, 0)
         with pytest.raises(ShardWorkerError, match="shard 0"):
-            engine.search_batch(queries, chunk_size=1)
+            engine.search_batch(queries * 2)  # 8 queries, 4 chunks of 2
         # Every call routed to the broken shard names it the same way.
         with pytest.raises(ShardWorkerError, match="shard 0"):
             engine.mutation_info()
