@@ -6,7 +6,7 @@ end of the repo: the same machinery served over HTTP.  It builds a small
 Hamming workload, attaches it to a `SearchEngine`, spawns the asyncio JSON
 server on a free local port, and queries it through the blocking
 `EngineClient` -- thresholded selection, top-k, and the server's own
-batching/health introspection.
+health and stats introspection.
 
 Run with:  python examples/quickstart.py
 """
@@ -60,10 +60,7 @@ def main() -> None:
 
             health = client.healthz()
             stats = client.stats()["server"]
-            print(
-                f"\nhealth={health['status']}  served {stats['num_queries']} "
-                f"queries in {stats['num_batches']} micro-batch(es)"
-            )
+            print(f"\nhealth={health['status']}  served {stats['num_queries']} queries")
     print("server drained and stopped")
 
 

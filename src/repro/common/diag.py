@@ -6,7 +6,7 @@ metrics/tracing substrate of :mod:`repro.common.obs`:
 * a **sampling profiler** -- a daemon thread samples
   ``sys._current_frames()`` and aggregates folded (flamegraph-collapsed)
   stacks per *thread role*: the server's asyncio loop is the ``batcher``,
-  the ``engine-batch`` executor thread is the ``executor``,
+  the server's ``engine-batch`` pool threads are the ``executor``,
   ``auto-compact-*`` threads are ``compaction`` and shard worker processes
   report as ``shard-worker``.  It runs for one ``GET /debug/profile``
   window at a time (armed, slept on, collected, disarmed), never for a

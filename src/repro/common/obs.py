@@ -66,10 +66,6 @@ LATENCY_BUCKETS_S: tuple[float, ...] = (
     10.0,
 )
 
-# Micro-batch sizes are small integers; a dedicated bucket ladder keeps the
-# histogram readable.
-BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
-
 
 # ---------------------------------------------------------------------------
 # Instruments
@@ -95,7 +91,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depth, delta-store size)."""
+    """A value that can go up and down (requests in flight, delta-store size)."""
 
     __slots__ = ("_value",)
 

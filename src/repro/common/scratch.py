@@ -3,16 +3,15 @@
 The columnar candidate pipeline evaluates whole candidate arrays per query;
 allocating every intermediate afresh would make the allocator the hot path
 under serving traffic.  A :class:`Scratch` instance owns named, grow-only
-numpy buffers that searchers reuse across the queries of a batch; the
+numpy buffers that searchers reuse across queries; the
 accumulation helpers work on *compact* touched-object arrays, so per-query
 cost (including the implicit reset between queries) scales with the
 candidates a query touches, never with the dataset size -- the same property
 an epoch-stamped dense visited array gives, without the dense memory.
 
-Searchers hold their scratch behind :class:`PerThread`, so the engine's
-thread-pooled ``search_batch`` gives every worker thread a private set of
-buffers while the queries coalesced onto one thread keep reusing a single
-allocation.
+Searchers hold their scratch behind :class:`PerThread`, so every thread
+that runs searches (the server's engine pool, say) gets a private set of
+buffers, which the queries on that thread keep reusing.
 """
 
 from __future__ import annotations

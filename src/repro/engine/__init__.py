@@ -25,8 +25,8 @@ searcher classes; this subsystem puts one serving layer on top of them:
 * :mod:`repro.engine.wire` -- the schema-versioned JSON wire format of the
   network serving layer.
 * :mod:`repro.engine.server` -- :class:`EngineServer`: a stdlib-only asyncio
-  HTTP/1.1 front-end with micro-batch coalescing, admission control and
-  graceful drain over either engine.
+  HTTP/1.1 front-end with per-query dispatch on a thread pool, exclusive
+  writes, admission control and graceful drain over either engine.
 * :mod:`repro.engine.client` -- the blocking :class:`EngineClient`.
 * :mod:`repro.engine.cli` -- ``python -m repro.engine`` with ``build-index``,
   ``query``, ``build-shards``, ``serve``, ``upsert``, ``delete``,

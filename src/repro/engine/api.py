@@ -181,8 +181,6 @@ class Engine(Protocol):
 
     def search(self, query: Query) -> Response: ...
 
-    def search_batch(self, queries: Sequence[Query]) -> list[Response]: ...
-
     def mutate(
         self, backend_name: str, ops: Sequence[dict], durability: str | None = None
     ) -> dict: ...

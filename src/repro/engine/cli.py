@@ -10,7 +10,7 @@ The subcommands make the engine drivable end-to-end without writing code:
 * ``build-shards`` -- like ``build-index``, but split the dataset into K
   id-range shards, each its own index container under one directory.
 * ``serve`` -- expose an index (plain container or sharded directory,
-  whichever :func:`repro.engine.open_engine` finds) over HTTP/JSON with micro-batch coalescing and
+  whichever :func:`repro.engine.open_engine` finds) over HTTP/JSON with
   backpressure; shuts down gracefully on SIGINT/SIGTERM.
 * ``upsert`` / ``delete`` / ``compact`` -- mutate an index on disk (plain
   container or sharded directory): records land in the delta store, deletes
@@ -226,7 +226,6 @@ def _serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        max_batch_size=args.max_batch,
         max_pending=args.max_pending,
         trace=args.trace,
         trace_budget=args.trace_budget,
@@ -397,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     http_serve.add_argument("--host", default="127.0.0.1")
     http_serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    http_serve.add_argument(
-        "--max-batch", type=int, default=16, help="micro-batch coalescing limit"
-    )
     http_serve.add_argument(
         "--max-pending", type=int, default=256, help="admission-control bound (429 above)"
     )

@@ -76,8 +76,8 @@ class WireResponse:
     """One decoded ``/search`` or ``/search/topk`` answer.
 
     Mirrors the wire schema: ``ids``/``scores`` are exactly what the engine
-    returned, ``batch_size`` is the micro-batch the query was coalesced
-    into, and ``raw`` keeps the full JSON body for forward compatibility.
+    returned, ``batch_size`` is always 1 (each query is its own engine
+    call), and ``raw`` keeps the full JSON body for forward compatibility.
     """
 
     ids: list[int]

@@ -1,4 +1,4 @@
-"""The query execution layer: one engine, four domains, batched serving.
+"""The query execution layer: one engine, four domains.
 
 :class:`SearchEngine` owns the attached domain stores and answers
 :class:`repro.engine.api.Query` objects through the backend registry.  It
@@ -21,7 +21,6 @@ adds the serving-layer machinery the per-domain searchers do not have:
   (:meth:`SearchEngine.save_index` or a compaction swap);
   :meth:`SearchEngine.enable_auto_compaction` arms a background
   delta-size/scan-cost crossover policy that compacts off the write path;
-* **batched execution** with order-preserving results;
 * **latency statistics** per backend, computed from the
   :class:`repro.common.obs.MetricsRegistry` (one code path feeds
   ``/stats``, ``/metrics`` and the funnel aggregates); and
@@ -1033,7 +1032,3 @@ class SearchEngine:
                 while len(self._cache) > self._cache_size:
                     self._cache.popitem(last=False)
         return response
-
-    def search_batch(self, queries: Sequence[Query]) -> list[Response]:
-        """Answer a batch in order."""
-        return [self.search(query) for query in queries]

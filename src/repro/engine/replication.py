@@ -128,12 +128,9 @@ def _init_worker(
     _WORKER["backend"] = backend_name
 
 
-def _worker_search_many(queries: Sequence[Query]) -> list[dict]:
-    """Answer a chunk of queries in one task, amortising the IPC cost; ids
-    come back global."""
-    engine = _WORKER["engine"]
-    offset = _WORKER["offset"]
-    return [_part(engine.search(query), offset) for query in queries]
+def _worker_search(query: Query) -> dict:
+    """Answer one query on this worker's shard; ids come back global."""
+    return _part(_WORKER["engine"].search(query), _WORKER["offset"])
 
 
 def _part(response: Any, offset: int) -> dict:

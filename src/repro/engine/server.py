@@ -6,28 +6,25 @@ processes, the server never asks which -- so the repo's thresholded
 similarity machinery is reachable by concurrent clients without importing
 the package:
 
-* **work-conserving batch dispatch**: queries from every connection join
-  one FIFO queue and run as ``search_batch`` calls on a one-thread
-  executor.  A batch starts the moment the executor is idle and the queue
-  is non-empty -- no timer -- and whatever arrives while it runs (up to
-  ``max_batch_size``) forms the next batch when it completes.  An idle
-  server therefore answers a lone query at engine speed, and batches
-  re-form by themselves whenever arrivals outpace the executor.
-* **admission control and backpressure**: at most ``max_pending`` queries
+* **per-query dispatch**: every admitted query is one ``engine.search``
+  call on a pool of one thread per CPU the process may use.  Queries from
+  different connections run side by side; nothing waits for companions.
+* **admission control and backpressure**: at most ``max_pending`` requests
   may be in flight; excess requests are rejected immediately with HTTP 429
   and a ``Retry-After`` hint instead of growing an unbounded queue.
 * **schema-versioned JSON endpoints** (:mod:`repro.engine.wire`):
   ``POST /search`` (thresholded selection), ``POST /search/topk`` (top-k),
   ``POST /mutate`` (batched upserts/deletes with explicit durability),
   ``POST /compact``, ``GET /healthz``, ``GET /stats`` and ``GET /manifest``.
-* **write serialisation**: mutations run on the same one-thread executor
-  as the search batches, so a write is atomic with respect to every
-  batch -- no query observes a half-applied mutation -- and admission
-  control covers writes exactly like reads.  With a WAL attached to the
-  engine, a mutation response is written only after the engine's
-  append-and-fsync returns: an acknowledged batch is on disk.
+* **exclusive writes**: searches share a read/write gate, a mutation or
+  compaction holds it alone -- it starts once the searches in flight
+  finish, and searches admitted after it wait for it -- so no query
+  observes a half-applied mutation, not even one shard's part of a
+  multi-shard batch.  With a WAL attached to the engine, a mutation
+  response is written only after the engine's append-and-fsync returns:
+  an acknowledged batch is on disk.
 * **graceful drain**: :meth:`EngineServer.stop` stops accepting work,
-  answers everything already admitted, then shuts the executor down; a
+  answers everything already admitted, then shuts the pool down; a
   killed shard worker surfaces as 503 on the affected queries without
   wedging the dispatch.
 
@@ -39,16 +36,17 @@ blocking :class:`repro.engine.client.EngineClient`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 from repro.common import diag
-from repro.common.obs import BATCH_SIZE_BUCKETS, MetricsRegistry, new_trace_id
+from repro.common.obs import MetricsRegistry, new_trace_id
 from repro.engine.api import Engine, Query
 from repro.engine.wal import check_durability
 from repro.engine.wire import (
@@ -101,6 +99,11 @@ _ENDPOINTS = (
     "/debug/slo",
 )
 
+#: Engine threads: one per CPU this process may run on (what ``nproc`` says).
+_ENGINE_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
 #: Longest profiling window ``GET /debug/profile?seconds=N`` accepts.
 _MAX_PROFILE_SECONDS = 30.0
 
@@ -116,12 +119,10 @@ class ServerConfig:
     Attributes:
         host / port: listen address; port 0 binds an ephemeral port
             (read the real one from :attr:`EngineServer.address`).
-        max_batch_size: most queries coalesced into one ``search_batch``
-            (a batch is whatever queued up while the previous one ran).
-        max_pending: admission-control bound on in-flight queries (queued
+        max_pending: admission-control bound on in-flight requests (waiting
             plus executing); excess requests get 429 + ``Retry-After``.
         drain_timeout_s: longest :meth:`EngineServer.stop` waits for
-            admitted queries before shutting the executor down regardless.
+            admitted requests before shutting the pool down regardless.
         trace: record a span timeline for every search request (clients can
             also opt in per request with an ``X-Trace: 1`` header, or pin
             the id with ``X-Trace-Id``).
@@ -142,7 +143,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    max_batch_size: int = 16
     max_pending: int = 256
     drain_timeout_s: float = 30.0
     trace: bool = False
@@ -153,8 +153,6 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         check_durability(self.durability)
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
@@ -177,16 +175,8 @@ class ServerStats:
         self.registry = registry if registry is not None else MetricsRegistry()
         r = self.registry
         self._queries = r.counter("server_queries_total", "search queries answered 200")
-        self._batches = r.counter("server_batches_total", "coalesced micro-batches executed")
-        self._batch_queries = r.counter(
-            "server_batch_queries_total", "queries summed over executed batches"
-        )
-        self._batch_max = r.gauge("server_batch_size_max", "largest batch so far")
-        self._batch_hist = r.histogram(
-            "server_batch_size", "micro-batch size", buckets=BATCH_SIZE_BUCKETS
-        )
         self._wait_hist = r.histogram(
-            "server_coalesce_wait_seconds", "per-query wait queued behind a running batch"
+            "server_coalesce_wait_seconds", "per-query wait from admission to the engine call"
         )
         self._routes: set[str] = set()
 
@@ -203,13 +193,6 @@ class ServerStats:
         self.registry.histogram(
             "http_request_seconds", "request handling latency", route=route
         ).observe(seconds)
-
-    def observe_batch(self, size: int) -> None:
-        self._batches.inc()
-        self._batch_queries.inc(size)
-        self._batch_hist.observe(size)
-        if size > self._batch_max.value:
-            self._batch_max.set(size)
 
     def observe_wait(self, seconds: float) -> None:
         self._wait_hist.observe(seconds)
@@ -254,13 +237,9 @@ class ServerStats:
         per_endpoint = {
             route: count("http_requests_total", route=route) for route in sorted(self._routes)
         }
-        batches = int(self._batches.value)
         return {
             "num_requests": sum(per_endpoint.values()),
             "num_queries": int(self._queries.value),
-            "num_batches": batches,
-            "avg_batch_size": self._batch_queries.value / batches if batches else 0.0,
-            "max_batch_size": int(self._batch_max.value),
             "rejected_busy": count("server_rejected_total", reason="busy"),
             "rejected_invalid": count("server_rejected_total", reason="invalid"),
             "errors_unavailable": count("server_errors_total", kind="unavailable"),
@@ -277,8 +256,7 @@ class EngineServer:
 
     Args:
         engine: anything meeting the :class:`repro.engine.api.Engine`
-            contract; queries from every connection funnel into its
-            ``search_batch`` through one FIFO queue.
+            contract; every admitted query is one ``search`` call on it.
         config: serving tunables; ``None`` uses the defaults.
         own_engine: close the engine on :meth:`stop`.
     """
@@ -304,11 +282,11 @@ class EngineServer:
         # the first to disarm instead of sharing (and cutting short) it.
         self._profile_lock = asyncio.Lock()
         self._own_engine = own_engine
-        # Queue entries carry their enqueue time (loop clock) so each query's
-        # wait behind the running batch can be reported, and whether the
-        # query must run alone (see ``_finish_batch``).
-        self._queue: deque[tuple[Query, asyncio.Future, float, bool]] = deque()
-        self._batch_running = False
+        # The read/write gate, touched only on the event loop (see ``_run``).
+        self._gate = asyncio.Lock()
+        self._readers = 0
+        self._no_readers = asyncio.Event()
+        self._no_readers.set()
         self._in_flight = 0
         # Requests being handled right now (parse -> dispatch -> response
         # written); the drain waits on this, not just on admitted queries,
@@ -317,10 +295,9 @@ class EngineServer:
         self._draining = False
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
-        # One executor thread: batches run serially, so the engine needs no
-        # extra thread safety, and the next batch coalesces while one runs.
+        # The engines are thread-safe; the gate keeps writes exclusive.
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="engine-batch"
+            max_workers=_ENGINE_THREADS, thread_name_prefix="engine-batch"
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -357,85 +334,53 @@ class EngineServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        # Non-empty only when the drain timed out: what never started is
-        # abandoned, so a late batch completion cannot pump a dead executor.
-        self._queue.clear()
+        # Past a timed-out drain, calls that never started were cancelled
+        # with their connections; this waits only for the ones running.
         self._executor.shutdown(wait=True)
         if self._own_engine:
             self.engine.close()
 
-    # -- batch dispatch ----------------------------------------------------
+    # -- dispatch ----------------------------------------------------------
 
-    def _pump(self) -> None:
-        """Start the next ``search_batch`` iff none is running and queries wait.
+    async def _run(self, call: Callable[[], Any], write: bool) -> tuple[Any, float, float]:
+        """Run one engine call on the pool, behind the read/write gate.
 
-        Work-conserving: an idle executor never waits for companions, and
-        whatever queues up while a batch runs (up to ``max_batch_size``)
-        rides the next one, in arrival order.  The members of a batch that
-        failed on one query's account sit at the head, marked to run alone.
+        ``_gate`` is a FIFO turnstile: a search passes through it and
+        counts itself in ``_readers``; a write holds it, waits for the
+        searches in flight to finish, and runs alone -- so the searches
+        admitted after a write wait for it.  Returns ``(result, wait_s,
+        exec_s)``: admission to the start of the call, and the call itself.
         """
-        if self._batch_running or not self._queue:
-            return
-        loop = asyncio.get_running_loop()
-        alone = self._queue[0][3]
-        size = 1 if alone else min(len(self._queue), self.config.max_batch_size)
-        batch = [self._queue.popleft() for _ in range(size)]
-        self.stats.observe_batch(len(batch))
-        batch_start = loop.time()
-        for _query, _future, enqueued, _alone in batch:
-            self.stats.observe_wait(batch_start - enqueued)
-        self._batch_running = True
-        queries = [query for query, _future, _enqueued, _alone in batch]
-        running = loop.run_in_executor(self._executor, self.engine.search_batch, queries)
-        running.add_done_callback(lambda done: self._finish_batch(batch, batch_start, done))
-
-    def _finish_batch(
-        self,
-        batch: list[tuple[Query, asyncio.Future, float, bool]],
-        batch_start: float,
-        done: asyncio.Future,
-    ) -> None:
-        """Deliver one batch's responses, or its failure, and start the next.
-
-        An engine failure fails exactly the queries of this batch; the
-        dispatch itself lives on.  A request-level error (the family
-        ``_handle_search`` answers with 400) is one query's fault, not the
-        engine's: the members of such a batch go back to the head of the
-        queue to run alone, in order, so only the offender is refused.
-        """
-        self._batch_running = False
-        exec_time = asyncio.get_running_loop().time() - batch_start
-        exc = done.exception()
-        # A future is already done only when a timed-out drain cancelled
-        # the connection awaiting it.
-        if isinstance(exc, _REQUEST_ERRORS) and len(batch) > 1:
-            self._queue.extendleft(
-                (query, future, enqueued, True)
-                for query, future, enqueued, _alone in reversed(batch)
-                if not future.done()
-            )
-        elif exc is not None:
-            for _query, future, _enqueued, _alone in batch:
-                if not future.done():
-                    future.set_exception(exc)
-        else:
-            for (_query, future, enqueued, _alone), response in zip(batch, done.result()):
-                if not future.done():
-                    future.set_result((response, len(batch), batch_start - enqueued, exec_time))
-        self._pump()
-
-    async def _admit(self, query: Query) -> tuple[Any, int, float, float]:
-        """Queue one query for dispatch; returns ``(response, batch_size,
-        coalesce_wait_s, batch_exec_s)``."""
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._queue.append((query, future, loop.time(), False))
+        admitted = time.perf_counter()
         self._in_flight += 1
-        self._pump()
         try:
-            return await future
+            if write:
+                async with self._gate:
+                    await self._no_readers.wait()
+                    return await self._call(call, admitted)
+            await self._gate.acquire()
+            self._gate.release()
+            # No await since the turnstile: a writer woken by the release
+            # runs only after this search is counted.
+            self._readers += 1
+            self._no_readers.clear()
+            try:
+                return await self._call(call, admitted)
+            finally:
+                self._readers -= 1
+                if not self._readers:
+                    self._no_readers.set()
         finally:
             self._in_flight -= 1
+
+    async def _call(self, call: Callable[[], Any], admitted: float) -> tuple[Any, float, float]:
+        def timed() -> tuple[Any, float]:
+            started = time.perf_counter()
+            return call(), started
+
+        loop = asyncio.get_running_loop()
+        result, started = await loop.run_in_executor(self._executor, timed)
+        return result, started - admitted, time.perf_counter() - started
 
     # -- HTTP plumbing -----------------------------------------------------
 
@@ -657,7 +602,7 @@ class EngineServer:
         """The response for a failed engine call, counted by kind.
 
         A dead shard worker or a closed engine (``ShardWorkerError`` is a
-        ``RuntimeError``) is a 503: the request is lost but the batcher
+        ``RuntimeError``) is a 503: the request is lost but the server
         keeps serving, and clients may retry elsewhere or later.  Engine-level
         validation the wire decoder cannot see (backend not attached, a
         payload of the wrong dimension) is that request's own 400.  Anything
@@ -706,20 +651,21 @@ class EngineServer:
             query = replace(query, session=session[:1024])
         started = time.perf_counter()
         try:
-            response, batch_size, wait_s, exec_s = await self._admit(query)
+            response, wait_s, exec_s = await self._run(
+                functools.partial(self.engine.search, query), write=False
+            )
         except Exception as exc:  # noqa: BLE001 - answered by kind, never a crash
             failure = self._failure(exc, trace_id)
             if failure[0] >= 500:  # the server's fault: counts against the SLO
                 self._observe_failure(query, trace_id, started, exc)
             return failure
         e2e_ms = (time.perf_counter() - started) * 1000.0
+        self.stats.observe_wait(wait_s)
         self.stats.observe_query()
         self.slo.observe(e2e_ms)
-        payload = encode_response(response, batch_size)
+        payload = encode_response(response)
         if trace_id is not None:
-            payload["trace"] = self._request_trace(
-                path, query, response, batch_size, wait_s, exec_s, e2e_ms
-            )
+            payload["trace"] = self._request_trace(path, query, response, wait_s, exec_s, e2e_ms)
             self.traces.add(payload["trace"], e2e_ms=e2e_ms)
         return 200, payload, {}
 
@@ -728,14 +674,14 @@ class EngineServer:
         path: str,
         query: Query,
         response: Any,
-        batch_size: int,
         wait_s: float,
         exec_s: float,
         e2e_ms: float,
     ) -> dict:
         """One request's diagnostic document: what was asked and what it
         cost (``query``, the line a slow-query log would carry), and the
-        timeline -- coalesce wait, then the batch execution with the
+        timeline -- the wait from admission to the engine call
+        (``coalesce_wait``), then the call itself (``batch_exec``) with the
         engine's own span tree (which for a sharded engine holds the
         per-shard candidate/verify spans and the merge) embedded."""
         wait_ms = wait_s * 1000.0
@@ -761,7 +707,7 @@ class EngineServer:
                 "tau": query.tau,
                 "k": query.k,
                 "algorithm": query.algorithm,
-                "batch_size": batch_size,
+                "batch_size": 1,
                 "num_results": response.num_results,
                 "num_candidates": response.num_candidates,
                 "num_generated": response.num_generated,
@@ -804,63 +750,42 @@ class EngineServer:
             )
 
     async def _handle_mutation(self, path: str, body: bytes) -> tuple[int, dict, dict[str, str]]:
-        """Apply one mutation batch or compaction through the batch executor.
+        """Apply one mutation batch or compaction, alone behind the gate.
 
-        Writes run on the same single thread as the coalesced search
-        batches, so every batch sees either all of a mutation or none of
-        it, and the admission-control / drain bookkeeping covers writes
-        exactly like reads.
+        No search runs while it does, so every search sees either all of a
+        mutation or none of it, and the admission-control / drain
+        bookkeeping covers writes exactly like reads.  ``engine.mutate``
+        appends the batch to the WAL and fsyncs before returning (at "wal"
+        durability), and it returns before the response is written -- so a
+        client ack always means the batch is on disk.
         """
         refusal, parsed = self._admit_body(body)
         if refusal is not None:
             return refusal
         try:
-            apply = self._decode_mutation(path, parsed)
+            if path == "/mutate":
+                backend_name, ops, durability = decode_mutate(parsed)
+                if durability is None:
+                    durability = self.config.durability
+                call = functools.partial(self.engine.mutate, backend_name, ops, durability)
+                kinds = ["mutate", *(op["op"] for op in ops)]
+            else:
+                call = functools.partial(self.engine.compact, decode_compact(parsed))
+                kinds = ["compact"]
         except WireFormatError as exc:
             self.stats.observe_rejected("invalid")
             return 400, {"error": str(exc)}, {}
-        loop = asyncio.get_running_loop()
-        self._in_flight += 1
         try:
-            payload = await loop.run_in_executor(self._executor, apply)
+            payload, _wait_s, _exec_s = await self._run(call, write=True)
         except Exception as exc:  # noqa: BLE001 - answered by kind, never a crash
             return self._failure(exc)
-        finally:
-            self._in_flight -= 1
+        for kind in kinds:
+            self.stats.observe_mutation(kind)
         payload["schema_version"] = WIRE_SCHEMA_VERSION
         token = format_session(payload.get("wal_seq"))
         if token is not None:
             payload["session"] = token
         return 200, payload, {}
-
-    def _decode_mutation(self, path: str, parsed: Any):
-        """Decode one mutation body into a thunk run on the batch executor."""
-        engine = self.engine
-        if path == "/mutate":
-            backend_name, ops, durability = decode_mutate(parsed)
-            if durability is None:
-                durability = self.config.durability
-
-            def apply() -> dict:
-                # engine.mutate appends the batch to the WAL and fsyncs
-                # before returning (at "wal" durability), and this thunk
-                # completes before the response is written -- so a client
-                # ack always means the batch is on disk.
-                outcome = engine.mutate(backend_name, ops, durability)
-                self.stats.observe_mutation("mutate")
-                for op in ops:
-                    self.stats.observe_mutation(op["op"])
-                return outcome
-
-        else:
-            backend_name = decode_compact(parsed)
-
-            def apply() -> dict:
-                summary = engine.compact(backend_name)
-                self.stats.observe_mutation("compact")
-                return summary
-
-        return apply
 
     def _healthz(self) -> dict:
         slo = self.slo.status()
@@ -907,10 +832,7 @@ class EngineServer:
         payload = {
             "schema_version": WIRE_SCHEMA_VERSION,
             "server": self.stats.snapshot(),
-            "config": {
-                "max_batch_size": self.config.max_batch_size,
-                "max_pending": self.config.max_pending,
-            },
+            "config": {"max_pending": self.config.max_pending},
             "engine": self.engine.stats.snapshot(),
         }
         try:
@@ -928,7 +850,6 @@ class EngineServer:
 
     def _metrics_text(self) -> str:
         registry = self.stats.registry
-        registry.gauge("server_queue_depth", "queries waiting for a batch").set(len(self._queue))
         registry.gauge("server_in_flight", "admitted queries in flight").set(self._in_flight)
         merged = MetricsRegistry()
         merged.merge_wire(registry.to_wire())

@@ -67,7 +67,7 @@ from repro.engine.replication import (
     _PipeWorker,
     _worker_call,
     _worker_profile_wire,
-    _worker_search_many,
+    _worker_search,
     _worker_start_profiler,
     _worker_stop_profiler,
 )
@@ -239,16 +239,14 @@ class ShardedStats:
     """Aggregate fan-out/merge statistics of one :class:`ShardedEngine`.
 
     ``merge_time`` is the pure result-combination overhead.  ``fanout_time``
-    is wall time attributed to queries: each chunk's incremental wall time
-    is amortised over the chunk's queries, so the total equals the batch
-    wall time and ``avg_fanout_time_ms`` is the inverse of batch
-    throughput.  A single :meth:`ShardedEngine.search` is a chunk of one,
-    charged its submit-to-merged span (so ``fanout_time - max per-shard
-    worker time`` approximates the IPC cost).
+    is each query's submit-to-merged span, so ``fanout_time - max per-shard
+    worker time`` approximates the IPC cost.
 
     Every number lives in a :class:`repro.common.obs.MetricsRegistry` (the
     parent's half of ``/metrics``; the workers' registries are merged in by
-    :meth:`ShardedEngine.metrics_wire`).
+    :meth:`ShardedEngine.metrics_wire`).  Searches run on many threads at
+    once, so every update holds ``_lock``, a leaf lock: nothing is called
+    while it is held.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -263,6 +261,7 @@ class ShardedStats:
         )
         self._merge_latency = r.histogram("sharded_merge_seconds", "per-query merge latency")
         self._shards: list[dict[str, Any]] = []
+        self._lock = threading.Lock()
 
     def add_shard(self) -> None:
         """Create one shard's instruments once; the per-query path holds
@@ -297,23 +296,26 @@ class ShardedStats:
         )
 
     def observe_query(self, fanout_s: float, merge_s: float, parts: Sequence[dict]) -> None:
-        self._queries.inc()
-        self._fanout.inc(fanout_s)
-        self._merge.inc(merge_s)
-        self._merge_latency.observe(merge_s)
-        for shard, part in zip(self._shards, parts):
-            seconds = part["engine_time"]
-            shard["queries"].inc()
-            shard["seconds"].inc(seconds)
-            if seconds > shard["max_seconds"].value:
-                shard["max_seconds"].set(seconds)
-            shard["latency"].observe(seconds)
+        with self._lock:
+            self._queries.inc()
+            self._fanout.inc(fanout_s)
+            self._merge.inc(merge_s)
+            self._merge_latency.observe(merge_s)
+            for shard, part in zip(self._shards, parts):
+                seconds = part["engine_time"]
+                shard["queries"].inc()
+                shard["seconds"].inc(seconds)
+                if seconds > shard["max_seconds"].value:
+                    shard["max_seconds"].set(seconds)
+                shard["latency"].observe(seconds)
 
     def observe_worker_error(self, shard_id: int) -> None:
-        self._shards[shard_id]["errors"].inc()
+        with self._lock:
+            self._shards[shard_id]["errors"].inc()
 
     def observe_failover(self, shard_id: int) -> None:
-        self._shards[shard_id]["failovers"].inc()
+        with self._lock:
+            self._shards[shard_id]["failovers"].inc()
 
     def snapshot(self) -> dict:
         queries = int(self._queries.value)
@@ -921,8 +923,8 @@ class ShardedEngine:
             raise
 
     def _merge(self, query: Query, parts: list[dict], elapsed: float) -> Response:
-        """Combine per-shard answers; ``elapsed`` is the wall time to charge
-        this query for the fan-out (excluding the merge itself)."""
+        """Combine per-shard answers; ``elapsed`` is the query's fan-out wall
+        time, submit to the last shard's answer (excluding the merge)."""
         merge_timer = Timer()
         if query.k is None:
             ids = merge_threshold(parts)
@@ -998,57 +1000,13 @@ class ShardedEngine:
 
     def search(self, query: Query) -> Response:
         """Fan one query out to every shard and merge the partial answers."""
-        return self.search_batch([query])[0]
-
-    def search_batch(self, queries: Sequence[Query]) -> list[Response]:
-        """Answer a batch pipelined across the shards; order is preserved.
-
-        Queries are grouped into chunks and every chunk becomes one task per
-        shard, so (a) the per-frame pickling and pipe round trip is amortised
-        over the whole chunk, and (b) shard ``s`` can work on chunk ``c + 1``
-        while the parent still waits on chunk ``c``'s slowest shard.  The
-        chunk size aims for about four chunks in flight, capped at 32
-        queries; a single query is one chunk of one.
-        """
         self._require_open()
-        queries = list(queries)
-        floors: dict[int, int] = {}
-        for query in queries:
-            self._check_backend(query.backend)
-            # The batch shares one routing floor per shard (the max over
-            # its queries' tokens): conservative, and it keeps every chunk
-            # on replicas that satisfy all of its queries.
-            for shard_id, seq in parse_session(query.session).items():
-                floors[shard_id] = max(floors.get(shard_id, 0), seq)
-        # Enough chunks to pipeline (about four per shard cycle), capped so
-        # huge batches still amortise the IPC cost.
-        chunk_size = max(1, min(32, len(queries) // 4))
-        chunks = [
-            queries[start : start + chunk_size]
-            for start in range(0, len(queries), chunk_size)
-        ]
+        self._check_backend(query.backend)
+        floors = parse_session(query.session)
         timer = Timer()
-        in_flight = [
-            [
-                self._submit_to_shard(
-                    shard_id, _worker_search_many, chunk, min_seq=floors.get(shard_id, 0)
-                )
-                for shard_id in range(len(self._sets))
-            ]
-            for chunk in chunks
+        routed = [
+            self._submit_to_shard(shard_id, _worker_search, query, min_seq=floors.get(shard_id, 0))
+            for shard_id in range(len(self._sets))
         ]
-        responses: list[Response] = []
-        for chunk, futures in zip(chunks, in_flight):
-            shard_parts = [
-                self._shard_result(shard_id, future)
-                for shard_id, future in enumerate(futures)
-            ]
-            # Wall time since the previous chunk completed, amortised over
-            # this chunk's queries: summed over the batch it equals the batch
-            # wall time (chunks overlap in flight, so charging each query its
-            # full time-in-system would double-count the pipelining).
-            share = timer.restart() / len(chunk)
-            for position, query in enumerate(chunk):
-                parts = [parts_of_shard[position] for parts_of_shard in shard_parts]
-                responses.append(self._merge(query, parts, share))
-        return responses
+        parts = [self._shard_result(shard_id, future) for shard_id, future in enumerate(routed)]
+        return self._merge(query, parts, timer.elapsed())

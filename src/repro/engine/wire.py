@@ -15,8 +15,8 @@ body is the wire form of one :class:`repro.engine.api.Query`::
     }
 
 and a response body is the wire form of one :class:`Response` plus serving
-metadata (the size of the coalesced micro-batch the query rode in).  Domain
-payloads cross the wire through ``Backend.payload_to_wire`` /
+metadata (``batch_size``, always 1: each query is its own engine call).
+Domain payloads cross the wire through ``Backend.payload_to_wire`` /
 ``payload_from_wire``: token-id lists and strings are JSON-native, binary
 vectors become 0/1 integer lists, graphs become ``{vertices, edges}``
 objects.  JSON keeps the int/float distinction for ``tau``, which is
@@ -288,13 +288,13 @@ def decode_compact(body: Any) -> str | None:
     return None if backend is None else backend.name
 
 
-def encode_response(response: Response, batch_size: int = 1) -> dict:
+def encode_response(response: Response) -> dict:
     """The JSON-serialisable wire form of one response (server side).
 
-    ``batch_size`` is the size of the micro-batch the query was coalesced
-    into -- serving metadata the in-process :class:`Response` does not have.
-    A span timeline is attached under ``"trace"`` only when the query was
-    traced, keeping untraced responses byte-identical to schema v1.
+    ``batch_size`` is always 1 -- every query is its own engine call -- and
+    stays in the schema until a version bump drops it.  A span timeline is
+    attached under ``"trace"`` only when the query was traced, keeping
+    untraced responses byte-identical to schema v1.
     """
     doc = {
         "schema_version": WIRE_SCHEMA_VERSION,
@@ -310,7 +310,7 @@ def encode_response(response: Response, batch_size: int = 1) -> dict:
         "num_generated": response.num_generated,
         "engine_time_ms": response.engine_time * 1000.0,
         "cached": response.cached,
-        "batch_size": batch_size,
+        "batch_size": 1,
     }
     if response.trace is not None:
         doc["trace"] = response.trace

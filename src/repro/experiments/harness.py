@@ -52,8 +52,8 @@ def run_engine_workload(
         for payload in payloads
     ]
     stats = QueryStats()
-    for response in engine.search_batch(queries):
-        stats.add(response)
+    for query in queries:
+        stats.add(engine.search(query))
     return stats
 
 

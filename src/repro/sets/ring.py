@@ -26,7 +26,7 @@ of one grouped ``bincount``, the length filter, chain condition and
 suffix-box bound are evaluated over the whole touched-object array at once,
 and verification counts every candidate's overlap with one ``searchsorted``
 sweep.  Candidates and results are emitted ascending by id.  Scratch
-buffers are thread-local, so the engine's pooled ``search_batch`` stays safe.
+buffers are thread-local, so concurrent searches on one searcher stay safe.
 
 Edge cases that the synthetic workloads do hit are handled conservatively to
 preserve exactness:

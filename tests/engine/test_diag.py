@@ -610,14 +610,14 @@ def test_slow_request_keeps_its_summary_through_a_flood_of_fast_traces(
 ):
     engine = SearchEngine(cache_size=64)
     engine.add_dataset("sets", datasets["sets"])
-    search_batch = engine.search_batch
+    search = engine.search
 
-    def stall_the_marked_query(queries):
-        if queries[0].trace_id == "slow-one":
+    def stall_the_marked_query(query):
+        if query.trace_id == "slow-one":
             time.sleep(0.05)
-        return search_batch(queries)
+        return search(query)
 
-    engine.search_batch = stall_the_marked_query
+    engine.search = stall_the_marked_query
     # The cached repeats that follow are far under the threshold.
     config = ServerConfig(slow_query_ms=25.0, trace_budget=0.01)
     with ServerThread(engine, config) as handle, EngineClient(handle.url) as client:
@@ -646,7 +646,9 @@ def test_slow_request_keeps_its_summary_through_a_flood_of_fast_traces(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["slow_query_log", "slow_query_max_mb", "profile_hz"])
+@pytest.mark.parametrize(
+    "name", ["slow_query_log", "slow_query_max_mb", "profile_hz", "max_batch_size"]
+)
 def test_server_config_rejects_removed_fields(name):
     with pytest.raises(TypeError, match=name):
         ServerConfig(**{name: 1})
@@ -654,7 +656,13 @@ def test_server_config_rejects_removed_fields(name):
 
 @pytest.mark.parametrize(
     "flag",
-    ["--slow-query-log", "--slow-query-max-mb", "--profile-hz", "--slow-query-keep-files"],
+    [
+        "--slow-query-log",
+        "--slow-query-max-mb",
+        "--profile-hz",
+        "--slow-query-keep-files",
+        "--max-batch",
+    ],
 )
 def test_serve_rejects_removed_flags(flag, capsys):
     from repro.engine.cli import build_parser

@@ -1,4 +1,4 @@
-"""Query execution: batching, thread safety, the LRU cache, and statistics."""
+"""Query execution: thread safety, the LRU cache, and statistics."""
 
 from __future__ import annotations
 
@@ -23,12 +23,10 @@ def test_batch_matches_sequential_execution(engine, query_payloads, taus, name):
     queries = _workload_queries(query_payloads, taus, name)
     sequential = [engine.search(query) for query in queries]
     engine.clear_cache()
-    batched = engine.search_batch(queries)
-    engine.clear_cache()
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(engine.search, queries))
-    for a, b, c in zip(sequential, batched, parallel):
-        assert sorted(a.ids) == sorted(b.ids) == sorted(c.ids)
+    for a, b in zip(sequential, parallel):
+        assert sorted(a.ids) == sorted(b.ids)
 
 
 def test_parallel_batch_preserves_order(engine, query_payloads, taus):
@@ -44,7 +42,7 @@ def test_mixed_domain_batch(engine, query_payloads, taus):
         _workload_queries(query_payloads, taus, name)[0]
         for name in ("hamming", "sets", "strings", "graphs")
     ]
-    responses = engine.search_batch(queries)
+    responses = [engine.search(query) for query in queries]
     assert [response.query.backend for response in responses] == [
         "hamming",
         "sets",
@@ -119,7 +117,8 @@ def test_replacing_a_dataset_invalidates_its_cache(datasets, query_payloads, tau
 
 def test_stats_aggregate_per_backend(engine, query_payloads, taus):
     for name in ("hamming", "sets"):
-        engine.search_batch(_workload_queries(query_payloads, taus, name))
+        for query in _workload_queries(query_payloads, taus, name):
+            engine.search(query)
     snapshot = engine.stats.snapshot()
     assert set(snapshot["per_backend"]) == {"hamming", "sets"}
     assert snapshot["per_backend"]["hamming"]["num_queries"] == len(query_payloads["hamming"])

@@ -304,7 +304,7 @@ def test_sets_tokens_outside_int64_are_refused(topology, datasets, query_payload
     """A sets token is an integer that fits in int64.  One that does not is
     refused when it arrives -- a ValueError in process, a 400 over HTTP --
     instead of being acknowledged and then failing every later query with
-    an OverflowError (a 500 for the whole coalesced batch)."""
+    an OverflowError (a 500 for every query)."""
     payload = query_payloads["sets"][0]
     with contextlib.ExitStack() as stack:
         if topology == "sharded":

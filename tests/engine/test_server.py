@@ -1,4 +1,4 @@
-"""The HTTP serving layer: wire equality, batching, backpressure, drain."""
+"""The HTTP serving layer: wire equality, dispatch, backpressure, drain."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from repro.engine import (
     ShardedEngine,
     build_shards,
 )
+from repro.engine import server as server_module
 from repro.engine.wire import WireFormatError, decode_query, encode_query
 
 ALL_DOMAINS = ["hamming", "sets", "strings", "graphs"]
@@ -150,7 +151,6 @@ def test_stats_counts_requests_and_batches(served, client, query_payloads, taus)
     client.search("sets", query_payloads["sets"][0], tau=taus["sets"])
     body = client.stats()
     assert body["server"]["num_queries"] >= 1
-    assert body["server"]["num_batches"] >= 1
     assert body["engine"]["num_queries"] >= 1
     assert body["config"]["max_pending"] == 256
 
@@ -282,40 +282,53 @@ def test_unknown_paths_bucket_as_other_in_stats(served, client):
 
 
 # ---------------------------------------------------------------------------
-# Work-conserving batch dispatch
+# Per-query dispatch and the read/write gate
 # ---------------------------------------------------------------------------
 
 
 class _BlockingEngine:
-    """A stand-in engine whose batches block until released.
+    """A stand-in engine whose searches block until released.
 
-    Records the payloads of every batch it is handed; ``fail_batches``
-    names the batches (by call order, from 1) that raise instead, and
-    ``bad_payloads`` the payloads the engine refuses as a real one refuses a
-    query of the wrong dimension: with a ``ValueError`` from the batch.
+    Records the payload of every search it is handed and, in ``events``,
+    the order in which searches and mutations reached it.  ``fail_payloads``
+    raise instead, as an engine fault; ``bad_payloads`` are refused as a
+    real engine refuses a query of the wrong dimension: with a
+    ``ValueError``.  Mutations never block.
     """
 
-    def __init__(self, fail_batches=(), bad_payloads=()):
+    def __init__(self, fail_payloads=(), bad_payloads=()):
         self.release = threading.Event()
-        self.batches: list[list] = []
-        self.fail_batches = set(fail_batches)
+        self.payloads: list[list] = []
+        self.events: list[tuple] = []
+        self.running = 0
+        self.fail_payloads = [list(payload) for payload in fail_payloads]
         self.bad_payloads = [list(payload) for payload in bad_payloads]
+        self._lock = threading.Lock()
 
     @property
     def calls(self) -> int:
-        return len(self.batches)
+        return len(self.payloads)
 
-    def search_batch(self, queries):
-        self.batches.append([query.payload for query in queries])
-        assert self.release.wait(timeout=30.0)
-        if len(self.batches) in self.fail_batches:
-            raise ZeroDivisionError("engine blew up")
-        for query in queries:
+    def search(self, query):
+        with self._lock:
+            self.payloads.append(query.payload)
+            self.events.append(("search", query.payload))
+            self.running += 1
+        try:
+            assert self.release.wait(timeout=30.0)
+            if query.payload in self.fail_payloads:
+                raise ZeroDivisionError("engine blew up")
             if query.payload in self.bad_payloads:
                 raise ValueError(f"bad payload {query.payload}")
-        return [
-            Response(query=query, ids=[], tau_effective=query.tau) for query in queries
-        ]
+            return Response(query=query, ids=[], tau_effective=query.tau)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+    def mutate(self, backend_name, ops, durability=None):
+        with self._lock:
+            self.events.append(("mutate", self.running))
+        return {"results": [], "wal_seq": None}
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -327,31 +340,34 @@ def _wait_for(predicate, timeout=5.0):
     return False
 
 
-class _QueuedCallers:
-    """One query blocked inside the engine and ``queued`` more behind it.
+class _Callers:
+    """Callers started one at a time, each once the previous was admitted.
 
-    Callers are started one at a time, each only after the previous one is
-    in the server's queue, so arrival order is the payload order
-    ``[0], [1], ...``.  ``outcomes[i]`` ends up as the ``WireResponse`` or
-    the raised exception of caller ``i``.
+    ``requests[i]`` is ``("search", payload)`` or ``("mutate", ops)``; a bare
+    int is the search for ``[i]``.  ``outcomes[i]`` ends up as the
+    ``WireResponse`` (or mutation body) or the raised exception of caller
+    ``i``.
     """
 
-    def __init__(self, handle, engine, queued):
+    def __init__(self, handle, requests):
         self.outcomes: dict[int, object] = {}
         self.threads = []
-        for index in range(queued + 1):
-            thread = threading.Thread(target=self._call, args=(handle.url, index))
+        for index, request in enumerate(requests):
+            if isinstance(request, int):
+                request = ("search", [request])
+            thread = threading.Thread(target=self._call, args=(handle.url, index, request))
             thread.start()
             self.threads.append(thread)
-            if index == 0:
-                assert _wait_for(lambda: engine.calls == 1)
-            else:
-                assert _wait_for(lambda: len(handle.server._queue) == index)
+            assert _wait_for(lambda: handle.server._in_flight == index + 1)
 
-    def _call(self, url, index):
+    def _call(self, url, index, request):
+        kind, body = request
         try:
             with EngineClient(url) as client:
-                self.outcomes[index] = client.search("sets", [index], tau=1)
+                if kind == "search":
+                    self.outcomes[index] = client.search("sets", body, tau=1)
+                else:
+                    self.outcomes[index] = client.mutate("sets", body)
         except Exception as exc:  # noqa: BLE001 - the test inspects it
             self.outcomes[index] = exc
 
@@ -361,26 +377,20 @@ class _QueuedCallers:
         assert not any(thread.is_alive() for thread in self.threads)
 
 
-def test_concurrent_queries_coalesce_into_batches():
-    for max_batch_size, expected in [
-        (8, [[[0]], [[1], [2], [3], [4], [5]]]),
-        (2, [[[0]], [[1], [2]], [[3], [4]], [[5]]]),
-    ]:
-        engine = _BlockingEngine()
-        with ServerThread(engine, ServerConfig(max_batch_size=max_batch_size)) as handle:
-            callers = _QueuedCallers(handle, engine, queued=5)
-            # Nothing is dispatched behind the running batch, however long it runs.
-            assert engine.calls == 1
-            engine.release.set()
-            callers.join()
-            # What queued while the first batch ran rides the next one(s), FIFO.
-            assert engine.batches == expected
-            sizes = [callers.outcomes[index].batch_size for index in range(6)]
-            assert sizes == [len(batch) for batch in expected for _ in batch]
-            snapshot = handle.server.stats.snapshot()
-            assert snapshot["num_queries"] == 6
-            assert snapshot["num_batches"] == len(expected)
-            assert snapshot["max_batch_size"] == max(sizes)
+def test_concurrent_queries_each_run_their_own_search():
+    engine = _BlockingEngine()
+    with ServerThread(engine) as handle:
+        callers = _Callers(handle, range(6))
+        # Every admitted query is its own engine call, as many at once as
+        # the pool has threads; none waits for companions.
+        assert _wait_for(lambda: engine.running == min(6, server_module._ENGINE_THREADS))
+        engine.release.set()
+        callers.join()
+        assert sorted(engine.payloads) == [[index] for index in range(6)]
+        assert [callers.outcomes[index].batch_size for index in range(6)] == [1] * 6
+        snapshot = handle.server.stats.snapshot()
+        assert snapshot["num_queries"] == 6
+        assert "num_batches" not in snapshot
 
 
 def test_serial_queries_dispatch_without_a_coalescing_wait():
@@ -391,46 +401,43 @@ def test_serial_queries_dispatch_without_a_coalescing_wait():
     assert all(response.batch_size == 1 for response in responses)
     waits_ms = sorted(response.trace["spans"][0]["duration_ms"] for response in responses)
     assert responses[0].trace["spans"][0]["name"] == "coalesce_wait"
-    # An idle executor starts the batch at once: no timer to sit out.
+    # An idle pool starts the call at once: no timer to sit out.
     assert waits_ms[len(waits_ms) // 2] < 0.5
 
 
-def test_engine_exception_fails_exactly_its_batch():
-    engine = _BlockingEngine(fail_batches=[2])
-    with ServerThread(engine, ServerConfig(max_batch_size=2)) as handle:
-        callers = _QueuedCallers(handle, engine, queued=3)
+def test_engine_exception_fails_exactly_its_query():
+    engine = _BlockingEngine(fail_payloads=[[1]])
+    with ServerThread(engine) as handle:
+        callers = _Callers(handle, range(4))
         engine.release.set()
         callers.join()
-        assert engine.batches == [[[0]], [[1], [2]], [[3]]]
-        assert callers.outcomes[0].ids == [] and callers.outcomes[3].ids == []
-        for index in (1, 2):
-            failure = callers.outcomes[index]
-            assert isinstance(failure, RequestError) and failure.status == 500
-            assert "engine blew up" in str(failure)
-        assert handle.server.stats.snapshot()["errors_internal"] == 2
+        assert sorted(engine.payloads) == [[0], [1], [2], [3]]
+        for index in (0, 2, 3):
+            assert callers.outcomes[index].ids == []
+        failure = callers.outcomes[1]
+        assert isinstance(failure, RequestError) and failure.status == 500
+        assert "engine blew up" in str(failure)
+        assert handle.server.stats.snapshot()["errors_internal"] == 1
         # The dispatch lives on: the next query is answered.
         with EngineClient(handle.url) as client:
             assert client.search("sets", [9], tau=1).batch_size == 1
 
 
-def test_bad_query_fails_alone_not_its_batch():
+def test_bad_query_fails_alone():
     engine = _BlockingEngine(bad_payloads=[[2]])
     with ServerThread(engine) as handle:
-        callers = _QueuedCallers(handle, engine, queued=4)
+        callers = _Callers(handle, range(5))
         engine.release.set()
         callers.join()
-        # The batch holding the bad query is re-run one member at a time, in
-        # order and ahead of nothing it arrived behind.
-        assert engine.batches == [[[0]], [[1], [2], [3], [4]], [[1]], [[2]], [[3]], [[4]]]
+        # Each query reached the engine exactly once; only the offender failed.
+        assert sorted(engine.payloads) == [[0], [1], [2], [3], [4]]
         for index in (0, 1, 3, 4):
             assert callers.outcomes[index].ids == []
-            assert callers.outcomes[index].batch_size == 1
         failure = callers.outcomes[2]
         assert isinstance(failure, RequestError) and failure.status == 400
         assert "bad payload [2]" in str(failure)
         assert handle.server.stats.snapshot()["rejected_invalid"] == 1
         assert handle.server.stats.snapshot()["errors_internal"] == 0
-        # The dispatch lives on, and a bad query on its own is still a 400.
         with EngineClient(handle.url) as client:
             assert client.search("sets", [9], tau=1).batch_size == 1
             with pytest.raises(RequestError) as info:
@@ -438,9 +445,27 @@ def test_bad_query_fails_alone_not_its_batch():
             assert info.value.status == 400
 
 
+def test_a_write_runs_alone_between_the_searches_around_it():
+    engine = _BlockingEngine()
+    delete_one = [{"op": "delete", "id": 5}]
+    with ServerThread(engine) as handle:
+        # A search blocked in the engine, a write admitted behind it, and a
+        # search admitted behind the write.
+        callers = _Callers(handle, [0, ("mutate", delete_one), 1])
+        # The write waits for the search in flight, and the later search
+        # waits for the write, though the pool has room for it.
+        time.sleep(0.05)
+        assert engine.events == [("search", [0])]
+        engine.release.set()
+        callers.join()
+        assert engine.events == [("search", [0]), ("mutate", 0), ("search", [1])]
+        assert callers.outcomes[0].ids == [] and callers.outcomes[2].ids == []
+        assert handle.server.stats.snapshot()["num_deletes"] == 1
+
+
 def test_backpressure_rejects_with_429_and_retry_after():
     engine = _BlockingEngine()
-    config = ServerConfig(max_batch_size=1, max_pending=2)
+    config = ServerConfig(max_pending=2)
     with ServerThread(engine, config) as handle:
         results = []
 
@@ -472,11 +497,11 @@ def test_backpressure_rejects_with_429_and_retry_after():
 
 def test_graceful_drain_answers_in_flight_queries():
     engine = _BlockingEngine()
-    handle = ServerThread(engine, ServerConfig(max_batch_size=2)).start()
+    handle = ServerThread(engine).start()
     url = handle.url
-    # One query blocked in the engine, three queued behind it: the drain
-    # must see all of them through (two more batches), then stop.
-    callers = _QueuedCallers(handle, engine, queued=3)
+    # Four admitted queries, as many in the engine as the pool has threads:
+    # the drain must see all of them through, then stop.
+    callers = _Callers(handle, range(4))
     assert handle.server._in_flight == 4
 
     stopper = threading.Thread(target=handle.stop)
@@ -488,7 +513,7 @@ def test_graceful_drain_answers_in_flight_queries():
     callers.join()
     assert not stopper.is_alive()
     assert [callers.outcomes[index].ids for index in range(4)] == [[]] * 4
-    assert engine.batches == [[[0]], [[1], [2]], [[3]]]
+    assert sorted(engine.payloads) == [[0], [1], [2], [3]]
     with pytest.raises((ConnectionError, OSError)):
         EngineClient(url, timeout=1.0).healthz()
 
@@ -496,18 +521,20 @@ def test_graceful_drain_answers_in_flight_queries():
 def test_timed_out_drain_abandons_what_never_started(caplog):
     engine = _BlockingEngine()
     handle = ServerThread(engine, ServerConfig(drain_timeout_s=0.05)).start()
-    callers = _QueuedCallers(handle, engine, queued=2)
+    # A search blocked in the engine holds a write and a second search at
+    # the gate: neither of them ever starts.
+    callers = _Callers(handle, [0, ("mutate", [{"op": "delete", "id": 5}]), 1])
 
     stopper = threading.Thread(target=handle.stop)
     stopper.start()
     # Past the drain deadline the connections are dropped; stop() then only
-    # waits for the batch the executor is still running.
-    assert _wait_for(lambda: not handle.server._queue and handle.server._in_flight == 0)
+    # waits for the call the pool is still running.
+    assert _wait_for(lambda: handle.server._in_flight == 0)
     engine.release.set()
     stopper.join(timeout=10)
     callers.join()
     assert not stopper.is_alive()
-    assert engine.batches == [[[0]]]
+    assert engine.events == [("search", [0])]
     assert all(isinstance(callers.outcomes[i], ConnectionError) for i in range(3))
     assert not [record for record in caplog.records if record.name == "asyncio"]
 
@@ -546,7 +573,7 @@ def test_dead_shard_worker_maps_to_503_without_wedging(tmp_path, datasets, taus)
             with pytest.raises(ServerUnavailableError, match="shard"):
                 client.search("strings", datasets["strings"].record(0), tau=taus["strings"])
 
-            # The batcher survives: health and stats still answer, and the
+            # The server survives: health and stats still answer, and the
             # failure is accounted as unavailability, not a crash.  With no
             # replica left for shard 0, /healthz reports "failing" as a 503
             # so load balancers stop routing here.
@@ -558,3 +585,53 @@ def test_dead_shard_worker_maps_to_503_without_wedging(tmp_path, datasets, taus)
             assert handle.server.stats.snapshot()["errors_unavailable"] >= 1
             with pytest.raises(ServerUnavailableError):
                 client.search("strings", datasets["strings"].record(1), tau=taus["strings"])
+
+
+# ---------------------------------------------------------------------------
+# Served writes are atomic with respect to served reads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_shards", [0, 2])
+def test_served_writes_are_atomic_for_concurrent_readers(tmp_path, datasets, num_shards):
+    """Every write batch deletes, or re-upserts, one id in each shard's
+    range; no reader may see one of the pair without the other (a sharded
+    ``/mutate`` applies its per-shard sub-batches in parallel)."""
+    record = datasets["sets"].record(0)
+    pair = {10, 100}  # one id per shard of 150 records split in two
+    if num_shards:
+        directory = str(tmp_path / "shards")
+        build_shards("sets", datasets["sets"], directory, num_shards)
+        engine = ShardedEngine(directory)
+    else:
+        engine = SearchEngine(cache_size=0)
+        engine.add_dataset("sets", datasets["sets"])
+    upserts = [{"op": "upsert", "record": record, "id": obj_id} for obj_id in sorted(pair)]
+    deletes = [{"op": "delete", "id": obj_id} for obj_id in sorted(pair)]
+    torn: list[set] = []
+    reads = [0]
+    done = threading.Event()
+
+    def read(url):
+        with EngineClient(url) as client:
+            while not done.is_set():
+                seen = pair & set(client.search("sets", record, tau=1.0).ids)
+                reads[0] += 1
+                if seen not in (set(), pair):
+                    torn.append(seen)
+
+    with ServerThread(engine, own_engine=True) as handle:
+        with EngineClient(handle.url) as writer:
+            writer.mutate("sets", upserts)
+            readers = [threading.Thread(target=read, args=(handle.url,)) for _ in range(3)]
+            for thread in readers:
+                thread.start()
+            try:
+                for batch in range(60):
+                    writer.mutate("sets", deletes if batch % 2 == 0 else upserts)
+            finally:
+                done.set()
+                for thread in readers:
+                    thread.join(timeout=30)
+    assert reads[0] > 0
+    assert torn == []

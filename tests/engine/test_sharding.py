@@ -221,15 +221,18 @@ def test_sharded_topk_equals_unsharded_graphs(tmp_path):
             assert sharded.scores == pytest.approx(reference.scores)
 
 
-def test_search_batch_preserves_order_and_results(engine, sharded_engines, query_payloads, taus):
+def test_concurrent_sharded_searches_keep_order_and_results(
+    engine, sharded_engines, query_payloads, taus
+):
     queries = [
         Query(backend="sets", payload=payload, tau=taus["sets"])
         for payload in query_payloads["sets"]
     ] * 3
-    # 24 queries: several chunks in flight at once.
-    batch = sharded_engines["sets"].search_batch(queries)
-    assert len(batch) == len(queries)
-    for query, response in zip(queries, batch):
+    # 24 queries from 4 threads: several fan-outs in flight at once.
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        responses = list(pool.map(sharded_engines["sets"].search, queries))
+    assert len(responses) == len(queries)
+    for query, response in zip(queries, responses):
         assert response.query is query
         expected = sorted(int(obj_id) for obj_id in engine.search(query).ids)
         assert response.ids == expected
@@ -242,7 +245,8 @@ def test_sharded_stats_observe_shards_and_merge(sharded_engines, query_payloads,
         Query(backend="hamming", payload=payload, tau=taus["hamming"])
         for payload in query_payloads["hamming"]
     ]
-    engine.search_batch(queries)
+    for query in queries:
+        engine.search(query)
     snapshot = engine.stats.snapshot()
     assert snapshot["num_queries"] == len(queries)
     assert len(snapshot["per_shard"]) == 3
@@ -300,10 +304,12 @@ def test_killed_worker_mid_batch_fails_structured(tmp_path, datasets, taus):
             Query(backend="strings", payload=datasets["strings"].record(i), tau=taus["strings"])
             for i in range(4)
         ]
-        assert len(engine.search_batch(queries)) == 4
+        for query in queries:
+            engine.search(query)  # healthy first
         _kill_shard_worker(engine, 0)
         with pytest.raises(ShardWorkerError, match="shard 0"):
-            engine.search_batch(queries * 2)  # 8 queries, 4 chunks of 2
+            for query in queries:
+                engine.search(query)
         # Every call routed to the broken shard names it the same way.
         with pytest.raises(ShardWorkerError, match="shard 0"):
             engine.mutation_info()
