@@ -204,8 +204,9 @@ def instrument_replica_set(rset: object, log: WitnessLog) -> None:
     the set owns a shared WAL lineage -- the log's reentrant lock, under
     the node ids the static graph uses.  The documented order is
     ``_write_lock -> _lock -> WAL._lock``; any concurrent execution that
-    observes an inversion (supervisor heal vs writer vs rolling
-    compaction) turns the union graph cyclic and fails the witness check.
+    observes an inversion (supervisor heal vs writer vs compaction and
+    its checkpoint) turns the union graph cyclic and fails the witness
+    check.
     """
     rset._write_lock = LockWitness(  # type: ignore[attr-defined]
         rset._write_lock, REPLICA_WRITE_LOCK, log

@@ -2,9 +2,8 @@
 
 :class:`repro.engine.sharding.ShardedEngine` historically ran exactly one
 worker process per shard, so a SIGKILL'd worker was a 503 until someone
-called ``respawn_shard()`` by hand, and ``compact()`` blocked the write path
-for the whole rebuild.  This module supplies the fault-tolerance layer that
-turns each shard into a *replica set*:
+called ``respawn_shard()`` by hand.  This module supplies the
+fault-tolerance layer that turns each shard into a *replica set*:
 
 * **One WAL lineage per shard, owned by the parent.**  The parent process
   opens the shard's :class:`repro.engine.wal.WriteAheadLog` and is the only
@@ -27,10 +26,12 @@ turns each shard into a *replica set*:
   replays the shared WAL until it has caught up with ``wal.last_seq``, and
   is readmitted under the write lock so no acknowledged write can slip
   between catch-up and readmission.
-* **Rolling compaction**: with two or more replicas the set compacts one
-  *drained* replica at a time while the siblings keep serving, then
-  readmits it through WAL replay.  The write path never blocks beyond the
-  readmission's atomic section.
+* **One compaction, one checkpoint**: ``compact()`` folds every live
+  replica in place, in its worker, through :meth:`SearchEngine.compact`
+  (the folds overlap; writes wait behind them, as on one replica).  Then
+  exactly one replica checkpoints the shard container under the write
+  lock and the shared WAL is truncated there -- the same
+  :meth:`ReplicaSet.checkpoint` that :meth:`ShardedEngine.flush` calls.
 * **One pipe per worker** (:class:`_PipeWorker`): each replica is one
   process, started once, behind one duplex pipe.  A call is one pickled
   ``(fn, args)`` frame; the single-threaded worker answers in order, so a
@@ -69,9 +70,8 @@ LIVE = "live"
 DEAD = "dead"
 RESPAWNING = "respawning"
 CATCHING_UP = "catching-up"
-DRAINING = "draining"
 
-REPLICA_STATES = (LIVE, DEAD, RESPAWNING, CATCHING_UP, DRAINING)
+REPLICA_STATES = (LIVE, DEAD, RESPAWNING, CATCHING_UP)
 
 
 class ShardWorkerError(RuntimeError):
@@ -157,7 +157,7 @@ def _part(response: Any, offset: int) -> dict:
 
 def _worker_call(method: str, *args: Any) -> Any:
     """Run one method of the worker's engine: the generic IPC entry point
-    for everything that only forwards (info, replay, flush, metrics)."""
+    for everything that only forwards (info, replay, fold, save, metrics)."""
     return getattr(_WORKER["engine"], method)(*args)
 
 
@@ -178,30 +178,6 @@ def _worker_apply(ops: Sequence[dict], seq: int | None) -> dict:
     outcome["delta_records"] = len(engine.delta(backend).records)
     outcome["avg_generated"] = engine.stats.avg_generated(backend)
     return outcome
-
-
-def _worker_compact_and_save(shard_dir: str | None) -> dict:
-    """Fold the overlay into a rebuilt index; optionally checkpoint it.
-
-    With ``shard_dir`` set and a real rebuild done, the compacted store is
-    persisted back into the shard container so the parent may truncate the
-    shared WAL up to ``checkpoint_seq``.  An identity compaction (or an
-    emptied store) checkpoints nothing -- there is nothing the WAL suffix is
-    needed to reconstruct that the container does not already hold.
-    """
-    engine = _WORKER["engine"]
-    backend = _WORKER["backend"]
-    try:
-        summary = dict(engine.compact(backend))
-    except ValueError as exc:
-        # Every record of this shard is deleted; the overlay stays (searches
-        # keep answering correctly through the tombstones).
-        return {"backend": backend, "compacted": False, "error": str(exc)}
-    if shard_dir is not None and summary.get("compacted", True):
-        engine.save_index(backend, shard_dir)
-        summary["checkpointed"] = True
-        summary["checkpoint_seq"] = engine.applied_seq(backend)
-    return summary
 
 
 def _worker_start_profiler() -> None:
@@ -647,16 +623,22 @@ class ReplicaSet:
         return RoutedFuture(self, fn, args, min_seq)
 
     def broadcast(self, fn: Callable, *args: Any) -> list[Any]:
-        """Run a task on every live replica, collecting the results; a
-        replica found dead is marked so and contributes nothing.  An
-        exception the task raised inside a worker is re-raised: it is the
-        task's failure, not the replica's."""
+        """Run a task on every live replica at once, collecting the results
+        in replica order; a replica found dead is marked so and contributes
+        nothing.  An exception the task raised inside a worker is re-raised:
+        it is the task's failure, not the replica's."""
         with self._lock:
             targets = [(r, r.worker) for r in self.replicas if r.state == LIVE]
-        results: list[Any] = []
+        calls: list[tuple[Replica, _PipeWorker, Future]] = []
         for replica, worker in targets:
             try:
-                results.append(worker.submit(fn, *args).result())
+                calls.append((replica, worker, worker.submit(fn, *args)))
+            except _WorkerDied:
+                self._mark_dead(replica, worker)
+        results: list[Any] = []
+        for replica, worker, future in calls:
+            try:
+                results.append(future.result())
             except _WorkerDied:
                 self._mark_dead(replica, worker)
         return results
@@ -776,10 +758,12 @@ class ReplicaSet:
         round left over -- holds ``_write_lock``, so the replica rejoins
         with *exactly* the lineage state and no write can land in between.
 
-        A replica that cannot rejoin -- its worker died, or a replay raised
-        inside it and left its state unknown -- is marked dead, so the
-        supervisor's next sweep respawns it rather than leaving it out of
-        service in ``catching-up`` or ``draining``.
+        A replica that cannot rejoin -- its worker died, a replay raised
+        inside it and left its state unknown, or it loaded a container
+        older than the checkpoint the log was since truncated at -- is
+        marked dead, so the supervisor's next sweep respawns it (from the
+        new checkpoint) rather than leaving it out of service in
+        ``catching-up`` or serving without the truncated batches.
         """
         worker = replica.worker
         try:
@@ -791,9 +775,16 @@ class ReplicaSet:
                     applied = int(worker.submit(*replay).result()["applied_seq"])
                     rounds += 1
                 with self._write_lock:
-                    result = worker.submit(*replay).result()
+                    applied = int(worker.submit(*replay).result()["applied_seq"])
+                    if applied < self._wal.last_seq:
+                        # A checkpoint truncated the log past the container
+                        # this worker loaded: only a fresh load catches up.
+                        raise RuntimeError(
+                            f"at seq {applied}, the log was truncated past it "
+                            f"(head {self._wal.last_seq})"
+                        )
                     with self._lock:
-                        replica.applied_seq = int(result["applied_seq"])
+                        replica.applied_seq = applied
                         replica.state = LIVE
             else:
                 with self._lock:
@@ -832,15 +823,15 @@ class ReplicaSet:
             return self._compacting
 
     def compact(self, persist_dir: str | None) -> dict:
-        """Compact the set's replicas; rolling when there are siblings.
+        """Fold every live replica in place, then checkpoint one of them.
 
-        With one replica this is the classic in-place compaction.  With
-        more, replicas are drained and compacted one at a time while the
-        siblings keep serving reads *and writes* -- the write path never
-        waits on a rebuild, only on the readmission's atomic section.  The
-        first successfully compacted replica checkpoints its container into
-        ``persist_dir`` (when given), after which the shared WAL is
-        truncated up to the checkpoint.
+        The fold is :meth:`SearchEngine.compact`, broadcast to the live
+        replicas; the workers are separate processes, so the folds overlap,
+        and a write waits behind the fold in each worker as it does on one
+        replica.  A replica that dies mid-fold is marked dead (the
+        supervisor respawns it from the new checkpoint plus the WAL tail).
+        When something was folded and ``persist_dir`` is given,
+        :meth:`checkpoint` saves one replica there and truncates the WAL.
         """
         with self._lock:
             if self._compacting:
@@ -849,70 +840,48 @@ class ReplicaSet:
                 )
             self._compacting = True
         try:
-            return self._compact_impl(persist_dir)
+            try:
+                folds = self.broadcast(_worker_call, "compact", self._backend)
+            except ValueError as exc:
+                # Every record of this shard is deleted; the overlay stays
+                # (searches keep answering correctly through the tombstones).
+                return {"backend": self._backend, "compacted": False, "error": str(exc)}
+            if not folds:
+                raise ShardWorkerError(self.shard_id, "no live replica to compact")
+            summary = dict(folds[0], replicas_compacted=sum(f["compacted"] for f in folds))
+            if persist_dir is not None and summary["compacted"]:
+                self.checkpoint(persist_dir)
+                summary["checkpointed"] = True
+            return summary
         finally:
             with self._lock:
                 self._compacting = False
 
-    def _compact_impl(self, persist_dir: str | None) -> dict:
-        with self._lock:
-            targets = [r for r in self.replicas if r.state == LIVE]
-        if not targets:
-            raise ShardWorkerError(self.shard_id, "no live replica to compact")
-        rolling = len(self.replicas) > 1
-        summary: dict | None = None
-        checkpoint_seq: int | None = None
-        compacted = 0
-        for replica in targets:
-            drained = False
-            worker = replica.worker
-            if rolling:
-                with self._lock:
-                    if replica.state != LIVE:
-                        continue
-                    if any(r is not replica and r.state == LIVE for r in self.replicas):
-                        # The worker answers in order, so queued reads drain
-                        # ahead of the compaction task; new reads skip this
-                        # replica.
-                        replica.state = DRAINING
-                        drained = True
-                    # Otherwise this is the only live replica (a sibling
-                    # died or is still being respawned): compact it
-                    # *undrained* so reads and writes keep landing -- they
-                    # queue behind the rebuild instead of finding zero live
-                    # replicas.  Degraded-mode latency beats unavailability.
-            persist = persist_dir if summary is None else None
-            try:
-                result = worker.submit(_worker_compact_and_save, persist).result()
-            except _WorkerDied:
-                self._mark_dead(replica, worker)
-                continue
-            except BaseException:
-                if drained:  # the old index still serves: rejoin, then report
-                    try:
-                        self._readmit(replica)
-                    except ShardWorkerError:
-                        pass  # marked dead: the supervisor respawns it
-                raise
-            if result.get("checkpointed"):
-                checkpoint_seq = int(result["checkpoint_seq"])
-            if summary is None:
-                summary = dict(result)
-            compacted += 1
-            if drained:
+    def checkpoint(self, directory: str) -> tuple[dict, int]:
+        """The one checkpoint of a shard: save one live replica into the
+        container ``directory``, then truncate the shared WAL at the seq it
+        saved.  Returns the container manifest and the shard's ``num_live``.
+
+        Like :meth:`SearchEngine.save_index`, it holds the write lock across
+        the save, so the saved state, its ``num_live`` and the truncation
+        agree, and two checkpoints (a compaction's and a flush) never write
+        one container at once.
+        """
+        with self._write_lock:
+            with self._lock:
+                targets = [(r, r.worker) for r in self.replicas if r.state == LIVE]
+            for replica, worker in targets:
                 try:
-                    self._readmit(replica)
-                except ShardWorkerError:
+                    saved = worker.submit(_worker_call, "save_index", self._backend, directory)
+                    info = worker.submit(_worker_call, "mutation_info", self._backend)
+                    manifest, num_live = saved.result(), int(info.result()["num_live"])
+                except _WorkerDied:
+                    self._mark_dead(replica, worker)
                     continue
-        if summary is None:
-            raise ShardWorkerError(
-                self.shard_id, "every replica died during compaction"
-            )
-        if self._wal is not None and checkpoint_seq:
-            self._wal.truncate_upto(checkpoint_seq)
-        summary["rolling"] = rolling
-        summary["replicas_compacted"] = compacted
-        return summary
+                if self._wal is not None and manifest["wal_seq"]:
+                    self._wal.truncate_upto(int(manifest["wal_seq"]))
+                return manifest, num_live
+        raise ShardWorkerError(self.shard_id, "no live replica to checkpoint")
 
     # -- introspection -----------------------------------------------------
 

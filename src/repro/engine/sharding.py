@@ -29,7 +29,8 @@ With ``replicas > 1`` the engine is self-healing: a supervisor thread
 respawns dead replicas in the background, replays the shard's write-ahead
 log past the container checkpoint, and readmits each replica only once its
 ``wal_seq`` has caught up (see :mod:`repro.engine.replication` for the
-apply-then-log write protocol and the rolling-compaction state machine).
+apply-then-log write protocol).  A compaction folds every live replica in
+place and checkpoints one, as the one-process engine does.
 
 The parent tracks per-shard latency and merge overhead in
 :class:`ShardedStats`; the workers' own metrics registries are merged in by
@@ -365,8 +366,7 @@ class ShardedEngine:
         replicas: worker processes per shard.  With ``replicas > 1``
             (requires ``wal_dir``) each shard becomes a self-healing
             :class:`~repro.engine.replication.ReplicaSet`: reads fail over
-            transparently, dead replicas respawn in the background, and
-            :meth:`compact` rolls over the replicas without blocking writes.
+            transparently and dead replicas respawn in the background.
 
     Workers load their shard once, inside the constructor (a readiness
     barrier), so the first query pays no cold-start cost.  Use as a context
@@ -769,11 +769,11 @@ class ShardedEngine:
         """Fold every shard's delta store into its rebuilt main index.
 
         Shards compact independently (each is its own container), one shard
-        at a time; within a shard the replica set rolls the rebuild over
-        its replicas so the write path never blocks while siblings serve
-        (see :meth:`repro.engine.replication.ReplicaSet.compact`).  Returns
-        the plain engine's summary keys aggregated over the shards, with the
-        per-shard summaries in shard order under ``"shards"``.
+        at a time; within a shard every live replica folds in place and one
+        checkpoints (see :meth:`repro.engine.replication.ReplicaSet.
+        compact`).  Returns the plain engine's summary keys aggregated over
+        the shards, with the per-shard summaries in shard order under
+        ``"shards"``.
         """
         self._require_open()
         self._check_backend(backend_name)
@@ -878,24 +878,17 @@ class ShardedEngine:
         After ``flush`` the index directory reopens with all mutations
         intact; the manifest records the id-space high-water mark so new
         upserts keep getting fresh ids, and the last shard's range absorbs
-        the ids appended since the build.  Each persisted container
-        checkpoints its shard's WAL position, after which the parent
-        truncates the log's folded prefix.
+        the ids appended since the build.  Each shard is saved by its
+        replica set's one checkpoint (:meth:`repro.engine.replication.
+        ReplicaSet.checkpoint`), which truncates the log's folded prefix.
         """
         self._require_open()
         shards = self._manifest["shards"]
-        for shard_id, shard in enumerate(shards):
-            directory = os.path.join(self._directory, shard["path"])
-            container_manifest = self._shard_call(
-                shard_id, "save_index", self._backend_name, directory
+        for rset, shard in zip(self._sets, shards):
+            container_manifest, shard["num_live"] = rset.checkpoint(
+                os.path.join(self._directory, shard["path"])
             )
             shard["descriptor"] = container_manifest["descriptor"]
-            wal = self._sets[shard_id].wal
-            if wal is not None:
-                checkpoint = int(container_manifest.get("wal_seq", 0) or 0)
-                if checkpoint:
-                    wal.truncate_upto(checkpoint)
-            shard["num_live"] = self._shard_call(shard_id, "mutation_info")["num_live"]
         shards[-1]["hi"] = max(shards[-1]["hi"], self._next_id)
         self._manifest["num_objects"] = sum(shard["num_live"] for shard in shards)
         self._manifest["next_id"] = self._next_id

@@ -176,7 +176,7 @@ def test_witness_catches_reintroduced_scrape_hazard():
 
 
 # ---------------------------------------------------------------------------
-# The replication regression: writer vs rolling compaction vs supervisor heal
+# The replication regression: writer vs compaction vs supervisor heal
 # ---------------------------------------------------------------------------
 
 
@@ -185,8 +185,8 @@ def test_replica_writer_vs_compaction_vs_heal_is_deadlock_free(tmp_path):
 
     Three concurrent actors contend on one shard's :class:`ReplicaSet`:
     a mutation writer (write lock, then the replica table, then the WAL
-    append), a rolling compaction (drain markers under the table lock,
-    readmission's final replay under the write lock, WAL truncation) and
+    append), a compaction (the fold on every live replica, then the one
+    checkpoint and its WAL truncation under the write lock) and
     the supervisor healing a SIGKILLed replica (respawn + catch-up).  Any
     inversion against the statically derived graph turns the union cyclic
     and fails here before it can deadlock in production.
@@ -225,7 +225,7 @@ def test_replica_writer_vs_compaction_vs_heal_is_deadlock_free(tmp_path):
         writer = threading.Thread(target=write, name="witness-replica-writer")
         writer.start()
         try:
-            engine.compact()  # rolling: drains one replica at a time
+            engine.compact()  # every live replica folds, one checkpoints
             victim = engine.replica_status()[0]["replicas"][0]["pid"]
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 20.0
@@ -234,7 +234,7 @@ def test_replica_writer_vs_compaction_vs_heal_is_deadlock_free(tmp_path):
                 if entry["live_replicas"] == entry["num_replicas"]:
                     break
                 time.sleep(0.05)
-            engine.compact()  # a second rolling pass over the healed set
+            engine.compact()  # a second pass over the healed set
         finally:
             stop.set()
             writer.join(timeout=30)

@@ -1,20 +1,22 @@
-"""Replicated shards: failover, self-healing, read-your-writes, rolling compaction.
+"""Replicated shards: failover, self-healing, read-your-writes, compaction.
 
 Every test runs against a real ``ShardedEngine`` with ``replicas > 1`` --
 one worker process per replica behind one pipe, sharing the shard's WAL
 lineage -- because the properties under test are all about what happens
 *between* processes: a SIGKILLed replica must be invisible to readers
 (transparent failover), the supervisor must respawn it and readmit it only
-once its ``applied_seq`` caught up with the WAL, and a rolling compaction
-must keep the write path live while each replica drains in turn.  The
+once its ``applied_seq`` caught up with the WAL, and a compaction must fold
+every live replica and checkpoint exactly one of them.  The
 transport tests at the end pin the pipe itself: worker exceptions are not
 deaths, every worker is reaped, and no forked sibling hides a death.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
+import shutil
 import signal
 import socket
 import sys
@@ -33,12 +35,15 @@ from repro.engine.replication import (
     RESPAWNING,
     _WORKER,
     _worker_call,
+    _worker_search,
 )
 from repro.engine.sharding import ShardedEngine, ShardWorkerError
 from repro.engine.wire import format_session, merge_session, parse_session
 from tests.engine.test_mutation import (
+    PARAMS,
     _assert_matches_rebuild,
     _initial_records,
+    _rebuild,
     _record_pool,
 )
 from tests.engine.test_wal import _apply_batched_mutations
@@ -275,11 +280,11 @@ def test_search_accepts_session_tokens(tmp_path, datasets, query_payloads, taus)
 
 
 # ---------------------------------------------------------------------------
-# Zero-downtime rolling compaction
+# Compaction: every live replica folds in place, one checkpoints
 # ---------------------------------------------------------------------------
 
 
-def test_rolling_compaction_keeps_writes_flowing(tmp_path, datasets, query_payloads):
+def test_compaction_folds_every_replica_in_place(tmp_path, datasets, query_payloads):
     rng = random.Random(41)
     records = dict(enumerate(_initial_records(DOMAIN, datasets)))
     with _replicated(tmp_path, datasets) as engine:
@@ -287,19 +292,18 @@ def test_rolling_compaction_keeps_writes_flowing(tmp_path, datasets, query_paylo
 
         stop = threading.Event()
         failures: list[BaseException] = []
-        writes_during = [0]
         pool = _record_pool(DOMAIN, rng, datasets)
         lock = threading.Lock()
 
         def writer() -> None:
+            # Writes wait behind the fold, as on one replica; every one
+            # acknowledged during it must survive.
             try:
                 while not stop.is_set():
                     record = next(pool)
                     with lock:
                         outcome = engine.mutate(DOMAIN, [{"op": "upsert", "record": record}])
-                        assigned = outcome["results"][0]["id"]
-                        records[assigned] = record
-                        writes_during[0] += 1
+                        records[outcome["results"][0]["id"]] = record
             except BaseException as exc:  # pragma: no cover - surfaced below
                 failures.append(exc)
 
@@ -312,16 +316,101 @@ def test_rolling_compaction_keeps_writes_flowing(tmp_path, datasets, query_paylo
             stop.set()
             thread.join(timeout=30)
         assert not thread.is_alive() and failures == []
-        assert writes_during[0] > 0  # the write path never blocked for the duration
         for summary in summaries:
-            assert summary["rolling"] is True
             assert summary["replicas_compacted"] == 2
+            assert summary["checkpointed"] is True
         _assert_matches_rebuild(engine, None, DOMAIN, query_payloads[DOMAIN], records)
-        # Both replicas are live and caught up after the rolling swap.
         for entry in engine.replica_status():
             for replica in entry["replicas"]:
                 assert replica["state"] == LIVE
                 assert replica["applied_seq"] == entry["wal_last_seq"]
+
+
+def test_compaction_with_a_dead_sibling_folds_and_checkpoints_the_live_one(
+    tmp_path, datasets, query_payloads
+):
+    rng = random.Random(43)
+    records = dict(enumerate(_initial_records(DOMAIN, datasets)))
+    with _replicated(tmp_path, datasets) as engine:
+        records = _apply_batched_mutations(engine, DOMAIN, records, rng, datasets, num_batches=8)
+        engine._supervisor.stop()  # the respawn below happens by hand
+        rset = engine._sets[0]
+        os.kill(_replica_pid(engine, 0, 1), signal.SIGKILL)
+        assert _wait_until(lambda: not rset.replicas[1].process_alive())
+        summary = engine.compact()["shards"][0]
+        assert summary["compacted"] is True and summary["checkpointed"] is True
+        assert summary["replicas_compacted"] == 1
+        assert len(rset.wal.batches()) == 0  # truncated at the live replica's checkpoint
+        # Acknowledged on shard 0 after the checkpoint: the respawned
+        # replica must replay it from the WAL tail.
+        record = next(_record_pool(DOMAIN, rng, datasets))
+        engine.mutate(DOMAIN, [{"op": "upsert", "id": 0, "record": record}])
+        records[0] = record
+        assert len(rset.wal.batches()) == 1
+        rset.heal()
+        assert rset.replicas[1].generation == 1
+        reference, live = _rebuild(DOMAIN, records)
+        shard_hi = engine._manifest["shards"][1]["lo"]
+        for payload in query_payloads[DOMAIN]:
+            query = Query(backend=DOMAIN, payload=payload, tau=PARAMS[DOMAIN]["tau"])
+            expected = sorted(live[dense] for dense in reference.search(query).ids)
+            for replica in rset.replicas:
+                ids = replica.worker.submit(_worker_search, query).result()["ids"]
+                assert ids == [obj_id for obj_id in expected if obj_id < shard_hi]
+        wal_last_seq = engine.replica_status()[0]["wal_last_seq"]
+        for replica in rset.replicas:
+            applied = replica.worker.submit(_worker_call, "applied_seq", DOMAIN).result()
+            assert applied == wal_last_seq
+            assert replica.state == LIVE
+
+
+def _answers(engine, query_payloads, taus) -> list:
+    answers = []
+    for payload in query_payloads[DOMAIN]:
+        for query in (
+            Query(backend=DOMAIN, payload=payload, tau=taus[DOMAIN]),
+            Query(backend=DOMAIN, payload=payload, k=5),
+        ):
+            response = engine.search(query)
+            answers.append((response.ids, response.scores))
+    return answers
+
+
+def test_flush_during_compaction_writes_each_container_once_at_a_time(
+    tmp_path, datasets, query_payloads, taus
+):
+    """A flush and a compaction's checkpoint both save the shard container;
+    they must never run at once (both would write the same temp files)."""
+    rng = random.Random(47)
+    records = dict(enumerate(_initial_records(DOMAIN, datasets)))
+    directory = str(tmp_path / "shards")
+    wal_dir = str(tmp_path / "wal")
+    build_shards(DOMAIN, datasets[DOMAIN], directory, 1)
+    for _iteration in range(12):
+        with ShardedEngine(directory, wal_dir=wal_dir, replicas=2) as engine:
+            records = _apply_batched_mutations(
+                engine, DOMAIN, records, rng, datasets, num_batches=8
+            )
+            failures: list[BaseException] = []
+
+            def compact() -> None:
+                try:
+                    engine.compact()
+                except BaseException as exc:  # surfaced below
+                    failures.append(exc)
+
+            thread = threading.Thread(target=compact, name="compaction")
+            thread.start()
+            try:
+                for _ in range(5):
+                    engine.flush()
+            finally:
+                thread.join(timeout=60)
+            assert not thread.is_alive() and failures == []
+            before = _answers(engine, query_payloads, taus)
+        with ShardedEngine(directory, wal_dir=wal_dir) as reopened:
+            assert _answers(reopened, query_payloads, taus) == before
+            _assert_matches_rebuild(reopened, None, DOMAIN, query_payloads[DOMAIN], records)
 
 
 def test_concurrent_compactions_of_one_shard_are_refused(tmp_path, datasets):
@@ -396,7 +485,7 @@ def test_supervisor_threads_profile_under_their_own_role():
 
 
 def test_replica_state_constants_are_closed():
-    assert set(REPLICA_STATES) == {LIVE, DEAD, RESPAWNING, CATCHING_UP, "draining"}
+    assert set(REPLICA_STATES) == {LIVE, DEAD, RESPAWNING, CATCHING_UP}
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +601,13 @@ def test_pipelined_calls_larger_than_the_pipe_buffer_all_finish(tmp_path, datase
 
 def test_replay_failure_during_readmission_is_healed(tmp_path, datasets):
     # A replay raising inside the worker leaves the replica's state
-    # unknown; it must come back through a respawn, not stay drained.
+    # unknown; it must come back through a respawn, not stay out of service.
     with _replicated(tmp_path, datasets, shards=1) as engine:
         engine.mutate(DOMAIN, [{"op": "upsert", "record": [9, 9]}], "wal")
         first = engine._sets[0].replicas[0]
         first.worker.submit(_break_replay).result(timeout=10)
-        engine.compact()  # drains the first replica, then readmits it
+        with pytest.raises(ShardWorkerError, match="failed readmission"):
+            engine._sets[0]._readmit(first)
 
         def healed() -> bool:
             states = [r["state"] for r in engine.replica_status()[0]["replicas"]]
@@ -525,6 +615,36 @@ def test_replay_failure_during_readmission_is_healed(tmp_path, datasets):
 
         assert _wait_until(healed), engine.replica_status()
         assert first.generation == 1
+
+
+def test_a_replica_older_than_the_truncated_log_is_respawned_not_readmitted(
+    tmp_path, datasets, query_payloads
+):
+    """A respawn racing a checkpoint: the new worker loaded the container
+    the checkpoint then replaced, and the log no longer holds the batches
+    between the two.  The replica must be respawned again, never served."""
+    rng = random.Random(53)
+    records = dict(enumerate(_initial_records(DOMAIN, datasets)))
+    with _replicated(tmp_path, datasets, shards=1) as engine:
+        engine._supervisor.stop()  # every respawn below happens by hand
+        rset = engine._sets[0]
+        spawn = rset._spawn
+        context, initargs = spawn.args
+        stale = str(tmp_path / "stale-shard")
+        shutil.copytree(initargs[0], stale)  # the container before the checkpoint
+        records = _apply_batched_mutations(engine, DOMAIN, records, rng, datasets, num_batches=4)
+        engine.flush()  # checkpoints, then truncates the log
+        rset._spawn = functools.partial(spawn.func, context, (stale, *initargs[1:]))
+        with pytest.raises(ShardWorkerError, match="truncated"):
+            rset.respawn(rset.replicas[1])
+        assert rset.replicas[1].state == DEAD
+        rset._spawn = spawn
+        rset.heal()
+        assert [replica.state for replica in rset.replicas] == [LIVE, LIVE]
+        for replica in rset.replicas:
+            applied = replica.worker.submit(_worker_call, "applied_seq", DOMAIN).result()
+            assert applied == rset.wal.last_seq
+        _assert_matches_rebuild(engine, None, DOMAIN, query_payloads[DOMAIN], records)
 
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
