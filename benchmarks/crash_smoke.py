@@ -6,11 +6,13 @@ driver
 1. builds a small index on disk and starts the real HTTP serving layer as a
    subprocess (``python -m repro.engine serve --wal-dir ...``),
 2. streams a deterministic sequence of one-op ``POST /mutate`` batches at
-   ``wal`` durability (sequential, at most one request in flight) while a
-   killer thread SIGKILLs the server partway through the burst,
+   ``wal`` durability (sequential, at most one request in flight), folds
+   the delta once with ``POST /compact`` partway through (which writes a
+   checkpoint and truncates the log(s)), and then has a killer thread
+   SIGKILL the server later in the burst,
 3. recovers by reopening the checkpoint + write-ahead log(s) in process,
-4. derives the recovered prefix length ``L`` from the logs and checks the
-   crash contract: ``acked <= L <= acked + 1`` -- every acknowledged batch
+4. derives the recovered prefix length ``L`` from the checkpoints and the
+   logs and checks the crash contract: ``acked <= L <= acked + 1`` -- every acknowledged batch
    survived, and at most the single in-flight batch may additionally have
    reached disk before the kill, and
 5. replays exactly ``ops[:L]`` onto a fresh in-process engine and asserts
@@ -38,7 +40,7 @@ import repro
 from repro.engine import Query, SearchEngine, open_engine
 from repro.engine.backend import get_backend
 from repro.engine.client import EngineClient
-from repro.engine.persistence import save_container
+from repro.engine.persistence import read_manifest, save_container
 from repro.engine.sharding import build_shards
 from repro.engine.wal import wal_summary
 
@@ -57,6 +59,7 @@ SHARD_COUNTS = (1, 2)
 
 #: Batches the writer attempts; the killer fires mid-burst.
 BURST_BATCHES = 40
+COMPACT_AFTER_ACKS = 12
 KILL_AFTER_ACKS = 25
 
 
@@ -126,7 +129,9 @@ def _await_ready(ready_file: str, process: subprocess.Popen, timeout: float = 30
 
 
 def _write_burst_until_killed(url: str, name: str, ops: list[dict], process) -> int:
-    """Sequential acked one-op batches; a killer SIGKILLs the server mid-burst.
+    """Sequential acked one-op batches; one compaction after
+    :data:`COMPACT_AFTER_ACKS` of them, then a killer SIGKILLs the server
+    mid-burst.
 
     Returns the number of acknowledged batches.  The writer keeps at most
     one request in flight, so at the moment of death the unacknowledged
@@ -149,6 +154,8 @@ def _write_burst_until_killed(url: str, name: str, ops: list[dict], process) -> 
                 break  # the kill landed mid-request (reset, half-close, 503)
             assert outcome["durability"] == "wal"
             acked += 1
+            if acked == COMPACT_AFTER_ACKS:
+                client.compact(name)
             if acked == KILL_AFTER_ACKS:
                 acked_lock.set()  # arm the killer; keep writing meanwhile
     thread.join(timeout=60.0)
@@ -156,19 +163,24 @@ def _write_burst_until_killed(url: str, name: str, ops: list[dict], process) -> 
     return acked
 
 
-def _recovered_prefix_length(wal_dir: str, num_shards: int) -> int:
-    """Total ops across the recovered logs = the global prefix length L.
+def _recovered_prefix_length(index_dir: str, wal_dir: str, num_shards: int) -> tuple[int, int]:
+    """Total ops the checkpoints and logs recover = the global prefix length L,
+    and how many of them the checkpoints hold.
 
     The writer is sequential and every batch holds exactly one op, so each
-    shard's log is the sub-sequence of ops routed to it and the global
-    recovered history is the union -- a prefix of the op script of length
-    equal to the total op count.
+    shard's history is the sub-sequence of ops routed to it, numbered from
+    1, and the global recovered history is the union -- a prefix of the op
+    script of length equal to the total op count.  A shard's history runs up
+    to its container's checkpoint seq or its log's last seq, whichever is
+    later (the compaction truncated the log at the checkpoint).
     """
-    total = 0
+    total = checkpointed = 0
     for entry in sorted(os.listdir(wal_dir)):
-        summary = wal_summary(os.path.join(wal_dir, entry))
-        total += sum(batch["num_ops"] for batch in summary["batches"])
-    return total
+        container = index_dir if num_shards == 1 else os.path.join(index_dir, entry[: -len(".wal")])
+        checkpoint = int(read_manifest(container)["wal_seq"])
+        total += max(checkpoint, wal_summary(os.path.join(wal_dir, entry))["last_seq"])
+        checkpointed += checkpoint
+    return total, checkpointed
 
 
 def _reference_engine(name: str, dataset, prefix: list[dict]) -> SearchEngine:
@@ -219,7 +231,7 @@ def run_cell(name: str, num_shards: int, workdir: str) -> dict:
             process.kill()
             process.wait()
 
-    recovered_len = _recovered_prefix_length(wal_dir, num_shards)
+    recovered_len, checkpointed = _recovered_prefix_length(index_dir, wal_dir, num_shards)
     contract_ok = acked <= recovered_len <= acked + 1
 
     reference = _reference_engine(name, dataset, ops[:recovered_len])
@@ -234,6 +246,7 @@ def run_cell(name: str, num_shards: int, workdir: str) -> dict:
     return {
         "acked_batches": acked,
         "recovered_ops": recovered_len,
+        "checkpointed_ops": checkpointed,
         "contract_ok": contract_ok,
         "answers_ok": answers_ok,
     }
@@ -259,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(
                     f"[{name:>8} x{num_shards}] acked {entry['acked_batches']:>3}  "
                     f"recovered {entry['recovered_ops']:>3}  "
+                    f"(checkpoint {entry['checkpointed_ops']:>3})  "
                     f"contract={'ok' if entry['contract_ok'] else 'VIOLATED'}  "
                     f"answers={'ok' if entry['answers_ok'] else 'DIVERGED'}"
                 )

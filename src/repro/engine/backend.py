@@ -26,6 +26,14 @@ import numpy as np
 from repro.common.stats import SearchResult
 
 
+def empty_fold_error(name: str) -> ValueError:
+    """Why a compaction that would leave no live record is refused."""
+    return ValueError(
+        f"compacting would leave backend {name!r} with zero live "
+        f"records; the domain datasets cannot be empty"
+    )
+
+
 class Backend(abc.ABC):
     """Adapter between one similarity domain and the engine."""
 
@@ -165,10 +173,7 @@ class Backend(abc.ABC):
         """
         live_ids, records = delta.live_records(self.store_records(store))
         if not records:
-            raise ValueError(
-                f"compacting would leave backend {self.name!r} with zero live "
-                f"records; the domain datasets cannot be empty"
-            )
+            raise empty_fold_error(self.name)
         rebuilt = self.prepare(self.make_dataset(store, records))
         return rebuilt, delta.compacted(live_ids)
 

@@ -21,7 +21,7 @@ from repro.datasets.binary import gist_like
 from repro.datasets.molecules import aids_like
 from repro.datasets.text import imdb_like
 from repro.datasets.tokens import dblp_like
-from repro.engine.backend import Backend, register_backend
+from repro.engine.backend import Backend, empty_fold_error, register_backend
 from repro.engine.persistence import atomic_write, atomic_write_json
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.ged import ged_within, graph_edit_distance
@@ -45,7 +45,7 @@ from repro.sets.tokens import TokenRecords, check_tokens
 from repro.strings.dataset import StringDataset
 from repro.strings.edit_distance import QueryMatcher
 from repro.strings.linear import LinearStringSearcher
-from repro.strings.pivotal import PivotalSearcher
+from repro.strings.pivotal import PivotalSearcher, fold_dataset
 from repro.strings.ring import RingStringSearcher
 
 
@@ -533,6 +533,14 @@ class StringBackend(Backend):
 
     def make_dataset(self, store: StringDataset, records: Sequence[Any]) -> StringDataset:
         return StringDataset(list(records), kappa=store.kappa)
+
+    def apply_mutations(self, store: StringDataset, delta: Any) -> tuple[StringDataset, Any]:
+        # The fold keeps the store's gram order, so the indexes its
+        # searchers hold are spliced rather than rebuilt (``fold_dataset``).
+        live_ids, kept, added, from_added = delta.live_layout()
+        if not live_ids.size:
+            raise empty_fold_error(self.name)
+        return fold_dataset(store, kept, added, from_added), delta.compacted(live_ids)
 
     def check_record(self, store: StringDataset, record: Any) -> str:
         if not isinstance(record, str):

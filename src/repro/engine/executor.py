@@ -569,17 +569,21 @@ class SearchEngine:
         return {"backend": backend_name, "results": results, "durability": level, "wal_seq": seq}
 
     def compact(self, backend_name: str | None = None) -> dict:
-        """Fold the delta store into a rebuilt main index, off the write path.
+        """Fold the delta store into a new main store, off the write path.
 
-        Rebuilding costs one full index construction over the live records
-        -- the same price as the original build.  Searches run concurrently
+        The fold is :meth:`~repro.engine.backend.Backend.apply_mutations`.
+        On strings it costs O(delta): the store keeps its gram order and
+        every index a searcher held is spliced, so the first read after the
+        swap builds nothing.  The other domains rebuild the store, and their
+        next read pays one full index construction over the live records --
+        the price of the original build.  Searches run concurrently
         against the old store until the swap, and so do *writers*: mutations
-        that land during the rebuild apply to the served overlay as usual
+        that land during the fold apply to the served overlay as usual
         and are buffered, then replayed onto the compacted overlay at the
         swap, so none are lost.  With a WAL attached (and a known container
         directory) the swap also checkpoints: the compacted container is
         saved atomically and the WAL truncated at the swap-point sequence
-        number.  A rebuild that finishes after :meth:`add_dataset` /
+        number.  A fold that finishes after :meth:`add_dataset` /
         :meth:`load_index` replaced the store it was built from is
         discarded (``compacted: False``): the newer store keeps serving.
         Returns a summary of what was folded.

@@ -165,21 +165,37 @@ class DeltaStore:
             main = main[~self.dead]
         return max([int(main.max(initial=1)), *delta_sizes])
 
+    def live_layout(self) -> tuple[np.ndarray, np.ndarray, list[Any], np.ndarray]:
+        """Where the live records go when ordered by external id.
+
+        Returns ``(live ids ascending, the live main positions ascending,
+        the delta records ascending by id, a mask over the live ids that is
+        True where a delta record goes)``; the main positions fill the
+        other slots in order.  Delta records shadow dead main copies, so
+        the two id sets are disjoint.
+        """
+        kept = np.flatnonzero(~self.dead)
+        kept_ids = self._external(kept)
+        added_ids = np.fromiter(self.records, np.int64, len(self.records))
+        by_id = np.argsort(added_ids)
+        records = list(self.records.values())
+        from_added = np.zeros(kept.size + by_id.size, dtype=bool)
+        from_added[np.searchsorted(kept_ids, added_ids[by_id]) + np.arange(by_id.size)] = True
+        live_ids = np.empty(from_added.size, dtype=np.int64)
+        live_ids[~from_added] = kept_ids
+        live_ids[from_added] = added_ids[by_id]
+        return live_ids, kept, [records[index] for index in by_id.tolist()], from_added
+
     def live_records(self, main_records: Any) -> tuple[list[int], list[Any]]:
         """Every live ``(external id, record)`` pair, ascending by id.
 
         ``main_records`` is indexed by main *position* (the backend's raw
-        record sequence); delta records shadow dead main copies, so the two
-        id sets are disjoint.
+        record sequence).
         """
-        positions = np.flatnonzero(~self.dead)
-        ids = np.concatenate(
-            [self._external(positions), np.fromiter(self.records, np.int64, len(self.records))]
-        )
-        rows = [main_records[position] for position in positions.tolist()]
-        rows.extend(self.records.values())
-        order = np.argsort(ids, kind="stable").tolist()
-        return ids[order].tolist(), [rows[index] for index in order]
+        live_ids, kept, added, from_added = self.live_layout()
+        main = iter([main_records[position] for position in kept.tolist()])
+        delta = iter(added)
+        return live_ids.tolist(), [next(delta if flag else main) for flag in from_added.tolist()]
 
     # -- mutations (copy-on-write) -----------------------------------------
 

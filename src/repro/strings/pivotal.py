@@ -14,8 +14,17 @@ The index is shared with the Ring searcher (:class:`PivotalIndexBase`): the
 prefix and pivotal-gram postings as CSR keyed by gram rank, and every
 record's pivotal gram positions and character masks as ``(n, tau + 1)``
 matrices.  It is built from the dataset's gram-rank column with a few
-sorts per chunk of records -- no per-record loop -- so the two searchers
-differ only in the filter that follows Cand-1.
+plain sorts of packed keys per chunk of records -- no per-record loop --
+so the two searchers differ only in the filter that follows Cand-1.  One
+:class:`PivotalIndex` per dataset and threshold serves every searcher on
+it.
+
+A record's entries depend only on the record and the gram order, so a
+compaction that keeps the order (:func:`fold_dataset`) splices the index
+rather than rebuilding it: the surviving records' rows renumbered, rows
+built for the folded-in records only, and each posting list merged in
+(object, position) order -- the arrays a build over the folded records
+under that order would give.
 
 The prefix depends on ``tau``, so a searcher is constructed per threshold --
 matching how the paper evaluates one threshold at a time.
@@ -24,12 +33,13 @@ matching how the paper evaluates one threshold at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.common.scratch import segment_sums
 from repro.common.stats import SearchResult, Timer
-from repro.strings.dataset import StringDataset
+from repro.strings.dataset import StringColumns, StringDataset
 from repro.strings.edit_distance import QueryMatcher
 from repro.strings.qgrams import PositionalGram
 
@@ -102,11 +112,200 @@ def _greedy_disjoint(positions: np.ndarray, bounds: np.ndarray, kappa: int) -> n
     return chosen
 
 
+def _pack(columns: Sequence[np.ndarray], widths: Sequence[int]) -> np.ndarray:
+    """Non-negative integer columns packed into ``uint64`` keys, the first
+    most significant, ``widths`` bits each, so keys sort like the rows."""
+    keys = np.zeros(columns[0].size, dtype=np.uint64)
+    for column, width in zip(columns, widths):
+        keys <<= np.uint64(width)
+        keys |= column.astype(np.uint64)
+    return keys
+
+
+def _bit_widths(columns: Sequence[np.ndarray]) -> list[int]:
+    return [int(column.max(initial=0)).bit_length() for column in columns]
+
+
+def _sorted_order(*columns: np.ndarray) -> np.ndarray:
+    """The stable order of the rows of non-negative integer ``columns``, the
+    first most significant: what ``np.lexsort(columns[::-1])`` returns.
+
+    One plain sort of packed ``uint64`` keys whose low bits hold the row's
+    index -- a fraction of the cost of ``lexsort`` or a stable ``argsort``
+    -- unless the keys would need more than 64 bits.
+    """
+    size = columns[0].size
+    widths = _bit_widths(columns)
+    index_bits = max(size - 1, 0).bit_length()
+    if sum(widths) + index_bits > 64:
+        return np.lexsort(columns[::-1])
+    keys = _pack([*columns, np.arange(size)], [*widths, index_bits])
+    keys.sort()
+    keys &= np.uint64((1 << index_bits) - 1)
+    return keys.view(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class PivotalIndex:
+    """One threshold's prefix/pivotal index over a dataset: the arrays
+    :class:`PivotalIndexBase` documents (without their leading underscore).
+
+    Immutable, so searchers on one dataset share it
+    (:class:`~repro.strings.dataset.TauIndexes`) and a fold
+    splices it (:meth:`spliced`) while readers still use it.
+    """
+
+    pre_keys: np.ndarray
+    pre_offsets: np.ndarray
+    pre_objs: np.ndarray
+    pre_positions: np.ndarray
+    piv_keys: np.ndarray
+    piv_offsets: np.ndarray
+    piv_objs: np.ndarray
+    piv_positions: np.ndarray
+    piv_boxes: np.ndarray
+    last_rank: np.ndarray
+    always: np.ndarray
+    piv_pos_mat: np.ndarray
+    piv_mask_mat: np.ndarray
+
+    def spliced(
+        self, slots: np.ndarray, added: "PivotalIndex", added_slots: np.ndarray
+    ) -> "PivotalIndex":
+        """The index of a fold that moves this index's record ``p`` to
+        ``slots[p]`` (``-1``: dropped) and ``added``'s record ``j`` to
+        ``added_slots[j]``, filling ``len(slots[slots >= 0]) +
+        len(added_slots)`` records.
+
+        Both renumberings ascend, so every posting list keeps its (object,
+        position) order and the two indexes' entries merge without a sort;
+        the result equals :func:`_build_index` over the folded records when
+        both sides rank grams alike.
+        """
+        kept = slots >= 0
+        num = int(np.count_nonzero(kept)) + added_slots.size
+
+        def rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+            out = np.empty((num, *old.shape[1:]), dtype=old.dtype)
+            out[slots[kept]] = old[kept]
+            out[added_slots] = new
+            return out
+
+        def postings(*names: str) -> tuple[np.ndarray, ...]:
+            entries = []
+            for index, renumber in ((self, slots), (added, added_slots)):
+                keys, offsets, objs, *values = (getattr(index, name) for name in names)
+                ranks = np.repeat(keys, np.diff(offsets))
+                objs = renumber[objs]
+                live = objs >= 0
+                entries.append([column[live] for column in (ranks, objs, *values)])
+            return _csr(_merged(*entries))
+
+        always = np.zeros(slots.size, dtype=bool)
+        always[self.always] = True
+        added_always = np.zeros(added_slots.size, dtype=bool)
+        added_always[added.always] = True
+        return PivotalIndex(
+            *postings("pre_keys", "pre_offsets", "pre_objs", "pre_positions"),
+            *postings("piv_keys", "piv_offsets", "piv_objs", "piv_positions", "piv_boxes"),
+            last_rank=rows(self.last_rank, added.last_rank),
+            always=np.flatnonzero(rows(always, added_always)),
+            piv_pos_mat=rows(self.piv_pos_mat, added.piv_pos_mat),
+            piv_mask_mat=rows(self.piv_mask_mat, added.piv_mask_mat),
+        )
+
+
+def _build_index(columns: StringColumns, kappa: int, tau: int) -> PivotalIndex:
+    """Prefixes, pivotal grams and both posting lists from a collection's
+    gram-rank column, :data:`_CHUNK` records at a time.
+
+    Per chunk: one sort by (record, rank, position) keeps each record's
+    first ``kappa * tau + 1`` grams (its prefix, whose last gram has the
+    largest rank); the greedy position-disjoint selection then runs over
+    the prefixes in position order slot by slot -- at most
+    ``kappa * tau + 1`` vectorised steps (:func:`_greedy_disjoint`) --
+    and a second sort by (record, rank, position) keeps the ``tau + 1``
+    rarest chosen grams.  Selections return to position order by sorting
+    the kept indices.  One sort by (rank, entry) over all chunks turns the
+    (record, position)-ordered entries into the CSR postings.  Every sort
+    is a plain one of packed keys (:func:`_sorted_order`).
+    """
+    m = tau + 1
+    width = kappa * tau + 1
+    lengths = columns.lengths
+    num = lengths.size
+    counts = np.maximum(lengths - (kappa - 1), 0)
+    gram_offsets = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(counts, out=gram_offsets[1:])
+    last_rank = np.full(num, -1, dtype=np.int64)
+    always = counts == 0
+    piv_pos_mat = np.zeros((num, m), dtype=np.int64)
+    piv_mask_mat = np.zeros((num, m), dtype=np.uint64)
+    prefix_parts: list[tuple[np.ndarray, ...]] = []
+    pivotal_parts: list[tuple[np.ndarray, ...]] = []
+    for lo in range(0, max(num, 1), _CHUNK):  # one empty chunk for no records
+        hi = min(lo + _CHUNK, num)
+        sizes = counts[lo:hi]
+        ranks = columns.gram_ranks[gram_offsets[lo] : gram_offsets[hi]]
+        records = np.repeat(np.arange(hi - lo, dtype=np.int32), sizes)
+        slots = _segment_slots(sizes)
+        positions = slots.astype(np.int32)
+        # Positions ascend within a record and the sort is stable, so
+        # (record, rank) orders by (record, rank, position); records stay
+        # where they were, so ``slots`` also numbers the sorted grams.
+        by_rank = _sorted_order(records, ranks)
+        prefix_sizes = np.minimum(sizes, width)
+        prefix = by_rank[slots < width]
+        bounds = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(prefix_sizes, out=bounds[1:])
+        has_grams = prefix_sizes > 0
+        last_rank[lo:hi][has_grams] = ranks[prefix[bounds[1:][has_grams] - 1]]
+        prefix.sort()  # back to (record, position) order
+        pre_records, pre_positions = records[prefix], positions[prefix]
+        pre_ranks = ranks[prefix]
+
+        chosen = _greedy_disjoint(pre_positions, bounds, kappa)
+        num_chosen = segment_sums(chosen, bounds)
+        indexed = num_chosen >= m
+        always[lo:hi] |= ~indexed
+        keep = indexed[pre_records]
+        prefix_parts.append((pre_ranks[keep], pre_records[keep] + lo, pre_positions[keep]))
+
+        # The m rarest chosen grams of every indexed record, in position order.
+        chosen &= keep
+        c_records, c_ranks = pre_records[chosen], pre_ranks[chosen]
+        by_rank = _sorted_order(c_records, c_ranks)
+        rarest = np.sort(by_rank[_segment_slots(num_chosen[indexed]) < m])
+        objs = c_records[rarest] + lo
+        piv_positions = pre_positions[chosen][rarest]
+        boxes = np.tile(np.arange(m, dtype=np.int32), rarest.size // m)
+        pivotal_parts.append((c_ranks[rarest], objs, piv_positions, boxes))
+        piv_pos_mat[objs, boxes] = piv_positions
+        starts = columns.offsets[objs] + piv_positions
+        masks = np.zeros(starts.size, dtype=np.uint64)
+        for offset in range(kappa):  # character_mask of each gram
+            masks |= np.left_shift(
+                np.uint64(1), (columns.codes[starts + offset] % 64).astype(np.uint64)
+            )
+        piv_mask_mat[objs, boxes] = masks
+
+    return PivotalIndex(
+        *_postings(prefix_parts),
+        *_postings(pivotal_parts),
+        last_rank=last_rank,
+        always=np.flatnonzero(always),
+        piv_pos_mat=piv_pos_mat,
+        piv_mask_mat=piv_mask_mat,
+    )
+
+
 class PivotalIndexBase:
     """The prefix/pivotal index and query plan shared by the Pivotal and Ring
     searchers, plus Cand-1 generation over it.
 
-    Index arrays (all int64 but the ``uint64`` masks):
+    Index arrays (all int64 but the ``uint64`` masks), read from the
+    dataset's :class:`PivotalIndex` for ``tau`` -- built here only when no
+    searcher holds one and no fold spliced one:
 
     * ``_pre_keys`` / ``_pre_offsets`` / ``_pre_objs`` / ``_pre_positions``
       -- prefix postings, CSR keyed by gram rank, each list ascending by
@@ -129,91 +328,13 @@ class PivotalIndexBase:
         self._tau = tau
         self._m = tau + 1
         self._lengths = dataset.columns().lengths
-        self._build_index()
-
-    def _build_index(self) -> None:
-        """Prefixes, pivotal grams and both posting lists from the dataset's
-        gram-rank column, :data:`_CHUNK` records at a time.
-
-        Per chunk: one sort by (record, rank, position) keeps each record's
-        first ``kappa * tau + 1`` grams (its prefix, whose last gram has the
-        largest rank); the greedy position-disjoint selection then runs over
-        the prefixes in position order slot by slot -- at most
-        ``kappa * tau + 1`` vectorised steps (:func:`_greedy_disjoint`) --
-        and a second sort by (record, rank, position) keeps the ``tau + 1``
-        rarest chosen grams.  Selections return to position order by sorting
-        the kept indices.  One stable sort by rank over all chunks turns the
-        (record, position)-ordered entries into the CSR postings.
-        """
-        columns = self._dataset.columns()
-        kappa, m = self._dataset.kappa, self._m
-        width = kappa * self._tau + 1
-        num = self._lengths.size
-        counts = np.maximum(self._lengths - (kappa - 1), 0)
-        gram_offsets = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(counts, out=gram_offsets[1:])
-        last_rank = np.full(num, -1, dtype=np.int64)
-        always = counts == 0
-        self._piv_pos_mat = np.zeros((num, m), dtype=np.int64)
-        self._piv_mask_mat = np.zeros((num, m), dtype=np.uint64)
-        prefix_parts: list[tuple[np.ndarray, ...]] = []
-        pivotal_parts: list[tuple[np.ndarray, ...]] = []
-        for lo in range(0, num, _CHUNK):
-            hi = min(lo + _CHUNK, num)
-            sizes = counts[lo:hi]
-            ranks = columns.gram_ranks[gram_offsets[lo] : gram_offsets[hi]]
-            records = np.repeat(np.arange(hi - lo, dtype=np.int32), sizes)
-            slots = _segment_slots(sizes)
-            positions = slots.astype(np.int32)
-            # Positions ascend within a record and the sort is stable, so
-            # (record, rank) orders by (record, rank, position); records stay
-            # where they were, so ``slots`` also numbers the sorted grams.
-            by_rank = np.lexsort((ranks, records))
-            prefix_sizes = np.minimum(sizes, width)
-            prefix = by_rank[slots < width]
-            bounds = np.zeros(hi - lo + 1, dtype=np.int64)
-            np.cumsum(prefix_sizes, out=bounds[1:])
-            has_grams = prefix_sizes > 0
-            last_rank[lo:hi][has_grams] = ranks[prefix[bounds[1:][has_grams] - 1]]
-            prefix.sort()  # back to (record, position) order
-            pre_records, pre_positions = records[prefix], positions[prefix]
-            pre_ranks = ranks[prefix]
-
-            chosen = _greedy_disjoint(pre_positions, bounds, kappa)
-            num_chosen = segment_sums(chosen, bounds)
-            indexed = num_chosen >= m
-            always[lo:hi] |= ~indexed
-            keep = indexed[pre_records]
-            prefix_parts.append((pre_ranks[keep], pre_records[keep] + lo, pre_positions[keep]))
-
-            # The m rarest chosen grams of every indexed record, in position order.
-            chosen &= keep
-            c_records, c_ranks = pre_records[chosen], pre_ranks[chosen]
-            by_rank = np.lexsort((c_ranks, c_records))
-            rarest = np.sort(by_rank[_segment_slots(num_chosen[indexed]) < m])
-            objs = c_records[rarest] + lo
-            piv_positions = pre_positions[chosen][rarest]
-            boxes = np.tile(np.arange(m, dtype=np.int32), rarest.size // m)
-            pivotal_parts.append((c_ranks[rarest], objs, piv_positions, boxes))
-            self._piv_pos_mat[objs, boxes] = piv_positions
-            starts = columns.offsets[objs] + piv_positions
-            masks = np.zeros(starts.size, dtype=np.uint64)
-            for offset in range(kappa):  # character_mask of each gram
-                masks |= np.left_shift(
-                    np.uint64(1), (columns.codes[starts + offset] % 64).astype(np.uint64)
-                )
-            self._piv_mask_mat[objs, boxes] = masks
-
-        (
-            (self._pre_keys, self._pre_offsets),
-            (self._pre_objs, self._pre_positions),
-        ) = _postings(prefix_parts)
-        (
-            (self._piv_keys, self._piv_offsets),
-            (self._piv_objs, self._piv_positions, self._piv_boxes),
-        ) = _postings(pivotal_parts)
-        self._last_rank = last_rank
-        self._always = np.flatnonzero(always)
+        # Held here, so the dataset's weak reference lives as long as a
+        # searcher does; the arrays are copied to attributes for the filters.
+        self._index = dataset.indexes.get(
+            tau, lambda: _build_index(dataset.columns(), dataset.kappa, tau)
+        )
+        for name, array in vars(self._index).items():
+            setattr(self, "_" + name, array)
 
     @property
     def dataset(self) -> StringDataset:
@@ -296,19 +417,43 @@ class PivotalIndexBase:
         return always[np.abs(self._lengths[always] - len(query)) <= self._tau]
 
 
-def _postings(
-    parts: list[tuple[np.ndarray, ...]],
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
-    """CSR ``(keys, offsets)`` and the int64 value columns from per-chunk
+def _postings(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """CSR ``(keys, offsets, *values)``, values int64, from per-chunk
     ``(rank, *values)`` entries in (record, position) order: one stable
     sort by rank orders each list by (record, position)."""
     ranks, *values = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(ranks, kind="stable")
-    ranks = ranks[order]
+    order = _sorted_order(ranks)
+    return _csr([ranks[order], *(column[order].astype(np.int64) for column in values)])
+
+
+def _merged(first: list[np.ndarray], second: list[np.ndarray]) -> list[np.ndarray]:
+    """Two sets of posting entries ``(rank, object, position, *values)``,
+    each sorted by (rank, object, position) with no key twice, merged in
+    that order: where each of ``second``'s keys goes is a binary search in
+    ``first``'s packed keys, so nothing is sorted."""
+    both = [np.concatenate(pair) for pair in zip(first, second)]
+    widths = _bit_widths(both[:3])
+    if sum(widths) > 64:
+        order = np.lexsort(both[2::-1])
+        return [column[order] for column in both]
+    at = np.searchsorted(_pack(first[:3], widths), _pack(second[:3], widths))
+    from_second = np.zeros(both[0].size, dtype=bool)
+    from_second[at + np.arange(at.size)] = True
+    merged = []
+    for column, ours, theirs in zip(both, first, second):
+        column[~from_second] = ours
+        column[from_second] = theirs
+        merged.append(column)
+    return merged
+
+
+def _csr(columns: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``(keys, offsets, *values)`` from rank-sorted ``(rank, *values)`` entries."""
+    ranks, *values = columns
     heads = np.flatnonzero(np.diff(ranks, prepend=-1))
     keys = ranks[heads].astype(np.int64)
     offsets = np.append(heads, ranks.size).astype(np.int64)
-    return (keys, offsets), tuple(column[order].astype(np.int64) for column in values)
+    return (keys, offsets, *values)
 
 
 class PivotalSearcher(PivotalIndexBase):
@@ -378,3 +523,22 @@ class PivotalSearcher(PivotalIndexBase):
             verify_time=verify_time,
             extra={"cand1": len(cand1), "cand2": len(cand2)},
         )
+
+
+def fold_dataset(
+    dataset: StringDataset, kept: np.ndarray, added: Sequence[str], from_added: np.ndarray
+) -> StringDataset:
+    """:meth:`StringDataset.fold`, with every index a searcher holds on
+    ``dataset`` spliced for the folded one: the kept records' rows carried
+    over, rows built for the added records only."""
+    folded = dataset.fold(kept, added, from_added)
+    indexes = dataset.indexes.live()
+    if indexes:
+        slots = np.full(len(dataset), -1, dtype=np.int64)
+        slots[kept] = np.flatnonzero(~from_added)
+        added_slots = np.flatnonzero(from_added)
+        columns = folded.columns().take(added_slots, folded.kappa)
+        for tau, index in indexes.items():
+            added_index = _build_index(columns, folded.kappa, tau)
+            folded.indexes.adopt(tau, index.spliced(slots, added_index, added_slots))
+    return folded

@@ -177,6 +177,36 @@ class QGramExtractor:
         self._unknown_base = by_rank.size
         return rank_of[inverse]
 
+    def extended(
+        self, codes: np.ndarray, offsets: np.ndarray
+    ) -> tuple["QGramExtractor", np.ndarray]:
+        """This order, with the grams of more records (held as code points)
+        that it has not seen ranked next, densely, in gram order; plus the
+        ``int32`` rank of every gram position of those records.
+
+        Known grams keep their ranks, so a record's prefix and pivotal grams
+        do not move, and the base rank of unseen query grams moves past the
+        new ones.  This extractor is left as it was: a new one is returned
+        when the records bring unseen grams.
+        """
+        table, inverse, _ = _distinct_grams(codes, _gram_starts(offsets, self._kappa), self._kappa)
+        text = decode_code_points(table.ravel())
+        kappa = self._kappa
+        grams = [text[start : start + kappa] for start in range(0, len(text), kappa)]
+        ranks = np.fromiter((self._rank.get(gram, -1) for gram in grams), np.int64, len(grams))
+        unseen = np.flatnonzero(ranks < 0)
+        extractor = self
+        if unseen.size:
+            ranks[unseen] = np.arange(self._unknown_base, self._unknown_base + unseen.size)
+            if ranks[unseen[-1]] > np.iinfo(np.int32).max:
+                raise ValueError("too many distinct grams for int32 ranks")
+            extractor = QGramExtractor.__new__(QGramExtractor)
+            extractor._kappa = kappa
+            extractor._rank = dict(self._rank)
+            extractor._rank.update((grams[at], int(ranks[at])) for at in unseen.tolist())
+            extractor._unknown_base = self._unknown_base + unseen.size
+        return extractor, ranks.astype(np.int32)[inverse]
+
     @property
     def kappa(self) -> int:
         return self._kappa

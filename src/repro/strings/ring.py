@@ -14,10 +14,13 @@ kernels:
 
 * the pivotal and prefix inverted indexes are CSR postings keyed by the
   extractor's global gram rank (rank equality is gram equality for any
-  (query gram, data gram) pair: data grams all carry learned ranks and
-  unseen query grams rank beyond the learned universe), built from the
+  (query gram, data gram) pair: every data gram carries a rank of the
+  table, and unseen query grams rank beyond it), built from the
   dataset's arrays by :class:`~repro.strings.pivotal.PivotalIndexBase`
-  and shared with the Pivotal baseline;
+  once per dataset and threshold and shared with the Pivotal baseline; a
+  compaction keeps the table -- extending it with the new grams -- and
+  splices the index instead of rebuilding it
+  (:func:`~repro.strings.pivotal.fold_dataset`);
 * Cand-1 generation gathers each matching posting slice once and applies
   the position-window, length and prefix-rank filters vectorised;
 * the matched boxes form an ``(n, m)`` boolean matrix, a complete
@@ -27,7 +30,9 @@ kernels:
   accepted without touching the per-box lower bounds;
 * the remaining candidates get their chain checked over the whole array at
   once: every box's content-bound lower bound is a windowed minimum over
-  precomputed substring masks, gathered and reduced in bulk; and
+  substring masks, from one table per query over the query and the
+  records whose boxes align against their own text, gathered and reduced
+  in bulk; and
 * survivors are verified as one batch
   (:meth:`~repro.strings.edit_distance.QueryMatcher.indexes_within`): a
   length and q-gram count filter over the concatenated candidates rules
@@ -42,54 +47,51 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.obs import span
-from repro.common.scratch import PerThread, Scratch, csr_gather_indices
+from repro.common.scratch import csr_gather_indices
 from repro.common.stats import SearchResult, Timer
 from repro.strings.dataset import StringDataset
 from repro.strings.edit_distance import QueryMatcher
 from repro.strings.pivotal import PivotalIndexBase, _QueryPlan
 from repro.strings.qgrams import character_mask, code_points
 
-#: Cap on the whole-corpus substring mask table (entries, 8 bytes each --
-#: 128 MB at the cap).  Above it each query builds a table over just the
-#: records its chain check reads.
-_MAX_TABLE_ENTRIES = 1 << 24
-
 #: Cap on the substring masks one chain-check pass gathers (entries, 8 bytes
 #: each, a few arrays of that length alive at once).
 _MAX_GATHER_ENTRIES = 1 << 22
 
 
-def _substring_mask_table(
-    codes: np.ndarray, base: np.ndarray, window: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Character masks of every substring of length ``1..window`` of texts
-    held as code points (:func:`repro.strings.qgrams.code_points`).
+#: The mask of a substring that leaves its text: all 64 bits, so its
+#: content bound is at least the full-deletion cap of any gram with at most
+#: 32 mask bits (every ``kappa <= 32``) and never decides a box value; a
+#: wider gram may get a lower, still sound, value from it.
+_OUTSIDE = np.uint64(2**64 - 1)
 
-    Text ``t`` occupies ``codes[base[t]:base[t + 1]]``.  Returns ``(flat,
-    offsets)``: the masks of the substrings starting at position ``i`` of
-    the concatenation (shortest first, never crossing a text boundary) sit
-    in ``flat[offsets[i]:offsets[i + 1]]``.
+
+def _substring_masks(
+    codes: np.ndarray, lengths: np.ndarray, pad: int, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Character masks of the substrings of texts held back to back as
+    ``codes`` (text ``t`` has ``lengths[t]`` code points).
+
+    The texts are laid out with ``pad`` empty slots before each one and
+    after the last; text ``t`` starts at row ``base[t]``.  Returns
+    ``(masks, base)``: ``masks[r, w]`` is the mask of the ``w + 1``
+    characters from row ``r``, or :data:`_OUTSIDE` where they do not all
+    lie in one text, so a reader may start up to ``pad`` rows before or
+    after a text without a bounds check.
     """
-    lengths = np.diff(base)
-    total = int(base[-1])
-    bits = np.left_shift(np.uint64(1), (codes % 64).astype(np.uint64))
-    counts = np.minimum(np.repeat(base[1:], lengths) - np.arange(total), window)
-    offsets = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # Width-by-width cumulative ORs written straight into the flat layout
-    # (position-major, shortest substring first) -- no dense intermediate.
-    flat = np.zeros(int(offsets[-1]), dtype=np.uint64)
-    current = bits
-    for width in range(1, window + 1):
-        if width > 1:
-            current = current[:-1] | bits[width - 1 :]
-        starts = np.flatnonzero(counts >= width)
-        if not starts.size:
-            break
-        # counts[s] >= width implies s + width <= total, so every such start
-        # indexes into ``current`` (length total - width + 1).
-        flat[offsets[starts] + width - 1] = current[starts]
-    return flat, offsets
+    spans = lengths + pad
+    base = pad + np.cumsum(spans) - spans
+    rows = csr_gather_indices(base, base + lengths)
+    bits = np.zeros(pad + int(spans.sum()), dtype=np.uint64)
+    bits[rows] = np.left_shift(np.uint64(1), (codes % 64).astype(np.uint64))
+    room = np.zeros(bits.size, dtype=np.int64)  # characters left in the text
+    room[rows] = np.repeat(base + lengths, lengths) - rows
+    masks = np.empty((bits.size, window), dtype=np.uint64)
+    masks[:, 0] = bits
+    for width in range(1, window):
+        np.bitwise_or(masks[:-width, width - 1], bits[width:], out=masks[:-width, width])
+    masks[np.arange(window) >= room[:, np.newaxis]] = _OUTSIDE
+    return masks, base
 
 
 class RingStringSearcher(PivotalIndexBase):
@@ -115,12 +117,8 @@ class RingStringSearcher(PivotalIndexBase):
         self._windows = (np.arange(m)[:, np.newaxis] + np.arange(self._chain_length)) % m
         self._bounds = np.arange(1, self._chain_length + 1) * tau // m
         self._masks = dataset.columns().masks
-        self._scratch: PerThread = PerThread(Scratch)
         self._window = dataset.kappa + tau
-        self._corpus_table_fits = int(self._lengths.sum()) * self._window <= _MAX_TABLE_ENTRIES
-        # The record-corpus substring mask table only pays off once a query
-        # actually reaches the chain check on the "query" side; built lazily.
-        self._corpus_table: tuple[np.ndarray, np.ndarray] | None = None
+        self._reach = np.arange(-tau, tau + 1)
 
     @property
     def chain_length(self) -> int:
@@ -192,96 +190,52 @@ class RingStringSearcher(PivotalIndexBase):
 
     # -- box values ----------------------------------------------------------
 
-    def _window_min_bounds(
-        self,
-        gram_masks: np.ndarray,
-        gram_positions: np.ndarray,
-        base: np.ndarray | int,
-        text_lengths: np.ndarray | int,
-        sub_flat: np.ndarray,
-        sub_off: np.ndarray,
-    ) -> np.ndarray:
-        """Content-filter lower bound of one alignment box per gram.
-
-        Entry ``i`` is the minimum ``ceil(popcount(mask(gram) XOR
-        mask(substring)) / 2)`` over every substring of its text starting
-        within ``tau`` of the gram position (lengths up to ``kappa + tau``),
-        capped by the full-deletion bound.  In an optimal edit script of
-        cost at most ``tau`` the gram is aligned to one of these substrings
-        at cost ``c_i``, and the content bound of that substring is at most
-        ``c_i``; so the chain check driven by these values never rejects a
-        true result.
-        """
-        tau = self._tau
-        cap = (np.bitwise_count(gram_masks).astype(np.int64) + 1) >> 1
-        empty = gram_positions - tau > text_lengths - 1
-        lo = np.clip(gram_positions - tau, 0, text_lengths - 1)
-        hi = np.maximum(np.minimum(gram_positions + tau, text_lengths - 1), lo)
-        starts = sub_off[base + lo]
-        ends = sub_off[base + hi + 1]
-        gather = csr_gather_indices(starts, ends, self._scratch.get())
-        sizes = ends - starts
-        diffs = np.bitwise_count(sub_flat[gather] ^ np.repeat(gram_masks, sizes))
-        bounds = (diffs.astype(np.int64) + 1) >> 1
-        segments = np.zeros(sizes.size, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=segments[1:])
-        values = np.minimum(np.minimum.reduceat(bounds, segments), cap)
-        values[empty] = cap[empty]
-        return values
-
     def _box_values(self, ids: np.ndarray, query: str, plan: _QueryPlan) -> np.ndarray:
         """The ``(len(ids), m)`` matrix of content-bound box values.
 
         "data"-side candidates align their own pivotal grams against the
-        query text (one mask table per query); "query"-side candidates align
-        the query's pivotal grams against their record: the corpus table,
-        built lazily and shared by every query, or -- when it would exceed
-        :data:`_MAX_TABLE_ENTRIES` -- a table over just these records.
+        query text; "query"-side candidates align the query's pivotal grams
+        against their record.  Box ``(i, j)``'s value is the minimum
+        ``ceil(popcount(mask(gram) XOR mask(substring)) / 2)`` over every
+        substring of its text starting within ``tau`` of the gram position
+        (lengths up to ``kappa + tau``), capped by the full-deletion bound.
+        In an optimal edit script of cost at most ``tau`` the gram is
+        aligned to one of these substrings at cost ``c_ij``, and the
+        content bound of that substring is at most ``c_ij``; so the chain
+        check driven by these values never rejects a true result.
+
+        The query and the query-side records go into one table of
+        substring masks (:func:`_substring_masks`, padded by ``2 tau``:
+        a candidate's length is within ``tau`` of the query's, so no gram
+        sits more than ``tau - kappa`` past its text's end), and one
+        ``(boxes, 2 tau + 1, kappa + tau)`` block of it is gathered and
+        reduced.
         """
         m = self._m
-        values = np.zeros((ids.size, m), dtype=np.int64)
+        columns = self._dataset.columns()
         side_data = self._last_rank[ids] <= plan.last_prefix_rank
-        rows = np.flatnonzero(side_data)
-        if rows.size:
-            ids_data = ids[rows]
-            q_flat, q_off = _substring_mask_table(*code_points([query]), self._window)
-            values[rows] = self._window_min_bounds(
-                self._piv_mask_mat[ids_data].ravel(),
-                self._piv_pos_mat[ids_data].ravel(),
-                0,
-                len(query),
-                q_flat,
-                q_off,
-            ).reshape(rows.size, m)
-        rows = np.flatnonzero(~side_data)
-        if rows.size:
-            ids_query = ids[rows]
-            if self._corpus_table_fits:
-                columns = self._dataset.columns()
-                if self._corpus_table is None:
-                    self._corpus_table = _substring_mask_table(
-                        columns.codes, columns.offsets, self._window
-                    )
-                flat, offsets = self._corpus_table
-                base = columns.offsets[ids_query]
-            else:
-                records = self._dataset.records
-                codes, base = code_points([records[obj_id] for obj_id in ids_query.tolist()])
-                flat, offsets = _substring_mask_table(codes, base, self._window)
-                base = base[:-1]
-            positions = np.asarray([gram.position for gram in plan.pivotal], dtype=np.int64)
-            gram_masks = np.asarray(
-                [character_mask(gram.gram) for gram in plan.pivotal], dtype=np.uint64
-            )
-            values[rows] = self._window_min_bounds(
-                np.tile(gram_masks, ids_query.size),
-                np.tile(positions, ids_query.size),
-                np.repeat(base, m),
-                np.repeat(self._lengths[ids_query], m),
-                flat,
-                offsets,
-            ).reshape(rows.size, m)
-        return values
+        ids_query = ids[~side_data]
+        starts, lengths = columns.offsets[ids_query], self._lengths[ids_query]
+        record_codes = columns.codes[csr_gather_indices(starts, starts + lengths)]
+        masks, base = _substring_masks(
+            np.concatenate([code_points([query])[0], record_codes]),
+            np.concatenate([[len(query)], lengths]),
+            2 * self._tau,
+            self._window,
+        )
+        gram_masks = np.empty((ids.size, m), dtype=np.uint64)
+        rows = np.empty((ids.size, m), dtype=np.int64)
+        ids_data = ids[side_data]
+        gram_masks[side_data] = self._piv_mask_mat[ids_data]
+        rows[side_data] = self._piv_pos_mat[ids_data] + base[0]
+        gram_masks[~side_data] = [character_mask(gram.gram) for gram in plan.pivotal]
+        rows[~side_data] = base[1:, np.newaxis] + [gram.position for gram in plan.pivotal]
+        gram_masks = gram_masks.reshape(-1)
+        block = masks[rows.reshape(-1, 1) + self._reach]
+        block ^= gram_masks[:, np.newaxis, np.newaxis]
+        nearest = np.bitwise_count(block).reshape(gram_masks.size, -1).min(axis=1)
+        values = np.minimum(nearest, np.bitwise_count(gram_masks)).astype(np.int64)
+        return ((values + 1) >> 1).reshape(ids.size, m)
 
     # -- search -------------------------------------------------------------
 

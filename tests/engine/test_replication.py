@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.common import diag
-from repro.engine import Query, build_shards
+from repro.engine import Query, build_shards, get_backend, register_backend
 from repro.engine.replication import (
     CATCHING_UP,
     DEAD,
@@ -362,6 +362,78 @@ def test_compaction_with_a_dead_sibling_folds_and_checkpoints_the_live_one(
             applied = replica.worker.submit(_worker_call, "applied_seq", DOMAIN).result()
             assert applied == wal_last_seq
             assert replica.state == LIVE
+
+
+def test_sigkill_during_a_strings_fold_recovers_both_replicas(tmp_path, datasets, query_payloads):
+    """One strings shard, two replicas, a WAL: one replica's worker is
+    killed while it folds.  Its sibling folds -- splicing the index its
+    searchers hold, under the gram order it kept -- and checkpoints; the
+    respawned replica loads that checkpoint, which fits a fresh order, and
+    replays the WAL tail.  Asked directly, each worker answers exactly what
+    a rebuild of the acknowledged ops answers."""
+    domain = "strings"
+    marker = tmp_path / "folding"
+    original = get_backend(domain)
+
+    class ParkedFold(type(original)):
+        def apply_mutations(self, store, delta):
+            # The first replica to fold writes its pid and parks until killed.
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return super().apply_mutations(store, delta)
+            os.write(fd, str(os.getpid()).encode())
+            os.close(fd)
+            time.sleep(120)
+            return super().apply_mutations(store, delta)
+
+    # Registered before the engine opens, so forked replicas inherit it.
+    register_backend(ParkedFold(), replace=True)
+    try:
+        directory = str(tmp_path / "shards")
+        build_shards(domain, datasets[domain], directory, 1)
+        with ShardedEngine(directory, wal_dir=str(tmp_path / "wal"), replicas=2) as engine:
+            engine._supervisor.stop()  # the respawn below happens by hand
+            rset = engine._sets[0]
+            rng = random.Random(47)
+            records = dict(enumerate(_initial_records(domain, datasets)))
+            queries = [
+                Query(backend=domain, payload=payload, **{key: value})
+                for payload in query_payloads[domain]
+                for key, value in PARAMS[domain].items()
+            ]
+            for replica in rset.replicas:  # each builds the index its fold splices
+                for query in queries:
+                    replica.worker.submit(_worker_search, query).result()
+            records = _apply_batched_mutations(
+                engine, domain, records, rng, datasets, num_batches=8
+            )
+
+            folded: list[dict] = []
+            folding = threading.Thread(target=lambda: folded.append(engine.compact()))
+            folding.start()
+            assert _wait_until(lambda: marker.exists() and marker.read_text() != "")
+            os.kill(int(marker.read_text()), signal.SIGKILL)
+            folding.join(timeout=60)
+            assert not folding.is_alive()
+            summary = folded[0]["shards"][0]
+            assert summary["replicas_compacted"] == 1 and summary["checkpointed"] is True
+
+            # Acknowledged after the checkpoint: the respawn replays it.
+            records = _apply_batched_mutations(
+                engine, domain, records, rng, datasets, num_batches=3
+            )
+            rset.heal()
+            assert [replica.state for replica in rset.replicas] == [LIVE, LIVE]
+            reference, live = _rebuild(domain, records)
+            for query in queries:
+                expected = reference.search(query)
+                for replica in rset.replicas:
+                    answer = replica.worker.submit(_worker_search, query).result()
+                    assert answer["ids"] == [live[dense] for dense in expected.ids]
+                    assert answer["scores"] == expected.scores
+    finally:
+        register_backend(original, replace=True)
 
 
 def _answers(engine, query_payloads, taus) -> list:

@@ -9,8 +9,8 @@ On random data the served ``ring`` searcher must satisfy, for every domain:
   hamming's GPH), ring at l = 1 returns the baseline's candidates.
 
 Strings also get two explicit cases the random draws do not reach: tau = 64
-(m = 65 boxes over long records) and the per-query substring-mask tables
-built when the corpus table would exceed its cap.
+(m = 65 boxes over long records) and long records whose chain check reads
+many "query"-side boxes from the per-query substring-mask table.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.graphs import Graph, GraphDataset
 from repro.hamming import BinaryVectorDataset
 from repro.sets import SetDataset
 from repro.strings import StringDataset
-from repro.strings import ring as string_ring
 
 
 @st.composite
@@ -140,18 +139,11 @@ def test_strings_ring_at_tau_64_equals_linear():
         check_ring_structure("strings", dataset, query, 64, (1, 2, 3, 65))
 
 
-def test_strings_ring_over_the_table_cap_equals_linear(monkeypatch):
-    """A corpus table over the cap: each query reads a table built over just
-    its undecided records, with the cached table's candidates and results."""
+def test_strings_ring_chain_check_on_long_records_equals_linear():
+    """Long records at tau 2 and 6 send many candidates to the chain check,
+    whose "query"-side boxes read a substring-mask table built per query
+    over just those records' code points."""
     dataset, queries = long_strings(6, 40)
-    backend = get_backend("strings")
     for tau in (2, 6):
-        cached = backend.make_searcher(dataset, "ring", tau, None)
-        with monkeypatch.context() as patch:
-            patch.setattr(string_ring, "_MAX_TABLE_ENTRIES", 0)
-            per_query = backend.make_searcher(dataset, "ring", tau, None)
-            for query in queries:
-                check_ring_structure("strings", dataset, query, tau, range(1, tau + 2))
-                expected = cached(query)
-                got = per_query(query)
-                assert (got.candidates, got.results) == (expected.candidates, expected.results)
+        for query in queries:
+            check_ring_structure("strings", dataset, query, tau, range(1, tau + 2))
